@@ -1,37 +1,39 @@
 """The discrete-event fleet kernel: one heap, one global clock.
 
-The lockstep fleet loop in :class:`~repro.serve.replicaset.ReplicaSet`
-re-derives "who acts next" from scratch every iteration: it scans every
-replica's virtual clock, advances the furthest-behind one, and recomputes
-every replica's load after every single step.  That is O(replicas) work
-per event and O(replicas x jobs) work per rebalance check -- fine for 4
-pipelines, hopeless for 1000.  This module is the replacement control
-structure: a classic discrete-event kernel with a global binary heap of
-typed, timestamped events, so finding the next actor is O(log n) and
-state is recomputed only for replicas an event actually touched.
+The fleet loop (:class:`~repro.serve.replicaset.FleetLoop`) must answer
+"who acts next" after every event.  Rescanning every replica's virtual
+clock and recomputing every replica's load after every step would be
+O(replicas) work per event and O(replicas x jobs) per rebalance check
+-- fine for 4 pipelines, hopeless for 1000.  This module is the control
+structure that avoids it: a classic discrete-event kernel with a global
+binary heap of typed, timestamped events, so finding the next actor is
+O(log n) and state is recomputed only for replicas an event actually
+touched.
 
 Three properties the serving layer needs shape the design:
 
 **Deterministic total order.**  Events pop in ``(time, priority, seq)``
 order, where ``priority`` is the pair ``(kind, lane)`` and ``seq`` is a
 monotone creation counter.  Equal-time events therefore resolve by kind
-first (:attr:`EventKind.ARRIVAL` before :attr:`EventKind.WAVE_CLOSE` --
-a replica whose clock has exactly reached an arrival's timestamp waits
-for the routing decision, matching the lockstep loop's strict
-``clock < next_arrival`` test), then by lane (replicas tie-break in
-index order, arrivals in adapter-id order), then by creation order.
-Nothing about the order depends on hashing, wall time, or heap
-internals, so two runs of the same trace are byte-identical
-(``tests/serve/test_events.py`` asserts it).
+first, then by lane, then by creation order.  Kind first means
+:attr:`EventKind.ARRIVAL` beats :attr:`EventKind.WAVE_CLOSE`: a replica
+whose clock has exactly reached an arrival's timestamp does not step
+until the arrival is routed, so a wave close advances a replica only
+while its clock is *strictly* behind the next arrival, and routing sees
+every replica as of the arrival instant.  Lane second means replicas at
+equal clocks advance in index order and simultaneous arrivals route in
+adapter-id order.  Nothing about the order depends on hashing, wall
+time, or heap internals, so two runs of the same trace are
+byte-identical (``tests/serve/test_events.py`` asserts it).
 
-**An immediate lane for control events.**  The lockstep loop runs its
-rebalance pass *synchronously* after every iteration; a faithful event
-translation must therefore run rebalance/migration/flush work before any
-other timed event gets in, even one carrying an earlier timestamp (the
-fleet frontier and a lagging replica clock are different axes of
-"now").  :meth:`EventKernel.post` queues an event on a FIFO lane that
-:meth:`EventKernel.pop` always drains before touching the heap --
-the same device asyncio's ``call_soon`` is.
+**An immediate lane for control events.**  Control work -- the
+rebalance check after an arrival or wave close, and the migrations and
+drains it decides -- must finish before any other timed event gets in,
+even one carrying an earlier timestamp (the fleet frontier and a
+lagging replica clock are different axes of "now"), or a later event
+would see a half-rebalanced fleet.  :meth:`EventKernel.post` queues an
+event on a FIFO lane that :meth:`EventKernel.pop` always drains before
+touching the heap -- the same device asyncio's ``call_soon`` is.
 
 **Lazy cancellation.**  A replica's next wave-close event is scheduled
 at its current clock; any mutation (an offer, a migration, a drain)
@@ -41,14 +43,14 @@ at pop time is O(1) amortized, the standard discrete-event-simulation
 trick (``heapq`` documents it as the recommended pattern).
 
 The kernel is deliberately generic -- it knows event *kinds* but not the
-serving layer (no serve module is imported here), so the fleet loop in
-:class:`~repro.serve.replicaset.ReplicaSet`, tests, and future
-subsystems (autoscalers, trace replayers) can all drive it.  Clock
-semantics: :attr:`EventKernel.now` is the timestamp of the most recently
-popped *heap* event.  It is **not monotone**: replica-local clocks lag
-the fleet's arrival frontier, so a handler may legitimately schedule --
-and the kernel then pops -- work behind the last popped time.  Handlers
-must treat each event's own ``time`` as its clock, never ``now``.
+serving layer (no serve module is imported here), so the fleet loop,
+tests, and future subsystems (autoscalers, trace replayers) can all
+drive it.  Clock semantics: :attr:`EventKernel.now` is the timestamp
+of the most recently popped *heap* event.  It is **not monotone**:
+replica-local clocks lag the fleet's arrival frontier, so a handler may
+legitimately schedule -- and the kernel then pops -- work behind the
+last popped time.  Handlers must treat each event's own ``time`` as its
+clock, never ``now``.
 """
 
 from __future__ import annotations
@@ -67,12 +69,12 @@ class EventKind(enum.IntEnum):
     """The typed events the fleet kernel processes.
 
     The integer values double as the kind component of the heap
-    priority, so at equal timestamps arrivals beat wave closes --
-    exactly the lockstep loop's strict ``clock < next_arrival`` rule.
-    The three control kinds (rebalance, migration, flush) never enter
-    the heap: the fleet loop posts them on the immediate lane
-    (:meth:`EventKernel.post`), mirroring the synchronous rebalance
-    call the lockstep loop makes after every iteration.
+    priority, so at equal timestamps an arrival pops before a wave
+    close: a replica steps only while its clock is strictly behind the
+    next arrival.  The three control kinds (rebalance, migration,
+    flush) never enter the heap: the fleet loop posts them on the
+    immediate lane (:meth:`EventKernel.post`), so a whole rebalance
+    pass completes before any timed event pops.
 
     The three scale kinds (replica join / retire / reclaim deadline)
     are **appended after** the original five, so traces without scale

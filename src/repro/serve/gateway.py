@@ -47,11 +47,11 @@ cancelled from the door.
 **Conformance is the contract.**  A gateway session records every job it
 releases (:meth:`ServeGateway.recorded_trace`, arrival-stamped in
 release order); replaying that trace through a fresh
-:meth:`~repro.serve.replicaset.ReplicaSet.run` -- on either fleet kernel
--- reproduces the live session's fleet result **bit-identically**,
-because the session and the batch loop share every line of event
-dispatch (``tests/integration/test_gateway_conformance.py`` asserts it
-under hypothesis-randomized submit/cancel/overload interleavings).
+:meth:`~repro.serve.replicaset.ReplicaSet.run` reproduces the live
+session's fleet result **bit-identically**, because the session and the
+batch loop share every line of event dispatch
+(``tests/integration/test_gateway_conformance.py`` asserts it under
+hypothesis-randomized submit/cancel/overload interleavings).
 ``benchmarks/bench_gateway.py`` gates the operational claims: sustained
 arrivals/sec, bounded p99 admission latency under a 10x overload burst,
 zero admitted jobs lost, and a shed count equal to the backpressure
@@ -315,7 +315,7 @@ class ServeGateway:
 
     Args:
         replica_set: The fleet to serve on; must be freshly constructed
-            (single-shot) and configured with ``kernel="event"``.
+            (single-shot).
         limits: Door protection knobs; default accepts everything.
         clock: Virtual-time source; a 1:1 :class:`WallClock` when
             omitted.
@@ -681,10 +681,9 @@ class ServeGateway:
         """The session's released jobs, arrival-stamped in release order.
 
         The conformance artifact: running this trace through a fresh
-        :meth:`~repro.serve.replicaset.ReplicaSet.run` (either kernel)
-        reproduces the live session's fleet result bit-identically.
-        Shed and cancelled submissions never appear -- they never
-        reached the fleet.
+        :meth:`~repro.serve.replicaset.ReplicaSet.run` reproduces the
+        live session's fleet result bit-identically.  Shed and cancelled
+        submissions never appear -- they never reached the fleet.
         """
         return list(self._trace)
 

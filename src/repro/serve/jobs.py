@@ -9,6 +9,7 @@ the :class:`~repro.runtime.engine.NumericJob` holding real token arrays.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,12 @@ class ServeJob:
     tenant: str | None = None
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ScheduleError("arrival_time must be non-negative")
+        # Times become event-heap keys: a NaN compares false with
+        # everything and silently breaks the (time, ...) order.
+        if not math.isfinite(self.arrival_time) or self.arrival_time < 0:
+            raise ScheduleError("arrival_time must be finite and non-negative")
+        if self.deadline is not None and not math.isfinite(self.deadline):
+            raise ScheduleError("deadline must be finite (None means none)")
         if self.deadline is not None and self.deadline <= self.arrival_time:
             raise ScheduleError(
                 "deadline must lie strictly after the job's arrival",

@@ -455,10 +455,9 @@ class ReplicaSetResult(_LatencyAggregates):
             :meth:`~repro.serve.orchestrator.OnlineOrchestrator.drain_for`,
             i.e. work a full flush would have dragged to completion
             early.  0 when every drain fell back to a full flush.
-        events_processed: Events the discrete-event fleet kernel
+        events_processed: Events the discrete-event fleet loop
             processed, by :class:`~repro.serve.events.EventKind` name
-            (empty under the lockstep reference loop) -- the numerator
-            of the events/sec throughput
+            -- the numerator of the events/sec throughput
             ``benchmarks/bench_fleet_kernel.py`` gates.
         joins: Replicas the autoscaler added mid-run (scale-up landings).
         retires: Replicas that left the fleet mid-run, gracefully or by

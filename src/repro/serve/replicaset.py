@@ -8,31 +8,19 @@ pluggable :class:`~repro.serve.router.RoutingPolicy`, and -- when the
 load skew between replicas exceeds a threshold -- *migrates* jobs
 between pipelines.
 
-Two fleet loops implement the same semantics, selected by
-:attr:`ReplicaSetConfig.kernel`:
-
-* ``"event"`` (the default) runs on the discrete-event kernel of
-  :mod:`repro.serve.events`: arrivals and per-replica wave closes are
-  typed events on one global heap, control work (rebalance checks,
-  migrations, drains) runs on the kernel's immediate lane, and
-  per-replica load/view snapshots are cached and invalidated only when
-  an event actually mutates that replica.  Finding the next actor is
-  O(log n) instead of an O(n) clock scan, which is what makes
-  100-1000-replica traces replayable
-  (``benchmarks/bench_fleet_kernel.py`` gates the speedup).
-* ``"lockstep"`` is the original reference loop: every iteration scans
-  all replicas, advances the furthest-behind working one (smallest
-  clock, then index) until every working replica has reached the next
-  arrival's timestamp, then routes that arrival against fresh load
-  views.  It recomputes everything from scratch each iteration, so it
-  is trivially correct -- and the equivalence oracle: both kernels
-  produce **bit-identical** results (same records, same migration
-  decisions, same calibration record;
-  ``tests/integration/test_event_kernel_equivalence.py``).
-
-Both loops route each arrival against replica state as of the arrival
-instant, which is what makes least-loaded and packing-affinity policies
-meaningful.
+The fleet runs on one loop, :class:`FleetLoop`, over the discrete-event
+kernel of :mod:`repro.serve.events`: arrivals, per-replica wave closes
+and scale actions are typed events on one global heap, control work
+(rebalance checks, migrations, drains) runs on the kernel's immediate
+lane, and each event kind has one handler method.  Per-replica
+load/view snapshots are cached and invalidated only when an event
+actually mutates that replica, so finding the next actor is O(log n)
+instead of an O(n) clock scan -- which is what makes
+100-1000-replica traces replayable (``benchmarks/bench_fleet_kernel.py``
+measures the per-event cost).  Every arrival is routed against replica
+state as of the arrival instant, which is what makes least-loaded and
+packing-affinity policies meaningful.  Batch :meth:`ReplicaSet.run` and
+the live :class:`FleetSession` drive the same loop.
 
 Migration is lossless.  A pending job moves as a queue entry (a
 *reroute*); an admitted job moves between waves as a
@@ -49,7 +37,6 @@ adapter is bit-identical to an unmigrated run
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, cast
 
@@ -76,48 +63,18 @@ from repro.serve.router import (
 
 __all__ = ["ReplicaSetConfig", "ReplicaSet", "FleetSession"]
 
-#: The fleet-loop implementations :attr:`ReplicaSetConfig.kernel` accepts.
-_KERNELS = ("event", "lockstep")
-
 #: A planned rebalance action: ``("migrate", adapter_id, source, target)``
 #: or ``("drain", source, migrant_or_None)``; ``None`` ends the pass.
 _RebalanceAction = tuple
 
 
 @dataclass
-class _EventDriver:
-    """The event fleet loop, packaged for incremental driving.
-
-    :meth:`ReplicaSet._event_driver` builds one: the kernel, the
-    dispatch closure over it, and the cached view/load state all live in
-    the closure scope, exactly as the batch loop had them.  ``run()``
-    ingests the whole workload and pumps to exhaustion; a
-    :class:`FleetSession` (the gateway's handle) ingests one job at a
-    time and pumps only to each submission's stamp.
-    """
-
-    #: The kernel the loop runs on (exposed for frontier introspection).
-    kernel: EventKernel
-    #: Live records by adapter id, filled as arrivals are offered.
-    records: dict[int, JobRecord]
-    #: Schedule one job's arrival event (``kind`` picks the taxonomy
-    #: entry: ARRIVAL for trace replay, GATEWAY_INGRESS for live).
-    ingest: Callable[[ServeJob, EventKind], None]
-    #: Process every due event with timestamp at or before ``frontier``.
-    pump: Callable[[float], None]
-    #: Close out the loop: verify no evacuated job is stranded, record
-    #: the per-kind event counts on the owning set.
-    finalize: Callable[[], None]
-
-
-@dataclass
 class _RebalancePass:
     """One rebalance pass's bookkeeping, carried through posted events.
 
-    The lockstep loop keeps these sets as locals of one synchronous
-    ``_rebalance()`` call; the event kernel threads the same state
-    through its REBALANCE/MIGRATION/FLUSH event chain so a pass has
-    identical once-per-job and once-per-replica bounds in both modes.
+    The REBALANCE/MIGRATION/FLUSH chain threads it from check to action
+    and back, so a pass moves each job at most once and drains each
+    replica at most once.
     """
 
     #: Adapters already moved this pass (a job moves at most once).
@@ -174,20 +131,15 @@ class ReplicaSetConfig:
             leave it off unless rebalances are visibly starving
             (``ReplicaSetResult.rebalance_drains`` counts the drains
             paid).
-        kernel: Which fleet loop serves the run: ``"event"`` (the
-            discrete-event kernel, the default) or ``"lockstep"`` (the
-            original reference loop).  Results are bit-identical; the
-            event kernel is the fast one (see the module docstring).
         autoscaler: Optional
             :class:`~repro.serve.autoscaler.FleetAutoscaler` making the
-            replica count elastic: the event loop probes it after every
+            replica count elastic: the fleet loop probes it after every
             event (cooldown-gated), turns its decisions into
             ``REPLICA_JOIN`` / ``REPLICA_RETIRE`` kernel events, and
             runs its spot-reclamation notices with lossless evacuation
-            under each notice's deadline.  Requires ``kernel="event"``
-            (scale actions are heap events, not loop iterations), an
-            orchestrator estimator (the backlog signal is priced in
-            seconds), and an ``executor_factory``.
+            under each notice's deadline.  Requires an orchestrator
+            estimator (the backlog signal is priced in seconds) and an
+            ``executor_factory``.
         executor_factory: Builds the executor for a replica joining
             from a given :class:`~repro.serve.autoscaler.CapacityPool`
             (e.g. a :class:`~repro.serve.executors.StreamingSimExecutor`
@@ -202,7 +154,6 @@ class ReplicaSetConfig:
     migration_threshold: int | None = None
     migration_time_threshold: float | None = None
     drain_then_migrate: bool = False
-    kernel: str = "event"
     autoscaler: FleetAutoscaler | None = None
     executor_factory: Callable[[CapacityPool], Executor] | None = None
 
@@ -228,16 +179,7 @@ class ReplicaSetConfig:
                 "never fire; set migration_threshold or "
                 "migration_time_threshold"
             )
-        if self.kernel not in _KERNELS:
-            raise ScheduleError(
-                f"unknown fleet kernel {self.kernel!r}; choose from {_KERNELS}"
-            )
         if self.autoscaler is not None:
-            if self.kernel != "event":
-                raise ScheduleError(
-                    "autoscaling needs kernel='event': scale actions are "
-                    "kernel events, not lockstep iterations"
-                )
             if self.orchestrator.estimator is None:
                 raise ScheduleError(
                     "autoscaling watches the seconds-valued backlog; "
@@ -276,18 +218,13 @@ class ReplicaSet:
         self._drain_steps_saved = 0
         self._events_processed: dict[str, int] = {}
         self._ran = False
-        # Elastic-fleet state.  With no autoscaler none of it changes
-        # after construction: every replica is routable for the whole
-        # run and the result carries no intervals (the legacy
-        # aggregation identities).
+        # Elastic-fleet accounting.  With no autoscaler none of it
+        # changes after construction and the result carries no
+        # intervals (the legacy aggregation identities).
         self._autoscaler = config.autoscaler
         self._joined_at = [0.0] * len(executors)
         self._retired_at: list[float | None] = [None] * len(executors)
         self._hourly_rates = [0.0] * len(executors)
-        self._unroutable: set[int] = set()
-        self._routable_cache: list[int] | None = None
-        self._reclaim_started: dict[int, float] = {}
-        self._held: list[MigrationTicket] = []
         self._joins = 0
         self._retires = 0
         self._reclaims = 0
@@ -313,28 +250,18 @@ class ReplicaSet:
         """Pipeline replicas in the set (including retired ones)."""
         return len(self.replicas)
 
-    def _routable(self) -> list[int]:
-        """Indices arrivals, migrations, and evacuees may land on.
-
-        Excludes draining (reclamation-marked) and retired replicas.
-        Cached -- the fixed-fleet hot path pays one list build total,
-        and scale events invalidate it.
-        """
-        if self._routable_cache is None:
-            self._routable_cache = [
-                index
-                for index in range(len(self.replicas))
-                if index not in self._unroutable
-            ]
-        return self._routable_cache
-
     def _replica_view(self, index: int) -> ReplicaView:
         """One replica's current :class:`~repro.serve.router.ReplicaView`.
 
-        A pure function of the replica's state: the event kernel caches
-        the result and recomputes only after an event mutates that
-        replica, which is safe exactly because nothing here depends on
-        other replicas.
+        Load is reported in both units: ``outstanding_batches`` counts
+        active **plus parked plus pending** work, and -- when the
+        orchestrators carry a :class:`~repro.serve.costing.CostEstimator`
+        -- the same work is priced in expected seconds
+        (``expected_remaining_time``, ``expected_wave_time``) for
+        cost-aware policies.  A pure function of the replica's state:
+        the fleet loop caches the result and recomputes only after an
+        event mutates that replica, which is safe exactly because
+        nothing here depends on other replicas.
         """
         replica = self.replicas[index]
         return ReplicaView(
@@ -352,18 +279,6 @@ class ReplicaSet:
             expected_wave_time=replica.expected_wave_seconds(),
         )
 
-    def views(self) -> list[ReplicaView]:
-        """Current load snapshot of every replica, in index order.
-
-        Load is reported in both units (see :class:`ReplicaView`):
-        ``outstanding_batches`` counts active **plus parked plus
-        pending** work, and -- when the orchestrators carry a
-        :class:`~repro.serve.costing.CostEstimator` -- the same work is
-        priced in expected seconds (``expected_remaining_time``,
-        ``expected_wave_time``) for cost-aware policies.
-        """
-        return [self._replica_view(index) for index in range(len(self.replicas))]
-
     # -- the serving loop ---------------------------------------------------
 
     def run(self, workload: list[ServeJob]) -> ReplicaSetResult:
@@ -378,25 +293,15 @@ class ReplicaSet:
         Raises:
             ScheduleError: On reuse or duplicate adapter ids.
         """
-        if self._ran:
-            raise ScheduleError("ReplicaSet.run is single-shot; construct a fresh set")
-        self._ran = True
+        self._take_shot()
         ids = [job.adapter_id for job in workload]
         if len(set(ids)) != len(ids):
             raise ScheduleError(f"duplicate adapter ids in workload: {ids}")
-        for replica in self.replicas:
-            replica.start([])
-        arrivals = sorted(
-            workload, key=lambda job: (job.arrival_time, job.adapter_id)
-        )
-        if self.config.kernel == "lockstep":
-            self._run_lockstep(deque(arrivals))
-        else:
-            driver = self._event_driver()
-            for job in arrivals:
-                driver.ingest(job, EventKind.ARRIVAL)
-            driver.pump(math.inf)
-            driver.finalize()
+        loop = self._open_loop()
+        for job in sorted(workload, key=lambda job: (job.arrival_time, job.adapter_id)):
+            loop.ingest(job, EventKind.ARRIVAL)
+        loop.pump(math.inf)
+        loop.finalize()
         return self._assemble_result()
 
     def open_session(self) -> FleetSession:
@@ -408,23 +313,23 @@ class ReplicaSet:
         one at a time, the fleet is pumped only up to each caller-chosen
         time frontier, and :meth:`FleetSession.finish` runs the loop to
         exhaustion and assembles the same :class:`ReplicaSetResult` a
-        batch run would.  Requires ``kernel="event"`` (the lockstep
-        oracle has no incremental form) and consumes the set's single
-        shot, exactly like :meth:`run`.
+        batch run would.  Consumes the set's single shot, exactly like
+        :meth:`run`.
         """
-        if self.config.kernel != "event":
-            raise ScheduleError(
-                "a fleet session needs kernel='event'; the lockstep "
-                "oracle only runs complete traces"
-            )
+        self._take_shot()
+        return FleetSession(self, self._open_loop())
+
+    def _take_shot(self) -> None:
+        """Consume the set's single run (a second one raises)."""
         if self._ran:
-            raise ScheduleError(
-                "ReplicaSet is single-shot; construct a fresh set"
-            )
+            raise ScheduleError("ReplicaSet.run is single-shot; construct a fresh set")
         self._ran = True
+
+    def _open_loop(self) -> FleetLoop:
+        """Start every replica and build the loop that serves them."""
         for replica in self.replicas:
             replica.start([])
-        return FleetSession(self, self._event_driver())
+        return FleetLoop(self)
 
     def _assemble_result(self) -> ReplicaSetResult:
         """Finish every replica and fold the run into one result."""
@@ -475,408 +380,27 @@ class ReplicaSet:
             dollars_spent=dollars,
         )
 
-    def _run_lockstep(self, arrivals: deque[ServeJob]) -> None:
-        """The reference fleet loop: scan, advance the laggard, route.
-
-        Every iteration rescans all replicas and recomputes all loads
-        and views from scratch -- O(replicas) per event before any
-        pricing work.  Kept verbatim as the equivalence oracle for the
-        event kernel (``config.kernel = "lockstep"``).
-        """
-        while arrivals or any(r.has_work() for r in self.replicas):
-            next_arrival = arrivals[0].arrival_time if arrivals else math.inf
-            behind = [
-                replica for replica in self.replicas
-                if replica.has_work() and replica.clock < next_arrival
-            ]
-            if behind:
-                # Advance the furthest-behind working replica so every
-                # pipeline reaches the arrival instant before we route.
-                replica = min(behind, key=lambda r: (r.clock, r.replica_id))
-                replica.step()
-            else:
-                job = arrivals.popleft()
-                index = self.router.route(job, self.views())
-                record = self.replicas[index].offer(job)
-                record.replica = index
-            self._rebalance()
-
-    def _event_driver(self) -> _EventDriver:
-        """Build the discrete-event fleet loop (``config.kernel = "event"``).
-
-        Returns the loop packaged as an :class:`_EventDriver`: ``run()``
-        ingests the sorted workload and pumps to exhaustion (the batch
-        trace-replay path), while a :class:`FleetSession` ingests live
-        submissions one at a time and pumps to each submission's stamp
-        -- the two paths share every line of dispatch, which is what
-        makes a recorded gateway session replay bit-identical through
-        the batch path.
-
-        Arrivals are scheduled on the heap (lane = adapter id, so
-        simultaneous arrivals keep their sorted order); each working
-        replica keeps exactly one WAVE_CLOSE event at its current
-        clock, cancelled and rescheduled whenever an event mutates it.
-        The heap's ``(time, (kind, lane), seq)`` order reproduces the
-        lockstep loop's scan exactly: a wave close at the arrival
-        frontier yields to the arrival (the strict ``clock <
-        next_arrival`` rule), and equal-clock replicas advance in index
-        order.  Control events -- the rebalance check after every
-        iteration and the migrations/drains it decides -- run on the
-        kernel's immediate lane, ahead of any timed event, mirroring
-        the synchronous ``_rebalance()`` call.
-
-        Per-replica loads and routing views are cached and recomputed
-        only after a mutation, which is sound because both are pure
-        functions of one replica's state -- with a single exception: a
-        calibration observe on replica *B* repricess any tenant of
-        *B*'s closed wave that has since migrated to another replica,
-        so the loop watches the tracker's version stamp and invalidates
-        the migrant's current host too.
-        """
-        kernel = EventKernel()
-        n = len(self.replicas)
-        records: dict[int, JobRecord] = {}
-        params = self._rebalance_params()
-        estimator = self.config.orchestrator.estimator
-        calibration = estimator.calibration if estimator is not None else None
-        seen_version = calibration.version if calibration is not None else 0
-        autoscaler = self._autoscaler
-        views: list[ReplicaView | None] = [None] * n
-        arrays = FleetArrays.for_fleet(n)
-        loads = np.empty(n, dtype=np.float64)
-        stale_views: set[int] = set(range(n))
-        stale_loads: set[int] = set(range(n))
-        wave_events: list[Event | None] = [None] * n
-        deadline_events: dict[int, Event] = {}
-
-        def invalidate(index: int) -> None:
-            stale_views.add(index)
-            stale_loads.add(index)
-
-        def resync(index: int) -> None:
-            nonlocal seen_version
-            invalidate(index)
-            if calibration is not None and calibration.version != seen_version:
-                fresh = calibration.version
-                if fresh == seen_version + 1:
-                    # One observe: its wave tenants live here unless they
-                    # migrated away -- invalidate their current hosts.
-                    for adapter_id in calibration.last_observed_tenants:
-                        host = self.router.assignments.get(adapter_id)
-                        if host is not None and host != index:
-                            invalidate(host)
-                else:
-                    # Can't attribute multiple observes; drop every cache.
-                    for other in range(len(self.replicas)):
-                        invalidate(other)
-                seen_version = fresh
-            stale = wave_events[index]
-            if stale is not None:
-                kernel.cancel(stale)
-                wave_events[index] = None
-            replica = self.replicas[index]
-            if replica.has_work():
-                wave_events[index] = kernel.schedule(
-                    replica.clock, EventKind.WAVE_CLOSE, payload=index, lane=index
-                )
-
-        def replica_views() -> list[ReplicaView]:
-            # Refresh only the replicas an event has touched since the
-            # last call -- O(dirty), not O(fleet).
-            for index in stale_views:
-                view = self._replica_view(index)
-                views[index] = view
-                arrays.refill(index, view)
-            stale_views.clear()
-            return cast("list[ReplicaView]", views)
-
-        def replica_loads(seconds_mode: bool) -> np.ndarray:
-            for index in stale_loads:
-                loads[index] = self._replica_load(index, seconds_mode)
-            stale_loads.clear()
-            return loads
-
-        # -- elastic-fleet helpers (no-ops for fixed fleets) --------------
-
-        def place(ticket: MigrationTicket) -> bool:
-            # Land an evacuated job on the least-loaded routable replica
-            # (lowest index breaks ties); payload-carrying tickets need
-            # a free adapter slot there.  False = nowhere fits yet.
-            best: tuple[tuple[int, int], int] | None = None
-            for index in self._routable():
-                replica = self.replicas[index]
-                if ticket.payload is not None and replica.slots_free == 0:
-                    continue
-                key = (replica.outstanding_batches(), index)
-                if best is None or key < best[0]:
-                    best = (key, index)
-            if best is None:
-                return False
-            target = best[1]
-            self.replicas[target].inject_job(ticket)
-            ticket.record.replica = target
-            self.router.reassign(ticket.adapter_id, target)
-            if ticket.payload is None:
-                self._reroutes += 1
-            else:
-                ticket.record.migrations += 1
-                self._migrations += 1
-            resync(target)
-            return True
-
-        def place_held() -> None:
-            # Retry jobs evacuated when no replica could take them --
-            # after every event, because any event can free a slot.
-            if not self._held:
-                return
-            self._held = [ticket for ticket in self._held if not place(ticket)]
-
-        def evacuate_movable(index: int) -> None:
-            # Eject every pending/parked/boundary job, lowest adapter id
-            # first; jobs with nowhere to go are held, never dropped.
-            replica = self.replicas[index]
-            movable = sorted(entry[0] for entry in replica.migratable_jobs())
-            for adapter_id in movable:
-                ticket = replica.eject_job(adapter_id)
-                if not place(ticket):
-                    self._held.append(ticket)
-            if movable:
-                resync(index)
-
-        def complete_retirement(index: int, time: float, reclaim: bool) -> None:
-            self._retired_at[index] = time
-            self._retires += 1
-            if reclaim:
-                started = self._reclaim_started.pop(index)
-                self._reclaim_latencies.append(float(time - started))
-                pending_deadline = deadline_events.pop(index, None)
-                if pending_deadline is not None:
-                    kernel.cancel(pending_deadline)
-            if autoscaler is not None:
-                autoscaler.on_retired(index)
-            resync(index)  # cancels the wave event; no work remains
-
-        def evacuate_all(index: int, forced: bool) -> None:
-            # Empty ``index`` completely.  The graceful path pays one
-            # *partial* drain per mid-flight job (drain_for: stop at
-            # that job's last submitted batch); the forced path -- a
-            # reclaim deadline expiring -- pays one full flush.  Either
-            # way every job leaves at a step boundary with full state.
-            replica = self.replicas[index]
-            evacuate_movable(index)
-            if forced:
-                if replica.num_active:
-                    replica.flush()
-            else:
-                for adapter_id, _, _ in sorted(replica.drainable_jobs()):
-                    replica.drain_for(adapter_id)
-            evacuate_movable(index)
-            if replica.has_work():  # jobs a partial drain left mid-flight
-                replica.flush()
-                evacuate_movable(index)
-
-        def mark_unroutable(index: int) -> None:
-            self._unroutable.add(index)
-            self._routable_cache = None
-
-        if autoscaler is not None:
-            for notice_lane, notice in enumerate(autoscaler.reclamations):
-                kernel.schedule(
-                    notice.time,
-                    EventKind.REPLICA_RETIRE,
-                    payload=("reclaim", notice),
-                    lane=notice_lane,
-                )
-
-        def ingest(job: ServeJob, kind: EventKind) -> None:
-            kernel.schedule(job.arrival_time, kind, payload=job, lane=job.adapter_id)
-
-        def pump(frontier: float) -> None:
-            while (event := kernel.pop_until(frontier)) is not None:
-                dispatch(event)
-
-        def finalize() -> None:
-            if self._held:
-                raise ScheduleError(
-                    f"{len(self._held)} evacuated job(s) never found a new "
-                    "replica -- the fleet retired capacity it still needed"
-                )
-            self._events_processed = {
-                kind.name: count for kind, count in sorted(kernel.processed.items())
-            }
-
-        def dispatch(event: Event) -> None:
-            nonlocal loads
-            kind = event.kind
-            if kind is EventKind.WAVE_CLOSE:
-                index = event.payload
-                self.replicas[index].step()
-                resync(index)
-                if index in self._unroutable and self._retired_at[index] is None:
-                    # A draining (reclaimed) replica: the wave close just
-                    # brought active jobs to step boundaries -- evacuate
-                    # them, and retire early once nothing is left.
-                    evacuate_movable(index)
-                    if not self.replicas[index].has_work():
-                        complete_retirement(index, event.time, reclaim=True)
-                if params is not None:
-                    kernel.post(EventKind.REBALANCE, _RebalancePass())
-            elif kind is EventKind.ARRIVAL or kind is EventKind.GATEWAY_INGRESS:
-                # A gateway ingress is an arrival wearing its own kind:
-                # same routing, same offer, same rebalance check.
-                job = event.payload
-                all_views = replica_views()
-                routable = self._routable()
-                if len(routable) == len(all_views):
-                    index = self.router.route(job, all_views, arrays)
-                else:
-                    index = self.router.route(
-                        job, [all_views[i] for i in routable]
-                    )
-                record = self.replicas[index].offer(job)
-                record.replica = index
-                records[job.adapter_id] = record
-                resync(index)
-                if params is not None:
-                    kernel.post(EventKind.REBALANCE, _RebalancePass())
-            elif kind is EventKind.REBALANCE:
-                assert params is not None  # only posted when rebalancing is on
-                threshold, seconds_mode = params
-                state = event.payload
-                routable = self._routable()
-                action = self._plan_rebalance(
-                    replica_loads(seconds_mode),
-                    threshold,
-                    seconds_mode,
-                    state.moved,
-                    state.drained,
-                    None if len(routable) == len(self.replicas) else routable,
-                )
-                if action is None:
-                    return
-                if action[0] == "migrate":
-                    kernel.post(EventKind.MIGRATION, action[1:] + (state,))
-                else:
-                    kernel.post(EventKind.FLUSH, action[1:] + (state,))
-            elif kind is EventKind.MIGRATION:
-                adapter_id, source, target, state = event.payload
-                state.moved.add(adapter_id)
-                self._migrate(adapter_id, source, target)
-                resync(source)
-                resync(target)
-                kernel.post(EventKind.REBALANCE, state)
-            elif kind is EventKind.FLUSH:
-                source, migrant, state = event.payload
-                state.drained.add(source)
-                self._apply_drain(source, migrant)
-                resync(source)
-                kernel.post(EventKind.REBALANCE, state)
-            elif kind is EventKind.REPLICA_JOIN:
-                assert autoscaler is not None  # only scheduled by the probe
-                factory = self.config.executor_factory
-                assert factory is not None  # config validation
-                pool = event.payload
-                index = len(self.replicas)
-                executor = factory(pool)
-                # The new pipeline starts at the join instant, not at
-                # virtual zero -- without this it would serve its first
-                # jobs "in the past".
-                executor.advance(event.time)
-                replica = OnlineOrchestrator(
-                    executor, self.config.orchestrator, replica_id=index
-                )
-                replica.start([])
-                self.replicas.append(replica)
-                self._joined_at.append(event.time)
-                self._retired_at.append(None)
-                self._hourly_rates.append(pool.hourly_rate)
-                views.append(None)
-                wave_events.append(None)
-                loads = np.append(loads, 0.0)
-                arrays.grow()
-                self._routable_cache = None
-                self._joins += 1
-                autoscaler.on_joined(index, pool)
-                if calibration is not None and pool.speed_factor != 1.0:
-                    calibration.seed_replica(index, pool.speed_factor)
-                resync(index)
-            elif kind is EventKind.REPLICA_RETIRE:
-                tag, data = event.payload
-                if tag == "scale":
-                    # Graceful scale-down: partial-drain each mid-flight
-                    # job, move everything off, retire now.
-                    index = data
-                    if index not in self._unroutable:
-                        mark_unroutable(index)
-                        evacuate_all(index, forced=False)
-                        complete_retirement(index, event.time, reclaim=False)
-                else:  # a spot reclamation notice
-                    assert autoscaler is not None
-                    notice = data
-                    victims = autoscaler.pick_reclaim_victims(
-                        notice.count, self._routable()
-                    )
-                    for index in victims:
-                        mark_unroutable(index)
-                        self._reclaims += 1
-                        self._reclaim_started[index] = event.time
-                        evacuate_movable(index)
-                        if not self.replicas[index].has_work():
-                            complete_retirement(index, event.time, reclaim=True)
-                        else:
-                            deadline_events[index] = kernel.schedule(
-                                event.time + notice.deadline,
-                                EventKind.RECLAIM_DEADLINE,
-                                payload=index,
-                                lane=index,
-                            )
-            else:  # EventKind.RECLAIM_DEADLINE
-                index = event.payload
-                deadline_events.pop(index, None)
-                if self._retired_at[index] is None:
-                    # Grace expired with jobs still resident: force every
-                    # active job to a step boundary and evacuate -- adds
-                    # latency, loses nothing.
-                    self._forced_evacuations += 1
-                    evacuate_all(index, forced=True)
-                    complete_retirement(index, event.time, reclaim=True)
-            if autoscaler is not None:
-                place_held()
-                if autoscaler.ready(event.time):
-                    routable = self._routable()
-                    backlog = [
-                        (
-                            i,
-                            self.replicas[i].expected_remaining_seconds() or 0.0,
-                        )
-                        for i in routable
-                    ]
-                    pressure = sum(
-                        self.replicas[i].deadline_pressure() for i in routable
-                    )
-                    decision = autoscaler.plan(event.time, backlog, pressure)
-                    if decision is not None:
-                        if decision[0] == "join":
-                            kernel.schedule(
-                                event.time + autoscaler.provision_delay,
-                                EventKind.REPLICA_JOIN,
-                                payload=decision[1],
-                            )
-                        else:
-                            kernel.post(
-                                EventKind.REPLICA_RETIRE,
-                                ("scale", decision[1]),
-                            )
-
-        return _EventDriver(
-            kernel=kernel,
-            records=records,
-            ingest=ingest,
-            pump=pump,
-            finalize=finalize,
-        )
-
     # -- rebalancing --------------------------------------------------------
+    #
+    # With ``migration_time_threshold`` set, skew is measured in
+    # estimator-priced **seconds** -- each replica's *completion
+    # horizon*, its virtual clock plus ``expected_remaining_time``.
+    # Seconds compose with the clock (batch counts cannot), and the
+    # horizon is what a migrated job actually experiences: between
+    # arrivals replica clocks drift apart, and a job moved to a
+    # remaining-time-light replica whose clock runs *later* would finish
+    # later, not earlier.  Without the time threshold, skew is
+    # outstanding **batches** (the legacy trigger).  Each check moves one
+    # job from the most to the least loaded replica when that strictly
+    # reduces the skew *as priced at the source*.  A job moves at most
+    # once per pass: corrected prices are replica-keyed, so a tenant can
+    # reprice after landing, and without that guard a near-threshold
+    # weight could ping-pong between two replicas.  The once-per-job
+    # bound also makes termination unconditional.  When no job can move
+    # -- typically a deep pipeline holding every active job mid-wave --
+    # ``drain_then_migrate`` pays one drain on the overloaded replica (at
+    # most once per replica per pass) to unlock the migration; see
+    # :meth:`_apply_drain` for the partial-vs-full choice.
 
     def _rebalance_params(self) -> tuple[float, bool] | None:
         """The active ``(threshold, seconds_mode)``, or ``None`` when off."""
@@ -902,7 +426,7 @@ class ReplicaSet:
         plus estimator-priced remaining seconds; batch mode counts
         outstanding global batches.  Pure in the replica's own state
         (plus, in seconds mode, the calibration factors of its own
-        tenants), which is what lets the event kernel cache it.
+        tenants), which is what lets the fleet loop cache it.
         """
         replica = self.replicas[index]
         if seconds_mode:
@@ -920,8 +444,8 @@ class ReplicaSet:
     ) -> _RebalanceAction | None:
         """Decide one rebalance step from the given loads.
 
-        The single decision procedure both fleet loops share, so their
-        migration behavior cannot drift apart.  Returns ``("migrate",
+        The single decision procedure of every fleet loop (the test
+        suite's scan-loop reference calls it too).  Returns ``("migrate",
         adapter_id, source, target)`` when a job should move,
         ``("drain", source, migrant)`` when ``drain_then_migrate``
         should pay a drain to unlock one (``migrant`` is the mid-flight
@@ -960,55 +484,6 @@ class ReplicaSet:
             )
             return ("drain", source, migrant)
         return None
-
-    def _rebalance(self) -> None:
-        """Migrate jobs while load skew exceeds the configured threshold.
-
-        With ``migration_time_threshold`` set, skew is measured in
-        estimator-priced **seconds** -- each replica's *completion
-        horizon*, its virtual clock plus ``expected_remaining_time``.
-        Seconds compose with the clock (batch counts cannot), and the
-        horizon is what a migrated job actually experiences: between
-        arrivals replica clocks drift apart, and a job moved to a
-        remaining-time-light replica whose clock runs *later* would
-        finish later, not earlier.  Without the time threshold, skew is
-        outstanding **batches** (the legacy trigger).  Each pass moves
-        one job from the most to the least loaded replica when that
-        strictly reduces the skew *as priced at the source*.  A job is
-        moved at most once per pass: corrected prices are replica-keyed,
-        so a tenant can reprice after landing, and without that guard a
-        near-threshold weight could ping-pong between two replicas.
-        The once-per-job bound also makes termination unconditional.
-        When no job can move -- typically a deep pipeline holding every
-        active job mid-wave -- ``drain_then_migrate`` pays one drain on
-        the overloaded replica (at most once per replica per pass) to
-        unlock the migration; see :meth:`_apply_drain` for the
-        partial-vs-full drain choice.
-        """
-        params = self._rebalance_params()
-        if params is None:
-            return
-        threshold, seconds_mode = params
-        drained: set[int] = set()
-        moved: set[int] = set()
-        while True:
-            loads = [
-                self._replica_load(index, seconds_mode)
-                for index in range(len(self.replicas))
-            ]
-            action = self._plan_rebalance(
-                loads, threshold, seconds_mode, moved, drained
-            )
-            if action is None:
-                return
-            if action[0] == "migrate":
-                _, adapter_id, source, target = action
-                moved.add(adapter_id)
-                self._migrate(adapter_id, source, target)
-            else:
-                _, source, migrant = action
-                drained.add(source)
-                self._apply_drain(source, migrant)
 
     def _pick_migration(
         self,
@@ -1104,15 +579,447 @@ class ReplicaSet:
 
     def _migrate(self, adapter_id: int, source: int, target: int) -> None:
         """Move one job from replica ``source`` to replica ``target``."""
-        ticket = self.replicas[source].eject_job(adapter_id)
+        self._land(self.replicas[source].eject_job(adapter_id), target)
+
+    def _land(self, ticket: MigrationTicket, target: int) -> None:
+        """Inject an ejected job on ``target`` and account for the move.
+
+        A ticket without payload was still queued (a reroute); one
+        carrying exported state is a migration of an admitted job.
+        """
         self.replicas[target].inject_job(ticket)
         ticket.record.replica = target
-        self.router.reassign(adapter_id, target)
+        self.router.reassign(ticket.adapter_id, target)
         if ticket.payload is None:
             self._reroutes += 1
         else:
             ticket.record.migrations += 1
             self._migrations += 1
+
+
+class FleetLoop:
+    """The event-driven fleet loop: one handler per :class:`EventKind`.
+
+    Built by :meth:`ReplicaSet.run` (which ingests the sorted workload
+    and pumps to exhaustion) and by :meth:`ReplicaSet.open_session`
+    (whose :class:`FleetSession` ingests live submissions one at a time
+    and pumps to each submission's stamp).  Both paths share every line
+    of dispatch, which is what makes a recorded gateway session replay
+    bit-identically through the batch path.
+
+    Arrivals are scheduled on the heap (lane = adapter id, so
+    simultaneous arrivals keep their sorted order); each working
+    replica keeps exactly one WAVE_CLOSE event at its current clock,
+    cancelled and rescheduled whenever an event mutates it.  The heap's
+    ``(time, (kind, lane), seq)`` order makes a wave close at an
+    arrival's instant yield to the arrival (so routing sees every
+    replica as of that instant), and advances equal-clock replicas in
+    index order.  Control events -- the rebalance check after every
+    arrival and wave close, and the migrations/drains it decides -- run
+    on the kernel's immediate lane, ahead of any timed event.
+
+    Per-replica loads and routing views are cached and recomputed only
+    after a mutation, which is sound because both are pure functions of
+    one replica's state -- with a single exception: a calibration
+    observe on replica *B* reprices any tenant of *B*'s closed wave that
+    has since migrated to another replica, so the loop watches the
+    tracker's version stamp and invalidates the migrant's current host
+    too.
+
+    Attributes:
+        kernel: The event heap the loop runs on.
+        records: Live records by adapter id, filled as arrivals are
+            offered.
+    """
+
+    def __init__(self, fleet: ReplicaSet) -> None:
+        n = len(fleet.replicas)
+        self.fleet = fleet
+        self.kernel = EventKernel()
+        self.records: dict[int, JobRecord] = {}
+        self.params = fleet._rebalance_params()
+        estimator = fleet.config.orchestrator.estimator
+        calibration = estimator.calibration if estimator is not None else None
+        self.calibration = calibration
+        self.seen_version = calibration.version if calibration is not None else 0
+        self.autoscaler = fleet._autoscaler
+        self.views: list[ReplicaView | None] = [None] * n
+        self.arrays = FleetArrays.for_fleet(n)
+        self.loads = np.empty(n, dtype=np.float64)
+        self.stale_views: set[int] = set(range(n))
+        self.stale_loads: set[int] = set(range(n))
+        self.wave_events: list[Event | None] = [None] * n
+        # Elastic-fleet state; untouched on a fixed fleet.
+        self.deadline_events: dict[int, Event] = {}
+        self.held: list[MigrationTicket] = []
+        self.unroutable: set[int] = set()
+        self.routable_cache: list[int] | None = None
+        self.reclaim_started: dict[int, float] = {}
+        self.handlers: dict[EventKind, Callable[[Event], bool | None]] = {
+            EventKind.ARRIVAL: self._on_arrival,
+            EventKind.GATEWAY_INGRESS: self._on_arrival,
+            EventKind.WAVE_CLOSE: self._on_wave_close,
+            EventKind.REBALANCE: self._on_rebalance,
+            EventKind.MIGRATION: self._on_migration,
+            EventKind.FLUSH: self._on_flush,
+            EventKind.REPLICA_JOIN: self._on_join,
+            EventKind.REPLICA_RETIRE: self._on_retire,
+            EventKind.RECLAIM_DEADLINE: self._on_reclaim_deadline,
+        }
+        if self.autoscaler is not None:
+            for lane, notice in enumerate(self.autoscaler.reclamations):
+                self.kernel.schedule(
+                    notice.time,
+                    EventKind.REPLICA_RETIRE,
+                    payload=("reclaim", notice),
+                    lane=lane,
+                )
+
+    # -- driving ------------------------------------------------------------
+
+    def ingest(self, job: ServeJob, kind: EventKind) -> None:
+        """Schedule one job's arrival (``ARRIVAL`` for trace replay,
+        ``GATEWAY_INGRESS`` for a live submission)."""
+        self.kernel.schedule(job.arrival_time, kind, payload=job, lane=job.adapter_id)
+
+    def pump(self, frontier: float) -> None:
+        """Process every due event with timestamp at or before ``frontier``."""
+        while (event := self.kernel.pop_until(frontier)) is not None:
+            self.dispatch(event)
+
+    def finalize(self) -> None:
+        """Verify no evacuated job is stranded and record the per-kind
+        event counts on the owning set."""
+        if self.held:
+            raise ScheduleError(
+                f"{len(self.held)} evacuated job(s) never found a new "
+                "replica -- the fleet retired capacity it still needed"
+            )
+        self.fleet._events_processed = {
+            kind.name: count for kind, count in sorted(self.kernel.processed.items())
+        }
+
+    def dispatch(self, event: Event) -> None:
+        """Run the event's handler, then (elastic fleets) the scale probe.
+
+        A rebalance check that ends its pass returns ``False``: it
+        changed nothing, so the probe is skipped for it.
+        """
+        if self.handlers[event.kind](event) is False:
+            return
+        if self.autoscaler is not None:
+            # Any event can free a slot for a held job, or shift the
+            # backlog the autoscaler watches.
+            if self.held:
+                self.held = [t for t in self.held if not self._place(t)]
+            self._probe_autoscaler(event.time)
+
+    # -- caches -------------------------------------------------------------
+
+    def _invalidate(self, index: int) -> None:
+        self.stale_views.add(index)
+        self.stale_loads.add(index)
+
+    def _resync(self, index: int) -> None:
+        """Drop ``index``'s caches and reschedule its next wave close."""
+        self._invalidate(index)
+        calibration = self.calibration
+        if calibration is not None and calibration.version != self.seen_version:
+            fresh = calibration.version
+            if fresh == self.seen_version + 1:
+                # One observe: its wave tenants live here unless they
+                # migrated away -- invalidate their current hosts.
+                for adapter_id in calibration.last_observed_tenants:
+                    host = self.fleet.router.assignments.get(adapter_id)
+                    if host is not None and host != index:
+                        self._invalidate(host)
+            else:
+                # Can't attribute multiple observes; drop every cache.
+                for other in range(len(self.fleet.replicas)):
+                    self._invalidate(other)
+            self.seen_version = fresh
+        stale = self.wave_events[index]
+        if stale is not None:
+            self.kernel.cancel(stale)
+            self.wave_events[index] = None
+        replica = self.fleet.replicas[index]
+        if replica.has_work():
+            self.wave_events[index] = self.kernel.schedule(
+                replica.clock, EventKind.WAVE_CLOSE, payload=index, lane=index
+            )
+
+    def _replica_views(self) -> list[ReplicaView]:
+        # Refresh only the replicas an event has touched since the last
+        # call -- O(dirty), not O(fleet).
+        for index in self.stale_views:
+            view = self.fleet._replica_view(index)
+            self.views[index] = view
+            self.arrays.refill(index, view)
+        self.stale_views.clear()
+        return cast("list[ReplicaView]", self.views)
+
+    def _replica_loads(self, seconds_mode: bool) -> np.ndarray:
+        for index in self.stale_loads:
+            self.loads[index] = self.fleet._replica_load(index, seconds_mode)
+        self.stale_loads.clear()
+        return self.loads
+
+    def _routable(self) -> list[int]:
+        """Indices arrivals, migrations, and evacuees may land on.
+
+        Excludes draining (reclamation-marked) and retired replicas.
+        Cached -- the fixed-fleet hot path pays one list build total,
+        and scale events invalidate it.
+        """
+        if self.routable_cache is None:
+            self.routable_cache = [
+                index
+                for index in range(len(self.fleet.replicas))
+                if index not in self.unroutable
+            ]
+        return self.routable_cache
+
+    # -- handlers: arrivals, waves, rebalancing -----------------------------
+
+    def _on_arrival(self, event: Event) -> None:
+        """Route a job (trace ARRIVAL or live GATEWAY_INGRESS) and offer it."""
+        job = event.payload
+        views = self._replica_views()
+        routable = self._routable()
+        router = self.fleet.router
+        if len(routable) == len(views):
+            index = router.route(job, views, self.arrays)
+        else:
+            index = router.route(job, [views[i] for i in routable])
+        record = self.fleet.replicas[index].offer(job)
+        record.replica = index
+        self.records[job.adapter_id] = record
+        self._resync(index)
+        if self.params is not None:
+            self.kernel.post(EventKind.REBALANCE, _RebalancePass())
+
+    def _on_wave_close(self, event: Event) -> None:
+        """Advance one replica's serving loop by one iteration."""
+        index = event.payload
+        self.fleet.replicas[index].step()
+        self._resync(index)
+        if index in self.unroutable and self.fleet._retired_at[index] is None:
+            # A draining (reclaimed) replica: the wave close just brought
+            # active jobs to step boundaries -- evacuate them, and
+            # retire early once nothing is left.
+            self._evacuate_movable(index)
+            if not self.fleet.replicas[index].has_work():
+                self._complete_retirement(index, event.time, reclaim=True)
+        if self.params is not None:
+            self.kernel.post(EventKind.REBALANCE, _RebalancePass())
+
+    def _on_rebalance(self, event: Event) -> bool:
+        """One skew check of the pass in flight; post the action it picks."""
+        assert self.params is not None  # only posted when rebalancing is on
+        threshold, seconds_mode = self.params
+        state = event.payload
+        routable = self._routable()
+        action = self.fleet._plan_rebalance(
+            self._replica_loads(seconds_mode),
+            threshold,
+            seconds_mode,
+            state.moved,
+            state.drained,
+            None if len(routable) == len(self.fleet.replicas) else routable,
+        )
+        if action is None:
+            return False
+        kind = EventKind.MIGRATION if action[0] == "migrate" else EventKind.FLUSH
+        self.kernel.post(kind, action[1:] + (state,))
+        return True
+
+    def _on_migration(self, event: Event) -> None:
+        adapter_id, source, target, state = event.payload
+        state.moved.add(adapter_id)
+        self.fleet._migrate(adapter_id, source, target)
+        self._resync(source)
+        self._resync(target)
+        self.kernel.post(EventKind.REBALANCE, state)
+
+    def _on_flush(self, event: Event) -> None:
+        source, migrant, state = event.payload
+        state.drained.add(source)
+        self.fleet._apply_drain(source, migrant)
+        self._resync(source)
+        self.kernel.post(EventKind.REBALANCE, state)
+
+    # -- handlers: scale events ---------------------------------------------
+
+    def _on_join(self, event: Event) -> None:
+        """Bring a provisioned replica online at the join instant."""
+        fleet = self.fleet
+        assert self.autoscaler is not None  # only scheduled by the probe
+        factory = fleet.config.executor_factory
+        assert factory is not None  # config validation
+        pool = event.payload
+        index = len(fleet.replicas)
+        executor = factory(pool)
+        # The new pipeline starts at the join instant, not at virtual
+        # zero -- without this it would serve its first jobs "in the
+        # past".
+        executor.advance(event.time)
+        replica = OnlineOrchestrator(
+            executor, fleet.config.orchestrator, replica_id=index
+        )
+        replica.start([])
+        fleet.replicas.append(replica)
+        fleet._joined_at.append(event.time)
+        fleet._retired_at.append(None)
+        fleet._hourly_rates.append(pool.hourly_rate)
+        self.views.append(None)
+        self.wave_events.append(None)
+        self.loads = np.append(self.loads, 0.0)
+        self.arrays.grow()
+        self.routable_cache = None
+        fleet._joins += 1
+        self.autoscaler.on_joined(index, pool)
+        if self.calibration is not None and pool.speed_factor != 1.0:
+            self.calibration.seed_replica(index, pool.speed_factor)
+        self._resync(index)
+
+    def _on_retire(self, event: Event) -> None:
+        """Start a replica's exit: graceful scale-down or a spot reclaim."""
+        tag, data = event.payload
+        if tag == "scale":
+            # Graceful scale-down: partial-drain each mid-flight job,
+            # move everything off, retire now.
+            index = data
+            if index not in self.unroutable:
+                self._mark_unroutable(index)
+                self._evacuate_all(index, forced=False)
+                self._complete_retirement(index, event.time, reclaim=False)
+            return
+        assert self.autoscaler is not None
+        notice = data
+        victims = self.autoscaler.pick_reclaim_victims(notice.count, self._routable())
+        for index in victims:
+            self._mark_unroutable(index)
+            self.fleet._reclaims += 1
+            self.reclaim_started[index] = event.time
+            self._evacuate_movable(index)
+            if not self.fleet.replicas[index].has_work():
+                self._complete_retirement(index, event.time, reclaim=True)
+            else:
+                self.deadline_events[index] = self.kernel.schedule(
+                    event.time + notice.deadline,
+                    EventKind.RECLAIM_DEADLINE,
+                    payload=index,
+                    lane=index,
+                )
+
+    def _on_reclaim_deadline(self, event: Event) -> None:
+        """A reclaim's grace expired: force out whatever is still resident."""
+        index = event.payload
+        self.deadline_events.pop(index, None)
+        if self.fleet._retired_at[index] is None:
+            # Force every active job to a step boundary and evacuate --
+            # adds latency, loses nothing.
+            self.fleet._forced_evacuations += 1
+            self._evacuate_all(index, forced=True)
+            self._complete_retirement(index, event.time, reclaim=True)
+
+    # -- elastic-fleet helpers ----------------------------------------------
+
+    def _probe_autoscaler(self, time: float) -> None:
+        """Ask the autoscaler for a scale action and schedule it."""
+        autoscaler = self.autoscaler
+        assert autoscaler is not None
+        if not autoscaler.ready(time):
+            return
+        replicas = self.fleet.replicas
+        routable = self._routable()
+        backlog = [
+            (i, replicas[i].expected_remaining_seconds() or 0.0) for i in routable
+        ]
+        pressure = sum(replicas[i].deadline_pressure() for i in routable)
+        decision = autoscaler.plan(time, backlog, pressure)
+        if decision is None:
+            return
+        if decision[0] == "join":
+            self.kernel.schedule(
+                time + autoscaler.provision_delay,
+                EventKind.REPLICA_JOIN,
+                payload=decision[1],
+            )
+        else:
+            self.kernel.post(EventKind.REPLICA_RETIRE, ("scale", decision[1]))
+
+    def _place(self, ticket: MigrationTicket) -> bool:
+        """Land an evacuated job on the least-loaded routable replica.
+
+        The lowest index breaks ties; payload-carrying tickets need a
+        free adapter slot there.  ``False`` when nowhere fits yet.
+        """
+        replicas = self.fleet.replicas
+        best: tuple[tuple[int, int], int] | None = None
+        for index in self._routable():
+            replica = replicas[index]
+            if ticket.payload is not None and replica.slots_free == 0:
+                continue
+            key = (replica.outstanding_batches(), index)
+            if best is None or key < best[0]:
+                best = (key, index)
+        if best is None:
+            return False
+        self.fleet._land(ticket, best[1])
+        self._resync(best[1])
+        return True
+
+    def _evacuate_movable(self, index: int) -> None:
+        """Eject every pending/parked/boundary job, lowest adapter id
+        first; jobs with nowhere to go are held, never dropped."""
+        replica = self.fleet.replicas[index]
+        movable = sorted(entry[0] for entry in replica.migratable_jobs())
+        for adapter_id in movable:
+            ticket = replica.eject_job(adapter_id)
+            if not self._place(ticket):
+                self.held.append(ticket)
+        if movable:
+            self._resync(index)
+
+    def _evacuate_all(self, index: int, forced: bool) -> None:
+        """Empty ``index`` completely.
+
+        The graceful path pays one *partial* drain per mid-flight job
+        (drain_for: stop at that job's last submitted batch); the forced
+        path -- a reclaim deadline expiring -- pays one full flush.
+        Either way every job leaves at a step boundary with full state.
+        """
+        replica = self.fleet.replicas[index]
+        self._evacuate_movable(index)
+        if forced:
+            if replica.num_active:
+                replica.flush()
+        else:
+            for adapter_id, _, _ in sorted(replica.drainable_jobs()):
+                replica.drain_for(adapter_id)
+        self._evacuate_movable(index)
+        if replica.has_work():  # jobs a partial drain left mid-flight
+            replica.flush()
+            self._evacuate_movable(index)
+
+    def _complete_retirement(self, index: int, time: float, reclaim: bool) -> None:
+        fleet = self.fleet
+        fleet._retired_at[index] = time
+        fleet._retires += 1
+        if reclaim:
+            started = self.reclaim_started.pop(index)
+            fleet._reclaim_latencies.append(float(time - started))
+            pending_deadline = self.deadline_events.pop(index, None)
+            if pending_deadline is not None:
+                self.kernel.cancel(pending_deadline)
+        if self.autoscaler is not None:
+            self.autoscaler.on_retired(index)
+        self._resync(index)  # cancels the wave event; no work remains
+
+    def _mark_unroutable(self, index: int) -> None:
+        self.unroutable.add(index)
+        self.routable_cache = None
 
 
 class FleetSession:
@@ -1124,32 +1031,33 @@ class FleetSession:
     :attr:`~repro.serve.events.EventKind.GATEWAY_INGRESS` event at its
     virtual arrival stamp, and :meth:`advance` pumps the event loop only
     up to the caller's current time frontier -- the fleet never runs
-    ahead of wall-clock-derived time.  Because the session shares every
-    dispatch line with the batch loop, replaying the ingested jobs as a
-    plain trace through a fresh :meth:`ReplicaSet.run` reproduces the
-    session's result bit-identically
+    ahead of wall-clock-derived time.  Because the session drives the
+    same :class:`FleetLoop` as the batch path, replaying the ingested
+    jobs as a plain trace through a fresh :meth:`ReplicaSet.run`
+    reproduces the session's result bit-identically
     (``tests/integration/test_gateway_conformance.py``).
 
-    The contract callers must keep: ``ingest`` a job only with
-    ``arrival_time`` at or after every frontier already passed to
+    The contract callers must keep, enforced by :meth:`ingest`: a job's
+    ``arrival_time`` is at or after every frontier already passed to
     :meth:`advance` -- the kernel pops events in global time order, so
     an arrival scheduled behind an already-pumped frontier would replay
-    in a different position than it ran live.  The gateway enforces this
-    by stamping arrivals from its monotone submission clock.
+    in a different position than it ran live.  The gateway keeps it by
+    stamping arrivals from its monotone submission clock.
     """
 
-    def __init__(self, replica_set: ReplicaSet, driver: _EventDriver) -> None:
+    def __init__(self, replica_set: ReplicaSet, loop: FleetLoop) -> None:
         self._set = replica_set
-        self._driver = driver
+        self._loop = loop
         self._ids: set[int] = set()
+        self._frontier = -math.inf
         self._finished: ReplicaSetResult | None = None
 
     def ingest(self, job: ServeJob) -> None:
         """Schedule one live submission at its ``arrival_time``.
 
         Raises:
-            ScheduleError: On a duplicate adapter id or a finished
-                session.
+            ScheduleError: On a duplicate adapter id, an arrival behind
+                a frontier already pumped, or a finished session.
         """
         if self._finished is not None:
             raise ScheduleError("the fleet session is finished")
@@ -1157,19 +1065,25 @@ class FleetSession:
             raise ScheduleError(
                 f"duplicate adapter id in session: {job.adapter_id}"
             )
+        if job.arrival_time < self._frontier:
+            raise ScheduleError(
+                f"arrival_time {job.arrival_time} is behind the frontier "
+                f"{self._frontier} the session already advanced to"
+            )
         self._ids.add(job.adapter_id)
-        self._driver.ingest(job, EventKind.GATEWAY_INGRESS)
+        self._loop.ingest(job, EventKind.GATEWAY_INGRESS)
 
     def advance(self, frontier: float) -> None:
         """Pump every due event with timestamp at or before ``frontier``."""
         if self._finished is not None:
             raise ScheduleError("the fleet session is finished")
-        self._driver.pump(frontier)
+        self._frontier = max(self._frontier, frontier)
+        self._loop.pump(frontier)
 
     def record(self, adapter_id: int) -> JobRecord | None:
         """The live :class:`~repro.serve.metrics.JobRecord` of an ingested
         job, or ``None`` while its ingress event is still queued."""
-        return self._driver.records.get(adapter_id)
+        return self._loop.records.get(adapter_id)
 
     def finish(self) -> ReplicaSetResult:
         """Run the loop to exhaustion and assemble the fleet result.
@@ -1178,7 +1092,7 @@ class FleetSession:
         replica; later calls return the same result object.
         """
         if self._finished is None:
-            self._driver.pump(math.inf)
-            self._driver.finalize()
+            self._loop.pump(math.inf)
+            self._loop.finalize()
             self._finished = self._set._assemble_result()
         return self._finished

@@ -129,8 +129,8 @@ class ReplicaView:
 class FleetArrays:
     """Column-oriented mirror of the fleet's :class:`ReplicaView` rows.
 
-    The event kernel (:class:`~repro.serve.replicaset.ReplicaSet` with
-    ``kernel="event"``) keeps one of these fresh with the same dirty-set
+    The fleet loop (:class:`~repro.serve.replicaset.FleetLoop`) keeps
+    one of these fresh with the same dirty-set
     discipline as its cached views: when an event touches replica ``i``,
     row ``i`` is refilled from the rebuilt view; untouched rows keep
     their floats.  Passing it to :meth:`TenantRouter.route` lets an

@@ -1,14 +1,15 @@
-"""Property test: the event kernel is bit-identical to lockstep.
+"""Property test: the event loop is bit-identical to lockstep.
 
-:class:`~repro.serve.ReplicaSet` runs on a discrete-event kernel by
-default (``kernel="event"``); the original replica-scan loop survives as
-``kernel="lockstep"``, the executable specification.  Hypothesis drives
-both kernels over randomized small traces -- arrival patterns x ordering
-policies x rebalance triggers (batch skew, seconds skew, drain-unlock)
--- and asserts the runs are **indistinguishable**: identical per-job
-records (arrival/start/finish timestamps, outcome, final replica,
-migration count), identical fleet counters, identical calibration
-records, identical per-replica streams.
+:class:`~repro.serve.ReplicaSet` runs on a discrete-event loop; the
+original replica-scan loop survives in the test suite as
+:func:`tests.lockstep_reference.run_lockstep`, the executable
+specification.  Hypothesis drives both loops over randomized small
+traces -- arrival patterns x ordering policies x rebalance triggers
+(batch skew, seconds skew, drain-unlock) -- and asserts the runs are
+**indistinguishable** (:func:`tests.helpers.fingerprint`): identical
+per-job records (arrival/start/finish timestamps, outcome, final
+replica, migration count), identical fleet counters, identical
+calibration records, identical per-replica streams.
 
 Two deterministic scenarios (active migration, deep-pipeline drain) pin
 the equivalence on known-adversarial traces, and a repeat-run test pins
@@ -36,6 +37,8 @@ from repro.serve import (
     StreamingSimExecutor,
     poisson_workload,
 )
+from tests.helpers import fingerprint
+from tests.lockstep_reference import run_lockstep
 
 COST = LayerCostModel(LLAMA3_8B, H100, strategy="fused_multi")
 DATASETS = ["xsum", "cnn_dailymail", "wikisum", "mixed"]
@@ -57,7 +60,7 @@ def make_jobs(specs):
     ]
 
 
-def build_set(kernel, num_replicas, num_stages, ordering, sticky,
+def build_set(num_replicas, num_stages, ordering, sticky,
               batch_threshold, time_threshold, drain, slots=2):
     """A fresh fleet (executors, estimator, calibration) per run."""
     scheduler = SchedulerConfig(capacity=8192, num_stages=num_stages,
@@ -79,7 +82,6 @@ def build_set(kernel, num_replicas, num_stages, ordering, sticky,
         migration_threshold=batch_threshold,
         migration_time_threshold=time_threshold,
         drain_then_migrate=drain,
-        kernel=kernel,
     )
     executors = [
         StreamingSimExecutor(COST, num_stages) for _ in range(num_replicas)
@@ -87,61 +89,13 @@ def build_set(kernel, num_replicas, num_stages, ordering, sticky,
     return ReplicaSet(executors, config)
 
 
-def fingerprint(replica_set, result):
-    """Everything observable about a run, as one comparable structure.
-
-    Deliberately excludes ``events_processed`` (the one field that
-    legitimately differs: lockstep processes no events).
-    """
-    return {
-        "records": {
-            aid: (
-                record.arrival_time,
-                record.admit_time,
-                record.first_scheduled_time,
-                record.finish_time,
-                record.outcome,
-                record.replica,
-                record.migrations,
-                record.preemptions,
-                record.num_batches,
-                record.total_tokens,
-            )
-            for aid, record in sorted(result.records.items())
-        },
-        "counters": (
-            result.migrations,
-            result.reroutes,
-            result.rebalance_drains,
-            result.drain_steps_saved,
-            result.violations,
-            result.total_tokens,
-            result.total_microbatches,
-        ),
-        "makespans": [r.makespan for r in result.replicas],
-        "replans": [r.replans for r in result.replicas],
-        "wave_estimates": [r.wave_estimates for r in result.replicas],
-        "assignments": sorted(replica_set.router.assignments.items()),
-        "streams": [
-            [
-                (mb.replica, sorted(
-                    (a.adapter_id, a.global_batch, a.sample.index)
-                    for a in mb.assignments
-                ))
-                for mb in replica.stream
-            ]
-            for replica in replica_set.replicas
-        ],
-    }
-
-
 def run_both(specs, **kwargs):
+    """Fingerprints of the event loop and of the lockstep reference."""
     prints = []
-    for kernel in ("event", "lockstep"):
-        replica_set = build_set(kernel, **kwargs)
+    for serve in (ReplicaSet.run, run_lockstep):
+        replica_set = build_set(**kwargs)
         workload = poisson_workload(make_jobs(specs), rate=1.0, rng=11)
-        result = replica_set.run(workload)
-        prints.append(fingerprint(replica_set, result))
+        prints.append(fingerprint(serve(replica_set, workload), replica_set))
     return prints
 
 
@@ -203,25 +157,25 @@ class TestPinnedEquivalence:
 
     def test_active_migration_trace_matches(self):
         prints = []
-        for kernel in ("event", "lockstep"):
+        for serve in (ReplicaSet.run, run_lockstep):
             replica_set = build_set(
-                kernel, num_replicas=2, num_stages=1,
+                num_replicas=2, num_stages=1,
                 ordering=FCFSOrdering(), sticky=True,
                 batch_threshold=8, time_threshold=None, drain=False,
                 slots=4,
             )
-            result = replica_set.run(self.migration_trace())
+            result = serve(replica_set, self.migration_trace())
             assert result.migrations >= 1  # the trace forces a move
-            prints.append(fingerprint(replica_set, result))
+            prints.append(fingerprint(result, replica_set))
         assert prints[0] == prints[1]
 
     def test_deep_pipeline_drain_trace_matches(self):
         specs = [(24, 4), (24, 4)]
         prints = []
         drains = []
-        for kernel in ("event", "lockstep"):
+        for serve in (ReplicaSet.run, run_lockstep):
             replica_set = build_set(
-                kernel, num_replicas=2, num_stages=4,
+                num_replicas=2, num_stages=4,
                 ordering=FCFSOrdering(), sticky=True,
                 batch_threshold=None, time_threshold=0.05, drain=True,
             )
@@ -229,9 +183,9 @@ class TestPinnedEquivalence:
                 ServeJob(job=job, arrival_time=0.0)
                 for job in make_jobs(specs)
             ]
-            result = replica_set.run(workload)
+            result = serve(replica_set, workload)
             drains.append(result.rebalance_drains)
-            prints.append(fingerprint(replica_set, result))
+            prints.append(fingerprint(result, replica_set))
         assert drains[0] >= 1  # the trace forces a drain-unlock
         assert prints[0] == prints[1]
 
@@ -241,7 +195,7 @@ class TestPinnedEquivalence:
         reprs = []
         for _ in range(2):
             replica_set = build_set(
-                "event", num_replicas=3, num_stages=2,
+                num_replicas=3, num_stages=2,
                 ordering=SRPTOrdering(), sticky=False,
                 batch_threshold=2, time_threshold=None, drain=False,
             )
@@ -250,7 +204,7 @@ class TestPinnedEquivalence:
                 rate=1.0, rng=7,
             )
             result = replica_set.run(workload)
-            reprs.append(repr(fingerprint(replica_set, result))
+            reprs.append(repr(fingerprint(result, replica_set))
                          + repr(sorted(result.records.items()))
                          + repr(result.events_processed))
         assert reprs[0] == reprs[1]

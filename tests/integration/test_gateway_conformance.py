@@ -17,7 +17,6 @@ door limits, and hold windows on top.
 """
 
 import asyncio
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +28,8 @@ from repro.models.config import LLAMA3_8B
 from repro.models.layer_costs import LayerCostModel
 from repro.scheduler import AdapterJob, SchedulerConfig
 from repro.serve import GatewayOverload, ManualClock, ReplicaSet, ServeConfig
+from tests.helpers import fingerprint
+from tests.lockstep_reference import run_lockstep
 
 COST = LayerCostModel(LLAMA3_8B, H100, strategy="fused_multi")
 SCHED = SchedulerConfig(capacity=8192, num_stages=2, use_milp=False)
@@ -45,59 +46,6 @@ def make_job(adapter_id, samples, gbs):
         adapter_id, DATASETS[adapter_id % 4], samples, seed=3
     )
     return AdapterJob(adapter_id, dataset, gbs)
-
-
-def fingerprint(replica_set, result):
-    """Everything observable about a fleet run, as one exact structure.
-
-    Mirrors the event-kernel equivalence suite's fingerprint:
-    ``events_processed`` is excluded (the one field that legitimately
-    differs -- lockstep processes no events, and a live session counts
-    ``GATEWAY_INGRESS`` where a replay counts ``ARRIVAL``); the gateway
-    ledger is excluded for the same reason (replays have no door).
-    """
-    return {
-        "records": {
-            aid: (
-                record.arrival_time,
-                record.admit_time,
-                record.first_scheduled_time,
-                record.finish_time,
-                record.outcome,
-                record.replica,
-                record.migrations,
-                record.preemptions,
-                record.num_batches,
-                record.total_tokens,
-            )
-            for aid, record in sorted(result.records.items())
-        },
-        "counters": (
-            result.migrations,
-            result.reroutes,
-            result.rebalance_drains,
-            result.violations,
-            result.total_tokens,
-            result.total_microbatches,
-        ),
-        "makespans": [r.makespan for r in result.replicas],
-        "replans": [r.replans for r in result.replicas],
-        "wave_estimates": [r.wave_estimates for r in result.replicas],
-        "assignments": sorted(replica_set.router.assignments.items()),
-        "streams": [
-            [
-                (
-                    mb.replica,
-                    sorted(
-                        (a.adapter_id, a.global_batch, a.sample.index)
-                        for a in mb.assignments
-                    ),
-                )
-                for mb in replica.stream
-            ]
-            for replica in replica_set.replicas
-        ],
-    }
 
 
 def run_session(config, ops):
@@ -134,19 +82,17 @@ def run_session(config, ops):
     return gateway, result, gateway.recorded_trace()
 
 
-def replay(config, trace, kernel):
+def replay(config, trace, serve):
     """Run the recorded trace through the plain sim path."""
-    executors, fleet_config = config.build(COST, SCHED)
-    replica_set = ReplicaSet(executors, replace(fleet_config, kernel=kernel))
-    result = replica_set.run(trace)
-    return fingerprint(replica_set, result)
+    replica_set = ReplicaSet(*config.build(COST, SCHED))
+    return fingerprint(serve(replica_set, trace), replica_set)
 
 
 def assert_conformant(config, ops):
     gateway, live_result, trace = run_session(config, ops)
-    live = fingerprint(gateway.replica_set, live_result.fleet)
-    assert replay(config, trace, "event") == live
-    assert replay(config, trace, "lockstep") == live
+    live = fingerprint(live_result.fleet, gateway.replica_set)
+    assert replay(config, trace, ReplicaSet.run) == live
+    assert replay(config, trace, run_lockstep) == live
     # Ledger conservation rides along on every conformance run.
     stats = live_result.stats
     assert stats.submitted == stats.accepted + stats.shed_total()
@@ -246,8 +192,8 @@ class TestPinnedScenarios:
         second_gateway, second_result, second_trace = run_session(config, ops)
         assert first_trace == second_trace
         assert fingerprint(
-            first_gateway.replica_set, first_result.fleet
-        ) == fingerprint(second_gateway.replica_set, second_result.fleet)
+            first_result.fleet, first_gateway.replica_set
+        ) == fingerprint(second_result.fleet, second_gateway.replica_set)
 
 
 op_spec = st.one_of(

@@ -11,10 +11,11 @@ asserts the paper's guarantee still holds bit-for-bit: every surviving
 tenant's final adapter weights are **identical (atol=0)** to sequential
 solo training, and a replay reproduces identical records.
 
-A second family pins kernel independence: a knapsack-packed fleet with
+A second family pins loop independence: a knapsack-packed fleet with
 sticky groups, the estimator-biased admission hook, and estimator-priced
-packing-affinity routing must replay **byte-identically** on
-``kernel="event"`` and ``kernel="lockstep"``, on repeated runs.
+packing-affinity routing must replay **byte-identically** on the fleet
+loop and on the lockstep reference loop
+(:func:`tests.lockstep_reference.run_lockstep`), on repeated runs.
 """
 
 import numpy as np
@@ -44,8 +45,9 @@ from repro.serve import (
     StreamingSimExecutor,
     poisson_workload,
 )
-from tests.integration.test_event_kernel_equivalence import fingerprint
+from tests.helpers import fingerprint
 from tests.integration.test_property_losslessness import MODEL_SEED
+from tests.lockstep_reference import run_lockstep
 
 COST = LayerCostModel(LLAMA3_8B, H100, strategy="fused_multi")
 DATASETS = ["xsum", "cnn_dailymail", "wikisum", "mixed"]
@@ -84,14 +86,6 @@ def run_scenario(specs, actions, hold):
         spec_module.make_orchestrator = original
 
 
-def fingerprint_records(records):
-    return {
-        aid: (r.arrival_time, r.admit_time, r.first_scheduled_time,
-              r.finish_time, r.num_batches)
-        for aid, r in records.items()
-    }
-
-
 job_spec = st.tuples(
     st.integers(min_value=4, max_value=8),   # samples
     st.sampled_from([2, 3]),                 # rank
@@ -121,7 +115,7 @@ def test_knapsack_interleavings_preserve_losslessness(specs, actions, hold):
     # Determinism first: replaying the interleaving reproduces the
     # records exactly, sticky-group caches and all.
     _, _, replay_records, _ = run_scenario(specs, actions, hold)
-    assert fingerprint_records(replay_records) == fingerprint_records(records)
+    assert fingerprint(replay_records) == fingerprint(records)
 
     for serve_job in workload:
         record = records[serve_job.adapter_id]
@@ -144,7 +138,7 @@ def make_jobs(specs):
     ]
 
 
-def build_knapsack_set(kernel, num_replicas, specs_seed=11):
+def build_knapsack_set(num_replicas, specs_seed=11):
     """A fresh knapsack-packed fleet exercising every new lever.
 
     Estimator on (so the admission interleave hook resolves and the
@@ -164,7 +158,6 @@ def build_knapsack_set(kernel, num_replicas, specs_seed=11):
             packing="knapsack",
         ),
         routing=PackingAffinityRouting(estimator=estimator),
-        kernel=kernel,
     )
     executors = [StreamingSimExecutor(COST, 2) for _ in range(num_replicas)]
     return ReplicaSet(executors, config)
@@ -187,28 +180,27 @@ class TestKnapsackKernelEquivalence:
     @settings(max_examples=10, deadline=None)
     def test_knapsack_traces_match_across_kernels(self, specs, num_replicas):
         prints = []
-        for kernel in ("event", "lockstep"):
-            replica_set = build_knapsack_set(kernel, num_replicas)
+        for serve in (ReplicaSet.run, run_lockstep):
+            replica_set = build_knapsack_set(num_replicas)
             workload = poisson_workload(make_jobs(specs), rate=1.0, rng=11)
-            result = replica_set.run(workload)
-            prints.append(fingerprint(replica_set, result))
+            prints.append(fingerprint(serve(replica_set, workload), replica_set))
         assert prints[0] == prints[1]
 
     def test_knapsack_reruns_are_byte_identical(self):
         reprs = []
         for _ in range(2):
-            replica_set = build_knapsack_set("event", num_replicas=3)
+            replica_set = build_knapsack_set(num_replicas=3)
             workload = poisson_workload(
                 make_jobs([(8, 2), (12, 4), (6, 2), (10, 2)]),
                 rate=1.0, rng=7,
             )
             result = replica_set.run(workload)
-            reprs.append(repr(fingerprint(replica_set, result))
+            reprs.append(repr(fingerprint(result, replica_set))
                          + repr(sorted(result.records.items())))
         assert reprs[0] == reprs[1]
 
     def test_knapsack_packs_report_stream_counters(self):
-        replica_set = build_knapsack_set("event", num_replicas=2)
+        replica_set = build_knapsack_set(num_replicas=2)
         workload = poisson_workload(
             make_jobs([(8, 2), (12, 4), (6, 2)]), rate=1.0, rng=5
         )

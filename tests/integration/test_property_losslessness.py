@@ -36,6 +36,7 @@ from repro.serve import (
     ServeJob,
     SlotAdmission,
 )
+from tests.helpers import fingerprint
 
 MODEL_SEED = 23
 MAX_ITERATIONS = 500
@@ -223,14 +224,6 @@ def run_scenario(specs, actions, hold):
             assert result.violations == 0
         records.update(result.records)
     return workload, models, records, owner
-
-
-def fingerprint(records):
-    return {
-        aid: (r.arrival_time, r.admit_time, r.first_scheduled_time,
-              r.finish_time, r.num_batches)
-        for aid, r in records.items()
-    }
 
 
 @pytest.mark.slow

@@ -24,6 +24,7 @@ from repro.serve import (
     StreamingSimExecutor,
     poisson_workload,
 )
+from tests.helpers import fingerprint
 
 NUM_STAGES = 2
 COST = LayerCostModel(LLAMA3_8B, H100, strategy="fused_multi")
@@ -83,14 +84,6 @@ def elastic_set(scaler, initial=1):
     )
     executors = [StreamingSimExecutor(COST, NUM_STAGES) for _ in range(initial)]
     return ReplicaSet(executors, config)
-
-
-def fingerprint(result):
-    return {
-        aid: (r.arrival_time, r.admit_time, r.first_scheduled_time,
-              r.finish_time, r.replica, r.migrations, r.num_batches)
-        for aid, r in result.records.items()
-    }
 
 
 class TestCapacityPool:
@@ -228,20 +221,6 @@ class TestAutoscalerPolicy:
 
 
 class TestElasticConfigValidation:
-    def test_autoscaler_requires_event_kernel(self):
-        estimator = CostEstimator.for_scheduler(COST, SCHED)
-        with pytest.raises(ScheduleError, match="event"):
-            ReplicaSetConfig(
-                orchestrator=OrchestratorConfig(
-                    scheduler=SCHED, estimator=estimator
-                ),
-                kernel="lockstep",
-                autoscaler=make_scaler(),
-                executor_factory=lambda pool: StreamingSimExecutor(
-                    COST, NUM_STAGES
-                ),
-            )
-
     def test_autoscaler_requires_estimator(self):
         with pytest.raises(ScheduleError, match="estimator"):
             ReplicaSetConfig(
@@ -269,9 +248,13 @@ class TestElasticConfigValidation:
 
 class TestElasticFleet:
     def run_flash_crowd(self, scaler, jobs=160, rate=120.0, seed=7):
+        return self.serve_flash_crowd(scaler, jobs, rate, seed)[1]
+
+    def serve_flash_crowd(self, scaler, jobs=160, rate=120.0, seed=7):
         workload = poisson_workload(make_jobs(jobs, seed + 10), rate=rate,
                                     rng=seed)
-        return elastic_set(scaler).run(workload)
+        replica_set = elastic_set(scaler)
+        return replica_set, replica_set.run(workload)
 
     def test_flash_crowd_scales_up_and_completes_every_job(self):
         result = self.run_flash_crowd(make_scaler())
@@ -281,9 +264,9 @@ class TestElasticFleet:
             assert record.finish_time is not None
 
     def test_scale_events_rerun_byte_identical(self):
-        first = self.run_flash_crowd(make_scaler())
-        second = self.run_flash_crowd(make_scaler())
-        assert fingerprint(first) == fingerprint(second)
+        first_set, first = self.serve_flash_crowd(make_scaler())
+        second_set, second = self.serve_flash_crowd(make_scaler())
+        assert fingerprint(first, first_set) == fingerprint(second, second_set)
         assert first.makespan == second.makespan
         assert first.events_processed == second.events_processed
 
@@ -336,13 +319,18 @@ class TestElasticFleet:
 class TestSpotReclamation:
     def run_reclaim(self, deadline=0.2, time=1.0, count=2, seed=7,
                     jobs=200, rate=150.0):
+        return self.serve_reclaim(deadline, time, count, seed, jobs, rate)[1]
+
+    def serve_reclaim(self, deadline=0.2, time=1.0, count=2, seed=7,
+                      jobs=200, rate=150.0):
         scaler = make_scaler(
             reclamations=(ReclamationNotice(time=time, count=count,
                                             deadline=deadline),),
         )
         workload = poisson_workload(make_jobs(jobs, seed + 10), rate=rate,
                                     rng=seed)
-        return elastic_set(scaler).run(workload)
+        replica_set = elastic_set(scaler)
+        return replica_set, replica_set.run(workload)
 
     def test_mass_reclaim_loses_zero_jobs(self):
         result = self.run_reclaim()
@@ -368,9 +356,9 @@ class TestSpotReclamation:
             assert record.finish_time is not None
 
     def test_reclaim_rerun_byte_identical(self):
-        first = self.run_reclaim()
-        second = self.run_reclaim()
-        assert fingerprint(first) == fingerprint(second)
+        first_set, first = self.serve_reclaim()
+        second_set, second = self.serve_reclaim()
+        assert fingerprint(first, first_set) == fingerprint(second, second_set)
         assert first.reclaim_latencies == second.reclaim_latencies
         assert first.forced_evacuations == second.forced_evacuations
 

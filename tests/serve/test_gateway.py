@@ -440,16 +440,6 @@ class TestErrors:
 
         run(scenario())
 
-    def test_gateway_needs_the_event_kernel(self):
-        from dataclasses import replace
-
-        from repro.serve import ReplicaSet
-
-        executors, config = ServeConfig(num_replicas=1).build(COST, SCHED)
-        lockstep = ReplicaSet(executors, replace(config, kernel="lockstep"))
-        with pytest.raises(ScheduleError, match="kernel='event'"):
-            ServeGateway(lockstep)
-
     def test_gateway_consumes_the_single_shot(self):
         executors, config = ServeConfig(num_replicas=1).build(COST, SCHED)
         from repro.serve import ReplicaSet

@@ -18,6 +18,7 @@ from repro.serve import (
     StreamingSimExecutor,
     poisson_workload,
 )
+from tests.lockstep_reference import run_lockstep, views
 
 DATASETS = ["xsum", "cnn_dailymail", "wikisum", "mixed"]
 NUM_STAGES = 2
@@ -129,6 +130,34 @@ class TestReplicaSetServing:
     def test_zero_executors_rejected(self):
         with pytest.raises(ScheduleError, match="at least one"):
             ReplicaSet([], make_set(1).config)
+
+
+class TestFleetSession:
+    def test_ingest_behind_an_advanced_frontier_is_rejected(self):
+        # The job would replay at a different heap position than it ran.
+        session = make_set(2).open_session()
+        session.advance(10.0)
+        late = ServeJob(job=make_jobs(1)[0], arrival_time=1.0)
+        with pytest.raises(ScheduleError, match="frontier"):
+            session.ingest(late)
+        assert session.record(0) is None
+
+    def test_frontier_never_rewinds_and_admits_its_own_stamp(self):
+        session = make_set(2).open_session()
+        session.advance(10.0)
+        session.advance(4.0)  # a smaller frontier does not rewind it
+        jobs = make_jobs(2)
+        with pytest.raises(ScheduleError, match="frontier"):
+            session.ingest(ServeJob(job=jobs[0], arrival_time=4.0))
+        session.ingest(ServeJob(job=jobs[1], arrival_time=10.0))
+        result = session.finish()
+        assert result.records[1].finish_time is not None
+
+    def test_session_consumes_the_single_shot(self):
+        replica_set = make_set(1)
+        replica_set.open_session()
+        with pytest.raises(ScheduleError, match="single-shot"):
+            replica_set.open_session()
 
 
 class TestRebalancing:
@@ -289,7 +318,7 @@ class TestRebalancing:
 
     def test_event_counters_exposed_on_event_kernel_only(self):
         counts = {}
-        for kernel in ("event", "lockstep"):
+        for serve in (ReplicaSet.run, run_lockstep):
             config = ReplicaSetConfig(
                 orchestrator=OrchestratorConfig(
                     scheduler=SchedulerConfig(capacity=8192,
@@ -298,26 +327,15 @@ class TestRebalancing:
                     window_batches=1,
                     admission=SlotAdmission(4),
                 ),
-                kernel=kernel,
             )
             executors = [StreamingSimExecutor(COST, NUM_STAGES)
                          for _ in range(2)]
-            result = ReplicaSet(executors, config).run(
-                poisson(make_jobs(4))
-            )
-            counts[kernel] = result.events_processed
-        assert counts["lockstep"] == {}
-        assert counts["event"]["ARRIVAL"] == 4
-        assert counts["event"]["WAVE_CLOSE"] > 0
-
-    def test_unknown_kernel_rejected(self):
-        config = OrchestratorConfig(
-            scheduler=SchedulerConfig(capacity=8192, num_stages=NUM_STAGES,
-                                      use_milp=False),
-            window_batches=1,
-        )
-        with pytest.raises(ScheduleError, match="kernel"):
-            ReplicaSetConfig(orchestrator=config, kernel="parallel")
+            result = serve(ReplicaSet(executors, config),
+                           poisson(make_jobs(4)))
+            counts[serve.__name__] = result.events_processed
+        assert counts["run_lockstep"] == {}
+        assert counts["run"]["ARRIVAL"] == 4
+        assert counts["run"]["WAVE_CLOSE"] > 0
 
     def test_seconds_skew_tie_picks_lowest_adapter_id(self):
         # Edge case: two migrants even the seconds gap equally well; the
@@ -492,7 +510,7 @@ class TestParkedLoadAccounting:
 
     def test_parked_work_counts_in_views(self):
         replica_set = self.park_a_job()
-        view = replica_set.views()[0]
+        view = views(replica_set)[0]
         replica = replica_set.replicas[0]
         assert view.num_parked == 1
         assert replica.num_parked == 1
@@ -514,7 +532,7 @@ class TestParkedLoadAccounting:
         )
         assert view.expected_remaining_time >= lower_bound
         # The idle replica really does look idle by comparison.
-        other = replica_set.views()[1]
+        other = views(replica_set)[1]
         assert other.outstanding_batches == 0
         assert other.expected_remaining_time == 0.0
 
@@ -523,5 +541,5 @@ class TestParkedLoadAccounting:
 
         replica_set = self.park_a_job()
         job = ServeJob(job=make_jobs(3, samples=8)[2], arrival_time=1.0)
-        choice = CostAwareRouting().choose(job, replica_set.views())
+        choice = CostAwareRouting().choose(job, views(replica_set))
         assert choice == 1
