@@ -5,13 +5,20 @@ pressure: the door stays *fast* (admission latency is a handful of
 microseconds of ledger work, not a fleet replan) and *honest* (every
 refusal lands in the :class:`~repro.serve.metrics.GatewayStats` ledger,
 every acceptance survives to a finished fleet record).  This bench
-drives two scripted sessions against one door configuration:
+drives three scripted sessions against one door (the last also turns
+on its fairness quota):
 
 * ``steady`` -- Poisson arrivals at roughly half the aggregate
   token-bucket rate, the regime the door was provisioned for.
 * ``burst-10x`` -- the same door at ten times the steady offered rate;
   the bucket and queue bound must shed most of it, and the tail
   admission latency must stay bounded *while* shedding.
+* ``long-run`` -- the steady load held for ``LONG_RUN_JOBS`` submits
+  through the same door with the fairness quota also on, so every
+  submit sizes every tenant's backlog while thousands of settled jobs
+  pile up behind the door.  A door whose per-submit work grows with its
+  release history slows down as the run goes on; this row shows it
+  does not.
 
 Virtual time is a seeded :class:`~repro.serve.ManualClock` (the door's
 rate/quota decisions are deterministic per seed); wall-clock throughput
@@ -23,6 +30,9 @@ and admission latency are real ``perf_counter`` measurements.  Gates
   submits per second through the live door;
 * p99 admission latency stays under ``P99_LATENCY_CEILING`` seconds,
   overloaded or not;
+* the ``long-run`` p99 admission latency of the last quarter of
+  submits stays within ``LATENCY_DRIFT_CEILING`` x that of the first
+  quarter (both measured in one process, so machine speed cancels);
 * **zero admitted jobs lost** -- every released submission has a
   finished fleet record after the drain;
 * the shed count equals the backpressure ledger -- refusals returned to
@@ -67,24 +77,34 @@ QUEUE_BOUND = 32
 #: Steady offered load: half the aggregate bucket rate, so the door
 #: sheds (almost) nothing and the bench times the accept path.
 STEADY_RATE = 0.5 * GATE_RATE * len(TENANTS)
-#: (name, submissions, offered-load multiplier over ``STEADY_RATE``).
+#: Submissions in the ``long-run`` scenario.
+LONG_RUN_JOBS = 4000
+#: Fairness quota of the ``long-run`` door: a tenant may hold at most
+#: this share of the total backlog while others wait.
+LONG_RUN_FAIRNESS = 0.5
+#: (name, submissions, offered-load multiplier over ``STEADY_RATE``,
+#: fairness quota).
 SCENARIOS = (
-    ("steady", 400, 1.0),
-    ("burst-10x", 400, 10.0),
+    ("steady", 400, 1.0, None),
+    ("burst-10x", 400, 10.0, None),
+    ("long-run", LONG_RUN_JOBS, 1.0, LONG_RUN_FAIRNESS),
 )
 #: Minimum wall-clock submissions/second through the live door.
 SUBMIT_RATE_FLOOR = 200.0
 #: Maximum p99 wall-clock admission latency, seconds (any decision --
 #: accept or shed -- must be bounded even mid-overload).
 P99_LATENCY_CEILING = 0.050
+#: Maximum ratio of the ``long-run`` p99 admission latency over its last
+#: quarter of submits to that over its first quarter.
+LATENCY_DRIFT_CEILING = 1.5
 
 COST = LayerCostModel(LLAMA3_8B, H100, strategy="fused_multi")
 SCHED = SchedulerConfig(capacity=CAPACITY, num_stages=NUM_STAGES,
                         use_milp=False)
 
 
-def door_config():
-    """The one door every scenario runs against."""
+def door_config(fairness):
+    """The door every scenario runs against; ``fairness`` = quota or None."""
     return ServeConfig(
         num_replicas=2,
         slots=4,
@@ -92,6 +112,7 @@ def door_config():
         gateway_rate=GATE_RATE,
         gateway_burst=GATE_BURST,
         gateway_queue_bound=QUEUE_BOUND,
+        gateway_fairness=fairness,
     )
 
 
@@ -109,7 +130,7 @@ def make_jobs(num_jobs, seed):
     ]
 
 
-def serve(num_jobs, offered_rate, seed):
+def serve(num_jobs, offered_rate, seed, fairness):
     """Drive one live session; return (result, caller-seen sheds, seconds).
 
     ``seconds`` covers the submit loop only -- the wall-clock cost of
@@ -122,7 +143,7 @@ def serve(num_jobs, offered_rate, seed):
 
     async def drive():
         clock = ManualClock()
-        gateway = door_config().build_gateway(COST, SCHED, clock=clock)
+        gateway = door_config(fairness).build_gateway(COST, SCHED, clock=clock)
         refused = 0
         start = time.perf_counter()
         for a, job in enumerate(jobs):
@@ -141,9 +162,9 @@ def serve(num_jobs, offered_rate, seed):
 
 def sweep(seed=DEFAULT_SEED):
     results = {}
-    for name, num_jobs, multiplier in SCENARIOS:
+    for name, num_jobs, multiplier, fairness in SCENARIOS:
         result, refused, elapsed = serve(
-            num_jobs, STEADY_RATE * multiplier, seed
+            num_jobs, STEADY_RATE * multiplier, seed, fairness
         )
         stats = result.stats
         # The honesty gates are structural -- assert them at run time
@@ -156,6 +177,11 @@ def sweep(seed=DEFAULT_SEED):
             for record in result.records.values()
             if record.outcome is JobOutcome.FINISHED
         )
+        latencies = stats.admission_latencies
+        quarter = len(latencies) // 4
+        drift = np.percentile(latencies[-quarter:], 99) / np.percentile(
+            latencies[:quarter], 99
+        )
         results[name] = {
             "jobs": num_jobs,
             "offered": STEADY_RATE * multiplier,
@@ -164,19 +190,21 @@ def sweep(seed=DEFAULT_SEED):
             "lost": stats.released - finished,
             "p99_ms": result.admission_latency_percentiles()["p99"] * 1e3,
             "submit_rate": num_jobs / elapsed,
+            "drift": float(drift),
         }
     return results
 
 
 def report(results, seed):
-    widths = [11, 6, 9, 10, 6, 6, 8, 9]
+    widths = [11, 6, 9, 10, 6, 6, 8, 9, 9]
     lines = [
         f"Live gateway door under load (seed {seed}, {len(TENANTS)} "
         f"tenants, bucket {GATE_RATE:g}/s burst {GATE_BURST:g}, queue "
-        f"bound {QUEUE_BOUND}, LLaMa-8B)",
+        f"bound {QUEUE_BOUND}, long-run quota {LONG_RUN_FAIRNESS:g}, "
+        "LLaMa-8B)",
         fmt_row(
             ["scenario", "jobs", "offered", "accepted", "shed", "lost",
-             "p99_ms", "submit/s"],
+             "p99_ms", "submit/s", "q4/q1"],
             widths,
         ),
     ]
@@ -192,6 +220,7 @@ def report(results, seed):
                     row["lost"],
                     f"{row['p99_ms']:.3f}",
                     f"{row['submit_rate']:.0f}",
+                    f"{row['drift']:.2f}",
                 ],
                 widths,
             )
@@ -210,11 +239,16 @@ def check(results):
             f"{name} p99 admission latency {row['p99_ms']:.3f} ms left "
             f"the {P99_LATENCY_CEILING * 1e3:.0f} ms ceiling"
         )
-    steady, burst = (results[name] for name, _, _ in SCENARIOS)
+    steady, burst, long_run = (results[name] for name, *_ in SCENARIOS)
     # The burst scenario must actually exercise backpressure, and the
     # door must shed *more* of the 10x load, not admit it all.
     assert burst["shed"] > steady["shed"]
     assert burst["shed"] > 0
+    # Door work per submit must not grow with the release history.
+    assert long_run["drift"] <= LATENCY_DRIFT_CEILING, (
+        f"long-run p99 admission latency grew {long_run['drift']:.2f}x from "
+        f"the first to the last quarter (ceiling {LATENCY_DRIFT_CEILING}x)"
+    )
 
 
 def test_gateway(benchmark):

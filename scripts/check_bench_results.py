@@ -37,8 +37,11 @@ nobody re-ran the benchmark.  Checked claims:
   wall-clock submits/second with p99 admission latency under
   ``P99_LATENCY_CEILING`` on both the steady and the 10x-burst
   scenario, zero admitted jobs are lost, the ledger conserves
-  (``jobs == accepted + shed``), and the burst actually sheds more
-  than steady load (backpressure engages).
+  (``jobs == accepted + shed``), the burst actually sheds more
+  than steady load (backpressure engages), and the long run's p99
+  admission latency over its last quarter of submits stays within
+  ``LATENCY_DRIFT_CEILING`` x that over its first quarter (door work
+  does not grow with the release history).
 * ``autoscale.txt`` -- no elastic scenario loses a job, every deadline
   miss rate stays under ``MISS_RATE_CEILING``, each elastic fleet bills
   fewer GPU-seconds than a fixed fleet held at its peak size, the
@@ -83,6 +86,7 @@ from benchmarks.bench_fleet_kernel import (  # noqa: E402
     US_PER_EVENT_RATIO_CEILING,
 )
 from benchmarks.bench_gateway import (  # noqa: E402
+    LATENCY_DRIFT_CEILING,
     P99_LATENCY_CEILING,
     SUBMIT_RATE_FLOOR,
 )
@@ -349,6 +353,13 @@ def check_gateway() -> list[str]:
             "gateway: the 10x burst no longer sheds more than steady "
             f"load ({burst['shed']} vs {steady['shed']}) -- backpressure "
             "stopped engaging"
+        )
+    drift = float(rows["long-run"]["q4/q1"])
+    if not drift <= LATENCY_DRIFT_CEILING:
+        problems.append(
+            f"gateway: long-run p99 admission latency grew {drift:.2f}x "
+            f"from the first to the last quarter of submits (ceiling "
+            f"{LATENCY_DRIFT_CEILING}x) -- door work grows with history"
         )
     return problems
 

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the repro package."""
 
+import math
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this package."""
@@ -19,3 +21,15 @@ class CapacityError(ScheduleError):
 
 class SimulationError(ReproError):
     """The discrete-event simulator reached an inconsistent state."""
+
+
+def require_finite(**values: float | None) -> None:
+    """Raise :class:`ScheduleError` naming the first non-finite value.
+
+    Range checks such as ``x < 0`` pass a NaN silently (every comparison
+    with NaN is false), so public constructors call this first.  ``None``
+    is skipped: it means "off" wherever a knob is optional.
+    """
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ScheduleError(f"{name} must be finite, got {value!r}")

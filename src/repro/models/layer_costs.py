@@ -84,10 +84,17 @@ class LayerCostModel:
         self.dropout = dropout
         self.dtype = dtype
         self._elem = BYTES_PER_ELEMENT[dtype]
-        # Memoised on the (tokens, sum_sq, adapters, direction) tuple: the
-        # simulators evaluate thousands of microbatches from a small set of
-        # distinct shapes.
+        # Memos, per instance and bounded.  The outer one keys the full
+        # microbatch shape; on its misses only the attention kernel depends
+        # on ``sum_sq_len``, so the linear and elementwise kernel times are
+        # memoised again by token count -- far fewer distinct keys.
         self._layer_time_cached = lru_cache(maxsize=4096)(self._layer_time)
+        self._linear_times = lru_cache(maxsize=4096)(self._linear_times_uncached)
+        self._elementwise_times = lru_cache(maxsize=4096)(
+            self._elementwise_times_uncached
+        )
+        self._head_time_cached = lru_cache(maxsize=4096)(self._head_time)
+        self._embedding_time_cached = lru_cache(maxsize=4096)(self._embedding_time)
 
     # -- profile builders ---------------------------------------------------
 
@@ -168,13 +175,32 @@ class LayerCostModel:
 
     # -- timing -------------------------------------------------------------
 
+    def _kernel_times(self, profiles: list[KernelProfile]) -> tuple[float, ...]:
+        return tuple(estimate_kernel_time(p, self.gpu, self.dtype) for p in profiles)
+
+    def _linear_times_uncached(
+        self, tokens: int, num_adapters: int, direction: str
+    ) -> tuple[float, ...]:
+        return self._kernel_times(self.linear_profiles(tokens, direction, num_adapters))
+
+    def _elementwise_times_uncached(
+        self, tokens: int, direction: str
+    ) -> tuple[float, ...]:
+        return self._kernel_times(self.elementwise_profiles(tokens, direction))
+
     def _layer_time(
         self, tokens: int, sum_sq_len: float, num_adapters: int, direction: str
     ) -> float:
-        shape = MicrobatchShape(tokens, sum_sq_len, num_adapters)
+        attention = estimate_kernel_time(
+            self.attention_profile(tokens, sum_sq_len, direction), self.gpu, self.dtype
+        )
+        # One sum over the kernel times in ``layer_profiles`` order: the
+        # same float sequence gives the same bits on every Python version
+        # (3.12's ``sum`` compensates rounding), so no partial sum is cached.
         return sum(
-            estimate_kernel_time(p, self.gpu, self.dtype)
-            for p in self.layer_profiles(shape, direction)
+            self._linear_times(tokens, num_adapters, direction)
+            + (attention,)
+            + self._elementwise_times(tokens, direction)
         )
 
     def layer_time(self, shape: MicrobatchShape, direction: str) -> float:
@@ -185,6 +211,9 @@ class LayerCostModel:
 
     def embedding_time(self, tokens: int) -> float:
         """Embedding lookup cost (first pipeline stage)."""
+        return self._embedding_time_cached(tokens)
+
+    def _embedding_time(self, tokens: int) -> float:
         profile = KernelProfile(
             "embedding",
             flops=0.0,
@@ -197,6 +226,9 @@ class LayerCostModel:
 
     def head_time(self, tokens: int, direction: str) -> float:
         """LM head GEMM plus softmax cross-entropy (last pipeline stage)."""
+        return self._head_time_cached(tokens, direction)
+
+    def _head_time(self, tokens: int, direction: str) -> float:
         h, v = self.model.hidden_size, self.model.vocab_size
         e = self._elem
         gemm = KernelProfile(

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ScheduleError
+from repro.errors import ScheduleError, require_finite
 from repro.gpu.specs import get_gpu
 
 __all__ = ["CapacityPool", "FleetAutoscaler", "ReclamationNotice"]
@@ -97,6 +97,7 @@ class CapacityPool:
 
     def __post_init__(self) -> None:
         get_gpu(self.gpu)  # unknown hardware fails at construction
+        require_finite(hourly_rate=self.hourly_rate, speed_factor=self.speed_factor)
         if not self.name:
             raise ScheduleError("pool name must be non-empty")
         if self.hourly_rate < 0:
@@ -133,6 +134,7 @@ class ReclamationNotice:
     deadline: float
 
     def __post_init__(self) -> None:
+        require_finite(time=self.time, deadline=self.deadline)
         if self.time < 0:
             raise ScheduleError("notice time must be non-negative")
         if self.count < 1:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Mapping
 
-from repro.errors import ScheduleError
+from repro.errors import ScheduleError, require_finite
 from repro.models.layer_costs import LayerCostModel
 from repro.scheduler.scheduler import SchedulerConfig
 from repro.serve.admission import DeadlineFeasibilityAdmission, SlotAdmission
@@ -195,6 +195,13 @@ class ServeConfig:
     gateway_hold: float = 0.0
 
     def __post_init__(self) -> None:
+        # The gateway_* floats are checked by GatewayLimits below.
+        require_finite(
+            aging_rate=self.aging_rate,
+            gate_slack=self.gate_slack,
+            migration_time_threshold=self.migration_time_threshold,
+            autoscale_budget=self.autoscale_budget,
+        )
         if self.packing not in PACKING_SCHEMES:
             raise ScheduleError(f"unknown packing scheme '{self.packing}'")
         if self.num_replicas < 1:

@@ -9,13 +9,12 @@ the :class:`~repro.runtime.engine.NumericJob` holding real token arrays.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.data.arrivals import poisson_times
-from repro.errors import ScheduleError
+from repro.errors import ScheduleError, require_finite
 from repro.runtime.engine import NumericJob
 from repro.scheduler.types import AdapterJob
 
@@ -76,10 +75,9 @@ class ServeJob:
     def __post_init__(self) -> None:
         # Times become event-heap keys: a NaN compares false with
         # everything and silently breaks the (time, ...) order.
-        if not math.isfinite(self.arrival_time) or self.arrival_time < 0:
-            raise ScheduleError("arrival_time must be finite and non-negative")
-        if self.deadline is not None and not math.isfinite(self.deadline):
-            raise ScheduleError("deadline must be finite (None means none)")
+        require_finite(arrival_time=self.arrival_time, deadline=self.deadline)
+        if self.arrival_time < 0:
+            raise ScheduleError("arrival_time must be non-negative")
         if self.deadline is not None and self.deadline <= self.arrival_time:
             raise ScheduleError(
                 "deadline must lie strictly after the job's arrival",

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core.traffic import L2_PASS_ROWS, L2_RESIDENT_BYTES
 from repro.gpu import H100, L40S
+from repro.gpu.roofline import estimate_kernel_time
+from repro.gpu.specs import BYTES_PER_ELEMENT
 from repro.models import LLAMA3_8B, LLAMA3_70B, LayerCostModel, MicrobatchShape
 
 
@@ -96,3 +99,83 @@ class TestStageTime:
     def test_optimizer_step_is_cheap(self, cost):
         # Adapter-only AdamW: far below one layer's work.
         assert cost.optimizer_step_time() < cost.layer_time(shape(4096), "forward")
+
+
+def _boundary_tokens():
+    """Token counts from 1 to 8192, including every M-tile and L2 edge."""
+    tokens = {1, 2, 3, 17, 100, 1000, 3000, 5000, 8191, 8192}
+    for edge in (64, 128, L2_PASS_ROWS, 2 * L2_PASS_ROWS, 4096):
+        tokens.update({edge - 1, edge, edge + 1})
+    elem = BYTES_PER_ELEMENT["bf16"]
+    for k, n in LLAMA3_8B.linear_shapes().values():
+        for dim in (k, n):
+            edge = L2_RESIDENT_BYTES // (dim * elem)
+            tokens.update({edge, edge + 1})
+    return sorted(t for t in tokens if 1 <= t <= 8192)
+
+
+def _reference_layer_time(cost, shape, direction):
+    """One decoder layer priced from scratch, kernel by kernel."""
+    return sum(
+        estimate_kernel_time(p, cost.gpu, cost.dtype)
+        for p in cost.layer_profiles(shape, direction)
+    )
+
+
+def _reference_stage_time(args, layer, tokens, direction, num_layers, first, last):
+    """``stage_time`` rebuilt from an unmemoised ``layer`` time."""
+    cost = LayerCostModel(*args)  # fresh instance: cold memos
+    total = num_layers * layer
+    if first and direction == "forward":
+        total += cost.embedding_time(tokens)
+    if last:
+        total += cost.head_time(tokens, direction)
+    return total
+
+
+#: (first_stage, last_stage) of a first, a middle and a last stage.
+STAGES = ((True, False), (False, False), (False, True))
+
+
+class TestMemoIdentity:
+    """The layered memos return exactly what unmemoised pricing would."""
+
+    @pytest.mark.parametrize("strategy", ["frozen", "torch", "fused", "fused_multi"])
+    def test_stage_time_equals_unmemoised_reference(self, strategy):
+        args = (LLAMA3_8B, H100, strategy)
+        cost = LayerCostModel(*args)
+        reference = LayerCostModel(*args)  # only its unmemoised profiles
+        cases = []
+        for t in _boundary_tokens():
+            # Two shapes per token count: one sample, and a packed split
+            # that differs only in the attention term.
+            for lengths in ([t], [t // 2, t - t // 2] if t > 1 else [t]):
+                for adapters in (1, 2, 3, 4):
+                    s = MicrobatchShape.from_lengths(lengths, num_adapters=adapters)
+                    for direction in ("forward", "backward"):
+                        layer = _reference_layer_time(reference, s, direction)
+                        for first, last in STAGES:
+                            want = _reference_stage_time(
+                                args, layer, t, direction, 8, first, last
+                            )
+                            cases.append((s, direction, first, last, want))
+        # Second pass re-prices every case warm: hits must agree too.
+        for _ in range(2):
+            for s, direction, first, last, want in cases:
+                got = cost.stage_time(s, direction, 8, first, last)
+                assert got == want, (s, direction, first, last)
+
+    def test_instances_never_share_entries(self):
+        h100 = LayerCostModel(LLAMA3_8B, H100, strategy="fused")
+        l40s = LayerCostModel(LLAMA3_8B, L40S, strategy="fused")
+        s = MicrobatchShape.from_lengths([1024, 1024], num_adapters=2)
+        for direction in ("forward", "backward"):
+            on_h100 = h100.stage_time(s, direction, 8, True, True)
+            on_l40s = l40s.stage_time(s, direction, 8, True, True)
+            assert on_l40s != on_h100
+            args = (LLAMA3_8B, L40S, "fused")
+            layer = _reference_layer_time(LayerCostModel(*args), s, direction)
+            assert on_l40s == _reference_stage_time(
+                args, layer, s.tokens, direction, 8, True, True
+            )
+            assert h100.stage_time(s, direction, 8, True, True) == on_h100

@@ -2,6 +2,7 @@
 cancellation, status streaming, the ledger, and ServeConfig wiring."""
 
 import asyncio
+import random
 
 import pytest
 
@@ -485,3 +486,68 @@ class TestServeConfigWiring:
     def test_invalid_gateway_knobs_are_rejected(self, kwargs):
         with pytest.raises(ScheduleError):
             ServeConfig(**kwargs)
+
+
+def brute_occupancy(gateway, tenant):
+    """A tenant's backlog recounted from scratch over every release."""
+    held = sum(
+        1
+        for entry in gateway._held.values()
+        if (entry.job.tenant or "default") == tenant
+    )
+    pending = 0
+    for adapter_id, owner in gateway._released.items():
+        if owner != tenant:
+            continue
+        record = gateway._session.record(adapter_id)
+        if record is None or (
+            record.admit_time is None
+            and record.rejected_time is None
+            and record.finish_time is None
+        ):
+            pending += 1
+    return held + pending
+
+
+class TestOccupancy:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_incremental_occupancy_equals_brute_recount(self, seed):
+        tenants = ("a", "b", "c")
+
+        async def scenario():
+            rng = random.Random(seed)
+            clock = ManualClock()
+            config = ServeConfig(
+                num_replicas=2,
+                slots=2,
+                window_batches=1,
+                gateway_queue_bound=6,
+                gateway_fairness=0.6,
+                gateway_hold=0.3,
+            )
+            gateway = config.build_gateway(COST, SCHED, clock=clock)
+
+            def check():
+                for tenant in tenants:
+                    want = brute_occupancy(gateway, tenant)
+                    assert gateway._occupancy(tenant) == want
+
+            next_id = 0
+            for _ in range(80):
+                op = rng.random()
+                if op < 0.55:
+                    await gateway.submit(
+                        make_job(next_id, samples=4), tenant=rng.choice(tenants)
+                    )
+                    next_id += 1
+                elif op < 0.7 and next_id:
+                    await gateway.cancel(rng.randrange(next_id))
+                else:
+                    clock.advance(rng.choice([0.05, 0.5, 2.0, 10.0]))
+                check()
+            released = sum(len(ids) for ids in gateway._tenant_released.values())
+            # The scan really dropped settled ids along the way.
+            assert released < len(gateway._released)
+            await gateway.drain()
+
+        run(scenario())
