@@ -66,8 +66,8 @@ contracts):
     :class:`PriorityOrdering` / :class:`DeadlineOrdering` -- arrival
     order, shortest-remaining (batches or priced seconds), SLO classes,
     EDF/least-laxity; all but FCFS take an aging starvation bound.
-  * :func:`policy_keys` -- rank a whole candidate set at once
-    (vectorized for shipped policies, scalar fallback for custom ones).
+  * :func:`policy_keys` -- rank a whole candidate set at once (each
+    candidate by the policy's ``key``).
 
 **Fleet kernel** (``docs/architecture.md`` section "The fleet kernel")
   * :class:`EventKernel` -- the discrete-event heart of

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 from repro.distsim.memory import estimate_memory, fits_on_gpu
-from repro.errors import ScheduleError
+from repro.errors import ScheduleError, require_finite
 from repro.gpu.specs import GPUSpec
 from repro.models.config import ModelConfig
 from repro.serve.ordering import JobView
@@ -217,6 +217,7 @@ class DeadlineFeasibilityAdmission:
     queueing_aware: bool = False
 
     def __post_init__(self) -> None:
+        require_finite(slack=self.slack)
         if self.slack <= 0:
             raise ScheduleError("slack must be positive")
 

@@ -529,7 +529,7 @@ class CostEstimator:
         """
         return self.job_seconds(job, num_adapters=num_active + 1, replica=replica)
 
-    # -- batched prices (candidate sets) ------------------------------------
+    # -- candidate sets -----------------------------------------------------
 
     def job_seconds_batch(
         self,
@@ -538,16 +538,7 @@ class CostEstimator:
         num_adapters: int = 1,
         replica: int | None = None,
     ) -> np.ndarray:
-        """Price many jobs at once; element ``i`` equals
-        ``job_seconds(jobs[i], remaining_batches[i], num_adapters,
-        replica)`` **exactly** (bit-for-bit -- the property
-        ``tests/serve/test_vectorized.py`` asserts).
-
-        The per-job raw prices come from the same memoized batch terms
-        the scalar path uses, and the calibration corrections are
-        applied as one elementwise array multiply -- IEEE-754 double
-        multiplication either way, so vectorization cannot perturb a
-        ranking.
+        """:meth:`job_seconds` of each job, as a float64 array.
 
         Args:
             jobs: The candidate jobs.
@@ -556,32 +547,17 @@ class CostEstimator:
                 job).
             num_adapters: Concurrency every candidate is priced at.
             replica: Calibration fallback key, as in :meth:`job_seconds`.
-
-        Returns:
-            A float64 array of expected seconds, one per job.
         """
-        raw = np.empty(len(jobs), dtype=np.float64)
-        for i, job in enumerate(jobs):
-            left = remaining_batches[i] if remaining_batches is not None else None
-            batches = job.num_global_batches() if left is None else left
-            if batches <= 0:
-                raw[i] = 0.0
-                continue
-            num_mbs, mb_seconds = self._batch_terms(
-                TenantProfile.from_job(job), num_adapters
-            )
-            raw[i] = batches * (num_mbs * mb_seconds + self._step_seconds())
-        if self.calibration is None:
-            return raw
-        corrections = np.fromiter(
+        if remaining_batches is None:
+            remaining_batches = [None] * len(jobs)
+        return np.fromiter(
             (
-                self.calibration.correction(adapter_id=job.adapter_id, replica=replica)
-                for job in jobs
+                self.job_seconds(job, left, num_adapters, replica)
+                for job, left in zip(jobs, remaining_batches)
             ),
             dtype=np.float64,
             count=len(jobs),
         )
-        return raw * corrections
 
     def placement_seconds_batch(
         self,
@@ -591,12 +567,11 @@ class CostEstimator:
     ) -> np.ndarray:
         """Price one arrival against many candidate replicas at once.
 
-        Element ``i`` equals ``placement_seconds(job, num_active[i],
-        replicas[i])`` **exactly** -- this is the array op that turns a
-        1000-replica routing decision from a thousand estimator calls
-        into one distinct-concurrency sweep (fleets concentrate on few
-        distinct ``num_active`` values, each priced once) plus an
-        elementwise correction multiply.
+        Element ``i`` is ``placement_seconds(job, num_active[i],
+        replicas[i])``.  Each distinct concurrency is priced once through
+        :meth:`batch_seconds` (fleets concentrate on few distinct
+        ``num_active`` values), so a 1000-replica routing decision costs
+        a handful of estimator evaluations plus one correction multiply.
 
         Args:
             job: The arriving job.
@@ -610,16 +585,14 @@ class CostEstimator:
             candidate.
         """
         batches = job.num_global_batches()
-        raw = np.empty(len(num_active), dtype=np.float64)
-        if batches <= 0:
-            raw.fill(0.0)
-        else:
+        raw = np.zeros(len(num_active), dtype=np.float64)
+        if batches > 0:
             profile = TenantProfile.from_job(job)
             active = np.asarray(num_active, dtype=np.int64)
             for value in np.unique(active):
-                num_mbs, mb_seconds = self._batch_terms(profile, int(value) + 1)
-                price = batches * (num_mbs * mb_seconds + self._step_seconds())
-                raw[active == value] = price
+                raw[active == value] = batches * self.batch_seconds(
+                    profile, int(value) + 1
+                )
         if self.calibration is None:
             return raw
         if self.calibration.tracks_tenant(job.adapter_id):

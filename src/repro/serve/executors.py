@@ -92,6 +92,15 @@ class Executor(Protocol):
     def drain(self) -> list[StepEvent]:
         """Finish all in-flight work; return the remaining step events."""
 
+    def drain_job(self, adapter_id: int) -> list[StepEvent]:
+        """Finish in-flight work only until ``adapter_id``'s submitted
+        batches have stepped; return the step events completed.
+
+        The partial drain behind
+        :meth:`~repro.serve.orchestrator.OnlineOrchestrator.drain_for`.
+        An adapter with nothing in flight drains nothing.
+        """
+
     def advance(self, time: float) -> None:
         """Fast-forward the clock over idle periods (never backwards)."""
 
@@ -169,9 +178,8 @@ class NumericExecutor:
     def drain_job(self, adapter_id: int) -> list[StepEvent]:
         """Partial drain: a no-op here, since nothing is ever in flight.
 
-        Provided so coordinators can call the partial-drain unlock
-        uniformly; synchronous execution steps every batch at submit
-        time, so there is never a pipeline tail to cut short.
+        Synchronous execution steps every batch at submit time, so there
+        is never a pipeline tail to cut short.
         """
         return []
 

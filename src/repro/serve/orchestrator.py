@@ -43,13 +43,12 @@ even evicted and resumed -- trains exactly as it would alone.
 
 from __future__ import annotations
 
-import inspect
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 
 from repro.data.dataset import FinetuneDataset, Sample
-from repro.errors import ScheduleError
+from repro.errors import ScheduleError, require_finite
 from repro.scheduler.bubble import find_violations
 from repro.scheduler.grouping import StickyGrouper
 from repro.scheduler.scheduler import MultiLoRAScheduler, SchedulerConfig
@@ -129,6 +128,7 @@ class AdaptiveWindowConfig:
     target_wave_seconds: float | None = None
 
     def __post_init__(self) -> None:
+        require_finite(target_wave_seconds=self.target_wave_seconds)
         if self.min_batches <= 0:
             raise ScheduleError("min_batches must be positive")
         if self.max_batches < self.min_batches:
@@ -341,22 +341,9 @@ class OnlineOrchestrator:
             if config.admission is not None
             else None
         )
-        # Feasibility-gate dispatch, resolved once (the gate is fixed at
-        # construction): the backlog is part of the gate protocol -- any
-        # feasible() that *accepts* a third parameter receives the
-        # replica's expected wave backlog (the shipped gate charges it
-        # only when its queueing_aware flag is on); legacy two-argument
-        # gates keep working unchanged.
+        # The feasibility gate, resolved once (the admission policy is
+        # fixed at construction): ``feasible(view, now, backlog)``.
         self._gate = getattr(config.admission, "feasible", None)
-        if self._gate is None:
-            self._gate_takes_backlog = False
-        else:
-            try:
-                self._gate_takes_backlog = (
-                    len(inspect.signature(self._gate).parameters) >= 3
-                )
-            except (TypeError, ValueError):
-                self._gate_takes_backlog = False
         self._started = False
         # Adaptive window state: the live window starts at the configured
         # value (clamped into the adaptive band) and churn since the last
@@ -417,9 +404,8 @@ class OnlineOrchestrator:
         (preempted) job; the returned pairs are ``(policy key,
         adapter id)``, sorted so index 0 is the next job to admit.
         The whole set is ranked in one :func:`~repro.serve.ordering
-        .policy_keys` call -- vectorized for the shipped policies,
-        per-job for custom ones -- with keys identical to the scalar
-        path.
+        .policy_keys` call, which calls the policy's ``key`` on each
+        candidate.
 
         In knapsack mode, when the admission policy exposes
         ``interleave_key`` (and an estimator is set), candidates the
@@ -498,21 +484,14 @@ class OnlineOrchestrator:
         if gate is None:
             return
         now = self.executor.clock
-        takes_backlog = self._gate_takes_backlog
         # Skip pricing the backlog when the gate would zero it anyway.
-        wants_backlog = takes_backlog and bool(
-            getattr(self.config.admission, "queueing_aware", True)
-        )
+        wants_backlog = bool(getattr(self.config.admission, "queueing_aware", True))
         backlog = (self.expected_wave_seconds() or 0.0) if wants_backlog else 0.0
-
-        def feasible(view: JobView) -> bool:
-            if takes_backlog:
-                return bool(gate(view, now, backlog))
-            return bool(gate(view, now))
-
         survivors: list[ServeJob] = []
         for job in self._pending:
-            if job.arrival_time <= now and not feasible(self._pending_view(job)):
+            if job.arrival_time <= now and not gate(
+                self._pending_view(job), now, backlog
+            ):
                 self._records[job.adapter_id].rejected_time = now
                 self._churn += 1
             else:
@@ -1339,10 +1318,11 @@ class OnlineOrchestrator:
         the pipeline just far enough that the chosen migrant's last
         submitted batch has stepped -- the migrant reaches an
         optimizer-step boundary and becomes ejectable while the other
-        tenants' pipeline tails stay in flight.  Executors that cannot
-        drain partially (no ``drain_job`` method) fall back to the full
-        drain, so the unlock always succeeds.  Retirements the drain
-        completes are processed normally.
+        tenants' pipeline tails stay in flight.  Every executor
+        implements :meth:`~repro.serve.executors.Executor.drain_job`
+        (one with nothing in flight drains nothing), so the unlock
+        always succeeds.  Retirements the drain completes are processed
+        normally.
 
         Args:
             adapter_id: The mid-flight active job to bring to a
@@ -1352,13 +1332,9 @@ class OnlineOrchestrator:
             Scheduled-but-unstepped batches still in flight afterwards
             across all active jobs -- the optimizer steps a full flush
             would have forced early, i.e. the work the partial drain
-            saved (0 under the full-drain fallback).
+            saved.
         """
-        drain_job = getattr(self.executor, "drain_job", None)
-        if drain_job is None:
-            self._handle_events(self.executor.drain())
-        else:
-            self._handle_events(drain_job(adapter_id))
+        self._handle_events(self.executor.drain_job(adapter_id))
         return sum(
             state.next_batch - state.steps_completed
             for state in self._active.values()

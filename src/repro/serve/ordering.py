@@ -57,9 +57,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
-import numpy as np
-
-from repro.errors import ScheduleError
+from repro.errors import ScheduleError, require_finite
 
 __all__ = [
     "JobView",
@@ -71,14 +69,6 @@ __all__ = [
     "policy_keys",
     "validate_policy",
 ]
-
-
-def _waited_array(jobs: Sequence[JobView], now: float) -> np.ndarray:
-    """Per-job queueing times, elementwise-identical to :meth:`JobView.waited`."""
-    arrivals = np.fromiter(
-        (job.arrival_time for job in jobs), dtype=np.float64, count=len(jobs)
-    )
-    return np.maximum(0.0, now - arrivals)
 
 
 @dataclass(frozen=True)
@@ -141,6 +131,30 @@ class OrderingPolicy(Protocol):
         """The job's rank at virtual time ``now`` (lower sorts first)."""
 
 
+def policy_keys(
+    policy: OrderingPolicy, jobs: Sequence[JobView], now: float
+) -> list[tuple[float, ...]]:
+    """Rank a whole candidate set; element ``i`` is ``key(jobs[i], now)``.
+
+    The orchestrator's hot path: every wave plan ranks all pending and
+    parked candidates, each by the policy's :meth:`~OrderingPolicy.key`.
+    The shipped policies also bind this function as ``keys``, so the
+    perfbench tracer finds the method names it times.
+    """
+    return [policy.key(job, now) for job in jobs]
+
+
+class _Aging:
+    """Validates the ``aging_rate`` of the policies that age candidates."""
+
+    aging_rate: float
+
+    def __post_init__(self) -> None:
+        require_finite(aging_rate=self.aging_rate)
+        if self.aging_rate < 0:
+            raise ScheduleError("aging_rate must be non-negative")
+
+
 @dataclass(frozen=True)
 class FCFSOrdering:
     """Arrival order -- the fairness baseline and the default.
@@ -155,13 +169,11 @@ class FCFSOrdering:
         """Rank by arrival time."""
         return (job.arrival_time, job.adapter_id)
 
-    def keys(self, jobs: Sequence[JobView], now: float) -> list[tuple[float, ...]]:
-        """Batch form of :meth:`key`; element ``i`` equals ``key(jobs[i], now)``."""
-        return [(job.arrival_time, job.adapter_id) for job in jobs]
+    keys = policy_keys
 
 
 @dataclass(frozen=True)
-class SRPTOrdering:
+class SRPTOrdering(_Aging):
     """Shortest remaining processing time, with an optional aging bound.
 
     The mean-JCT workhorse on heavy-tailed traces: short jobs (and jobs
@@ -190,36 +202,16 @@ class SRPTOrdering:
     preemptive: bool = False
     aging_rate: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.aging_rate < 0:
-            raise ScheduleError("aging_rate must be non-negative")
-
     def key(self, job: JobView, now: float) -> tuple[float, ...]:
         """Rank by aged remaining work (time when priced), then arrival."""
         work = job.remaining_work() - self.aging_rate * job.waited(now)
         return (work, job.arrival_time, job.adapter_id)
 
-    def keys(self, jobs: Sequence[JobView], now: float) -> list[tuple[float, ...]]:
-        """Batch form of :meth:`key`; element ``i`` equals ``key(jobs[i], now)``.
-
-        One elementwise array expression instead of per-job Python
-        arithmetic -- same IEEE-754 ops in the same order, so the ranks
-        are bit-identical (``x - 0.0 == x`` exactly lets the zero-rate
-        case skip the aging term).
-        """
-        work = np.fromiter(
-            (job.remaining_work() for job in jobs), dtype=np.float64, count=len(jobs)
-        )
-        if self.aging_rate:
-            work = work - self.aging_rate * _waited_array(jobs, now)
-        return [
-            (value, job.arrival_time, job.adapter_id)
-            for value, job in zip(work.tolist(), jobs)
-        ]
+    keys = policy_keys
 
 
 @dataclass(frozen=True)
-class PriorityOrdering:
+class PriorityOrdering(_Aging):
     """Explicit SLO classes: higher :attr:`~repro.serve.jobs.ServeJob.priority` first.
 
     Within a class, FCFS.  Preemptive by default -- the point of paying
@@ -240,32 +232,16 @@ class PriorityOrdering:
     preemptive: bool = True
     aging_rate: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.aging_rate < 0:
-            raise ScheduleError("aging_rate must be non-negative")
-
     def key(self, job: JobView, now: float) -> tuple[float, ...]:
         """Rank by aged class (higher effective priority first), then arrival."""
         effective = job.priority + self.aging_rate * job.waited(now)
         return (-effective, job.arrival_time, job.adapter_id)
 
-    def keys(self, jobs: Sequence[JobView], now: float) -> list[tuple[float, ...]]:
-        """Batch form of :meth:`key`; element ``i`` equals ``key(jobs[i], now)``."""
-        priorities = np.fromiter(
-            (job.priority for job in jobs), dtype=np.float64, count=len(jobs)
-        )
-        if self.aging_rate:
-            effective = priorities + self.aging_rate * _waited_array(jobs, now)
-        else:
-            effective = priorities + 0.0
-        return [
-            (-value, job.arrival_time, job.adapter_id)
-            for value, job in zip(effective.tolist(), jobs)
-        ]
+    keys = policy_keys
 
 
 @dataclass(frozen=True)
-class DeadlineOrdering:
+class DeadlineOrdering(_Aging):
     """Earliest deadline first (EDF), slack-aware when costs are priced.
 
     Jobs without a deadline rank last (after every deadline-carrying
@@ -291,10 +267,6 @@ class DeadlineOrdering:
     preemptive: bool = True
     aging_rate: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.aging_rate < 0:
-            raise ScheduleError("aging_rate must be non-negative")
-
     def key(self, job: JobView, now: float) -> tuple[float, ...]:
         """Rank by slack (deadline when unpriced; no deadline = +inf)."""
         if job.deadline is None:
@@ -306,50 +278,7 @@ class DeadlineOrdering:
         base -= self.aging_rate * job.waited(now)
         return (base, job.arrival_time, job.adapter_id)
 
-    def keys(self, jobs: Sequence[JobView], now: float) -> list[tuple[float, ...]]:
-        """Batch form of :meth:`key`; element ``i`` equals ``key(jobs[i], now)``.
-
-        The per-job slack branches stay in Python (they are cheap and
-        data-dependent); only the aging term is an array op.  With a
-        zero rate the subtraction is skipped -- exact, since
-        ``x - 0.0 == x`` (including ``+inf`` for deadline-free jobs).
-        """
-        base = np.fromiter(
-            (self._base(job, now) for job in jobs), dtype=np.float64, count=len(jobs)
-        )
-        if self.aging_rate:
-            base = base - self.aging_rate * _waited_array(jobs, now)
-        return [
-            (value, job.arrival_time, job.adapter_id)
-            for value, job in zip(base.tolist(), jobs)
-        ]
-
-    @staticmethod
-    def _base(job: JobView, now: float) -> float:
-        """The un-aged slack term of :meth:`key` for one job."""
-        if job.deadline is None:
-            return math.inf
-        if job.remaining_seconds is not None:
-            return (job.deadline - now) - job.remaining_seconds
-        return job.deadline
-
-
-def policy_keys(
-    policy: OrderingPolicy, jobs: Sequence[JobView], now: float
-) -> list[tuple[float, ...]]:
-    """Rank a whole candidate set at once; element ``i`` is ``key(jobs[i], now)``.
-
-    The orchestrator's hot path: every wave plan ranks all pending and
-    parked candidates.  Policies that implement a batch ``keys(jobs,
-    now)`` method (all four shipped ones do, numpy-vectorized and
-    bit-identical to their scalar ``key``) rank the set in one shot;
-    any other :class:`OrderingPolicy` transparently falls back to
-    per-job ``key`` calls, so custom policies keep working unchanged.
-    """
-    batch = getattr(policy, "keys", None)
-    if batch is not None:
-        return list(batch(jobs, now))
-    return [policy.key(job, now) for job in jobs]
+    keys = policy_keys
 
 
 def validate_policy(policy: object) -> OrderingPolicy:

@@ -42,7 +42,7 @@ from typing import Callable, cast
 
 import numpy as np
 
-from repro.errors import ScheduleError
+from repro.errors import ScheduleError, require_finite
 from repro.serve.autoscaler import CapacityPool, FleetAutoscaler
 from repro.serve.events import Event, EventKernel, EventKind
 from repro.serve.executors import Executor
@@ -158,6 +158,10 @@ class ReplicaSetConfig:
     executor_factory: Callable[[CapacityPool], Executor] | None = None
 
     def __post_init__(self) -> None:
+        require_finite(
+            migration_threshold=self.migration_threshold,
+            migration_time_threshold=self.migration_time_threshold,
+        )
         if self.migration_threshold is not None and self.migration_threshold < 0:
             raise ScheduleError("migration_threshold must be non-negative")
         if self.migration_time_threshold is not None:

@@ -133,11 +133,10 @@ class FleetArrays:
     one of these fresh with the same dirty-set
     discipline as its cached views: when an event touches replica ``i``,
     row ``i`` is refilled from the rebuilt view; untouched rows keep
-    their floats.  Passing it to :meth:`TenantRouter.route` lets an
-    array-aware policy (:meth:`CostAwareRouting.choose_arrays`) score a
-    1000-replica fleet without re-extracting per-view attributes on
-    every arrival -- the values are the *same* float64s the scalar path
-    would read, so the decision is bit-identical.
+    their floats.  Passing it to :meth:`TenantRouter.route` lets
+    :meth:`CostAwareRouting.choose_arrays` score a 1000-replica fleet
+    without re-extracting per-view attributes on every arrival; it
+    reads the same float64s the views hold.
 
     Attributes:
         backlogs: ``expected_remaining_time`` per replica, in index
@@ -146,7 +145,7 @@ class FleetArrays:
         num_active: Jobs holding adapter slots, per replica.
         indices: Replica indices, in view order.
         missing: True where the view's ``expected_remaining_time`` is
-            ``None`` -- any True row forces the scalar fallback path.
+            ``None`` -- any True row sends routing back to the views.
     """
 
     backlogs: np.ndarray
@@ -175,8 +174,8 @@ class FleetArrays:
         """Append one all-stale row (a replica joining the fleet).
 
         The new row is marked ``missing`` until its first
-        :meth:`refill`, so array-aware scoring falls back to the scalar
-        path rather than reading zeros for a replica it has never seen.
+        :meth:`refill`, so routing reads the views rather than zeros
+        for a replica it has never seen.
 
         Returns:
             The new row's replica index.
@@ -401,41 +400,16 @@ class CostAwareRouting:
     estimator: CostEstimator | None = None
 
     def choose(self, job: ServeJob, replicas: Sequence[ReplicaView]) -> int:
-        """Return the replica whose expected backlog grows least.
-
-        All candidates are priced in one
-        :meth:`~repro.serve.costing.CostEstimator.placement_seconds_batch`
-        call -- the distinct-concurrency sweep makes a 1000-replica
-        decision cost a handful of estimator evaluations, and the array
-        arithmetic is bit-identical to pricing each replica alone.
-        """
+        """Return the replica whose expected backlog grows least."""
         if any(r.expected_remaining_time is None for r in replicas):
             best = min(replicas, key=lambda r: (r.outstanding_batches, r.index))
             return best.index
-        count = len(replicas)
-        backlogs = np.fromiter(
-            (view.expected_remaining_time or 0.0 for view in replicas),
-            dtype=np.float64,
-            count=count,
+        return self._score(
+            job,
+            np.array([r.expected_remaining_time for r in replicas], dtype=np.float64),
+            [r.num_active for r in replicas],
+            np.array([r.index for r in replicas], dtype=np.int64),
         )
-        if self.estimator is not None:
-            marginals = self.estimator.placement_seconds_batch(
-                job.job,
-                [view.num_active for view in replicas],
-                [view.index for view in replicas],
-            )
-            totals = backlogs + marginals
-        else:
-            totals = backlogs
-        indices = np.fromiter(
-            (view.index for view in replicas), dtype=np.int64, count=count
-        )
-        # Secondary key: when the marginal term's float magnitude swamps
-        # a small backlog difference, the smaller raw backlog still wins
-        # -- a dominated replica is never chosen.  lexsort's last key is
-        # primary, so this is min() over (total, backlog, index) tuples.
-        order = np.lexsort((indices, backlogs, totals))
-        return int(indices[order[0]])
 
     def choose_arrays(
         self,
@@ -443,27 +417,41 @@ class CostAwareRouting:
         replicas: Sequence[ReplicaView],
         arrays: FleetArrays,
     ) -> int:
-        """:meth:`choose` over pre-extracted fleet columns.
+        """:meth:`choose` over the fleet loop's column mirror of ``replicas``.
 
-        ``arrays`` holds the same float64 backlogs and activity counts
-        the views carry (the event kernel refills rows with its
-        dirty-set discipline), so this path returns the same replica as
-        :meth:`choose` while skipping the per-arrival attribute
-        extraction -- the one O(fleet) Python loop left on the arrival
-        hot path.
+        ``arrays`` holds the values the views carry, so this skips the
+        per-arrival extraction -- the one O(fleet) Python loop left on
+        the arrival hot path.
         """
         if bool(arrays.missing.any()):
             return self.choose(job, replicas)
-        backlogs = arrays.backlogs
+        return self._score(job, arrays.backlogs, arrays.num_active, arrays.indices)
+
+    def _score(
+        self,
+        job: ServeJob,
+        backlogs: np.ndarray,
+        num_active: "Sequence[int] | np.ndarray",
+        indices: np.ndarray,
+    ) -> int:
+        """The replica minimising ``(backlog + marginal, backlog, index)``.
+
+        All candidates are priced in one
+        :meth:`~repro.serve.costing.CostEstimator.placement_seconds_batch`
+        call.
+        """
         if self.estimator is not None:
-            marginals = self.estimator.placement_seconds_batch(
-                job.job, arrays.num_active, arrays.indices
+            totals = backlogs + self.estimator.placement_seconds_batch(
+                job.job, num_active, indices
             )
-            totals = backlogs + marginals
         else:
             totals = backlogs
-        order = np.lexsort((arrays.indices, backlogs, totals))
-        return int(arrays.indices[order[0]])
+        # Secondary key: when the marginal term's float magnitude swamps
+        # a small backlog difference, the smaller raw backlog still wins
+        # -- a dominated replica is never chosen.  lexsort's last key is
+        # primary, so this is min() over (total, backlog, index) tuples.
+        order = np.lexsort((indices, backlogs, totals))
+        return int(indices[order[0]])
 
 
 class TenantRouter:

@@ -210,3 +210,59 @@ class TestQueueingAwareOrchestration:
         assert service.records[2].deadline_missed is True
         assert queueing.rejected == 1
         assert queueing.records[2].rejected_time is not None
+
+
+class TestCustomGate:
+    """A custom admission policy's ``feasible`` is called as
+    ``feasible(view, now, backlog)`` -- the one gate calling convention."""
+
+    def test_gate_receives_the_replica_backlog(self):
+        from repro.data import synthetic_dataset
+        from repro.models.layer_costs import LayerCostModel
+        from repro.scheduler import AdapterJob, SchedulerConfig
+        from repro.serve import (
+            CostEstimator,
+            OnlineOrchestrator,
+            OrchestratorConfig,
+            ServeJob,
+            StreamingSimExecutor,
+        )
+
+        class RecordingGate:
+            def __init__(self):
+                self.orchestrator = None
+                self.calls = []
+
+            def max_concurrent(self):
+                return 3
+
+            def feasible(self, view, now, backlog):
+                expected = self.orchestrator.expected_wave_seconds() or 0.0
+                self.calls.append((view.adapter_id, now, backlog, expected))
+                return True
+
+        cost = LayerCostModel(LLAMA3_8B, H100, strategy="fused_multi")
+        sched = SchedulerConfig(capacity=8192, num_stages=2, use_milp=False)
+        gate = RecordingGate()
+        config = OrchestratorConfig(
+            scheduler=sched,
+            window_batches=1,
+            admission=gate,
+            estimator=CostEstimator.for_scheduler(cost, sched),
+        )
+        orchestrator = OnlineOrchestrator(StreamingSimExecutor(cost, 2), config)
+        gate.orchestrator = orchestrator
+        workload = [
+            ServeJob(
+                job=AdapterJob(a, synthetic_dataset(a, "wikisum", 16, seed=3), 8),
+                arrival_time=0.0 if a < 2 else 0.01,
+            )
+            for a in range(3)
+        ]
+        result = orchestrator.run(workload)
+        assert result.rejected == 0
+        assert {call[0] for call in gate.calls} == {0, 1, 2}
+        # The third argument is the replica's priced wave backlog, and
+        # the late arrival queues behind planned work.
+        assert all(call[2] == call[3] for call in gate.calls)
+        assert any(call[0] == 2 and call[2] > 0 for call in gate.calls)

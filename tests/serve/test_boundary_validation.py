@@ -11,7 +11,25 @@ import math
 import pytest
 
 from repro.errors import ScheduleError
-from repro.serve import CapacityPool, GatewayLimits, ReclamationNotice, ServeConfig
+from repro.gpu import H100
+from repro.models.config import LLAMA3_8B
+from repro.models.layer_costs import LayerCostModel
+from repro.scheduler import SchedulerConfig
+from repro.serve import (
+    AdaptiveWindowConfig,
+    CapacityPool,
+    CostEstimator,
+    DeadlineFeasibilityAdmission,
+    DeadlineOrdering,
+    GatewayLimits,
+    OrchestratorConfig,
+    PriorityOrdering,
+    ReclamationNotice,
+    ReplicaSetConfig,
+    ServeConfig,
+    SlotAdmission,
+    SRPTOrdering,
+)
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -31,6 +49,24 @@ def serve_config(**overrides):
     return ServeConfig(**{**base, **overrides})
 
 
+def gate(**overrides):
+    return DeadlineFeasibilityAdmission(slots=SlotAdmission(1), **overrides)
+
+
+SCHEDULER = SchedulerConfig(capacity=8192, num_stages=1, use_milp=False)
+# An estimator, so a seconds-valued migration threshold is allowed at all.
+ORCHESTRATOR = OrchestratorConfig(
+    scheduler=SCHEDULER,
+    estimator=CostEstimator.for_scheduler(
+        LayerCostModel(LLAMA3_8B, H100), SCHEDULER
+    ),
+)
+
+
+def replica_set_config(**overrides):
+    return ReplicaSetConfig(orchestrator=ORCHESTRATOR, **overrides)
+
+
 FIELDS = [
     (GatewayLimits, "rate"),
     (GatewayLimits, "burst"),
@@ -48,6 +84,13 @@ FIELDS = [
     (pool, "speed_factor"),
     (notice, "time"),
     (notice, "deadline"),
+    (SRPTOrdering, "aging_rate"),
+    (PriorityOrdering, "aging_rate"),
+    (DeadlineOrdering, "aging_rate"),
+    (gate, "slack"),
+    (AdaptiveWindowConfig, "target_wave_seconds"),
+    (replica_set_config, "migration_threshold"),
+    (replica_set_config, "migration_time_threshold"),
 ]
 
 
@@ -69,6 +112,9 @@ def test_non_finite_field_is_rejected(build, name, value):
         (serve_config, "autoscale_budget"),
         (serve_config, "gateway_rate"),
         (serve_config, "gateway_fairness"),
+        (AdaptiveWindowConfig, "target_wave_seconds"),
+        (replica_set_config, "migration_threshold"),
+        (replica_set_config, "migration_time_threshold"),
     ],
 )
 def test_none_still_means_off(build, name):

@@ -26,7 +26,7 @@ from repro.scheduler import (
     MultiLoRAScheduler,
     SchedulerConfig,
 )
-from repro.serve import NumericExecutor, ServeJob, StreamingSimExecutor
+from repro.serve import Executor, NumericExecutor, ServeJob, StreamingSimExecutor
 
 
 def scheduled_stream(num_stages, num_jobs=4, samples=24, gbs=8, seed=5):
@@ -203,6 +203,13 @@ class TestPartialDrain:
         engine = MultiLoRAEngine(TinyLoRATransformer(TINY))
         executor = NumericExecutor(engine)
         assert executor.drain_job(0) == []
+
+    def test_both_executors_implement_the_protocol(self):
+        # drain_job is part of Executor: drain_for calls it directly.
+        engine = MultiLoRAEngine(TinyLoRATransformer(TINY))
+        cost = LayerCostModel(LLAMA3_8B, H100, strategy="fused_multi")
+        assert isinstance(NumericExecutor(engine), Executor)
+        assert isinstance(StreamingSimExecutor(cost, 2), Executor)
 
 
 class TestNumericExecutor:

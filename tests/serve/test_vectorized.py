@@ -1,13 +1,14 @@
-"""Property tests: every vectorized hot path equals its scalar twin.
+"""Property tests: every candidate-set decision equals its per-item rule.
 
-The event kernel's speed comes from numpy-batched pricing and ranking
+The serve layer prices, ranks and routes whole candidate sets at once
 (:meth:`CostEstimator.job_seconds_batch` /
 :meth:`~CostEstimator.placement_seconds_batch`,
-:func:`~repro.serve.ordering.policy_keys`, the array scoring inside
-:class:`~repro.serve.CostAwareRouting`).  Correctness of the whole
-bit-identical-to-lockstep story rests on these being **exactly** equal
-to the scalar paths -- same IEEE-754 ops in the same order -- so each
-test asserts ``==``, never ``approx``.
+:func:`~repro.serve.ordering.policy_keys`,
+:class:`~repro.serve.CostAwareRouting` over views or over the fleet
+loop's :class:`~repro.serve.FleetArrays` columns).  The fleet loop must
+match the lockstep reference bit for bit, so each set-level answer must
+be **exactly** the per-item rule's -- each test asserts ``==``, never
+``approx``.
 """
 
 import math
@@ -193,18 +194,24 @@ class TestRouterChoiceEqualsScalar:
                    st.integers(min_value=0, max_value=5),
                ),
                min_size=1, max_size=16,
-           ))
+           ),
+           gaps=st.lists(st.integers(min_value=0, max_value=3),
+                         min_size=16, max_size=16))
     @settings(max_examples=40, deadline=None)
     def test_choose_matches_scalar_rule(self, calibrated, with_estimator,
-                                        loads):
+                                        loads, gaps):
+        # ``gaps`` skips replica ids between views: an elastic fleet
+        # routes over its routable subset, whose indices are not
+        # positions (all-zero gaps is the contiguous full fleet).
         estimator = make_estimator(calibrated) if with_estimator else None
         job = ServeJob(job=make_job(1), arrival_time=0.0)
+        indices = [i + sum(gaps[:i + 1]) for i in range(len(loads))]
         views = [
-            ReplicaView(index=i, clock=0.0, num_active=active,
+            ReplicaView(index=index, clock=0.0, num_active=active,
                         num_pending=0, num_parked=0,
                         outstanding_batches=active, slots_free=1,
                         expected_remaining_time=backlog)
-            for i, (backlog, active) in enumerate(loads)
+            for index, (backlog, active) in zip(indices, loads)
         ]
         policy = CostAwareRouting(estimator=estimator)
         assert policy.choose(job, views) == self.scalar_choose(
