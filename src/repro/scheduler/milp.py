@@ -7,8 +7,19 @@ padded token count, leaving maximal room for the later merge pass.
 
 Both stages are solved with scipy's HiGHS backend (``scipy.optimize.milp``)
 under a configurable time limit; the caller falls back to greedy packing
-when the solver fails, times out without an incumbent, or is no better
-(Algorithm 1, lines 2-10).
+when the MILP is proven no better before solving, or when the solver
+fails, times out without an incumbent, or is no better (Algorithm 1,
+lines 2-10).
+
+Two certificates let a caller skip solves whose outcome is already known:
+
+* :func:`bin_count_lower_bound` -- no packing uses fewer bins.  When
+  greedy's bin count meets it, stage 1 has nothing to find and
+  :func:`milp_pack` goes straight to stage 2 with greedy's count.
+* :func:`proves_no_win` -- an exact, node-budgeted search showing that no
+  packing into greedy's bin count has a bin smaller than greedy's
+  smallest.  The MILP's packing would then be discarded, so the caller
+  keeps greedy without solving.
 
 Variable layout (stage 1), matching the paper's notation:
 
@@ -24,7 +35,6 @@ without big-M terms (bins are interchangeable).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +44,12 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from repro.data.dataset import Sample
 from repro.scheduler.types import Assignment, Microbatch
 
-__all__ = ["MILPResult", "milp_pack"]
+__all__ = ["MILPResult", "bin_count_lower_bound", "milp_pack", "proves_no_win"]
+
+#: Placements :func:`proves_no_win` may try before it gives up undecided
+#: and leaves the question to the MILP.  Every instance the MILP loses in
+#: the offline-milp benchmark (seeds 1 and 41) proves in under 100.
+NO_WIN_NODE_BUDGET = 2000
 
 
 @dataclass
@@ -249,6 +264,130 @@ def _bins_from_assignment(
     return bins
 
 
+def _padded(tokens: int, p: int) -> int:
+    return -(-tokens // p) * p
+
+
+def bin_count_lower_bound(
+    samples: list[tuple[Sample, int]], capacity: int, padding_multiple: int
+) -> int:
+    """Fewest bins any capacity-feasible packing of ``samples`` can use.
+
+    The larger of two bounds: every adapter's tokens pad to at least
+    ``ceil(T_a / P) * P`` in total however they split, and no two samples
+    longer than half the capacity can share a bin.  (For an even
+    ``capacity / P`` "longer than half" is the same as "padded to more
+    than half"; for an odd one two same-adapter samples padded past half
+    may still share.)
+    """
+    totals: dict[int, int] = {}
+    for sample, _ in samples:
+        totals[sample.adapter_id] = totals.get(sample.adapter_id, 0) + sample.length
+    volume = sum(_padded(tokens, padding_multiple) for tokens in totals.values())
+    halves = sum(1 for sample, _ in samples if 2 * sample.length > capacity)
+    return max(-(-volume // capacity), halves)
+
+
+def proves_no_win(
+    samples: list[tuple[Sample, int]],
+    capacity: int,
+    padding_multiple: int,
+    num_bins: int,
+    smallest: int,
+) -> bool:
+    """Prove that no ``num_bins``-bin packing has a bin under ``smallest``.
+
+    An exact depth-first search: samples go in by decreasing length, each
+    into every bin it fits (per-adapter padded loads, as in the MILP), and
+    bins holding the same tokens per adapter -- empty ones included -- are
+    tried once.  A branch is cut when every bin has reached ``smallest``,
+    or when the padded volume it must still place cannot fit with one bin
+    left under ``smallest``.  Empty bins count as bins under ``smallest``,
+    so a proof also rules out packings into fewer bins.
+
+    Returns:
+        True when the search proves it: then the MILP can neither use
+        fewer bins nor find a smaller smallest bin than the greedy
+        packing this describes, and Algorithm 1 would discard its answer.
+        False when it finds such a packing, or gives up after
+        :data:`NO_WIN_NODE_BUDGET` placements.
+    """
+    p = padding_multiple
+    adapters = _adapter_index(samples)
+    na = len(adapters)
+    items = sorted(
+        ((sample.length, adapters[sample.adapter_id]) for sample, _ in samples),
+        reverse=True,
+    )
+    # remaining[i][a]: adapter a's tokens among items i onwards.
+    remaining = [[0] * na]
+    for length, a in reversed(items):
+        row = list(remaining[-1])
+        row[a] += length
+        remaining.append(row)
+    remaining.reverse()
+    raw = [[0] * na for _ in range(num_bins)]
+    load = [0] * num_bins
+    # Total padded tokens a packing with one bin under `smallest` can hold.
+    ceiling = (num_bins - 1) * capacity + smallest - p
+
+    def moves(i: int) -> list[tuple[int, int]]:
+        """``(bin, growth)`` placements of item ``i`` worth trying."""
+        if min(load) >= smallest:
+            return []
+        volume = 0
+        for a in range(na):
+            padded = slack = 0
+            for row in raw:
+                q = _padded(row[a], p)
+                padded += q
+                slack += q - row[a]
+            volume += padded + _padded(max(0, remaining[i][a] - slack), p)
+        if volume > ceiling:
+            return []
+        length, a = items[i]
+        seen: set[tuple[int, ...]] = set()
+        out = []
+        for b, row in enumerate(raw):
+            state = tuple(row)
+            if state in seen:
+                continue
+            seen.add(state)
+            growth = _padded(row[a] + length, p) - _padded(row[a], p)
+            if load[b] + growth <= capacity:
+                out.append((b, growth))
+        return out
+
+    if not items or num_bins <= 0:
+        return False
+    stack = [iter(moves(0))]
+    placed: list[tuple[int, int]] = []
+    nodes = 0
+    while stack:
+        depth = len(stack) - 1
+        length, a = items[depth]
+        if len(placed) > depth:  # back from the level below: undo
+            b, growth = placed.pop()
+            raw[b][a] -= length
+            load[b] -= growth
+        move = next(stack[-1], None)
+        if move is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > NO_WIN_NODE_BUDGET:
+            return False
+        b, growth = move
+        raw[b][a] += length
+        load[b] += growth
+        placed.append(move)
+        if depth + 1 < len(items):
+            stack.append(iter(moves(depth + 1)))
+        elif min(load) < smallest:
+            return False
+    return True
+
+
 def milp_pack(
     samples: list[tuple[Sample, int]],
     capacity: int,
@@ -264,6 +403,7 @@ def milp_pack(
         padding_multiple: Padding granule ``P``.
         max_bins: Upper bound on bins -- use the greedy solution's count,
             since a worse-than-greedy solution would be discarded anyway.
+            When it meets :func:`bin_count_lower_bound`, stage 1 is skipped.
         timeout: Per-stage HiGHS time limit in seconds.
 
     Returns:
@@ -277,12 +417,20 @@ def milp_pack(
         # improve a one-bin packing either.
         return MILPResult(microbatches=None)
 
-    x1, used, opt1 = _stage1(samples, capacity, padding_multiple, max_bins, timeout)
-    if x1 is None or used <= 0:
-        return MILPResult(microbatches=None)
+    if bin_count_lower_bound(samples, capacity, padding_multiple) == max_bins:
+        # No packing uses fewer bins: stage 1 would return max_bins.
+        x1, used, opt1 = None, max_bins, True
+    else:
+        x1, used, opt1 = _stage1(
+            samples, capacity, padding_multiple, max_bins, timeout
+        )
+        if x1 is None or used <= 0:
+            return MILPResult(microbatches=None)
 
     x2, opt2 = _stage2(samples, capacity, padding_multiple, used, timeout)
-    x_final = x2 if x2 is not None else x1[:, :]
+    x_final = x2 if x2 is not None else x1
+    if x_final is None:
+        return MILPResult(microbatches=None)
     bins = _bins_from_assignment(x_final, samples, capacity, padding_multiple)
     if bins is None:
         return MILPResult(microbatches=None)

@@ -26,12 +26,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.data.dataset import Sample
-from repro.errors import ScheduleError
+from repro.errors import ScheduleError, require_finite
 from repro.scheduler.bubble import find_violations, insert_noops
 from repro.scheduler.greedy import greedy_pack
 from repro.scheduler.grouping import head_tail_groups
 from repro.scheduler.merging import merge_pass
-from repro.scheduler.milp import milp_pack
+from repro.scheduler.milp import milp_pack, proves_no_win
 from repro.scheduler.types import AdapterJob, Microbatch, Schedule
 
 __all__ = [
@@ -78,6 +78,7 @@ class SchedulerConfig:
         return 1
 
     def __post_init__(self) -> None:
+        require_finite(milp_timeout=self.milp_timeout)
         if self.capacity <= 0:
             raise ScheduleError("capacity must be positive")
         if self.padding_multiple <= 0:
@@ -87,6 +88,12 @@ class SchedulerConfig:
                 f"capacity {self.capacity} must be a multiple of the padding "
                 f"multiple {self.padding_multiple}"
             )
+        if self.num_stages < 1:
+            raise ScheduleError("num_stages must be at least 1")
+        if self.milp_timeout <= 0:
+            raise ScheduleError("milp_timeout must be positive")
+        if self.max_workers < 0:
+            raise ScheduleError("max_workers must be non-negative")
 
 
 def pack_global_batch(
@@ -98,6 +105,11 @@ def pack_global_batch(
 ) -> tuple[list[Microbatch], str]:
     """Pack one (group, step)'s samples per Algorithm 1.
 
+    The MILP runs only when greedy leaves it room: if
+    :func:`~repro.scheduler.milp.proves_no_win` shows no packing into
+    greedy's bin count has a smaller smallest bin, greedy is returned
+    without a solve -- the same answer the selection rule would give.
+
     Module-level (picklable) so worker processes can run it.
 
     Returns:
@@ -105,6 +117,12 @@ def pack_global_batch(
     """
     greedy_bins = greedy_pack(samples, capacity, padding_multiple)
     if not use_milp or len(greedy_bins) <= 1:
+        return greedy_bins, "greedy"
+    greedy_min = min(mb.padded_tokens for mb in greedy_bins)
+    if proves_no_win(
+        samples, capacity, padding_multiple, len(greedy_bins), greedy_min
+    ):
+        # Whatever the MILP returned would be discarded below.
         return greedy_bins, "greedy"
     result = milp_pack(
         samples,
@@ -115,7 +133,6 @@ def pack_global_batch(
     )
     if result.microbatches is None or result.num_bins > len(greedy_bins):
         return greedy_bins, "greedy"
-    greedy_min = min(mb.padded_tokens for mb in greedy_bins)
     if result.num_bins == len(greedy_bins) and result.min_bin_tokens >= greedy_min:
         return greedy_bins, "greedy"
     return result.microbatches, "milp"

@@ -37,6 +37,18 @@ class TestConfigValidation:
         with pytest.raises(ScheduleError):
             SchedulerConfig(capacity=1000, padding_multiple=64)
 
+    @pytest.mark.parametrize("overrides", [
+        dict(milp_timeout=float("nan")),
+        dict(milp_timeout=float("inf")),
+        dict(milp_timeout=-1.0),
+        dict(milp_timeout=0.0),
+        dict(num_stages=0),
+        dict(max_workers=-1),
+    ])
+    def test_out_of_range_knobs_rejected(self, overrides):
+        with pytest.raises(ScheduleError):
+            SchedulerConfig(capacity=8192, **overrides)
+
     def test_auto_group_size(self):
         cfg = SchedulerConfig(capacity=8192)
         assert cfg.resolved_group_size(1) == 1
