@@ -35,15 +35,14 @@ def run_setting(model, num_gpus, datasets):
         baseline = run_single_gpu_sequential(jobs, model, cluster,
                                              strategy="torch")
         report = propose_capacity(jobs, model, cluster)
-        config = SchedulerConfig(capacity=report.best_capacity, num_stages=1,
-                                 milp_timeout=0.3)
+        config = SchedulerConfig(capacity=report.best_capacity, num_stages=1)
         fusion = run_lorafusion(jobs, model, cluster, scheduler_config=config,
                                 capacity=report.best_capacity)
         return {"baseline": baseline.tokens_per_second,
                 "lorafusion": fusion.tokens_per_second}
     report = propose_capacity(jobs, model, cluster)
     config = SchedulerConfig(capacity=report.best_capacity,
-                             num_stages=num_gpus, milp_timeout=0.3)
+                             num_stages=num_gpus)
     return {
         "baseline": run_megatron_fsdp(jobs, model, cluster).tokens_per_second,
         "megatron-pp": run_megatron_pp(jobs, model, cluster).tokens_per_second,

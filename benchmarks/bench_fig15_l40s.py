@@ -31,7 +31,7 @@ def sweep():
         one = ClusterSpec(gpu=L40S, num_gpus=1, gpus_per_node=4)
         base = run_single_gpu_sequential(jobs, LLAMA3_8B, one, capacity=8192,
                                          strategy="torch")
-        config = SchedulerConfig(capacity=8192, num_stages=1, milp_timeout=0.3)
+        config = SchedulerConfig(capacity=8192, num_stages=1)
         fusion = run_lorafusion(jobs, LLAMA3_8B, one, scheduler_config=config,
                                 capacity=8192)
         results[("LLaMa-3.1-8B", setting)] = {
@@ -41,8 +41,7 @@ def sweep():
         # 32B on four L40S.
         four = ClusterSpec(gpu=L40S, num_gpus=4, gpus_per_node=4)
         report = propose_capacity(jobs, QWEN25_32B, four)
-        config = SchedulerConfig(capacity=report.best_capacity, num_stages=4,
-                                 milp_timeout=0.3)
+        config = SchedulerConfig(capacity=report.best_capacity, num_stages=4)
         results[("Qwen-2.5-32B", setting)] = {
             "baseline": run_megatron_fsdp(jobs, QWEN25_32B, four).tokens_per_second,
             "megatron-pp": run_megatron_pp(jobs, QWEN25_32B, four).tokens_per_second,

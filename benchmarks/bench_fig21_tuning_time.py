@@ -4,8 +4,10 @@ Paper: scheduling cost grows linearly (~4 ms/sample on their 64-vCPU
 box, 38s at 640 samples to 102s at 25600 with multiprocessing) and stays
 an order of magnitude below GPU computation time, so it hides behind
 training of the previous global batch.  We sweep smaller sample counts
-(pure-Python MILP setup is slower per sample) and check both properties:
-near-linear scaling and computation >> tuning.
+(the packing search is pure Python) and check both properties:
+near-linear scaling and computation >> tuning.  The search is bounded by
+a node count, not a time limit, so every run builds the same schedules
+and only the tuning column, which is wall time, moves between runs.
 """
 
 from benchmarks.common import fmt_row, h100_cluster, make_jobs, write_table
@@ -19,8 +21,7 @@ CAPACITY = 8192
 
 def tune_and_simulate(samples_per_job):
     jobs = make_jobs(["mixed"] * 4, samples=samples_per_job, gbs=8)
-    config = SchedulerConfig(capacity=CAPACITY, num_stages=4, use_milp=True,
-                             milp_timeout=0.1)
+    config = SchedulerConfig(capacity=CAPACITY, num_stages=4, use_milp=True)
     schedule = MultiLoRAScheduler(jobs, config).schedule()
     report = run_lorafusion(jobs, LLAMA3_70B, h100_cluster(4),
                             scheduler_config=config, capacity=CAPACITY)

@@ -29,7 +29,7 @@ def sweep():
     cluster = h100_cluster(4)
     report = propose_capacity(jobs, LLAMA3_70B, cluster)
     cap = report.best_capacity
-    config = SchedulerConfig(capacity=cap, num_stages=4, milp_timeout=0.3)
+    config = SchedulerConfig(capacity=cap, num_stages=4)
     rates = {
         "1F1B PP": run_megatron_pp(jobs, LLAMA3_70B, cluster,
                                    capacity=cap).tokens_per_second,

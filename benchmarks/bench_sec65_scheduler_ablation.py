@@ -15,8 +15,7 @@ CAPACITY = 8192
 
 def throughput(use_milp, use_merge, jobs):
     config = SchedulerConfig(capacity=CAPACITY, num_stages=4,
-                             use_milp=use_milp, use_merge=use_merge,
-                             milp_timeout=1.0)
+                             use_milp=use_milp, use_merge=use_merge)
     return run_lorafusion(jobs, LLAMA3_70B, h100_cluster(4),
                           scheduler_config=config,
                           capacity=CAPACITY).tokens_per_second
@@ -30,8 +29,7 @@ def sweep():
         "milp, no merge": throughput(True, False, jobs),
         "milp + merge (full)": throughput(True, True, jobs),
     }
-    config = SchedulerConfig(capacity=CAPACITY, num_stages=4, use_milp=True,
-                             milp_timeout=1.0)
+    config = SchedulerConfig(capacity=CAPACITY, num_stages=4, use_milp=True)
     stats = MultiLoRAScheduler(jobs, config).schedule().stats
     return rates, stats
 

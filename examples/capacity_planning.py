@@ -50,8 +50,7 @@ def token_capacity() -> None:
               f"{candidate.tokens_per_second:7.0f} tok/s, "
               f"bubble {candidate.bubble_ratio:.1%}{marker}")
 
-    config = SchedulerConfig(capacity=report.best_capacity, num_stages=4,
-                             milp_timeout=0.5)
+    config = SchedulerConfig(capacity=report.best_capacity, num_stages=4)
     systems = {
         "Megatron-LM FSDP": run_megatron_fsdp(jobs, LLAMA3_70B, cluster),
         "Megatron-LM PP": run_megatron_pp(jobs, LLAMA3_70B, cluster),

@@ -50,7 +50,7 @@ def main() -> None:
         for job in jobs
     ]
     config = SchedulerConfig(capacity=64, padding_multiple=1, num_stages=2,
-                             use_milp=True, milp_timeout=1.0, group_size=2)
+                             use_milp=True, group_size=2)
     schedule = MultiLoRAScheduler(scheduler_jobs, config).schedule()
     print(f"schedule: {len(schedule)} microbatches, "
           f"{schedule.stats['milp_selected']:.0f} MILP-packed steps, "

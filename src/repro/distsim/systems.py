@@ -332,7 +332,7 @@ def run_lorafusion(
     cost = LayerCostModel(model, cluster.gpu, strategy=strategy)
     if use_scheduler:
         config = scheduler_config or SchedulerConfig(
-            capacity=capacity, num_stages=num_stages, milp_timeout=1.0
+            capacity=capacity, num_stages=num_stages
         )
         schedule = MultiLoRAScheduler(jobs, config).schedule()
         stream = schedule.microbatches

@@ -120,7 +120,6 @@ def propose_capacity(
             padding_multiple=padding_multiple,
             num_stages=cluster.num_gpus,
             use_milp=use_milp,
-            milp_timeout=0.5,
         )
         report = run_lorafusion(
             probe, model, cluster, scheduler_config=config, capacity=capacity

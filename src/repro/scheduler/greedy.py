@@ -1,8 +1,9 @@
-"""Greedy first-fit-decreasing bin packing: Algorithm 1's fallback path.
+"""Greedy first-fit-decreasing bin packing: Algorithm 1's starting point.
 
-The MILP solver gets a timeout; when it expires (or when its solution is
-no better), the scheduler falls back to this packer.  It is also the
-baseline for the Section 6.5 ablation ("two-stage MILP optimization
+The two-stage search starts from this packing and replaces it only with
+a strictly better one, so where greedy is already optimal (or the search
+runs out of nodes before finding better) it is the answer.  It is also
+the baseline for the Section 6.5 ablation ("two-stage MILP optimization
 provides an additional 3.82% improvement over pure greedy bin-packing").
 """
 

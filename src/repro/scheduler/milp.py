@@ -1,68 +1,50 @@
-"""Two-stage MILP bin packing (Equations 3 and 4 of the paper).
+"""Two-stage bin packing (Equations 3 and 4 of the paper), solved exactly.
 
 Stage 1 minimises the number of microbatches needed to pack one global
 batch's samples subject to per-adapter padding multiples and a token
 capacity.  Stage 2 fixes that bin count and minimises the smallest bin's
-padded token count, leaving maximal room for the later merge pass.
+padded tokens, leaving maximal room for the later merge pass.
 
-Both stages are solved with scipy's HiGHS backend (``scipy.optimize.milp``)
-under a configurable time limit; the caller falls back to greedy packing
-when the MILP is proven no better before solving, or when the solver
-fails, times out without an incumbent, or is no better (Algorithm 1,
-lines 2-10).
-
-Two certificates let a caller skip solves whose outcome is already known:
-
-* :func:`bin_count_lower_bound` -- no packing uses fewer bins.  When
-  greedy's bin count meets it, stage 1 has nothing to find and
-  :func:`milp_pack` goes straight to stage 2 with greedy's count.
-* :func:`proves_no_win` -- an exact, node-budgeted search showing that no
-  packing into greedy's bin count has a bin smaller than greedy's
-  smallest.  The MILP's packing would then be discarded, so the caller
-  keeps greedy without solving.
-
-Variable layout (stage 1), matching the paper's notation:
-
-* ``x[s,b] in {0,1}``  -- sample ``s`` placed in bin ``b``;
-* ``k[a,b] in N``      -- padded multiples adapter ``a`` contributes to bin
-  ``b`` (``tokens_a,b <= k[a,b] * P``);
-* ``z[b] in {0,1}``    -- bin ``b`` used, contiguous from the front.
-
-Stage 2 drops ``z`` and adds the symmetry-breaking constraint that the
-*last* bin is the smallest, which linearises "minimise the smallest bin"
-without big-M terms (bins are interchangeable).
+Both stages are one integer branch-and-bound over the paper's model: a
+bin's load is the sum over adapters of that adapter's tokens in it,
+padded to a multiple of ``P``, and may not exceed the capacity.  The
+search starts from greedy's packing as the incumbent and keeps only
+strictly better packings, so its answer is never worse than greedy's
+(Algorithm 1, lines 2-10).  It counts nodes, not seconds: the same
+input gives the same packing on any machine.  When
+:data:`SEARCH_NODE_BUDGET` runs out it returns the best packing found so
+far and reports that stage 2 is not proven optimal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
-
 from repro.data.dataset import Sample
 from repro.scheduler.types import Assignment, Microbatch
 
-__all__ = ["MILPResult", "bin_count_lower_bound", "milp_pack", "proves_no_win"]
+__all__ = ["MILPResult", "bin_count_lower_bound", "milp_pack"]
 
-#: Placements :func:`proves_no_win` may try before it gives up undecided
-#: and leaves the question to the MILP.  Every instance the MILP loses in
-#: the offline-milp benchmark (seeds 1 and 41) proves in under 100.
-NO_WIN_NODE_BUDGET = 2000
+#: Placements one :func:`milp_pack` call may try before it stops with
+#: the best packing found so far.  No offline-milp, fig21 or scheduler
+#: test instance comes near it (the worst takes under 100k).
+SEARCH_NODE_BUDGET = 1_000_000
 
 
 @dataclass
 class MILPResult:
-    """Outcome of the two-stage MILP for one global batch.
+    """Outcome of the two-stage search for one global batch.
 
     Attributes:
-        microbatches: The packed bins (None when the solver produced
-            nothing usable and the caller must fall back to greedy).
-        num_bins: Bin count of the stage-1 solution.
-        min_bin_tokens: Padded tokens of the smallest bin after stage 2.
-        stage1_optimal: Whether stage 1 proved optimality.
-        stage2_optimal: Whether stage 2 proved optimality.
+        microbatches: The packed bins, fullest first; None when no packing
+            beats the incumbent and the caller keeps greedy's.
+        num_bins: Bin count of the best packing (the incumbent's when
+            ``microbatches`` is None).
+        min_bin_tokens: Padded tokens of that packing's smallest bin.
+        stage1_optimal: Whether no packing uses fewer bins.
+        stage2_optimal: Whether no packing into ``num_bins`` bins has a
+            smaller smallest bin (False when the node budget ran out).
+        nodes: Placements the search tried.
     """
 
     microbatches: list[Microbatch] | None
@@ -70,198 +52,7 @@ class MILPResult:
     min_bin_tokens: int = 0
     stage1_optimal: bool = False
     stage2_optimal: bool = False
-
-
-def _adapter_index(samples: list[tuple[Sample, int]]) -> dict[int, int]:
-    ids = sorted({sample.adapter_id for sample, _ in samples})
-    return {adapter_id: i for i, adapter_id in enumerate(ids)}
-
-
-def _solve(c, constraints, integrality, bounds, timeout):
-    result = milp(
-        c=c,
-        constraints=constraints,
-        integrality=integrality,
-        bounds=bounds,
-        options={"time_limit": timeout, "presolve": True},
-    )
-    return result
-
-
-def _stage1(
-    samples: list[tuple[Sample, int]],
-    capacity: int,
-    p: int,
-    max_bins: int,
-    timeout: float,
-):
-    """Minimise used bins; returns (x matrix, used bin count, optimal?)."""
-    adapters = _adapter_index(samples)
-    ns, na, nb = len(samples), len(adapters), max_bins
-    nx, nk = ns * nb, na * nb
-    n_vars = nx + nk + nb
-    k_max = capacity // p
-
-    def xi(s: int, b: int) -> int:
-        return s * nb + b
-
-    def ki(a: int, b: int) -> int:
-        return nx + a * nb + b
-
-    def zi(b: int) -> int:
-        return nx + nk + b
-
-    rows, cols, vals = [], [], []
-    lbs, ubs = [], []
-    row = 0
-
-    # (1) each sample in exactly one bin.
-    for s in range(ns):
-        for b in range(nb):
-            rows.append(row), cols.append(xi(s, b)), vals.append(1.0)
-        lbs.append(1.0), ubs.append(1.0)
-        row += 1
-    # (2) adapter tokens respect padded multiples: sum len*x - P*k <= 0.
-    for (a_id, a) in adapters.items():
-        for b in range(nb):
-            for s, (sample, _) in enumerate(samples):
-                if sample.adapter_id == a_id:
-                    rows.append(row), cols.append(xi(s, b))
-                    vals.append(float(sample.length))
-            rows.append(row), cols.append(ki(a, b)), vals.append(-float(p))
-            lbs.append(-np.inf), ubs.append(0.0)
-            row += 1
-    # (3) capacity: sum_a P*k - C*z <= 0, and (4) z <= sum_a P*k.
-    for b in range(nb):
-        for a in range(na):
-            rows.append(row), cols.append(ki(a, b)), vals.append(float(p))
-        rows.append(row), cols.append(zi(b)), vals.append(-float(capacity))
-        lbs.append(-np.inf), ubs.append(0.0)
-        row += 1
-    for b in range(nb):
-        rows.append(row), cols.append(zi(b)), vals.append(1.0)
-        for a in range(na):
-            rows.append(row), cols.append(ki(a, b)), vals.append(-float(p))
-        lbs.append(-np.inf), ubs.append(0.0)
-        row += 1
-    # (5) used bins are contiguous: z[b+1] <= z[b].
-    for b in range(nb - 1):
-        rows.append(row), cols.append(zi(b + 1)), vals.append(1.0)
-        rows.append(row), cols.append(zi(b)), vals.append(-1.0)
-        lbs.append(-np.inf), ubs.append(0.0)
-        row += 1
-
-    matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(row, n_vars))
-    c = np.zeros(n_vars)
-    c[nx + nk :] = 1.0
-    lower = np.zeros(n_vars)
-    upper = np.concatenate(
-        [np.ones(nx), np.full(nk, float(k_max)), np.ones(nb)]
-    )
-    result = _solve(
-        c,
-        LinearConstraint(matrix, lbs, ubs),
-        integrality=np.ones(n_vars),
-        bounds=Bounds(lower, upper),
-        timeout=timeout,
-    )
-    if result.x is None:
-        return None, 0, False
-    x = np.round(result.x[:nx]).reshape(ns, nb)
-    used = int(np.round(result.x[nx + nk :].sum()))
-    return x, used, result.status == 0
-
-
-def _stage2(
-    samples: list[tuple[Sample, int]],
-    capacity: int,
-    p: int,
-    num_bins: int,
-    timeout: float,
-):
-    """Fix the bin count; minimise the last (smallest) bin's padded tokens."""
-    adapters = _adapter_index(samples)
-    ns, na, nb = len(samples), len(adapters), num_bins
-    nx, nk = ns * nb, na * nb
-    n_vars = nx + nk
-    k_max = capacity // p
-
-    def xi(s: int, b: int) -> int:
-        return s * nb + b
-
-    def ki(a: int, b: int) -> int:
-        return nx + a * nb + b
-
-    rows, cols, vals = [], [], []
-    lbs, ubs = [], []
-    row = 0
-    for s in range(ns):
-        for b in range(nb):
-            rows.append(row), cols.append(xi(s, b)), vals.append(1.0)
-        lbs.append(1.0), ubs.append(1.0)
-        row += 1
-    for (a_id, a) in adapters.items():
-        for b in range(nb):
-            for s, (sample, _) in enumerate(samples):
-                if sample.adapter_id == a_id:
-                    rows.append(row), cols.append(xi(s, b))
-                    vals.append(float(sample.length))
-            rows.append(row), cols.append(ki(a, b)), vals.append(-float(p))
-            lbs.append(-np.inf), ubs.append(0.0)
-            row += 1
-    for b in range(nb):
-        for a in range(na):
-            rows.append(row), cols.append(ki(a, b)), vals.append(float(p))
-        lbs.append(-np.inf), ubs.append(float(capacity))
-        row += 1
-    # Symmetry break: the last bin is (weakly) the smallest.
-    for b in range(nb - 1):
-        for a in range(na):
-            rows.append(row), cols.append(ki(a, nb - 1)), vals.append(1.0)
-            rows.append(row), cols.append(ki(a, b)), vals.append(-1.0)
-        lbs.append(-np.inf), ubs.append(0.0)
-        row += 1
-
-    matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(row, n_vars))
-    c = np.zeros(n_vars)
-    for a in range(na):
-        c[ki(a, nb - 1)] = float(p)
-    lower = np.zeros(n_vars)
-    upper = np.concatenate([np.ones(nx), np.full(nk, float(k_max))])
-    result = _solve(
-        c,
-        LinearConstraint(matrix, lbs, ubs),
-        integrality=np.ones(n_vars),
-        bounds=Bounds(lower, upper),
-        timeout=timeout,
-    )
-    if result.x is None:
-        return None, False
-    return np.round(result.x[:nx]).reshape(ns, nb), result.status == 0
-
-
-def _bins_from_assignment(
-    x: np.ndarray,
-    samples: list[tuple[Sample, int]],
-    capacity: int,
-    p: int,
-) -> list[Microbatch] | None:
-    """Materialise microbatches from a 0/1 assignment matrix."""
-    nb = x.shape[1]
-    bins: list[Microbatch] = []
-    for b in range(nb):
-        members = [samples[s] for s in range(len(samples)) if x[s, b] > 0.5]
-        if not members:
-            continue
-        mb = Microbatch(capacity=capacity, padding_multiple=p)
-        for sample, batch_index in members:
-            if not mb.fits(sample):
-                return None  # solver artefact; caller falls back to greedy
-            mb.add(Assignment(sample=sample, global_batch=batch_index))
-        bins.append(mb)
-    # Order bins fullest-first so the final (mergeable) bin is the smallest.
-    bins.sort(key=lambda mb: -mb.padded_tokens)
-    return bins
+    nodes: int = 0
 
 
 def _padded(tokens: int, p: int) -> int:
@@ -288,37 +79,26 @@ def bin_count_lower_bound(
     return max(-(-volume // capacity), halves)
 
 
-def proves_no_win(
-    samples: list[tuple[Sample, int]],
-    capacity: int,
-    padding_multiple: int,
-    num_bins: int,
-    smallest: int,
-) -> bool:
-    """Prove that no ``num_bins``-bin packing has a bin under ``smallest``.
+def _search(items, na, capacity, p, num_bins, smallest, budget):
+    """Find a ``num_bins``-bin packing whose smallest bin is under ``smallest``.
 
-    An exact depth-first search: samples go in by decreasing length, each
-    into every bin it fits (per-adapter padded loads, as in the MILP), and
-    bins holding the same tokens per adapter -- empty ones included -- are
-    tried once.  A branch is cut when every bin has reached ``smallest``,
-    or when the padded volume it must still place cannot fit with one bin
-    left under ``smallest``.  Empty bins count as bins under ``smallest``,
-    so a proof also rules out packings into fewer bins.
+    Depth-first: ``items`` (``(length, adapter)``, longest first) go in
+    one at a time, each into every bin it fits, and bins holding the
+    same tokens per adapter -- empty ones included -- are tried once.
+    Each leaf under the incumbent becomes the new incumbent.  A branch is
+    cut when every bin has reached the incumbent, or when the padded
+    volume it must still place cannot fit with one bin under it.  An
+    empty bin is the smallest possible, so the search stops at the first
+    leaf that has one.  The stack is explicit, one generator of
+    placements per item, so no batch size reaches Python's recursion
+    limit.
 
     Returns:
-        True when the search proves it: then the MILP can neither use
-        fewer bins nor find a smaller smallest bin than the greedy
-        packing this describes, and Algorithm 1 would discard its answer.
-        False when it finds such a packing, or gives up after
-        :data:`NO_WIN_NODE_BUDGET` placements.
+        ``(best, nodes, exhausted)``: the best leaf as ``(where, loads)``
+        -- item ``i``'s bin and each bin's padded tokens -- or None when
+        none beat ``smallest``; the placements tried; and whether
+        ``budget`` ran out first.
     """
-    p = padding_multiple
-    adapters = _adapter_index(samples)
-    na = len(adapters)
-    items = sorted(
-        ((sample.length, adapters[sample.adapter_id]) for sample, _ in samples),
-        reverse=True,
-    )
     # remaining[i][a]: adapter a's tokens among items i onwards.
     remaining = [[0] * na]
     for length, a in reversed(items):
@@ -328,117 +108,147 @@ def proves_no_win(
     remaining.reverse()
     raw = [[0] * na for _ in range(num_bins)]
     load = [0] * num_bins
-    # Total padded tokens a packing with one bin under `smallest` can hold.
-    ceiling = (num_bins - 1) * capacity + smallest - p
+    padded = [0] * na  # per adapter: padded tokens summed over bins
+    placed = [0] * na  # per adapter: raw tokens placed
+    where = [0] * len(items)
+    best = None
 
-    def moves(i: int) -> list[tuple[int, int]]:
+    def branches(i: int):
         """``(bin, growth)`` placements of item ``i`` worth trying."""
-        if min(load) >= smallest:
-            return []
+        # Padded volume every completion needs: the slack already in an
+        # adapter's padding may absorb its remaining tokens.
         volume = 0
-        for a in range(na):
-            padded = slack = 0
-            for row in raw:
-                q = _padded(row[a], p)
-                padded += q
-                slack += q - row[a]
-            volume += padded + _padded(max(0, remaining[i][a] - slack), p)
-        if volume > ceiling:
-            return []
+        for c in range(na):
+            spill = remaining[i][c] - (padded[c] - placed[c])
+            volume += padded[c] + (_padded(spill, p) if spill > 0 else 0)
+        spare = (num_bins - 1) * capacity - p - volume
+        low = min(load)
         length, a = items[i]
         seen: set[tuple[int, ...]] = set()
-        out = []
         for b, row in enumerate(raw):
+            # Re-checked per branch: a leaf found below may have
+            # lowered `smallest`.
+            if low >= smallest or spare + smallest < 0:
+                return
             state = tuple(row)
             if state in seen:
                 continue
             seen.add(state)
-            growth = _padded(row[a] + length, p) - _padded(row[a], p)
+            # Granules added: ceil((raw + length) / p) - ceil(raw / p).
+            growth = (-row[a] // p - -(row[a] + length) // p) * p
             if load[b] + growth <= capacity:
-                out.append((b, growth))
-        return out
+                yield b, growth
 
-    if not items or num_bins <= 0:
-        return False
-    stack = [iter(moves(0))]
-    placed: list[tuple[int, int]] = []
+    last = len(items) - 1
+    stack = [branches(0)]
+    moves: list[tuple[int, int]] = []  # (bin, growth) of each open level
     nodes = 0
     while stack:
-        depth = len(stack) - 1
-        length, a = items[depth]
-        if len(placed) > depth:  # back from the level below: undo
-            b, growth = placed.pop()
-            raw[b][a] -= length
-            load[b] -= growth
         move = next(stack[-1], None)
-        if move is None:
+        if move is None:  # level exhausted: take its parent's item out
             stack.pop()
+            if moves:
+                b, growth = moves.pop()
+                length, a = items[len(moves)]
+                raw[b][a] -= length
+                load[b] -= growth
+                padded[a] -= growth
+                placed[a] -= length
             continue
         nodes += 1
-        if nodes > NO_WIN_NODE_BUDGET:
-            return False
+        if nodes > budget:
+            return best, budget, True
+        i = len(moves)
         b, growth = move
+        where[i] = b
+        if i == last:  # a leaf: only the loads matter
+            load[b] += growth
+            if min(load) < smallest:
+                best, smallest = (list(where), list(load)), min(load)
+            load[b] -= growth
+            continue
+        length, a = items[i]
         raw[b][a] += length
         load[b] += growth
-        placed.append(move)
-        if depth + 1 < len(items):
-            stack.append(iter(moves(depth + 1)))
-        elif min(load) < smallest:
-            return False
-    return True
+        padded[a] += growth
+        placed[a] += length
+        moves.append(move)
+        stack.append(branches(i + 1))
+    return best, nodes, False
 
 
 def milp_pack(
     samples: list[tuple[Sample, int]],
     capacity: int,
     padding_multiple: int,
-    max_bins: int,
-    timeout: float = 2.0,
+    incumbent: list[Microbatch],
 ) -> MILPResult:
-    """Run the two-stage MILP on one global batch.
+    """Solve both stages for one global batch, starting from ``incumbent``.
+
+    Stage 2 searches at the incumbent's bin count for a smaller smallest
+    bin.  A packing with an empty bin is a stage-1 win: its empty bins
+    are dropped and the search runs again at the new count, from that
+    packing's smallest bin.
 
     Args:
         samples: ``(sample, global_batch_index)`` pairs.
         capacity: Microbatch token budget.
         padding_multiple: Padding granule ``P``.
-        max_bins: Upper bound on bins -- use the greedy solution's count,
-            since a worse-than-greedy solution would be discarded anyway.
-            When it meets :func:`bin_count_lower_bound`, stage 1 is skipped.
-        timeout: Per-stage HiGHS time limit in seconds.
+        incumbent: A capacity-feasible packing of ``samples`` -- greedy's.
 
     Returns:
-        A :class:`MILPResult`; ``microbatches`` is None when the caller
-        should fall back to greedy packing.
+        A :class:`MILPResult`; ``microbatches`` is None when no packing
+        beats the incumbent on (bins, smallest bin).
     """
-    if not samples or max_bins <= 0:
-        return MILPResult(microbatches=None)
-    if max_bins == 1:
-        # A single greedy bin is already optimal in count; stage 2 cannot
-        # improve a one-bin packing either.
-        return MILPResult(microbatches=None)
-
-    if bin_count_lower_bound(samples, capacity, padding_multiple) == max_bins:
-        # No packing uses fewer bins: stage 1 would return max_bins.
-        x1, used, opt1 = None, max_bins, True
-    else:
-        x1, used, opt1 = _stage1(
-            samples, capacity, padding_multiple, max_bins, timeout
-        )
-        if x1 is None or used <= 0:
-            return MILPResult(microbatches=None)
-
-    x2, opt2 = _stage2(samples, capacity, padding_multiple, used, timeout)
-    x_final = x2 if x2 is not None else x1
-    if x_final is None:
-        return MILPResult(microbatches=None)
-    bins = _bins_from_assignment(x_final, samples, capacity, padding_multiple)
-    if bins is None:
-        return MILPResult(microbatches=None)
-    min_tokens = min(mb.padded_tokens for mb in bins)
-    return MILPResult(
-        microbatches=bins,
-        num_bins=len(bins),
-        min_bin_tokens=min_tokens,
-        stage1_optimal=opt1,
-        stage2_optimal=x2 is not None and opt2,
+    p = padding_multiple
+    num_bins = len(incumbent)
+    smallest = min((mb.padded_tokens for mb in incumbent), default=0)
+    ids = sorted({sample.adapter_id for sample, _ in samples})
+    adapter = {adapter_id: i for i, adapter_id in enumerate(ids)}
+    order = sorted(
+        range(len(samples)),
+        key=lambda s: (-samples[s][0].length, adapter[samples[s][0].adapter_id], s),
     )
+    items = [
+        (samples[s][0].length, adapter[samples[s][0].adapter_id]) for s in order
+    ]
+    floor = bin_count_lower_bound(samples, capacity, p)
+    best_where = None
+    nodes = 0
+    exhausted = False
+    while num_bins > 1:
+        best, used, exhausted = _search(
+            items, len(ids), capacity, p, num_bins, smallest,
+            SEARCH_NODE_BUDGET - nodes,
+        )
+        nodes += used
+        if best is None:
+            break
+        where, loads = best
+        # Number the used bins densely, dropping any empty ones.
+        dense = {b: k for k, b in enumerate(sorted(set(where)))}
+        best_where = [dense[b] for b in where]
+        smallest = min(loads[b] for b in dense)
+        emptied = len(dense) < num_bins
+        num_bins = len(dense)
+        if exhausted or not emptied:
+            break
+        # Fewer bins suffice: search again at the new count.
+    result = MILPResult(
+        microbatches=None,
+        num_bins=num_bins,
+        min_bin_tokens=smallest,
+        stage1_optimal=not exhausted or num_bins == floor,
+        stage2_optimal=not exhausted,
+        nodes=nodes,
+    )
+    if best_where is None:
+        return result
+    bins = [Microbatch(capacity=capacity, padding_multiple=p) for _ in range(num_bins)]
+    bin_of = dict(zip(order, best_where))
+    for s, (sample, batch_index) in enumerate(samples):
+        bins[bin_of[s]].add(Assignment(sample=sample, global_batch=batch_index))
+    # Fullest first, so the final (mergeable) bin is the smallest.
+    bins.sort(key=lambda mb: -mb.padded_tokens)
+    result.microbatches = bins
+    return result

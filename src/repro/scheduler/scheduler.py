@@ -5,10 +5,10 @@ fine-tuning jobs sharing one base model, the scheduler:
 
 1. groups adapters by head-tail pairing on mean sample length;
 2. for every (group, global-batch-step), packs the step's samples into
-   capacity-bounded microbatches with the two-stage MILP, falling back to
-   greedy first-fit-decreasing on timeout or when greedy is no worse
-   (Algorithm 1) -- steps are independent, so packing parallelises across
-   worker processes;
+   capacity-bounded microbatches: greedy first-fit-decreasing, then the
+   exact two-stage search (Equations 3-4), which keeps greedy's packing
+   unless it finds a strictly better one (Algorithm 1) -- steps are
+   independent, so packing parallelises across worker processes;
 3. assembles the global stream by interleaving groups step by step, which
    spaces each adapter's consecutive batches apart;
 4. merges underfilled tail microbatches across batch boundaries when the
@@ -26,12 +26,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.data.dataset import Sample
-from repro.errors import ScheduleError, require_finite
+from repro.errors import ScheduleError
 from repro.scheduler.bubble import find_violations, insert_noops
 from repro.scheduler.greedy import greedy_pack
 from repro.scheduler.grouping import head_tail_groups
 from repro.scheduler.merging import merge_pass
-from repro.scheduler.milp import milp_pack, proves_no_win
+from repro.scheduler.milp import milp_pack
 from repro.scheduler.types import AdapterJob, Microbatch, Schedule
 
 __all__ = [
@@ -50,8 +50,7 @@ class SchedulerConfig:
         capacity: Microbatch token budget (from the parallelism profiler).
         padding_multiple: Per-adapter padding granule ``P`` (64 or 128).
         num_stages: Pipeline depth the schedule must respect.
-        use_milp: Enable the two-stage MILP (else pure greedy).
-        milp_timeout: Per-stage HiGHS time limit in seconds.
+        use_milp: Enable the exact two-stage search (else pure greedy).
         use_merge: Enable the cross-batch merge pass.
         group_size: Adapters per group for head-tail pairing; None derives
             it from the job count (pairs when there are 4+ jobs, singleton
@@ -64,7 +63,6 @@ class SchedulerConfig:
     padding_multiple: int = 64
     num_stages: int = 1
     use_milp: bool = True
-    milp_timeout: float = 2.0
     use_merge: bool = True
     group_size: int | None = None
     max_workers: int = 0
@@ -78,7 +76,6 @@ class SchedulerConfig:
         return 1
 
     def __post_init__(self) -> None:
-        require_finite(milp_timeout=self.milp_timeout)
         if self.capacity <= 0:
             raise ScheduleError("capacity must be positive")
         if self.padding_multiple <= 0:
@@ -90,8 +87,6 @@ class SchedulerConfig:
             )
         if self.num_stages < 1:
             raise ScheduleError("num_stages must be at least 1")
-        if self.milp_timeout <= 0:
-            raise ScheduleError("milp_timeout must be positive")
         if self.max_workers < 0:
             raise ScheduleError("max_workers must be non-negative")
 
@@ -101,14 +96,13 @@ def pack_global_batch(
     capacity: int,
     padding_multiple: int,
     use_milp: bool,
-    milp_timeout: float,
 ) -> tuple[list[Microbatch], str]:
     """Pack one (group, step)'s samples per Algorithm 1.
 
-    The MILP runs only when greedy leaves it room: if
-    :func:`~repro.scheduler.milp.proves_no_win` shows no packing into
-    greedy's bin count has a smaller smallest bin, greedy is returned
-    without a solve -- the same answer the selection rule would give.
+    Greedy packs first; with more than one greedy bin the two-stage
+    search (:func:`~repro.scheduler.milp.milp_pack`) starts from that
+    packing and replaces it only with a strictly better one -- fewer
+    bins, or as many with a smaller smallest bin.
 
     Module-level (picklable) so worker processes can run it.
 
@@ -118,29 +112,15 @@ def pack_global_batch(
     greedy_bins = greedy_pack(samples, capacity, padding_multiple)
     if not use_milp or len(greedy_bins) <= 1:
         return greedy_bins, "greedy"
-    greedy_min = min(mb.padded_tokens for mb in greedy_bins)
-    if proves_no_win(
-        samples, capacity, padding_multiple, len(greedy_bins), greedy_min
-    ):
-        # Whatever the MILP returned would be discarded below.
-        return greedy_bins, "greedy"
-    result = milp_pack(
-        samples,
-        capacity,
-        padding_multiple,
-        max_bins=len(greedy_bins),
-        timeout=milp_timeout,
-    )
-    if result.microbatches is None or result.num_bins > len(greedy_bins):
-        return greedy_bins, "greedy"
-    if result.num_bins == len(greedy_bins) and result.min_bin_tokens >= greedy_min:
+    result = milp_pack(samples, capacity, padding_multiple, greedy_bins)
+    if result.microbatches is None:
         return greedy_bins, "greedy"
     return result.microbatches, "milp"
 
 
 def _pack_task(args):
-    group_index, step, samples, capacity, padding, use_milp, timeout = args
-    bins, method = pack_global_batch(samples, capacity, padding, use_milp, timeout)
+    group_index, step, samples, capacity, padding, use_milp = args
+    bins, method = pack_global_batch(samples, capacity, padding, use_milp)
     return group_index, step, bins, method
 
 
@@ -223,7 +203,6 @@ class MultiLoRAScheduler:
                             cfg.capacity,
                             cfg.padding_multiple,
                             cfg.use_milp,
-                            cfg.milp_timeout,
                         )
                     )
         return tasks

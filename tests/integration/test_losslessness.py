@@ -131,7 +131,7 @@ class TestLosslessnessWithMilpAndMerge:
         rng = np.random.default_rng(3)
         jobs = make_numeric_jobs(rng, [(0, 2, 8, 2), (1, 2, 8, 4)])
         joint_model, joint_result, _ = train_joint(
-            jobs, num_stages=2, use_milp=True, milp_timeout=2.0
+            jobs, num_stages=2, use_milp=True
         )
         seq_model, seq_results = train_separate(jobs)
         for job in jobs:

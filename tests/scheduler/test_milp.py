@@ -1,9 +1,10 @@
-"""Tests for the two-stage MILP bin packing (Equations 3 and 4)."""
+"""Tests for the two-stage bin packing (Equations 3 and 4)."""
 
-import pytest
+import sys
 
 from repro.data.dataset import Sample
 from repro.scheduler import greedy_pack, milp_pack, pack_global_batch
+from repro.scheduler import milp as milp_module
 
 
 def entries(lengths, aid=0, batch=0):
@@ -32,23 +33,38 @@ class TestStage1:
         capacity = 14 * 64
         greedy = greedy_pack(entries(lengths), capacity, 64)
         assert len(greedy) == 3
-        result = milp_pack(entries(lengths), capacity, 64,
-                           max_bins=len(greedy), timeout=10.0)
+        result = milp_pack(entries(lengths), capacity, 64, greedy)
         assert result.microbatches is not None
         assert result.num_bins == 2
 
+    def test_batches_deeper_than_the_recursion_limit_are_searched(
+        self, monkeypatch
+    ):
+        # One search level per sample: the first dive alone goes deeper
+        # than Python's recursion limit.
+        samples = [
+            (Sample(i % 2, i // 2, 64 * (1 + (i * 7) % 13) - i % 5), 0)
+            for i in range(sys.getrecursionlimit() + 100)
+        ]
+        greedy = greedy_pack(samples, 8192, 64)
+        monkeypatch.setattr(milp_module, "SEARCH_NODE_BUDGET", len(samples) + 1)
+        result = milp_pack(samples, 8192, 64, greedy)
+        assert result.nodes == len(samples) + 1 and not result.stage2_optimal
+        assert result.num_bins <= len(greedy)
+
     def test_single_bin_returns_none(self):
-        result = milp_pack(entries([100, 100]), 1024, 64, max_bins=1)
+        samples = entries([100, 100])
+        result = milp_pack(samples, 1024, 64, greedy_pack(samples, 1024, 64))
         assert result.microbatches is None
 
     def test_empty_returns_none(self):
-        result = milp_pack([], 1024, 64, max_bins=3)
+        result = milp_pack([], 1024, 64, [])
         assert result.microbatches is None
 
     def test_all_samples_assigned_once(self):
         lengths = [l * 64 for l in (7, 6, 5, 4, 3, 3)]
-        result = milp_pack(entries(lengths), 14 * 64, 64, max_bins=3,
-                           timeout=10.0)
+        samples = entries(lengths)
+        result = milp_pack(samples, 14 * 64, 64, greedy_pack(samples, 14 * 64, 64))
         placed = sorted(
             a.sample.index
             for mb in result.microbatches
@@ -58,32 +74,29 @@ class TestStage1:
 
     def test_capacity_respected(self):
         lengths = [l * 64 for l in (7, 6, 5, 4, 3, 3)]
-        result = milp_pack(entries(lengths), 14 * 64, 64, max_bins=3,
-                           timeout=10.0)
+        samples = entries(lengths)
+        result = milp_pack(samples, 14 * 64, 64, greedy_pack(samples, 14 * 64, 64))
         assert all(mb.padded_tokens <= 14 * 64 for mb in result.microbatches)
 
 
 class TestStage2:
     def test_smallest_bin_is_last_and_minimised(self):
-        # Two bins forced; stage 2 should concentrate tokens to leave the
-        # final bin as empty as possible.
-        lengths = [l * 64 for l in (6, 5, 3, 2)]
-        capacity = 16 * 64  # everything could fit in one bin of 16
-        # Force two bins by using max_bins from a capacity-8 greedy.
+        # FFD packs (4, 3) and (3, 2, 2) x64 into 448 + 448; stage 2 moves
+        # tokens forward to leave the final bin as empty as possible.
+        lengths = [l * 64 for l in (4, 3, 3, 2, 2)]
         greedy = greedy_pack(entries(lengths), 8 * 64, 64)
-        result = milp_pack(entries(lengths), 8 * 64, 64,
-                           max_bins=len(greedy), timeout=10.0)
+        assert [mb.padded_tokens for mb in greedy] == [448, 448]
+        result = milp_pack(entries(lengths), 8 * 64, 64, greedy)
         assert result.microbatches is not None
         sizes = [mb.padded_tokens for mb in result.microbatches]
-        assert sizes == sorted(sizes, reverse=True)
+        assert sizes == [512, 384]
         assert result.min_bin_tokens == min(sizes)
 
     def test_multi_adapter_padding_multiples_respected(self):
-        spec = [(0, 100), (0, 60), (1, 90), (1, 130), (2, 200)]
-        result = milp_pack(mixed_entries(spec), 256, 64, max_bins=4,
-                           timeout=10.0)
-        if result.microbatches is None:
-            pytest.skip("solver declined; greedy fallback covers this")
+        spec = [(2, 224), (1, 101), (2, 81), (1, 67), (0, 230), (0, 28)]
+        samples = mixed_entries(spec)
+        result = milp_pack(samples, 256, 64, greedy_pack(samples, 256, 64))
+        assert result.microbatches is not None
         for mb in result.microbatches:
             assert mb.padded_tokens <= 256
             for padded in mb.padded_tokens_by_adapter().values():
@@ -94,28 +107,30 @@ class TestAlgorithm1Selection:
     def test_pack_global_batch_prefers_strictly_better_milp(self):
         lengths = [l * 64 for l in (7, 6, 5, 4, 3, 3)]
         bins, method = pack_global_batch(entries(lengths), 14 * 64, 64,
-                                         use_milp=True, milp_timeout=10.0)
+                                         use_milp=True)
         assert method == "milp"
         assert len(bins) == 2
 
     def test_pack_global_batch_greedy_when_disabled(self):
         bins, method = pack_global_batch(entries([100, 200]), 1024, 64,
-                                         use_milp=False, milp_timeout=1.0)
+                                         use_milp=False)
         assert method == "greedy"
 
     def test_greedy_kept_when_milp_no_better(self):
         # Uniform items: greedy is already optimal in bins and min-bin.
         lengths = [512] * 4
         bins, method = pack_global_batch(entries(lengths), 1024, 64,
-                                         use_milp=True, milp_timeout=10.0)
+                                         use_milp=True)
         assert len(bins) == 2
         # Either answer is 2 bins; Algorithm 1 line 8 prefers greedy when
         # the MILP min-bin is not strictly smaller.
         assert method == "greedy"
 
-    def test_tiny_timeout_falls_back_to_greedy(self):
+    def test_tiny_budget_falls_back_to_greedy(self, monkeypatch):
+        # One placement reaches no leaf, so greedy's packing stands.
+        monkeypatch.setattr(milp_module, "SEARCH_NODE_BUDGET", 1)
         lengths = [64 * (i % 7 + 1) for i in range(30)]
         bins, method = pack_global_batch(entries(lengths), 512, 64,
-                                         use_milp=True, milp_timeout=1e-9)
+                                         use_milp=True)
         assert method == "greedy"
         assert bins

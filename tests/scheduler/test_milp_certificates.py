@@ -1,10 +1,11 @@
-"""Tests for the certificates that let Algorithm 1 skip MILP solves.
+"""Tests for the exact two-stage search, checked against the HiGHS oracle.
 
-The reference below is Algorithm 1 as it stood before the certificates:
-greedy first-fit-decreasing, then both MILP stages solved unconditionally,
-then the selection rule.  ``pack_global_batch`` must return exactly what
-it returns on every instance; the certificates may only skip solves whose
-answer the selection rule would discard.
+The reference below is Algorithm 1 as the paper states it: greedy
+first-fit-decreasing, then both MILP stages solved to optimality by HiGHS
+(:mod:`tests.scheduler.milp_reference`), then the selection rule.  The
+search must reach the oracle's objectives -- bin count, then smallest
+bin -- on every instance; its layout may differ where optimal packings
+tie.
 """
 
 from hypothesis import given, settings
@@ -13,43 +14,23 @@ from hypothesis import strategies as st
 from repro.data.dataset import Sample
 from repro.scheduler import greedy_pack, milp_pack, pack_global_batch
 from repro.scheduler import milp as milp_module
-from repro.scheduler import scheduler as scheduler_module
-from repro.scheduler.milp import bin_count_lower_bound, proves_no_win
-
-TIMEOUT = 10.0
+from repro.scheduler.milp import bin_count_lower_bound
+from tests.scheduler.milp_reference import two_stage
 
 
-def two_stage(samples, capacity, p, max_bins, timeout=TIMEOUT):
-    """Stage 1 then stage 2, always solved; None when greedy is kept."""
-    x1, used, _ = milp_module._stage1(samples, capacity, p, max_bins, timeout)
-    if x1 is None or used <= 0:
-        return None
-    x2, _ = milp_module._stage2(samples, capacity, p, used, timeout)
-    return milp_module._bins_from_assignment(
-        x2 if x2 is not None else x1, samples, capacity, p
-    )
+def objectives(bins):
+    return len(bins), min(mb.padded_tokens for mb in bins)
 
 
 def reference_pack(samples, capacity, p):
-    """Algorithm 1 with no certificates: ``(bins, method)``."""
+    """Algorithm 1 with the oracle: ``(bins, method)``."""
     greedy = greedy_pack(samples, capacity, p)
     if len(greedy) <= 1:
         return greedy, "greedy"
-    bins = two_stage(samples, capacity, p, len(greedy))
-    if bins is None or len(bins) > len(greedy):
-        return greedy, "greedy"
-    greedy_min = min(mb.padded_tokens for mb in greedy)
-    smallest = min(mb.padded_tokens for mb in bins)
-    if len(bins) == len(greedy) and smallest >= greedy_min:
+    bins = two_stage(samples, capacity, p, len(greedy)).microbatches
+    if bins is None or objectives(bins) >= objectives(greedy):
         return greedy, "greedy"
     return bins, "milp"
-
-
-def contents(bins):
-    return [
-        [(a.adapter_id, a.sample.index, a.global_batch) for a in mb.assignments]
-        for mb in bins
-    ]
 
 
 def mixed_entries(spec):
@@ -79,6 +60,27 @@ def instances(draw):
     return mixed_entries(spec), capacity, p
 
 
+def search(samples, capacity, p):
+    return milp_pack(samples, capacity, p, greedy_pack(samples, capacity, p))
+
+
+class TestAgainstOracle:
+    @given(instances())
+    @settings(max_examples=40, deadline=None)
+    def test_search_reaches_the_oracle_objectives(self, instance):
+        samples, capacity, p = instance
+        greedy = greedy_pack(samples, capacity, p)
+        if len(greedy) <= 1:
+            return
+        result = search(samples, capacity, p)
+        oracle = two_stage(samples, capacity, p, len(greedy))
+        assert result.stage1_optimal and result.stage2_optimal
+        assert (result.num_bins, result.min_bin_tokens) == (
+            oracle.num_bins,
+            oracle.min_bin_tokens,
+        )
+
+
 class TestBinCountLowerBound:
     @given(instances())
     @settings(max_examples=30, deadline=None)
@@ -87,8 +89,8 @@ class TestBinCountLowerBound:
         bound = bin_count_lower_bound(samples, capacity, p)
         greedy = greedy_pack(samples, capacity, p)
         assert bound <= len(greedy)
-        result = milp_pack(samples, capacity, p, max_bins=len(greedy),
-                           timeout=TIMEOUT)
+        result = milp_pack(samples, capacity, p, greedy)
+        assert bound <= result.num_bins
         if result.microbatches is not None:
             assert bound <= len(result.microbatches)
 
@@ -112,11 +114,7 @@ class TestNoWinSearch:
     @settings(max_examples=30, deadline=None)
     def test_a_declined_solve_would_have_been_discarded(self, instance):
         samples, capacity, p = instance
-        greedy = greedy_pack(samples, capacity, p)
-        if len(greedy) <= 1:
-            return
-        greedy_min = min(mb.padded_tokens for mb in greedy)
-        if not proves_no_win(samples, capacity, p, len(greedy), greedy_min):
+        if search(samples, capacity, p).microbatches is not None:
             return
         assert reference_pack(samples, capacity, p)[1] == "greedy"
 
@@ -124,62 +122,101 @@ class TestNoWinSearch:
     @settings(max_examples=30, deadline=None)
     def test_pack_global_batch_matches_the_reference(self, instance):
         samples, capacity, p = instance
-        bins, method = pack_global_batch(samples, capacity, p, use_milp=True,
-                                         milp_timeout=TIMEOUT)
+        bins, method = pack_global_batch(samples, capacity, p, use_milp=True)
         want_bins, want_method = reference_pack(samples, capacity, p)
         assert method == want_method
-        assert contents(bins) == contents(want_bins)
+        assert objectives(bins) == objectives(want_bins)
 
     def test_fewer_bins_are_a_win(self):
         # FFD needs 3 bins where 2 suffice: the search finds the packing
-        # with an empty third bin and declines to prove.
+        # with an empty third bin and searches again at two.
         samples = mixed_entries([(0, l * 64) for l in (7, 6, 5, 4, 3, 3)])
-        greedy = greedy_pack(samples, 14 * 64, 64)
-        smallest = min(mb.padded_tokens for mb in greedy)
-        assert not proves_no_win(samples, 14 * 64, 64, len(greedy), smallest)
+        result = search(samples, 14 * 64, 64)
+        assert result.num_bins == 2 and len(result.microbatches) == 2
+        assert result.stage1_optimal and result.stage2_optimal
 
-    def test_uniform_items_prove_without_a_solve(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(scheduler_module, "milp_pack",
-                            lambda *a, **k: calls.append(a) or milp_pack(*a, **k))
+    def test_fewer_bins_are_searched_again(self):
+        # The first packing with an empty bin has 3 bins but a full third
+        # one; searching again at 3 bins lowers the smallest to 448.
+        samples = mixed_entries(
+            [(0, 200), (0, 162), (1, 354), (0, 256), (0, 64), (0, 162),
+             (1, 121), (1, 81)]
+        )
+        greedy = greedy_pack(samples, 512, 64)
+        assert objectives(greedy) == (4, 64)
+        result = milp_pack(samples, 512, 64, greedy)
+        assert objectives(result.microbatches) == (3, 448)
+
+    def test_bins_are_told_apart_by_contents_not_load(self):
+        # Bins with equal padded loads can hold different raw tokens, so
+        # leave different slack: the search must try each of them.
+        samples = mixed_entries(
+            [(0, 192), (0, 384), (0, 98), (0, 162), (0, 384), (0, 98), (0, 290)]
+        )
+        result = search(samples, 384, 64)
+        assert objectives(result.microbatches) == (5, 192)
+
+    def test_uniform_items_prove_without_a_solve(self):
+        # Greedy is already optimal: the search proves it and keeps it.
         samples = mixed_entries([(0, 512)] * 4)
-        bins, method = pack_global_batch(samples, 1024, 64, use_milp=True,
-                                         milp_timeout=TIMEOUT)
-        assert (len(bins), method, calls) == (2, "greedy", [])
+        result = search(samples, 1024, 64)
+        assert result.microbatches is None
+        assert (result.num_bins, result.min_bin_tokens) == (2, 1024)
+        assert result.stage2_optimal and result.nodes <= 4
+        bins, method = pack_global_batch(samples, 1024, 64, use_milp=True)
+        assert (len(bins), method) == (2, "greedy")
 
-    def test_exhausted_budget_still_reaches_the_milp(self, monkeypatch):
-        samples = mixed_entries([(0, 1696), (0, 529), (0, 493), (1, 574)])
-        capacity, p = 2112, 64
+    def test_exhausted_budget_keeps_the_best_incumbent(self, monkeypatch):
+        # One of the TestMILPPath packing tasks: proving its optimum
+        # (3,648) takes ~32k placements, so 1,000 stop the search early.
+        samples = mixed_entries(
+            [(1, n) for n in (1004, 1315, 879, 891, 1018, 896, 594, 937)]
+            + [(3, n) for n in (1453, 360, 1715, 524, 3907, 906, 2637, 752)]
+        )
+        capacity, p = 4096, 64
         greedy = greedy_pack(samples, capacity, p)
-        smallest = min(mb.padded_tokens for mb in greedy)
-        assert proves_no_win(samples, capacity, p, len(greedy), smallest)
-        monkeypatch.setattr(milp_module, "NO_WIN_NODE_BUDGET", 1)
-        assert not proves_no_win(samples, capacity, p, len(greedy), smallest)
-        calls = []
-        monkeypatch.setattr(scheduler_module, "milp_pack",
-                            lambda *a, **k: calls.append(a) or milp_pack(*a, **k))
-        bins, method = pack_global_batch(samples, capacity, p, use_milp=True,
-                                         milp_timeout=TIMEOUT)
-        assert len(calls) == 1
-        want_bins, want_method = reference_pack(samples, capacity, p)
-        assert (method, contents(bins)) == (want_method, contents(want_bins))
+        monkeypatch.setattr(milp_module, "SEARCH_NODE_BUDGET", 1000)
+        first = milp_pack(samples, capacity, p, greedy)
+        second = milp_pack(samples, capacity, p, greedy)
+        assert not first.stage2_optimal and first.nodes == 1000
+        bins = first.microbatches
+        assert all(mb.padded_tokens <= capacity for mb in bins)
+        placed = sorted(
+            (a.adapter_id, a.sample.index) for mb in bins for a in mb.assignments
+        )
+        assert placed == sorted((s.adapter_id, s.index) for s, _ in samples)
+        assert objectives(bins) <= objectives(greedy)
+        assert objectives(bins) == (first.num_bins, first.min_bin_tokens)
+        assert repr(first) == repr(second)
 
 
 class TestStageOneSkip:
     def test_stage_two_alone_when_the_bound_is_met(self, monkeypatch):
-        samples = mixed_entries([(0, l * 64) for l in (6, 5, 3, 2)])
-        assert bin_count_lower_bound(samples, 8 * 64, 64) == 2
-
-        def no_stage1(*args, **kwargs):
-            raise AssertionError("stage 1 ran although the bound was met")
-
-        monkeypatch.setattr(milp_module, "_stage1", no_stage1)
-        result = milp_pack(samples, 8 * 64, 64, max_bins=2, timeout=TIMEOUT)
+        # Greedy's two bins meet the lower bound, so stage 1 is proven
+        # even when the search stops before proving stage 2.
+        samples = mixed_entries([(0, l * 64) for l in (5, 5, 2)])
+        greedy = greedy_pack(samples, 8 * 64, 64)
+        assert bin_count_lower_bound(samples, 8 * 64, 64) == len(greedy) == 2
+        monkeypatch.setattr(milp_module, "SEARCH_NODE_BUDGET", 1)
+        result = milp_pack(samples, 8 * 64, 64, greedy)
         assert result.num_bins == 2 and result.stage1_optimal
+        assert not result.stage2_optimal
 
-    def test_no_stage_two_incumbent_means_greedy(self, monkeypatch):
-        samples = mixed_entries([(0, l * 64) for l in (6, 5, 3, 2)])
-        monkeypatch.setattr(milp_module, "_stage2", lambda *a, **k: (None, False))
-        result = milp_pack(samples, 8 * 64, 64, max_bins=2, timeout=TIMEOUT)
-        assert result.microbatches is None
+    def test_exhausted_budget_leaves_stage_one_open(self, monkeypatch):
+        # Greedy's three bins exceed the bound of two, and one placement
+        # cannot show whether two suffice.
+        samples = mixed_entries([(0, l * 64) for l in (7, 6, 5, 4, 3, 3)])
+        greedy = greedy_pack(samples, 14 * 64, 64)
+        assert bin_count_lower_bound(samples, 14 * 64, 64) < len(greedy)
+        monkeypatch.setattr(milp_module, "SEARCH_NODE_BUDGET", 1)
+        result = milp_pack(samples, 14 * 64, 64, greedy)
+        assert result.microbatches is None and result.num_bins == 3
+        assert not result.stage1_optimal and not result.stage2_optimal
 
+    def test_no_stage_two_incumbent_means_greedy(self):
+        # The only 2-bin packings are greedy's own split: nothing beats it.
+        samples = mixed_entries([(0, 8 * 64), (0, 5 * 64), (1, 3 * 64)])
+        greedy = greedy_pack(samples, 8 * 64, 64)
+        result = milp_pack(samples, 8 * 64, 64, greedy)
+        assert result.microbatches is None and result.stage2_optimal
+        assert (result.num_bins, result.min_bin_tokens) == objectives(greedy)

@@ -38,11 +38,11 @@ class TestConfigValidation:
             SchedulerConfig(capacity=1000, padding_multiple=64)
 
     @pytest.mark.parametrize("overrides", [
-        dict(milp_timeout=float("nan")),
-        dict(milp_timeout=float("inf")),
-        dict(milp_timeout=-1.0),
-        dict(milp_timeout=0.0),
         dict(num_stages=0),
+        dict(num_stages=-1),
+        dict(padding_multiple=0),
+        dict(padding_multiple=-64),
+        dict(padding_multiple=48),
         dict(max_workers=-1),
     ])
     def test_out_of_range_knobs_rejected(self, overrides):
@@ -122,7 +122,7 @@ class TestMILPPath:
     def test_milp_selected_for_some_batches(self):
         jobs = make_jobs(samples=16, gbs=8)
         sched = MultiLoRAScheduler(
-            jobs, fast_config(use_milp=True, milp_timeout=2.0, capacity=4096)
+            jobs, fast_config(use_milp=True, capacity=4096)
         ).schedule()
         assert sched.stats["milp_selected_frac"] >= 0.0
         assert find_violations(sched.microbatches, 4) == []
@@ -132,7 +132,7 @@ class TestMILPPath:
         greedy = MultiLoRAScheduler(jobs, fast_config(capacity=4096,
                                                       use_merge=False)).schedule()
         milp = MultiLoRAScheduler(
-            jobs, fast_config(use_milp=True, milp_timeout=2.0, capacity=4096,
+            jobs, fast_config(use_milp=True, capacity=4096,
                               use_merge=False)
         ).schedule()
         assert len(milp) <= len(greedy)
@@ -188,7 +188,7 @@ class TestDeterminism:
         assert comparable_stats(inline) == comparable_stats(parallel)
 
     def test_deterministic_with_milp_and_merge(self):
-        config = fast_config(use_milp=True, milp_timeout=2.0)
+        config = fast_config(use_milp=True)
         runs = [
             MultiLoRAScheduler(make_jobs(samples=12, gbs=6), config).schedule()
             for _ in range(2)
