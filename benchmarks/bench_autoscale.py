@@ -24,11 +24,11 @@ Scenarios (each also a pytest-benchmark case):
   and a bounded mean-JCT penalty versus the identical trace with no
   reclamation (``mass-reclaim-base``).
 
-Gates (re-checked against the committed table by
-``scripts/check_bench_results.py``): no scenario loses a job, every
+Claims (held by ``check`` on every sweep and on the committed
+``results/autoscale.json``): no scenario loses a job, every
 scenario's deadline miss rate stays under ``MISS_RATE_CEILING``, the
 elastic fleet's GPU-seconds stay under what a fixed fleet at peak size
-would bill (``gpu_s < (replicas + joins) * makespan``), and the
+would bill (``gpu_s < (repl + joins) * makespan``), and the
 mass-reclaim JCT penalty stays under ``RECLAIM_JCT_PENALTY``x.
 
 Run under pytest (the default seed) or standalone:
@@ -37,11 +37,10 @@ Run under pytest (the default seed) or standalone:
 """
 
 import argparse
-import time
 
 import numpy as np
 
-from benchmarks.common import fmt_row, write_table
+from benchmarks.common import require, write_results
 from repro.data.dataset import FinetuneDataset, Sample
 from repro.distsim.systems import stage_times
 from repro.gpu import H100
@@ -177,7 +176,7 @@ def build_autoscaler(name):
 
 
 def serve(name, seed):
-    """Run one scenario; return (fleet result, wall seconds)."""
+    """Run one scenario; return the fleet result."""
     scaler = build_autoscaler(name)
     estimator = CostEstimator.for_scheduler(COST, SCHED)
     config = ReplicaSetConfig(
@@ -201,10 +200,7 @@ def serve(name, seed):
         for _ in range(len(scaler.initial_pools))
     ]
     workload = build_workload(name, seed)
-    replica_set = ReplicaSet(executors, config)
-    start = time.perf_counter()
-    result = replica_set.run(workload)
-    return result, time.perf_counter() - start
+    return ReplicaSet(executors, config).run(workload)
 
 
 def fingerprint(result):
@@ -219,10 +215,10 @@ def fingerprint(result):
 def sweep(seed=DEFAULT_SEED):
     results = {}
     for name in SCENARIOS:
-        result, elapsed = serve(name, seed)
+        result = serve(name, seed)
         # Determinism gate before any reported number: scale events are
         # kernel events, so the rerun must be byte-identical.
-        rerun, _ = serve(name, seed)
+        rerun = serve(name, seed)
         assert fingerprint(rerun) == fingerprint(result), name
         assert rerun.events_processed == result.events_processed, name
         lost = sum(
@@ -230,7 +226,7 @@ def sweep(seed=DEFAULT_SEED):
         )
         results[name] = {
             "jobs": len(result.records),
-            "replicas": len(build_autoscaler(name).initial_pools),
+            "repl": len(build_autoscaler(name).initial_pools),
             "joins": result.joins,
             "retires": result.retires,
             "reclaims": result.reclaims,
@@ -241,69 +237,71 @@ def sweep(seed=DEFAULT_SEED):
             "gpu_s": result.gpu_seconds,
             "dollars": result.dollars_spent,
             "lost": lost,
-            "wall_s": elapsed,
         }
     return results
 
 
-def report(results, seed):
-    widths = [18, 5, 5, 6, 7, 8, 6, 8, 8, 8, 8, 8, 4]
-    lines = [
+COLUMNS = (
+    ("scenario", 18, None), ("jobs", 5, None), ("repl", 5, None),
+    ("joins", 6, None), ("retires", 7, None), ("reclaims", 8, None),
+    ("forced", 6, None), ("missrate", 8, ".3f"), ("meanJCT", 8, ".3f"),
+    ("makespan", 8, ".2f"), ("gpu_s", 8, ".2f"), ("dollars", 8, ".5f"),
+    ("lost", 4, None),
+)
+
+
+def report(rows, seed):
+    write_results(
+        "autoscale",
         f"Elastic autoscaling on heterogeneous capacity (seed {seed}, "
         f"H100 ${ON_DEMAND.hourly_rate}/h vs spot L40S "
         f"${SPOT.hourly_rate}/h at {SPOT.speed_factor:.2f}x step time, "
         f"$40/h budget, {SLOTS} slots/replica)",
-        fmt_row(
-            ["scenario", "jobs", "repl", "joins", "retires", "reclaims",
-             "forced", "missrate", "meanJCT", "makespan", "gpu_s",
-             "dollars", "lost"],
-            widths,
-        ),
-    ]
-    for name, row in results.items():
-        lines.append(
-            fmt_row(
-                [
-                    name,
-                    row["jobs"],
-                    row["replicas"],
-                    row["joins"],
-                    row["retires"],
-                    row["reclaims"],
-                    row["forced"],
-                    f"{row['missrate']:.3f}",
-                    f"{row['meanJCT']:.3f}",
-                    f"{row['makespan']:.2f}",
-                    f"{row['gpu_s']:.2f}",
-                    f"{row['dollars']:.5f}",
-                    row["lost"],
-                ],
-                widths,
-            )
-        )
-    write_table("autoscale", lines)
+        COLUMNS,
+        rows,
+    )
 
 
-def check(results):
-    for name, row in results.items():
-        assert row["lost"] == 0, f"{name} lost {row['lost']} job(s)"
-        assert row["missrate"] <= MISS_RATE_CEILING, name
+def check(rows):
+    claims = []
+    for name, row in rows.items():
         # The elastic fleet must bill less than a fixed fleet held at
         # its peak size for the whole run.
-        peak_bill = (row["replicas"] + row["joins"]) * row["makespan"]
-        assert row["gpu_s"] < peak_bill, name
-    assert results["diurnal"]["joins"] >= 1
-    assert results["diurnal"]["retires"] >= 1
-    assert results["flash-crowd"]["joins"] >= 1
-    reclaim, base = results["mass-reclaim"], results["mass-reclaim-base"]
-    assert reclaim["reclaims"] == RECLAIM_NOTICE.count
-    assert reclaim["meanJCT"] <= RECLAIM_JCT_PENALTY * base["meanJCT"]
+        peak_bill = (row["repl"] + row["joins"]) * row["makespan"]
+        claims += [
+            (row["lost"] == 0,
+             f"{name} lost {row['lost']} job(s) -- elastic scaling must "
+             "stay lossless"),
+            (row["missrate"] <= MISS_RATE_CEILING,
+             f"{name} deadline miss rate {row['missrate']} left the "
+             f"{MISS_RATE_CEILING} ceiling"),
+            (row["gpu_s"] < peak_bill,
+             f"{name} stopped saving GPU-seconds vs a fixed peak-size "
+             f"fleet ({row['gpu_s']} vs {peak_bill})"),
+        ]
+    diurnal = rows["diurnal"]
+    reclaim, base = rows["mass-reclaim"], rows["mass-reclaim-base"]
+    claims += [
+        (diurnal["joins"] >= 1 and diurnal["retires"] >= 1,
+         "the diurnal trace no longer both grows and shrinks "
+         f"(joins={diurnal['joins']}, retires={diurnal['retires']})"),
+        (rows["flash-crowd"]["joins"] >= 1,
+         "the flash crowd never grew the fleet"),
+        (reclaim["reclaims"] == RECLAIM_NOTICE.count,
+         f"the mass reclaim took {reclaim['reclaims']} replica(s), notice "
+         f"says {RECLAIM_NOTICE.count}"),
+        (reclaim["meanJCT"] <= RECLAIM_JCT_PENALTY * base["meanJCT"],
+         "the mass reclaim's mean-JCT penalty left the "
+         f"{RECLAIM_JCT_PENALTY}x band ({reclaim['meanJCT']} vs baseline "
+         f"{base['meanJCT']})"),
+    ]
+    return [message for holds, message in claims if not holds]
 
 
 def test_autoscale(benchmark):
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    report(results, DEFAULT_SEED)
-    check(results)
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    report(rows, DEFAULT_SEED)
+    require(check(rows))
 
 
 def main():
@@ -311,9 +309,9 @@ def main():
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="workload + arrival seed")
     args = parser.parse_args()
-    results = sweep(args.seed)
-    report(results, args.seed)
-    check(results)
+    rows = sweep(args.seed)
+    report(rows, args.seed)
+    require(check(rows))
 
 
 if __name__ == "__main__":

@@ -20,9 +20,10 @@ ceremony.  The harness:
    dollars, strictly better on at least one.
 
 Determinism is part of the gate: the tuner is rerun in-process and must
-render a byte-identical ``autotune_front.json`` artifact (the committed
-copy under ``benchmarks/results/`` is what
-``scripts/check_bench_results.py`` re-validates).
+render a byte-identical ``autotune_front.json`` artifact.  ``check``
+holds the claims, run on every sweep and on the committed
+``autotune.json`` rows and front artifact
+(``scripts/check_bench_results.py``).
 
 Run under pytest (the default seed) or standalone:
 
@@ -30,15 +31,19 @@ Run under pytest (the default seed) or standalone:
 """
 
 import argparse
+import json
+import math
 
-from benchmarks.common import RESULTS_DIR, fmt_row, write_table
+from benchmarks.common import RESULTS_DIR, require, write_results
 from repro.data import synthetic_dataset
 from repro.gpu import H100
 from repro.models import LLAMA3_8B
 from repro.models.layer_costs import LayerCostModel
 from repro.scheduler import AdapterJob, SchedulerConfig
-from repro.serve import CostEstimator, ServeJob
+from repro.errors import ScheduleError
+from repro.serve import CostEstimator, ServeConfig, ServeJob
 from repro.tune import (
+    ObjectivePoint,
     SearchSpace,
     dominates,
     evaluate,
@@ -122,85 +127,132 @@ def sweep(seed=DEFAULT_SEED):
     assert winners, "no front entry dominates the defaults on the tuning trace"
     tuned_config = winners[0].config
 
-    points = {"tuned": evaluate(tuned_config, held_out, cost=COST,
-                                scheduler=SCHED)}
+    rows = {"tuned": row(*evaluate(tuned_config, held_out, cost=COST,
+                                    scheduler=SCHED))}
+    rows["tuned"]["label"] = tuned_config.label()
     for name, config in single_policy_defaults().items():
-        points[name] = evaluate(config, held_out, cost=COST, scheduler=SCHED)
+        rows[name] = row(*evaluate(config, held_out, cost=COST,
+                                   scheduler=SCHED))
+    return rows, artifact
+
+
+COLUMNS = (
+    ("scenario", 14, None), ("meanJCT", 9, ".3f"), ("goodput", 9, None),
+    ("dollars", 11, ".6f"), ("gpusecs", 9, ".3f"), ("reject", 7, None),
+    ("makespan", 9, ".3f"),
+)
+
+
+def row(point, run):
     return {
-        "tuned_config": tuned_config,
-        "search": search,
-        "artifact": artifact,
-        "held_out": points,
+        "meanJCT": point.mean_jct,
+        "goodput": point.goodput,
+        "dollars": point.dollars,
+        "gpusecs": point.gpu_seconds,
+        "reject": run.rejected,
+        "makespan": run.makespan,
     }
 
 
-def report(results, seed):
-    search = results["search"]
-    widths = [14, 9, 9, 11, 9, 7, 9]
-    lines = [
+def report(rows, artifact, seed):
+    front = json.loads(artifact)
+    search = front["search"]
+    write_results(
+        "autotune",
         "Tuned config vs single-policy defaults on a held-out trace "
         f"(seed {seed}, {NUM_STAGES}-stage pipeline, LLaMa-8B; tuned = "
-        f"{results['tuned_config'].label()}; "
-        f"searched {search.candidates} candidates: "
-        f"{search.collapsed} collapsed, {search.pruned} pruned, "
-        f"{search.simulated} simulated, front of {len(search.front)})",
-        fmt_row(
-            ["scenario", "meanJCT", "goodput", "dollars", "gpusecs",
-             "reject", "makespan"],
-            widths,
-        ),
-    ]
-    for name, (point, run) in results["held_out"].items():
-        lines.append(
-            fmt_row(
-                [
-                    name,
-                    f"{point.mean_jct:.3f}",
-                    point.goodput,
-                    f"{point.dollars:.6f}",
-                    f"{point.gpu_seconds:.3f}",
-                    run.rejected,
-                    f"{run.makespan:.3f}",
-                ],
-                widths,
-            )
-        )
-    write_table("autotune", lines)
-    (RESULTS_DIR / "autotune_front.json").write_text(results["artifact"])
+        f"{rows['tuned']['label']}; "
+        f"searched {search['candidates']} candidates: "
+        f"{search['collapsed']} collapsed, {search['pruned']} pruned, "
+        f"{search['simulated']} simulated, front of {len(front['front'])})",
+        COLUMNS,
+        rows,
+    )
+    (RESULTS_DIR / "autotune_front.json").write_text(artifact)
 
 
-def check(results):
-    held_out = results["held_out"]
-    tuned, _ = held_out["tuned"]
+def objectives(row, shown=False):
+    """The row's objective point; ``shown`` rounds it as the table does."""
+    return ObjectivePoint(
+        mean_jct=round(row["meanJCT"], 3) if shown else row["meanJCT"],
+        goodput=row["goodput"],
+        dollars=round(row["dollars"], 6) if shown else row["dollars"],
+        gpu_seconds=row["gpusecs"],
+    )
+
+
+def check(rows, front):
+    """The held-out ``rows`` and the tuner's ``front`` artifact (parsed)."""
     # The headline gate: the tuned composition Pareto-dominates every
     # single-knob default on the trace it never saw -- at least as good
-    # on all of (mean JCT, goodput, dollars), strictly better on >= 1.
-    for name, (point, _) in held_out.items():
-        if name == "tuned":
-            continue
-        assert dominates(tuned, point), (
-            f"tuned config fails to dominate default '{name}': "
-            f"{tuned} vs {point}"
-        )
+    # on all of (mean JCT, goodput, dollars), strictly better on >= 1 --
+    # both at full precision and as the table shows it.
+    tuned = rows["tuned"]
+    claims = [
+        (dominates(objectives(tuned), objectives(row))
+         and dominates(objectives(tuned, shown=True),
+                       objectives(row, shown=True)),
+         f"the tuned config no longer dominates the '{name}' default on "
+         f"the held-out trace (JCT {tuned['meanJCT']} vs {row['meanJCT']}, "
+         f"goodput {tuned['goodput']} vs {row['goodput']}, dollars "
+         f"{tuned['dollars']} vs {row['dollars']})")
+        for name, row in rows.items()
+        if name != "tuned"
+    ]
     # The search accounting must add up, and the equivalence collapse
     # must actually be doing analytic work on this space.
-    search = results["search"]
-    assert (
-        search.collapsed + search.pruned + search.simulated
-        == search.candidates
-    )
-    assert search.collapsed > 0
+    search = front["search"]
+    accounted = search["collapsed"] + search["pruned"] + search["simulated"]
+    claims += [
+        (accounted == search["candidates"],
+         "search accounting no longer adds up "
+         f"({accounted} != {search['candidates']} candidates)"),
+        (search["collapsed"] > 0, "the equivalence collapse did no work"),
+        (len(front["front"]) > 0, "the front is empty"),
+    ]
+    # Every entry is a current, complete config: it round-trips through
+    # ServeConfig unchanged (an artifact written before a field was
+    # added fails here) and carries its own label.
+    points = []
+    for entry in front["front"]:
+        label = entry["label"]
+        try:
+            config = ServeConfig.from_dict(entry["config"])
+        except ScheduleError as error:
+            claims.append((False, f"front entry '{label}': {error}"))
+            continue
+        claims += [
+            (config.to_dict() == entry["config"],
+             f"front entry '{label}' is stale: its config does not "
+             "round-trip through ServeConfig"),
+            (config.label() == label,
+             f"front entry label '{label}' does not match its config "
+             f"({config.label()})"),
+        ]
+        raw = entry["point"]
+        points.append(
+            ObjectivePoint(
+                mean_jct=math.inf if raw["mean_jct"] is None else raw["mean_jct"],
+                goodput=raw["goodput"],
+                dollars=raw["dollars"],
+                gpu_seconds=raw["gpu_seconds"],
+            )
+        )
     # Front entries are mutually non-dominated by construction; verify
-    # the invariant survived serialization boundaries.
-    for a in search.front:
-        for b in search.front:
-            assert not dominates(a.point, b.point)
+    # the invariant survived serialization.
+    claims += [
+        (not dominates(a, b), f"the front is not non-dominated ({a} "
+                              f"dominates {b})")
+        for a in points
+        for b in points
+    ]
+    return [message for holds, message in claims if not holds]
 
 
 def test_autotune(benchmark):
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    report(results, DEFAULT_SEED)
-    check(results)
+    rows, artifact = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    report(rows, artifact, DEFAULT_SEED)
+    require(check(rows, json.loads(artifact)))
 
 
 def main():
@@ -208,9 +260,9 @@ def main():
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="dataset seed for the trace tenants")
     args = parser.parse_args()
-    results = sweep(args.seed)
-    report(results, args.seed)
-    check(results)
+    rows, artifact = sweep(args.seed)
+    report(rows, artifact, args.seed)
+    require(check(rows, json.loads(artifact)))
 
 
 if __name__ == "__main__":

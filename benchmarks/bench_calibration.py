@@ -42,7 +42,7 @@ Run under pytest (the default seed) or standalone:
 
 import argparse
 
-from benchmarks.common import fmt_row, write_table
+from benchmarks.common import require, unfinished, write_results
 from repro.data import synthetic_dataset
 from repro.data.dataset import FinetuneDataset, Sample
 from repro.gpu import H100
@@ -56,7 +56,6 @@ from repro.serve import (
     CostEstimator,
     DeadlineFeasibilityAdmission,
     DeadlineOrdering,
-    JobOutcome,
     LeastLoadedRouting,
     OnlineOrchestrator,
     OrchestratorConfig,
@@ -128,7 +127,7 @@ def serve_drift(seed, corrected):
     )
     result = orchestrator.run(workload)
     assert result.violations == 0
-    return result
+    return row(result)
 
 
 # -- scenario 2: queueing-aware deadline admission -----------------------
@@ -174,7 +173,7 @@ def serve_overload(workload, queueing_aware):
     )
     result = orchestrator.run(workload)
     assert result.violations == 0
-    return result
+    return row(result)
 
 
 # -- scenario 3: seconds-skew vs batch-skew rebalancing ------------------
@@ -226,7 +225,7 @@ def serve_fleet(workload, batch_thr=None, time_thr=None, drain=False):
     executors = [StreamingSimExecutor(COST, NUM_STAGES) for _ in range(2)]
     result = ReplicaSet(executors, config).run(workload)
     assert result.violations == 0
-    return result
+    return row(result)
 
 
 def sweep(seed=DEFAULT_SEED):
@@ -244,109 +243,112 @@ def sweep(seed=DEFAULT_SEED):
     }
 
 
-def report(results, seed):
-    widths = [16, 7, 9, 9, 9, 9, 8, 7, 7, 5, 7]
-    lines = [
+COLUMNS = (
+    ("scenario", 16, None), ("calib", 7, ".2f"), ("caliberr", 9, ".3f"),
+    ("waveerr", 9, ".3f"), ("meanJCT", 9, ".3f"), ("makespan", 9, ".2f"),
+    ("goodput", 8, None), ("smiss", 7, ".2f"), ("reject", 7, None),
+    ("mig", 5, None), ("drains", 7, None),
+)
+
+
+def row(result):
+    return {
+        "calib": result.calibration_ratio(),
+        "caliberr": result.calibration_error(),
+        "waveerr": result.mean_wave_calibration_error(),
+        "meanJCT": result.mean_completion_time(),
+        "makespan": result.makespan,
+        "goodput": result.deadline_goodput(),
+        "smiss": result.served_deadline_miss_rate(),
+        "reject": result.rejected,
+        "mig": getattr(result, "migrations", None),
+        "drains": getattr(result, "rebalance_drains", None),
+        "unfinished": unfinished(result),
+        "total_tokens": result.total_tokens,
+    }
+
+
+def report(rows, seed):
+    write_results(
+        "calibration",
         "Closed-loop cost calibration vs the a priori control plane "
         f"(seed {seed}, {NUM_STAGES}-stage pipeline, LLaMa-8B; corrected "
         f"band {CORRECTED_CALIBRATION_TOLERANCE}, uncorrected "
         f"{CALIBRATION_TOLERANCE})",
-        fmt_row(
-            ["scenario", "calib", "caliberr", "waveerr", "meanJCT",
-             "makespan", "goodput", "smiss", "reject", "mig", "drains"],
-            widths,
-        ),
-    ]
-    for name, result in results.items():
-        ratio = result.calibration_ratio()
-        error = result.calibration_error()
-        wave_error = result.mean_wave_calibration_error()
-        migrations = getattr(result, "migrations", None)
-        drains = getattr(result, "rebalance_drains", None)
-        lines.append(
-            fmt_row(
-                [
-                    name,
-                    "-" if ratio is None else f"{ratio:.2f}",
-                    "-" if error is None else f"{error:.3f}",
-                    "-" if wave_error is None else f"{wave_error:.3f}",
-                    f"{result.mean_completion_time():.3f}",
-                    f"{result.makespan:.2f}",
-                    result.deadline_goodput(),
-                    f"{result.served_deadline_miss_rate():.2f}",
-                    result.rejected,
-                    "-" if migrations is None else migrations,
-                    "-" if drains is None else drains,
-                ],
-                widths,
-            )
-        )
-    write_table("calibration", lines)
+        COLUMNS,
+        rows,
+    )
 
 
-def check(results):
-    uncorrected, corrected = results["uncorrected"], results["corrected"]
+def check(rows):
+    uncorrected, corrected = rows["uncorrected"], rows["corrected"]
+    service, queueing = rows["edf-service"], rows["edf-queueaware"]
+    batch, seconds = rows["batch-skew"], rows["secs-skew"]
+    drain = rows["secs-skew-drain"]
+    claims = []
     # Correction claim: the feedback loop tightens calibration on the
     # drifting trace -- run-level ratio strictly closer to 1.0, mean
     # per-wave error strictly lower, and each run inside its own band.
-    assert corrected.calibration_error() < uncorrected.calibration_error()
-    assert (
-        corrected.mean_wave_calibration_error()
-        < uncorrected.mean_wave_calibration_error()
-    )
-    ratio = uncorrected.calibration_ratio()
-    assert 1 / CALIBRATION_TOLERANCE <= ratio <= CALIBRATION_TOLERANCE, ratio
-    ratio = corrected.calibration_ratio()
-    assert (
-        1 / CORRECTED_CALIBRATION_TOLERANCE
-        <= ratio
-        <= CORRECTED_CALIBRATION_TOLERANCE
-    ), ratio
-    # Same trace, same work: correction changes prices, not execution.
-    assert corrected.total_tokens == uncorrected.total_tokens
-
-    service, queueing = results["edf-service"], results["edf-queueaware"]
-    # Admission claim: charging the planned backlog sheds doomed-under-
-    # load arrivals at arrival, so the same pipeline finishes strictly
-    # more deadline-carrying jobs on time (and misses less among the
-    # jobs it serves).
-    assert queueing.deadline_goodput() > service.deadline_goodput()
-    assert (
-        queueing.served_deadline_miss_rate()
-        <= service.served_deadline_miss_rate()
-    )
-    assert queueing.rejected >= 1 and service.rejected >= 1
-    for result in (service, queueing):
-        assert all(
-            r.finish_time is not None
-            for r in result.records.values()
-            if r.outcome is not JobOutcome.REJECTED
+    for column in ("caliberr", "waveerr"):
+        claims.append(
+            (corrected[column] < uncorrected[column],
+             f"feedback correction no longer tightens {column} on the "
+             f"drifting trace ({corrected[column]} vs {uncorrected[column]})")
         )
-
-    batch, seconds = results["batch-skew"], results["secs-skew"]
-    drain = results["secs-skew-drain"]
-    # Rebalancing claim: triggering on completion-horizon seconds skew
-    # matches or beats the batch-count trigger on mean JCT (the counts
-    # lie on this trace), at commensurable thresholds.
-    assert (
-        seconds.mean_completion_time() <= 1.05 * batch.mean_completion_time()
-    )
-    # The drain leg pays flushes to unlock migrations a deep pipeline
-    # otherwise starves; it must actually fire, and everyone finishes
-    # in every leg.
-    assert drain.rebalance_drains >= 1
-    assert batch.rebalance_drains == 0 and seconds.rebalance_drains == 0
-    for result in (batch, seconds, drain):
-        assert all(
-            r.finish_time is not None for r in result.records.values()
+    for name, tolerance in (("uncorrected", CALIBRATION_TOLERANCE),
+                            ("corrected", CORRECTED_CALIBRATION_TOLERANCE)):
+        ratio = rows[name]["calib"]
+        claims.append(
+            (ratio is not None and 1 / tolerance <= ratio <= tolerance,
+             f"{name} ratio {ratio} left its "
+             f"[{1 / tolerance:.3f}, {tolerance}] band")
         )
-        assert result.total_tokens == batch.total_tokens
+    claims += [
+        # Same trace, same work: correction changes prices, not execution.
+        (corrected["total_tokens"] == uncorrected["total_tokens"],
+         "correction changed the work served"),
+        # Admission claim: charging the planned backlog sheds doomed-
+        # under-load arrivals at arrival, so the same pipeline finishes
+        # strictly more deadline-carrying jobs on time (and misses less
+        # among the jobs it serves).
+        (queueing["goodput"] > service["goodput"],
+         "queueing-aware admission no longer beats service-time-only "
+         f"admission on deadline goodput ({queueing['goodput']} vs "
+         f"{service['goodput']})"),
+        (queueing["smiss"] <= service["smiss"],
+         "queueing-aware admission regressed the served miss rate "
+         f"({queueing['smiss']} vs {service['smiss']})"),
+        (queueing["reject"] >= 1 and service["reject"] >= 1,
+         "a feasibility gate never shed a job"),
+        # Rebalancing claim: triggering on completion-horizon seconds
+        # skew matches or beats the batch-count trigger on mean JCT (the
+        # counts lie on this trace), at commensurable thresholds.
+        (seconds["meanJCT"] <= 1.05 * batch["meanJCT"],
+         "seconds-skew rebalancing no longer matches batch-skew mean JCT "
+         f"({seconds['meanJCT']} vs {batch['meanJCT']})"),
+        # The drain leg pays flushes to unlock migrations a deep
+        # pipeline otherwise starves; it must actually fire, and only
+        # there.
+        (drain["drains"] >= 1, "the drain-then-migrate leg never paid a drain"),
+        (batch["drains"] == 0 and seconds["drains"] == 0,
+         "a leg without drain-then-migrate drained"),
+    ]
+    for name in ("secs-skew", "secs-skew-drain"):
+        claims.append((rows[name]["total_tokens"] == batch["total_tokens"],
+                       f"{name} served different work than batch-skew"))
+    # Every job the admission and rebalancing legs did not shed finishes.
+    for name in ("edf-service", "edf-queueaware", "batch-skew", "secs-skew",
+                 "secs-skew-drain"):
+        claims.append((rows[name]["unfinished"] == 0,
+                       f"{name} left {rows[name]['unfinished']} job(s) "
+                       "unfinished"))
+    return [message for holds, message in claims if not holds]
 
 
 def test_calibration(benchmark):
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    report(results, DEFAULT_SEED)
-    check(results)
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    report(rows, DEFAULT_SEED)
+    require(check(rows))
 
 
 def main():
@@ -354,9 +356,9 @@ def main():
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="dataset seed for the trace tenants")
     args = parser.parse_args()
-    results = sweep(args.seed)
-    report(results, args.seed)
-    check(results)
+    rows = sweep(args.seed)
+    report(rows, args.seed)
+    require(check(rows))
 
 
 if __name__ == "__main__":

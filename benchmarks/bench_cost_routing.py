@@ -33,7 +33,7 @@ Run under pytest (the default seed) or standalone:
 
 import argparse
 
-from benchmarks.common import fmt_row, write_table
+from benchmarks.common import require, unfinished, write_results
 from repro.data import synthetic_dataset
 from repro.gpu import H100
 from repro.models import LLAMA3_8B
@@ -46,7 +46,6 @@ from repro.serve import (
     CostEstimator,
     DeadlineFeasibilityAdmission,
     DeadlineOrdering,
-    JobOutcome,
     LeastLoadedRouting,
     OnlineOrchestrator,
     OrchestratorConfig,
@@ -102,7 +101,7 @@ def route(workload, routing):
     executors = [StreamingSimExecutor(COST, NUM_STAGES) for _ in range(2)]
     result = ReplicaSet(executors, config).run(workload)
     assert result.violations == 0
-    return result
+    return row(result)
 
 
 def deadline_trace(seed):
@@ -147,7 +146,7 @@ def serve_deadlines(workload, gated):
     )
     result = orchestrator.run(workload)
     assert result.violations == 0
-    return result
+    return row(result)
 
 
 def serve_window(seed, adaptive):
@@ -167,7 +166,7 @@ def serve_window(seed, adaptive):
     )
     result = orchestrator.run(workload)
     assert result.violations == 0
-    return result
+    return row(result)
 
 
 def sweep(seed=DEFAULT_SEED):
@@ -183,82 +182,92 @@ def sweep(seed=DEFAULT_SEED):
     }
 
 
-def report(results, seed):
-    widths = [16, 9, 9, 9, 11, 8, 7, 8, 6]
-    lines = [
+COLUMNS = (
+    ("scenario", 16, None), ("makespan", 9, ".2f"), ("meanJCT", 9, ".3f"),
+    ("missrate", 9, ".2f"), ("servedmiss", 11, ".2f"), ("goodput", 8, None),
+    ("reject", 7, None), ("replans", 8, None), ("calib", 6, ".2f"),
+)
+
+
+def row(result):
+    return {
+        "makespan": result.makespan,
+        "meanJCT": result.mean_completion_time(),
+        "missrate": result.deadline_miss_rate(),
+        "servedmiss": result.served_deadline_miss_rate(),
+        "goodput": result.deadline_goodput(),
+        "reject": result.rejected,
+        "replans": result.replans,
+        "calib": result.calibration_ratio(),
+        "unfinished": unfinished(result),
+        "total_tokens": result.total_tokens,
+    }
+
+
+def report(rows, seed):
+    write_results(
+        "cost_routing",
         "Cost-model-driven control plane vs batch-count heuristics "
         f"(seed {seed}, {NUM_STAGES}-stage pipeline, LLaMa-8B, "
         f"calibration tolerance {CALIBRATION_TOLERANCE})",
-        fmt_row(
-            ["scenario", "makespan", "meanJCT", "missrate", "servedmiss",
-             "goodput", "reject", "replans", "calib"],
-            widths,
-        ),
-    ]
-    for name, result in results.items():
-        ratio = result.calibration_ratio()
-        lines.append(
-            fmt_row(
-                [
-                    name,
-                    f"{result.makespan:.2f}",
-                    f"{result.mean_completion_time():.3f}",
-                    f"{result.deadline_miss_rate():.2f}",
-                    f"{result.served_deadline_miss_rate():.2f}",
-                    result.deadline_goodput(),
-                    result.rejected,
-                    result.replans,
-                    "-" if ratio is None else f"{ratio:.2f}",
-                ],
-                widths,
-            )
-        )
-    write_table("cost_routing", lines)
-
-
-def check(results):
-    least, aware = results["least-loaded-x2"], results["cost-aware-x2"]
-    # Routing claim: pricing placements in seconds beats batch counts on
-    # the heterogeneous trace -- no worse mean JCT, same work served.
-    assert aware.mean_completion_time() <= least.mean_completion_time()
-    assert aware.total_tokens == least.total_tokens
-    for result in (least, aware):
-        assert all(r.finish_time is not None for r in result.records.values())
-
-    edf, gated = results["edf"], results["edf-gated"]
-    # Admission claim: shedding infeasible arrivals lowers the miss rate
-    # among served jobs and raises deadline-goodput -- the same pipeline
-    # stops wasting time on doomed work.
-    assert gated.rejected >= 1
-    assert gated.served_deadline_miss_rate() < edf.deadline_miss_rate()
-    assert gated.deadline_goodput() >= edf.deadline_goodput()
-    # Every non-rejected job in the gated run still finishes.
-    assert all(
-        r.finish_time is not None
-        for r in gated.records.values()
-        if r.outcome is not JobOutcome.REJECTED
+        COLUMNS,
+        rows,
     )
 
-    static, adaptive = results["static-w1"], results["adaptive-window"]
-    # Window claim: a stable tenant set earns bigger windows -- fewer
-    # replans at (approximately) no makespan cost.
-    assert adaptive.replans < static.replans
-    assert adaptive.makespan <= 1.05 * static.makespan
 
+def check(rows):
+    least, aware = rows["least-loaded-x2"], rows["cost-aware-x2"]
+    edf, gated = rows["edf"], rows["edf-gated"]
+    static, adaptive = rows["static-w1"], rows["adaptive-window"]
+    claims = [
+        # Routing claim: pricing placements in seconds beats batch counts
+        # on the heterogeneous trace -- no worse mean JCT, same work.
+        (aware["meanJCT"] <= least["meanJCT"],
+         "cost-aware routing no longer matches least-loaded on mean JCT "
+         f"({aware['meanJCT']} vs {least['meanJCT']})"),
+        (aware["total_tokens"] == least["total_tokens"],
+         "cost-aware routing served different work"),
+        # Admission claim: shedding infeasible arrivals lowers the miss
+        # rate among served jobs and raises deadline-goodput -- the same
+        # pipeline stops wasting time on doomed work.
+        (gated["reject"] >= 1, "the feasibility gate never shed a job"),
+        (gated["servedmiss"] < edf["missrate"],
+         "gating no longer lowers the served deadline-miss rate below "
+         f"plain EDF ({gated['servedmiss']} vs {edf['missrate']})"),
+        (gated["goodput"] >= edf["goodput"],
+         "gating regressed deadline-goodput "
+         f"({gated['goodput']} vs {edf['goodput']})"),
+        # Window claim: a stable tenant set earns bigger windows -- fewer
+        # replans at (approximately) no makespan cost.
+        (adaptive["replans"] < static["replans"],
+         "the adaptive window stopped saving replans "
+         f"({adaptive['replans']} vs {static['replans']})"),
+        (adaptive["makespan"] <= 1.05 * static["makespan"],
+         "the adaptive window costs makespan "
+         f"({adaptive['makespan']} vs {static['makespan']})"),
+    ]
+    # Every job the routed runs and the gated run did not shed finishes.
+    for name in ("least-loaded-x2", "cost-aware-x2", "edf-gated"):
+        claims.append((rows[name]["unfinished"] == 0,
+                       f"{name} left {rows[name]['unfinished']} job(s) "
+                       "unfinished"))
     # Estimator honesty: every run's predicted/observed ratio stays
     # within the documented tolerance.
-    for name, result in results.items():
-        ratio = result.calibration_ratio()
-        assert ratio is not None, name
-        assert 1 / CALIBRATION_TOLERANCE <= ratio <= CALIBRATION_TOLERANCE, (
-            name, ratio,
+    tolerance = CALIBRATION_TOLERANCE
+    for name, row in rows.items():
+        ratio = row["calib"]
+        claims.append(
+            (ratio is not None and 1 / tolerance <= ratio <= tolerance,
+             f"{name} calibration ratio {ratio} left the documented "
+             f"[{1 / tolerance}, {tolerance}] band")
         )
+    return [message for holds, message in claims if not holds]
 
 
 def test_cost_routing(benchmark):
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    report(results, DEFAULT_SEED)
-    check(results)
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    report(rows, DEFAULT_SEED)
+    require(check(rows))
 
 
 def main():
@@ -266,9 +275,9 @@ def main():
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="dataset seed for the trace tenants")
     args = parser.parse_args()
-    results = sweep(args.seed)
-    report(results, args.seed)
-    check(results)
+    rows = sweep(args.seed)
+    report(rows, args.seed)
+    require(check(rows))
 
 
 if __name__ == "__main__":

@@ -14,8 +14,9 @@ one on 64 replicas and one on 512, in one process.  The gates: every
 scenario sustains at least ``EVENTS_PER_SEC_FLOOR`` processed events
 per wall second, and the largest fleet's wall time per event is at most
 ``US_PER_EVENT_RATIO_CEILING`` x the smallest fleet's -- a ratio of two
-timings from the same process, so machine speed cancels out
-(``scripts/check_bench_results.py`` re-checks the committed table).
+timings from the same process, so machine speed cancels out.
+``check`` runs on every sweep and on the committed
+``results/fleet_kernel.json`` (``scripts/check_bench_results.py``).
 
 Run under pytest (the default seed) or standalone:
 
@@ -30,7 +31,7 @@ import cProfile
 import pstats
 import time
 
-from benchmarks.common import fmt_row, write_table
+from benchmarks.common import require, write_results
 from repro.data.dataset import FinetuneDataset, Sample
 from repro.gpu import H100
 from repro.models import LLAMA3_8B
@@ -129,70 +130,65 @@ def serve(num_jobs, num_replicas, seed, profile=False):
     return result, elapsed
 
 
-def us_per_event(row):
-    return row["event_s"] / row["events"] * 1e6
-
-
 def sweep(seed=DEFAULT_SEED, profile=False):
     results = {}
     for name, num_jobs, num_replicas in SCENARIOS:
         result, event_s = serve(num_jobs, num_replicas, seed, profile=profile)
         assert result.violations == 0
         assert all(r.finish_time is not None for r in result.records.values())
+        events = sum(result.events_processed.values())
         results[name] = {
-            "num_jobs": num_jobs,
-            "num_replicas": num_replicas,
+            "jobs": num_jobs,
+            "replicas": num_replicas,
             "event_s": event_s,
-            "events": sum(result.events_processed.values()),
+            "events": events,
+            "events/s": events / event_s,
+            "us/event": event_s / events * 1e6,
         }
     return results
 
 
-def report(results, seed):
-    widths = [11, 6, 9, 8, 8, 9, 8]
-    lines = [
+COLUMNS = (
+    ("scenario", 11, None), ("jobs", 6, None), ("replicas", 9, None),
+    ("event_s", 8, ".2f"), ("events", 8, None), ("events/s", 9, ".0f"),
+    ("us/event", 8, ".1f"),
+)
+
+
+def report(rows, seed):
+    write_results(
+        "fleet_kernel",
         f"Fleet loop per-event cost (seed {seed}, Poisson rate {RATE}, "
         f"{SLOTS} slots/replica, {NUM_STAGES}-stage pipelines, LLaMa-8B)",
-        fmt_row(
-            ["scenario", "jobs", "replicas", "event_s", "events",
-             "events/s", "us/event"],
-            widths,
-        ),
-    ]
-    for name, row in results.items():
-        lines.append(
-            fmt_row(
-                [
-                    name,
-                    row["num_jobs"],
-                    row["num_replicas"],
-                    f"{row['event_s']:.2f}",
-                    row["events"],
-                    f"{row['events'] / row['event_s']:.0f}",
-                    f"{us_per_event(row):.1f}",
-                ],
-                widths,
-            )
-        )
-    write_table("fleet_kernel", lines)
-
-
-def check(results):
-    for name, row in results.items():
-        # Every scenario must sustain the event-throughput floor.
-        assert row["events"] / row["event_s"] >= EVENTS_PER_SEC_FLOOR, name
-    smallest, largest = results[SCENARIOS[0][0]], results[SCENARIOS[-1][0]]
-    ratio = us_per_event(largest) / us_per_event(smallest)
-    assert ratio <= US_PER_EVENT_RATIO_CEILING, (
-        f"us/event grows {ratio:.2f}x from the smallest to the largest "
-        f"fleet, above the {US_PER_EVENT_RATIO_CEILING}x gate"
+        COLUMNS,
+        rows,
     )
 
 
+def check(rows):
+    # Every scenario must sustain the event-throughput floor.
+    claims = [
+        (row["events/s"] >= EVENTS_PER_SEC_FLOOR,
+         f"{name} fell below the event-throughput floor "
+         f"({row['events/s']:.0f} vs {EVENTS_PER_SEC_FLOOR:.0f} events/s)")
+        for name, row in rows.items()
+    ]
+    # Per-event cost must stay flat from the smallest to the largest
+    # fleet -- a ratio of two timings from one process.
+    by_size = sorted(rows.values(), key=lambda row: row["replicas"])
+    ratio = by_size[-1]["us/event"] / by_size[0]["us/event"]
+    claims.append(
+        (ratio <= US_PER_EVENT_RATIO_CEILING,
+         f"us/event grows {ratio:.2f}x from the smallest to the largest "
+         f"fleet, above the {US_PER_EVENT_RATIO_CEILING}x gate")
+    )
+    return [message for holds, message in claims if not holds]
+
+
 def test_fleet_kernel(benchmark):
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    report(results, DEFAULT_SEED)
-    check(results)
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    report(rows, DEFAULT_SEED)
+    require(check(rows))
 
 
 def main():
@@ -202,9 +198,9 @@ def main():
     parser.add_argument("--profile", action="store_true",
                         help="print cProfile top-20 for each run")
     args = parser.parse_args()
-    results = sweep(args.seed, profile=args.profile)
-    report(results, args.seed)
-    check(results)
+    rows = sweep(args.seed, profile=args.profile)
+    report(rows, args.seed)
+    require(check(rows))
 
 
 if __name__ == "__main__":

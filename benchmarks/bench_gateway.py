@@ -22,9 +22,9 @@ on its fairness quota):
 
 Virtual time is a seeded :class:`~repro.serve.ManualClock` (the door's
 rate/quota decisions are deterministic per seed); wall-clock throughput
-and admission latency are real ``perf_counter`` measurements.  Gates
-(re-checked against the committed table by
-``scripts/check_bench_results.py``):
+and admission latency are real ``perf_counter`` measurements.  The
+claims, held by ``check`` on every sweep and on the committed
+``results/gateway.json`` (``scripts/check_bench_results.py``):
 
 * every scenario sustains at least ``SUBMIT_RATE_FLOOR`` wall-clock
   submits per second through the live door;
@@ -50,7 +50,7 @@ import time
 
 import numpy as np
 
-from benchmarks.common import fmt_row, write_table
+from benchmarks.common import require, write_results
 from repro.data.dataset import FinetuneDataset, Sample
 from repro.gpu import H100
 from repro.models import LLAMA3_8B
@@ -167,8 +167,8 @@ def sweep(seed=DEFAULT_SEED):
             num_jobs, STEADY_RATE * multiplier, seed, fairness
         )
         stats = result.stats
-        # The honesty gates are structural -- assert them at run time
-        # too, not just against the committed table.
+        # The honesty gates are structural -- assert them inside the
+        # run too, not just as claims about the committed rows.
         assert stats.submitted == num_jobs
         assert refused == stats.shed_total(), name
         assert stats.submitted == stats.accepted + stats.shed_total(), name
@@ -189,72 +189,69 @@ def sweep(seed=DEFAULT_SEED):
             "shed": stats.shed_total(),
             "lost": stats.released - finished,
             "p99_ms": result.admission_latency_percentiles()["p99"] * 1e3,
-            "submit_rate": num_jobs / elapsed,
-            "drift": float(drift),
+            "submit/s": num_jobs / elapsed,
+            "q4/q1": float(drift),
         }
     return results
 
 
-def report(results, seed):
-    widths = [11, 6, 9, 10, 6, 6, 8, 9, 9]
-    lines = [
+COLUMNS = (
+    ("scenario", 11, None), ("jobs", 6, None), ("offered", 9, ".0f"),
+    ("accepted", 10, None), ("shed", 6, None), ("lost", 6, None),
+    ("p99_ms", 8, ".3f"), ("submit/s", 9, ".0f"), ("q4/q1", 9, ".2f"),
+)
+
+
+def report(rows, seed):
+    write_results(
+        "gateway",
         f"Live gateway door under load (seed {seed}, {len(TENANTS)} "
         f"tenants, bucket {GATE_RATE:g}/s burst {GATE_BURST:g}, queue "
         f"bound {QUEUE_BOUND}, long-run quota {LONG_RUN_FAIRNESS:g}, "
         "LLaMa-8B)",
-        fmt_row(
-            ["scenario", "jobs", "offered", "accepted", "shed", "lost",
-             "p99_ms", "submit/s", "q4/q1"],
-            widths,
-        ),
-    ]
-    for name, row in results.items():
-        lines.append(
-            fmt_row(
-                [
-                    name,
-                    row["jobs"],
-                    f"{row['offered']:.0f}",
-                    row["accepted"],
-                    row["shed"],
-                    row["lost"],
-                    f"{row['p99_ms']:.3f}",
-                    f"{row['submit_rate']:.0f}",
-                    f"{row['drift']:.2f}",
-                ],
-                widths,
-            )
-        )
-    write_table("gateway", lines)
-
-
-def check(results):
-    for name, row in results.items():
-        assert row["lost"] == 0, f"{name} lost {row['lost']} admitted job(s)"
-        assert row["submit_rate"] >= SUBMIT_RATE_FLOOR, (
-            f"{name} sustained {row['submit_rate']:.0f} submits/s, below "
-            f"the {SUBMIT_RATE_FLOOR:.0f}/s floor"
-        )
-        assert row["p99_ms"] <= P99_LATENCY_CEILING * 1e3, (
-            f"{name} p99 admission latency {row['p99_ms']:.3f} ms left "
-            f"the {P99_LATENCY_CEILING * 1e3:.0f} ms ceiling"
-        )
-    steady, burst, long_run = (results[name] for name, *_ in SCENARIOS)
-    # The burst scenario must actually exercise backpressure, and the
-    # door must shed *more* of the 10x load, not admit it all.
-    assert burst["shed"] > steady["shed"]
-    assert burst["shed"] > 0
-    # Door work per submit must not grow with the release history.
-    assert long_run["drift"] <= LATENCY_DRIFT_CEILING, (
-        f"long-run p99 admission latency grew {long_run['drift']:.2f}x from "
-        f"the first to the last quarter (ceiling {LATENCY_DRIFT_CEILING}x)"
+        COLUMNS,
+        rows,
     )
 
 
+def check(rows):
+    claims = []
+    for name, row in rows.items():
+        claims += [
+            (row["lost"] == 0,
+             f"{name} lost {row['lost']} admitted job(s) -- every released "
+             "submission must finish"),
+            (row["jobs"] == row["accepted"] + row["shed"],
+             f"{name} ledger does not conserve "
+             f"({row['jobs']} != {row['accepted']} + {row['shed']})"),
+            (row["submit/s"] >= SUBMIT_RATE_FLOOR,
+             f"{name} sustained {row['submit/s']:.0f} submits/s, below the "
+             f"{SUBMIT_RATE_FLOOR:.0f}/s floor"),
+            (row["p99_ms"] <= P99_LATENCY_CEILING * 1e3,
+             f"{name} p99 admission latency {row['p99_ms']:.3f} ms left the "
+             f"{P99_LATENCY_CEILING * 1e3:.0f} ms ceiling"),
+        ]
+    steady, burst, long_run = (rows[name] for name, *_ in SCENARIOS)
+    claims += [
+        # The burst scenario must actually exercise backpressure, and
+        # the door must shed *more* of the 10x load, not admit it all.
+        (burst["shed"] > steady["shed"] and burst["shed"] > 0,
+         "the 10x burst no longer sheds more than steady load "
+         f"({burst['shed']} vs {steady['shed']}) -- backpressure stopped "
+         "engaging"),
+        # Door work per submit must not grow with the release history.
+        (long_run["q4/q1"] <= LATENCY_DRIFT_CEILING,
+         f"long-run p99 admission latency grew {long_run['q4/q1']:.2f}x "
+         "from the first to the last quarter of submits (ceiling "
+         f"{LATENCY_DRIFT_CEILING}x) -- door work grows with history"),
+    ]
+    return [message for holds, message in claims if not holds]
+
+
 def test_gateway(benchmark):
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    report(results, DEFAULT_SEED)
-    check(results)
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    report(rows, DEFAULT_SEED)
+    require(check(rows))
 
 
 def main():
@@ -262,9 +259,9 @@ def main():
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="workload + arrival seed")
     args = parser.parse_args()
-    results = sweep(args.seed)
-    report(results, args.seed)
-    check(results)
+    rows = sweep(args.seed)
+    report(rows, args.seed)
+    require(check(rows))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ Run under pytest (the default seed) or standalone:
 
 import argparse
 
-from benchmarks.common import fmt_row, write_table
+from benchmarks.common import require, unfinished, write_results
 from repro.data import synthetic_dataset
 from repro.gpu import H100
 from repro.models import LLAMA3_8B
@@ -70,7 +70,7 @@ def serve(workload, num_replicas, routing=None, migration_threshold=None):
     ]
     result = ReplicaSet(executors, config).run(workload)
     assert result.violations == 0
-    return result
+    return row(result)
 
 
 def sweep(seed=DEFAULT_SEED):
@@ -89,58 +89,71 @@ def sweep(seed=DEFAULT_SEED):
     return results
 
 
-def report(results, seed):
-    widths = [20, 10, 10, 8, 9, 9, 7, 7]
-    lines = [
+COLUMNS = (
+    ("scenario", 20, None), ("makespan", 10, ".2f"), ("meanJCT", 10, ".2f"),
+    ("util", 8, ".1%"), ("jobs/t", 9, ".3f"), ("tokens/t", 9, ".0f"),
+    ("migr", 7, None), ("rerte", 7, None),
+)
+
+
+def row(result):
+    return {
+        "makespan": result.makespan,
+        "meanJCT": result.mean_completion_time(),
+        "util": result.utilization(),
+        "jobs/t": result.jobs_per_time(),
+        "tokens/t": result.tokens_per_time(),
+        "migr": result.migrations,
+        "rerte": result.reroutes,
+        "jobs": len(result.records),
+        "unfinished": unfinished(result),
+        "total_tokens": result.total_tokens,
+    }
+
+
+def report(rows, seed):
+    write_results(
+        "multi_replica",
         f"Replica count vs JCT/utilization ({NUM_JOBS} jobs, Poisson "
         f"rate {RATE}, seed {seed}, {SLOTS} slots/replica, "
         f"{NUM_STAGES}-stage pipelines, LLaMa-8B)",
-        fmt_row(
-            ["scenario", "makespan", "meanJCT", "util", "jobs/t",
-             "tokens/t", "migr", "rerte"],
-            widths,
-        ),
-    ]
-    for name, result in results.items():
-        lines.append(
-            fmt_row(
-                [
-                    name,
-                    f"{result.makespan:.2f}",
-                    f"{result.mean_completion_time():.2f}",
-                    f"{result.utilization():.1%}",
-                    f"{result.jobs_per_time():.3f}",
-                    f"{result.tokens_per_time():.0f}",
-                    result.migrations,
-                    result.reroutes,
-                ],
-                widths,
-            )
-        )
-    write_table("multi_replica", lines)
+        COLUMNS,
+        rows,
+    )
 
 
-def check(results):
-    single = results["least-loaded-x1"]
-    double = results["least-loaded-x2"]
+def check(rows):
+    single, double = rows["least-loaded-x1"], rows["least-loaded-x2"]
+    claims = []
     # Every fleet size finishes every job; each job lives on one replica.
-    for result in results.values():
-        assert all(
-            r.finish_time is not None for r in result.records.values()
-        )
-        assert len(result.records) == NUM_JOBS
-        assert result.total_tokens == single.total_tokens
+    for name, row in rows.items():
+        claims += [
+            (row["unfinished"] == 0 and row["jobs"] == NUM_JOBS,
+             f"{name} finished {row['jobs'] - row['unfinished']} of "
+             f"{NUM_JOBS} jobs"),
+            (row["total_tokens"] == single["total_tokens"],
+             f"{name} served different work than x1"),
+        ]
     # The scale-out claim: at equal offered load, >=2 replicas sustain
     # strictly higher job throughput than one pipeline.
-    assert double.jobs_per_time() > single.jobs_per_time()
-    assert double.makespan <= single.makespan
-    assert double.mean_completion_time() <= single.mean_completion_time()
+    claims += [
+        (double["jobs/t"] > single["jobs/t"],
+         "2 replicas no longer beat 1 on jobs/time "
+         f"({double['jobs/t']} vs {single['jobs/t']})"),
+        (double["makespan"] <= single["makespan"],
+         "2 replicas regressed makespan vs 1 "
+         f"({double['makespan']} vs {single['makespan']})"),
+        (double["meanJCT"] <= single["meanJCT"],
+         "2 replicas regressed mean JCT vs 1 "
+         f"({double['meanJCT']} vs {single['meanJCT']})"),
+    ]
+    return [message for holds, message in claims if not holds]
 
 
 def test_multi_replica(benchmark):
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    report(results, DEFAULT_SEED)
-    check(results)
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    report(rows, DEFAULT_SEED)
+    require(check(rows))
 
 
 def main():
@@ -148,9 +161,9 @@ def main():
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="workload + arrival seed")
     args = parser.parse_args()
-    results = sweep(args.seed)
-    report(results, args.seed)
-    check(results)
+    rows = sweep(args.seed)
+    report(rows, args.seed)
+    require(check(rows))
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ Run under pytest (the default seed) or standalone:
 
 import argparse
 
-from benchmarks.common import fmt_row, write_table
+from benchmarks.common import require, unfinished, write_results
 from repro.data import synthetic_dataset
 from repro.gpu import H100
 from repro.models import LLAMA3_8B
@@ -59,7 +59,7 @@ def serve(workload, window_batches, slots=SLOTS):
     result = orchestrator.run(workload)
     assert result.violations == 0
     assert find_violations(orchestrator.stream, NUM_STAGES) == []
-    return result
+    return row(result)
 
 
 def sweep(seed=DEFAULT_SEED):
@@ -77,60 +77,74 @@ def sweep(seed=DEFAULT_SEED):
     }
 
 
-def report(results, seed):
-    widths = [15, 10, 10, 10, 8, 8, 8]
-    lines = [
+COLUMNS = (
+    ("scenario", 15, None), ("makespan", 10, ".2f"), ("meanJCT", 10, ".2f"),
+    ("meanQdelay", 10, ".2f"), ("util", 8, ".1%"), ("noops", 8, None),
+    ("replans", 8, None),
+)
+
+
+def row(result):
+    return {
+        "makespan": result.makespan,
+        "meanJCT": result.mean_completion_time(),
+        "meanQdelay": result.mean_queueing_delay(),
+        "util": result.utilization,
+        "noops": result.noop_microbatches,
+        "replans": result.replans,
+        "mbs": result.total_microbatches,
+        "unfinished": unfinished(result),
+        "total_tokens": result.total_tokens,
+    }
+
+
+def report(rows, seed):
+    write_results(
+        "online_serving",
         f"Online serving vs oracle ({NUM_JOBS} jobs, seed {seed}, "
         f"{SLOTS} slots, {NUM_STAGES}-stage pipeline, LLaMa-8B)",
-        fmt_row(
-            ["scenario", "makespan", "meanJCT", "meanQdelay", "util",
-             "noops", "replans"],
-            widths,
-        ),
-    ]
-    for name, result in results.items():
-        lines.append(
-            fmt_row(
-                [
-                    name,
-                    f"{result.makespan:.2f}",
-                    f"{result.mean_completion_time():.2f}",
-                    f"{result.mean_queueing_delay():.2f}",
-                    f"{result.utilization:.1%}",
-                    result.noop_microbatches,
-                    result.replans,
-                ],
-                widths,
-            )
-        )
-    write_table("online_serving", lines)
+        COLUMNS,
+        rows,
+    )
 
 
-def check(results):
-    oracle = results["oracle-offline"]
-    online = results["online-w2"]
+def check(rows):
+    oracle, online = rows["oracle-offline"], rows["online-w2"]
+    claims = []
     # Every scenario finishes every job.
-    for result in results.values():
-        assert all(
-            r.finish_time is not None for r in result.records.values()
-        )
-        assert result.total_tokens == oracle.total_tokens
-    # The oracle plans once; online replans many times.
-    assert oracle.replans == 1
-    assert online.replans > oracle.replans
-    # Online service time (excluding queueing for arrival) cannot beat
-    # the oracle's total makespan by definition of the oracle's
-    # full-information schedule, and should stay within a small factor.
-    assert online.makespan >= 0.95 * oracle.makespan
-    # Incremental scheduling pays a bounded bubble overhead: spliced
-    # junction no-ops exist but do not dominate the stream.
-    assert online.noop_microbatches < online.total_microbatches
+    for name, row in rows.items():
+        claims += [
+            (row["unfinished"] == 0,
+             f"{name} left {row['unfinished']} job(s) unfinished"),
+            (row["total_tokens"] == oracle["total_tokens"],
+             f"{name} served different work than the oracle"),
+        ]
+    claims += [
+        # The oracle plans once; online replans many times.
+        (oracle["replans"] == 1,
+         f"the oracle replanned ({oracle['replans']} plans)"),
+        (online["replans"] > oracle["replans"],
+         "online stopped replanning incrementally "
+         f"({online['replans']} vs oracle {oracle['replans']})"),
+        # Online service time (excluding queueing for arrival) cannot
+        # beat the oracle's full-information makespan; 5% slack for
+        # clock alignment.
+        (online["makespan"] >= 0.95 * oracle["makespan"],
+         "online makespan dropped below the oracle lower bound "
+         f"({online['makespan']} vs {oracle['makespan']})"),
+        # Incremental scheduling pays a bounded bubble overhead: spliced
+        # junction no-ops exist but do not dominate the stream.
+        (online["noops"] < online["mbs"],
+         f"no-ops dominate the online stream ({online['noops']} of "
+         f"{online['mbs']} microbatches)"),
+    ]
+    return [message for holds, message in claims if not holds]
 
 
 def test_online_serving(benchmark):
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    report(results, DEFAULT_SEED)
-    check(results)
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    report(rows, DEFAULT_SEED)
+    require(check(rows))
 
 
 def main():
@@ -138,9 +152,9 @@ def main():
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="workload + arrival seed")
     args = parser.parse_args()
-    results = sweep(args.seed)
-    report(results, args.seed)
-    check(results)
+    rows = sweep(args.seed)
+    report(rows, args.seed)
+    require(check(rows))
 
 
 if __name__ == "__main__":

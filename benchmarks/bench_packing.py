@@ -24,7 +24,7 @@ Three scenarios, one table row each:
 * ``arrival``        -- the head-tail baseline.
 * ``knapsack``       -- knapsack waves + sticky groups + estimator-priced
                         packing-affinity routing.
-* ``knapsack-rerun`` -- the same config run again; every cell must equal
+* ``knapsack-rerun`` -- the same config run again; every value must equal
                         the ``knapsack`` row (determinism).  Loop
                         independence -- the same schedule on the lockstep
                         reference loop -- is the knapsack equivalence
@@ -38,7 +38,7 @@ Run under pytest (the default seed) or standalone:
 
 import argparse
 
-from benchmarks.common import fmt_row, write_table
+from benchmarks.common import require, unfinished, write_results
 from repro.data import synthetic_dataset
 from repro.gpu import H100
 from repro.models import LLAMA3_8B
@@ -63,8 +63,6 @@ SCHED = SchedulerConfig(capacity=CAPACITY, num_stages=NUM_STAGES, use_milp=False
 
 # The gate: knapsack must cut padding waste by at least this fraction of
 # the arrival baseline's waste, without paying for it in mean JCT.
-# ``scripts/check_bench_results.py`` imports both constants so the CI
-# check and the benchmark agree by construction.
 WASTE_REDUCTION_FLOOR = 0.15
 JCT_PENALTY_CEILING = 1.0
 
@@ -114,7 +112,7 @@ def serve(seed, packing):
     executors = [StreamingSimExecutor(COST, NUM_STAGES)]
     result = ReplicaSet(executors, config).run(heavy_tailed_trace(seed))
     assert result.violations == 0
-    return result
+    return row(result)
 
 
 def sweep(seed=DEFAULT_SEED):
@@ -125,64 +123,82 @@ def sweep(seed=DEFAULT_SEED):
     }
 
 
-def cells(result):
-    """One row of metric cells; identical runs must produce equal cells."""
-    return [
-        f"{result.padding_waste():.4f}",
-        f"{result.bubble_rate():.4f}",
-        f"{result.pack_efficiency():.4f}",
-        f"{result.mean_completion_time():.4f}",
-        f"{result.makespan:.4f}",
-        result.total_microbatches,
-        result.noop_microbatches,
-        result.total_tokens,
-    ]
+COLUMNS = (
+    ("scenario", 19, None), ("waste", 8, ".4f"), ("bubble", 8, ".4f"),
+    ("packeff", 9, ".4f"), ("meanJCT", 9, ".4f"), ("makespan", 9, ".4f"),
+    ("mbs", 5, None), ("noops", 7, None), ("tokens", 8, None),
+)
 
 
-def report(results, seed):
-    widths = [19, 8, 8, 9, 9, 9, 5, 7, 8]
-    lines = [
+def row(result):
+    return {
+        "waste": result.padding_waste(),
+        "bubble": result.bubble_rate(),
+        "packeff": result.pack_efficiency(),
+        "meanJCT": result.mean_completion_time(),
+        "makespan": result.makespan,
+        "mbs": result.total_microbatches,
+        "noops": result.noop_microbatches,
+        "tokens": result.total_tokens,
+        "padded": result.total_padded_tokens,
+        "unfinished": unfinished(result),
+    }
+
+
+def report(rows, seed):
+    write_results(
+        "packing",
         "Length-aware knapsack packing vs arrival-order head-tail grouping "
         f"(seed {seed}, {NUM_STAGES}-stage pipeline, LLaMa-8B, capacity "
         f"{CAPACITY}, waste-reduction floor {WASTE_REDUCTION_FLOOR})",
-        fmt_row(
-            ["scenario", "waste", "bubble", "packeff", "meanJCT",
-             "makespan", "mbs", "noops", "tokens"],
-            widths,
-        ),
-    ]
-    for name, result in results.items():
-        lines.append(fmt_row([name, *cells(result)], widths))
-    write_table("packing", lines)
-
-
-def check(results):
-    arrival, knapsack = results["arrival"], results["knapsack"]
-    # Packing claim: knapsack waves cut padding waste by at least the
-    # floor and never bubble more, at equal-or-better mean JCT.
-    reduction = 1.0 - knapsack.padding_waste() / arrival.padding_waste()
-    assert reduction >= WASTE_REDUCTION_FLOOR, reduction
-    assert knapsack.bubble_rate() <= arrival.bubble_rate()
-    assert (
-        knapsack.mean_completion_time()
-        <= JCT_PENALTY_CEILING * arrival.mean_completion_time()
+        COLUMNS,
+        rows,
     )
-    # Same work served either way: packing shapes the stream, not the
-    # jobs -- and everything the stream computed is accounted for.
-    assert knapsack.total_tokens == arrival.total_tokens
-    for result in (arrival, knapsack):
-        assert all(r.finish_time is not None for r in result.records.values())
-        assert result.total_padded_tokens >= result.total_tokens > 0
 
-    # Determinism claim: a second run reproduces the knapsack
-    # schedule cell for cell.
-    assert cells(results["knapsack-rerun"]) == cells(knapsack)
+
+def check(rows):
+    arrival, knapsack = rows["arrival"], rows["knapsack"]
+    reduction = 1.0 - knapsack["waste"] / arrival["waste"]
+    claims = [
+        # Packing claim: knapsack waves cut padding waste by at least
+        # the floor and never bubble more, at equal-or-better mean JCT.
+        (reduction >= WASTE_REDUCTION_FLOOR,
+         f"knapsack no longer cuts padding waste by the "
+         f"{WASTE_REDUCTION_FLOOR} floor ({knapsack['waste']} vs "
+         f"{arrival['waste']}, reduction {reduction:.2f})"),
+        (knapsack["bubble"] <= arrival["bubble"],
+         "knapsack regressed the bubble rate "
+         f"({knapsack['bubble']} vs {arrival['bubble']})"),
+        (knapsack["meanJCT"] <= JCT_PENALTY_CEILING * arrival["meanJCT"],
+         f"knapsack mean JCT left the {JCT_PENALTY_CEILING}x band "
+         f"({knapsack['meanJCT']} vs arrival {arrival['meanJCT']})"),
+        # Same work served either way: packing shapes the stream, not
+        # the jobs -- and everything the stream computed is accounted
+        # for.
+        (knapsack["tokens"] == arrival["tokens"],
+         "knapsack served different work than arrival "
+         f"({knapsack['tokens']} vs {arrival['tokens']} tokens)"),
+        # Determinism claim: a second run reproduces the knapsack row.
+        (rows["knapsack-rerun"] == knapsack,
+         "the knapsack-rerun row diverged from the knapsack row -- the "
+         "schedule is no longer deterministic across reruns"),
+    ]
+    for name in ("arrival", "knapsack"):
+        row = rows[name]
+        claims += [
+            (row["unfinished"] == 0,
+             f"{name} left {row['unfinished']} job(s) unfinished"),
+            (row["padded"] >= row["tokens"] > 0,
+             f"{name} computed fewer padded tokens ({row['padded']}) than "
+             f"real ones ({row['tokens']})"),
+        ]
+    return [message for holds, message in claims if not holds]
 
 
 def test_packing(benchmark):
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    report(results, DEFAULT_SEED)
-    check(results)
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    report(rows, DEFAULT_SEED)
+    require(check(rows))
 
 
 def main():
@@ -190,9 +206,9 @@ def main():
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="dataset seed for the trace tenants")
     args = parser.parse_args()
-    results = sweep(args.seed)
-    report(results, args.seed)
-    check(results)
+    rows = sweep(args.seed)
+    report(rows, args.seed)
+    require(check(rows))
 
 
 if __name__ == "__main__":

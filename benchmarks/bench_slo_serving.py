@@ -23,7 +23,7 @@ import argparse
 
 import numpy as np
 
-from benchmarks.common import fmt_row, write_table
+from benchmarks.common import require, unfinished, write_results
 from repro.baselines import train_job_sequentially
 from repro.core.lora import LoRAConfig
 from repro.data import synthetic_dataset
@@ -91,7 +91,7 @@ def serve(workload, ordering, mid_wave=False):
     )
     result = orchestrator.run(workload)
     assert result.violations == 0
-    return result
+    return row(result)
 
 
 def make_numeric_tenant(rng, adapter_id, rank, num_samples, gbs, arrival,
@@ -118,9 +118,10 @@ def make_numeric_tenant(rng, adapter_id, rank, num_samples, gbs, arrival,
 def preemption_losslessness():
     """Preempt-and-resume on the numeric engine; compare atol=0.
 
-    Returns ``(preemptions, exact)``: how often the long tenant lost its
-    slot, and whether every tenant's final adapter weights are
-    bit-identical to sequential solo training.
+    Returns the ``numeric-resume`` row: how often the long tenant lost
+    its slot (``preempt``), and whether every tenant's final adapter
+    weights are bit-identical to sequential solo training
+    (``lossless``).
     """
     rng = np.random.default_rng(0)
     workload = [
@@ -149,11 +150,11 @@ def preemption_losslessness():
         for key in online:
             exact &= bool(np.array_equal(online[key].a, solo[key].a))
             exact &= bool(np.array_equal(online[key].b, solo[key].b))
-    return result.preemptions, exact
+    return {"preempt": result.preemptions, "lossless": exact}
 
 
 def sweep(seed=DEFAULT_SEED):
-    results = {
+    return {
         "fcfs": serve(make_workload(seed), FCFSOrdering()),
         "srpt": serve(make_workload(seed), SRPTOrdering()),
         "srpt-preempt": serve(
@@ -169,86 +170,100 @@ def sweep(seed=DEFAULT_SEED):
         "fcfs-deadlines": serve(
             make_workload(seed, deadlines=True), FCFSOrdering()
         ),
+        "numeric-resume": preemption_losslessness(),
     }
-    return results, preemption_losslessness()
 
 
-def report(results, lossless, seed):
-    preemptions, exact = lossless
-    widths = [17, 10, 9, 9, 9, 8, 5, 8]
-    lines = [
+COLUMNS = (
+    ("scenario", 17, None), ("makespan", 10, ".2f"), ("meanJCT", 9, ".3f"),
+    ("jctHigh", 9, ".3f"), ("jctLow", 9, ".3f"), ("preempt", 8, None),
+    ("cuts", 5, None), ("missrate", 8, ".2f"),
+)
+#: The numeric leg's JSON-only row, rendered under the table.
+FOOTER = {
+    "numeric-resume": "numeric preempt-and-resume: {preempt} preemption(s), "
+    "weights bit-identical to sequential (atol=0): {lossless}",
+}
+
+
+def row(result):
+    classes = result.jct_by_class()
+    return {
+        "makespan": result.makespan,
+        "meanJCT": result.mean_completion_time(),
+        "jctHigh": classes.get(1),
+        "jctLow": classes[0],
+        "preempt": result.preemptions,
+        "cuts": result.wave_cuts,
+        "missrate": result.deadline_miss_rate(),
+        "unfinished": unfinished(result),
+        "total_tokens": result.total_tokens,
+    }
+
+
+def report(rows, seed):
+    write_results(
+        "slo_serving",
         f"SLO-aware serving on a heavy-tailed trace ({len(SIZES)} jobs, "
         f"sizes {SIZES}, seed {seed}, {SLOTS} slots, {NUM_STAGES}-stage "
         f"pipeline, LLaMa-8B)",
-        fmt_row(
-            ["scenario", "makespan", "meanJCT", "jctHigh", "jctLow",
-             "preempt", "cuts", "missrate"],
-            widths,
-        ),
-    ]
-    for name, result in results.items():
-        classes = result.jct_by_class()
-        high = classes.get(1)
-        lines.append(
-            fmt_row(
-                [
-                    name,
-                    f"{result.makespan:.2f}",
-                    f"{result.mean_completion_time():.3f}",
-                    "-" if high is None else f"{high:.3f}",
-                    f"{classes[0]:.3f}",
-                    result.preemptions,
-                    result.wave_cuts,
-                    f"{result.deadline_miss_rate():.2f}",
-                ],
-                widths,
-            )
-        )
-    lines.append("")
-    lines.append(
-        f"numeric preempt-and-resume: {preemptions} preemption(s), "
-        f"weights bit-identical to sequential (atol=0): {exact}"
+        COLUMNS,
+        rows,
+        footer=FOOTER,
     )
-    write_table("slo_serving", lines)
 
 
-def check(results, lossless):
-    fcfs = results["fcfs"]
-    srpt = results["srpt"]
-    srpt_preempt = results["srpt-preempt"]
-    priority = results["priority-preempt"]
+def check(rows):
+    fcfs, srpt = rows["fcfs"], rows["srpt"]
+    srpt_preempt, priority = rows["srpt-preempt"], rows["priority-preempt"]
+    edf, fcfs_deadlines = rows["edf"], rows["fcfs-deadlines"]
+    numeric = rows["numeric-resume"]
+    claims = []
     # Every scenario finishes every job, losslessly spliced.
-    for result in results.values():
-        assert all(
-            r.finish_time is not None for r in result.records.values()
-        )
-        assert result.total_tokens == fcfs.total_tokens
-    # The headline SRPT claim: strictly lower mean JCT than FCFS on the
-    # heavy-tailed trace, preemption lowering it further.
-    assert srpt.mean_completion_time() < fcfs.mean_completion_time()
-    assert (srpt_preempt.mean_completion_time()
-            <= srpt.mean_completion_time())
-    assert srpt_preempt.preemptions >= 1
-    assert srpt_preempt.wave_cuts >= 1
-    # Priority classes: the high class beats its own FCFS treatment and
-    # the best-effort class within the same run.
-    assert (priority.mean_completion_time(priority=1)
-            < fcfs.mean_completion_time())
-    assert (priority.mean_completion_time(priority=1)
-            < priority.mean_completion_time(priority=0))
-    # EDF meets deadlines at least as often as FCFS.
-    assert (results["edf"].deadline_miss_rate()
-            <= results["fcfs-deadlines"].deadline_miss_rate())
-    # The preempted-then-resumed numeric job is bit-exact.
-    preemptions, exact = lossless
-    assert preemptions >= 1
-    assert exact
+    for name, row in rows.items():
+        if name not in FOOTER:
+            claims += [
+                (row["unfinished"] == 0,
+                 f"{name} left {row['unfinished']} job(s) unfinished"),
+                (row["total_tokens"] == fcfs["total_tokens"],
+                 f"{name} served different work than fcfs"),
+            ]
+    claims += [
+        # The headline SRPT claim: strictly lower mean JCT than FCFS on
+        # the heavy-tailed trace, preemption lowering it further.
+        (srpt["meanJCT"] < fcfs["meanJCT"],
+         "SRPT no longer beats FCFS on mean JCT "
+         f"({srpt['meanJCT']} vs {fcfs['meanJCT']})"),
+        (srpt_preempt["meanJCT"] <= srpt["meanJCT"],
+         "preemptive SRPT regressed vs plain SRPT "
+         f"({srpt_preempt['meanJCT']} vs {srpt['meanJCT']})"),
+        (srpt_preempt["preempt"] >= 1,
+         "the preemptive scenario never preempted"),
+        (srpt_preempt["cuts"] >= 1, "the preemptive scenario never cut a wave"),
+        # Priority classes: the high class beats its own FCFS treatment
+        # and the best-effort class within the same run.
+        (priority["jctHigh"] < fcfs["meanJCT"],
+         "the high class no longer beats FCFS "
+         f"({priority['jctHigh']} vs {fcfs['meanJCT']})"),
+        (priority["jctHigh"] < priority["jctLow"],
+         "the high class no longer beats the best-effort class "
+         f"({priority['jctHigh']} vs {priority['jctLow']})"),
+        # EDF meets deadlines at least as often as FCFS.
+        (edf["missrate"] <= fcfs_deadlines["missrate"],
+         "EDF misses more deadlines than FCFS "
+         f"({edf['missrate']} vs {fcfs_deadlines['missrate']})"),
+        # The preempted-then-resumed numeric job is bit-exact.
+        (numeric["preempt"] >= 1, "the numeric leg ran without a preemption"),
+        (numeric["lossless"] is True,
+         "preempt-and-resume is no longer bit-identical"),
+    ]
+    return [message for holds, message in claims if not holds]
 
 
 def test_slo_serving(benchmark):
-    results, lossless = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    report(results, lossless, DEFAULT_SEED)
-    check(results, lossless)
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    report(rows, DEFAULT_SEED)
+    require(check(rows))
 
 
 def main():
@@ -256,9 +271,9 @@ def main():
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="dataset seed for the trace tenants")
     args = parser.parse_args()
-    results, lossless = sweep(args.seed)
-    report(results, lossless, args.seed)
-    check(results, lossless)
+    rows = sweep(args.seed)
+    report(rows, args.seed)
+    require(check(rows))
 
 
 if __name__ == "__main__":

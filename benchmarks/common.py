@@ -1,13 +1,21 @@
-"""Shared helpers for the figure-reproduction benchmarks.
+"""Shared helpers for the figure-reproduction and serving benchmarks.
 
 Every ``bench_fig*.py`` regenerates one figure of the paper's evaluation:
 it computes the figure's series with this repository's models/simulators,
 prints a paper-vs-measured table, writes it under ``benchmarks/results/``,
 and wraps the core computation in pytest-benchmark for timing.
+
+The serving benches build their results as rows (``{scenario: {column:
+value}}``, full precision), commit them as ``<name>.json`` next to the
+``<name>.txt`` table rendered from the same rows
+(:func:`write_results`), and state their claims once, as a
+``check(rows) -> list[str]`` run both on a fresh sweep and on the
+committed JSON (``scripts/check_bench_results.py``).
 """
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -15,6 +23,7 @@ from repro.data import synthetic_dataset
 from repro.distsim import ClusterSpec
 from repro.gpu import H100
 from repro.scheduler import AdapterJob
+from repro.serve import JobOutcome
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -52,3 +61,65 @@ def write_table(name: str, lines: list[str]) -> None:
 def fmt_row(cells, widths):
     """Fixed-width table row."""
     return "  ".join(str(c).ljust(w) for c, w in zip(cells, widths))
+
+
+def render_results(title, columns, rows, footer=None):
+    """The text lines of a results table rendered from ``rows``.
+
+    ``columns`` are ``(header, width, spec)`` triples, the first one the
+    scenario name; each header is also the row key its cells come from.
+    A cell renders as ``format(value, spec)``, ``str(value)`` when
+    ``spec`` is ``None``, and ``-`` when the value is ``None``.  Row keys
+    no column names are JSON-only: values a claim reads but the table
+    does not show.  ``footer`` maps a JSON-only row to a
+    :meth:`str.format` template rendered under the table instead of as
+    a table row.
+    """
+    footer = footer or {}
+    widths = [width for _, width, _ in columns]
+    lines = [title, fmt_row([header for header, _, _ in columns], widths)]
+    for scenario, row in rows.items():
+        if scenario in footer:
+            continue
+        cells = [scenario] + [
+            "-" if row[header] is None
+            else str(row[header]) if spec is None
+            else format(row[header], spec)
+            for header, _, spec in columns[1:]
+        ]
+        lines.append(fmt_row(cells, widths))
+    for scenario, template in footer.items():
+        lines += ["", template.format(**rows[scenario])]
+    return lines
+
+
+def write_results(name, title, columns, rows, footer=None):
+    """Commit ``rows`` as ``<name>.json`` and render ``<name>.txt`` from them.
+
+    See :func:`render_results` for ``columns`` and ``footer``.
+    """
+    write_table(name, render_results(title, columns, rows, footer))
+    (RESULTS_DIR / f"{name}.json").write_text(
+        json.dumps(rows, indent=2, default=lambda value: value.item()) + "\n"
+    )
+
+
+def load_rows(name):
+    """The committed rows of ``benchmarks/results/<name>.json``."""
+    return json.loads((RESULTS_DIR / f"{name}.json").read_text())
+
+
+def require(problems):
+    """Fail with every broken claim a ``check`` returned; no-op if none."""
+    if problems:
+        raise AssertionError("\n".join(problems))
+
+
+def unfinished(result):
+    """Jobs a run neither finished nor shed at the door (claims want 0)."""
+    return sum(
+        1
+        for record in result.records.values()
+        if record.finish_time is None
+        and record.outcome is not JobOutcome.REJECTED
+    )

@@ -5,7 +5,7 @@ comment nor whitespace, and it lies outside every docstring (the first
 string-literal statement of a module, class or function, located with
 :mod:`ast`).  Prints one row per tree::
 
-    python scripts/count_loc.py                # src/ and src/repro/serve
+    python scripts/count_loc.py                # src/, serve/, scripts/, benchmarks/
     python scripts/count_loc.py src/repro/tune # any directories or files
 
 Print only: it exits 0 whatever the counts are.
@@ -20,7 +20,7 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_TREES = ("src", "src/repro/serve")
+DEFAULT_TREES = ("src", "src/repro/serve", "scripts", "benchmarks")
 _LAYOUT = {
     tokenize.COMMENT,
     tokenize.NL,

@@ -7,11 +7,11 @@ across runs and platforms: keys are sorted, floats are rounded to a
 fixed precision before serialization (so accumulated float noise below
 the reported precision cannot flip a digit), non-finite values are
 mapped to ``None`` (JSON has no ``Infinity``), and the text ends in
-exactly one newline.  :func:`front_to_json` is the only writer;
-``scripts/check_bench_results.py`` is the reader that re-validates the
-committed artifact (configs round-trip through
-:meth:`~repro.serve.config.ServeConfig.from_dict`, front points are
-mutually non-dominated).
+exactly one newline.  :func:`front_to_json` is the only writer; the
+tuning benchmark's ``check`` is the reader, run at bench time and on
+the committed artifact (configs round-trip through
+:meth:`~repro.serve.config.ServeConfig.from_dict` unchanged, front
+points are mutually non-dominated).
 """
 
 from __future__ import annotations
