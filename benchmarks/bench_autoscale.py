@@ -40,7 +40,12 @@ import argparse
 
 import numpy as np
 
-from benchmarks.common import require, write_results
+from benchmarks.common import (
+    at_both_precisions,
+    render_results,
+    require,
+    write_results,
+)
 from repro.data.dataset import FinetuneDataset, Sample
 from repro.distsim.systems import stage_times
 from repro.gpu import H100
@@ -251,18 +256,21 @@ COLUMNS = (
 
 
 def report(rows, seed):
-    write_results(
-        "autoscale",
+    title = (
         f"Elastic autoscaling on heterogeneous capacity (seed {seed}, "
         f"H100 ${ON_DEMAND.hourly_rate}/h vs spot L40S "
         f"${SPOT.hourly_rate}/h at {SPOT.speed_factor:.2f}x step time, "
-        f"$40/h budget, {SLOTS} slots/replica)",
-        COLUMNS,
-        rows,
+        f"$40/h budget, {SLOTS} slots/replica)"
     )
+    write_results("autoscale", render_results(title, COLUMNS, rows), rows)
 
 
 def check(rows):
+    """Claims ``rows`` break, at full precision and as the table shows."""
+    return at_both_precisions(problems, rows, COLUMNS)
+
+
+def problems(rows):
     claims = []
     for name, row in rows.items():
         # The elastic fleet must bill less than a fixed fleet held at

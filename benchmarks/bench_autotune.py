@@ -34,7 +34,13 @@ import argparse
 import json
 import math
 
-from benchmarks.common import RESULTS_DIR, require, write_results
+from benchmarks.common import (
+    RESULTS_DIR,
+    at_both_precisions,
+    render_results,
+    require,
+    write_results,
+)
 from repro.data import synthetic_dataset
 from repro.gpu import H100
 from repro.models import LLAMA3_8B
@@ -157,53 +163,56 @@ def row(point, run):
 def report(rows, artifact, seed):
     front = json.loads(artifact)
     search = front["search"]
-    write_results(
-        "autotune",
+    title = (
         "Tuned config vs single-policy defaults on a held-out trace "
         f"(seed {seed}, {NUM_STAGES}-stage pipeline, LLaMa-8B; tuned = "
         f"{rows['tuned']['label']}; "
         f"searched {search['candidates']} candidates: "
         f"{search['collapsed']} collapsed, {search['pruned']} pruned, "
-        f"{search['simulated']} simulated, front of {len(front['front'])})",
-        COLUMNS,
-        rows,
+        f"{search['simulated']} simulated, front of {len(front['front'])})"
     )
+    write_results("autotune", render_results(title, COLUMNS, rows), rows)
     (RESULTS_DIR / "autotune_front.json").write_text(artifact)
 
 
-def objectives(row, shown=False):
-    """The row's objective point; ``shown`` rounds it as the table does."""
+def objectives(row):
+    """The objective point of a results row."""
     return ObjectivePoint(
-        mean_jct=round(row["meanJCT"], 3) if shown else row["meanJCT"],
+        mean_jct=row["meanJCT"],
         goodput=row["goodput"],
-        dollars=round(row["dollars"], 6) if shown else row["dollars"],
+        dollars=row["dollars"],
         gpu_seconds=row["gpusecs"],
     )
 
 
 def check(rows, front):
     """The held-out ``rows`` and the tuner's ``front`` artifact (parsed)."""
+    return (at_both_precisions(dominance_problems, rows, COLUMNS)
+            + front_problems(front))
+
+
+def dominance_problems(rows):
     # The headline gate: the tuned composition Pareto-dominates every
     # single-knob default on the trace it never saw -- at least as good
-    # on all of (mean JCT, goodput, dollars), strictly better on >= 1 --
-    # both at full precision and as the table shows it.
+    # on all of (mean JCT, goodput, dollars), strictly better on >= 1.
     tuned = rows["tuned"]
-    claims = [
-        (dominates(objectives(tuned), objectives(row))
-         and dominates(objectives(tuned, shown=True),
-                       objectives(row, shown=True)),
-         f"the tuned config no longer dominates the '{name}' default on "
-         f"the held-out trace (JCT {tuned['meanJCT']} vs {row['meanJCT']}, "
-         f"goodput {tuned['goodput']} vs {row['goodput']}, dollars "
-         f"{tuned['dollars']} vs {row['dollars']})")
+    return [
+        f"the tuned config no longer dominates the '{name}' default on "
+        f"the held-out trace (JCT {tuned['meanJCT']} vs {row['meanJCT']}, "
+        f"goodput {tuned['goodput']} vs {row['goodput']}, dollars "
+        f"{tuned['dollars']} vs {row['dollars']})"
         for name, row in rows.items()
         if name != "tuned"
+        and not dominates(objectives(tuned), objectives(row))
     ]
+
+
+def front_problems(front):
     # The search accounting must add up, and the equivalence collapse
     # must actually be doing analytic work on this space.
     search = front["search"]
     accounted = search["collapsed"] + search["pruned"] + search["simulated"]
-    claims += [
+    claims = [
         (accounted == search["candidates"],
          "search accounting no longer adds up "
          f"({accounted} != {search['candidates']} candidates)"),

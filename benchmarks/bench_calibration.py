@@ -42,7 +42,13 @@ Run under pytest (the default seed) or standalone:
 
 import argparse
 
-from benchmarks.common import require, unfinished, write_results
+from benchmarks.common import (
+    at_both_precisions,
+    render_results,
+    require,
+    unfinished,
+    write_results,
+)
 from repro.data import synthetic_dataset
 from repro.data.dataset import FinetuneDataset, Sample
 from repro.gpu import H100
@@ -269,18 +275,21 @@ def row(result):
 
 
 def report(rows, seed):
-    write_results(
-        "calibration",
+    title = (
         "Closed-loop cost calibration vs the a priori control plane "
         f"(seed {seed}, {NUM_STAGES}-stage pipeline, LLaMa-8B; corrected "
         f"band {CORRECTED_CALIBRATION_TOLERANCE}, uncorrected "
-        f"{CALIBRATION_TOLERANCE})",
-        COLUMNS,
-        rows,
+        f"{CALIBRATION_TOLERANCE})"
     )
+    write_results("calibration", render_results(title, COLUMNS, rows), rows)
 
 
 def check(rows):
+    """Claims ``rows`` break, at full precision and as the table shows."""
+    return at_both_precisions(problems, rows, COLUMNS)
+
+
+def problems(rows):
     uncorrected, corrected = rows["uncorrected"], rows["corrected"]
     service, queueing = rows["edf-service"], rows["edf-queueaware"]
     batch, seconds = rows["batch-skew"], rows["secs-skew"]

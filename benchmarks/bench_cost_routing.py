@@ -33,7 +33,13 @@ Run under pytest (the default seed) or standalone:
 
 import argparse
 
-from benchmarks.common import require, unfinished, write_results
+from benchmarks.common import (
+    at_both_precisions,
+    render_results,
+    require,
+    unfinished,
+    write_results,
+)
 from repro.data import synthetic_dataset
 from repro.gpu import H100
 from repro.models import LLAMA3_8B
@@ -205,17 +211,20 @@ def row(result):
 
 
 def report(rows, seed):
-    write_results(
-        "cost_routing",
+    title = (
         "Cost-model-driven control plane vs batch-count heuristics "
         f"(seed {seed}, {NUM_STAGES}-stage pipeline, LLaMa-8B, "
-        f"calibration tolerance {CALIBRATION_TOLERANCE})",
-        COLUMNS,
-        rows,
+        f"calibration tolerance {CALIBRATION_TOLERANCE})"
     )
+    write_results("cost_routing", render_results(title, COLUMNS, rows), rows)
 
 
 def check(rows):
+    """Claims ``rows`` break, at full precision and as the table shows."""
+    return at_both_precisions(problems, rows, COLUMNS)
+
+
+def problems(rows):
     least, aware = rows["least-loaded-x2"], rows["cost-aware-x2"]
     edf, gated = rows["edf"], rows["edf-gated"]
     static, adaptive = rows["static-w1"], rows["adaptive-window"]

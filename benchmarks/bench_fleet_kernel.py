@@ -31,7 +31,12 @@ import cProfile
 import pstats
 import time
 
-from benchmarks.common import require, write_results
+from benchmarks.common import (
+    at_both_precisions,
+    render_results,
+    require,
+    write_results,
+)
 from repro.data.dataset import FinetuneDataset, Sample
 from repro.gpu import H100
 from repro.models import LLAMA3_8B
@@ -156,16 +161,19 @@ COLUMNS = (
 
 
 def report(rows, seed):
-    write_results(
-        "fleet_kernel",
+    title = (
         f"Fleet loop per-event cost (seed {seed}, Poisson rate {RATE}, "
-        f"{SLOTS} slots/replica, {NUM_STAGES}-stage pipelines, LLaMa-8B)",
-        COLUMNS,
-        rows,
+        f"{SLOTS} slots/replica, {NUM_STAGES}-stage pipelines, LLaMa-8B)"
     )
+    write_results("fleet_kernel", render_results(title, COLUMNS, rows), rows)
 
 
 def check(rows):
+    """Claims ``rows`` break, at full precision and as the table shows."""
+    return at_both_precisions(problems, rows, COLUMNS)
+
+
+def problems(rows):
     # Every scenario must sustain the event-throughput floor.
     claims = [
         (row["events/s"] >= EVENTS_PER_SEC_FLOOR,

@@ -50,7 +50,12 @@ import time
 
 import numpy as np
 
-from benchmarks.common import require, write_results
+from benchmarks.common import (
+    at_both_precisions,
+    render_results,
+    require,
+    write_results,
+)
 from repro.data.dataset import FinetuneDataset, Sample
 from repro.gpu import H100
 from repro.models import LLAMA3_8B
@@ -203,18 +208,21 @@ COLUMNS = (
 
 
 def report(rows, seed):
-    write_results(
-        "gateway",
+    title = (
         f"Live gateway door under load (seed {seed}, {len(TENANTS)} "
         f"tenants, bucket {GATE_RATE:g}/s burst {GATE_BURST:g}, queue "
         f"bound {QUEUE_BOUND}, long-run quota {LONG_RUN_FAIRNESS:g}, "
-        "LLaMa-8B)",
-        COLUMNS,
-        rows,
+        "LLaMa-8B)"
     )
+    write_results("gateway", render_results(title, COLUMNS, rows), rows)
 
 
 def check(rows):
+    """Claims ``rows`` break, at full precision and as the table shows."""
+    return at_both_precisions(problems, rows, COLUMNS)
+
+
+def problems(rows):
     claims = []
     for name, row in rows.items():
         claims += [

@@ -16,7 +16,13 @@ Run under pytest (the default seed) or standalone:
 
 import argparse
 
-from benchmarks.common import require, unfinished, write_results
+from benchmarks.common import (
+    at_both_precisions,
+    render_results,
+    require,
+    unfinished,
+    write_results,
+)
 from repro.data import synthetic_dataset
 from repro.gpu import H100
 from repro.models import LLAMA3_8B
@@ -112,17 +118,20 @@ def row(result):
 
 
 def report(rows, seed):
-    write_results(
-        "multi_replica",
+    title = (
         f"Replica count vs JCT/utilization ({NUM_JOBS} jobs, Poisson "
         f"rate {RATE}, seed {seed}, {SLOTS} slots/replica, "
-        f"{NUM_STAGES}-stage pipelines, LLaMa-8B)",
-        COLUMNS,
-        rows,
+        f"{NUM_STAGES}-stage pipelines, LLaMa-8B)"
     )
+    write_results("multi_replica", render_results(title, COLUMNS, rows), rows)
 
 
 def check(rows):
+    """Claims ``rows`` break, at full precision and as the table shows."""
+    return at_both_precisions(problems, rows, COLUMNS)
+
+
+def problems(rows):
     single, double = rows["least-loaded-x1"], rows["least-loaded-x2"]
     claims = []
     # Every fleet size finishes every job; each job lives on one replica.

@@ -14,7 +14,13 @@ Run under pytest (the default seed) or standalone:
 
 import argparse
 
-from benchmarks.common import require, unfinished, write_results
+from benchmarks.common import (
+    at_both_precisions,
+    render_results,
+    require,
+    unfinished,
+    write_results,
+)
 from repro.data import synthetic_dataset
 from repro.gpu import H100
 from repro.models import LLAMA3_8B
@@ -99,16 +105,19 @@ def row(result):
 
 
 def report(rows, seed):
-    write_results(
-        "online_serving",
+    title = (
         f"Online serving vs oracle ({NUM_JOBS} jobs, seed {seed}, "
-        f"{SLOTS} slots, {NUM_STAGES}-stage pipeline, LLaMa-8B)",
-        COLUMNS,
-        rows,
+        f"{SLOTS} slots, {NUM_STAGES}-stage pipeline, LLaMa-8B)"
     )
+    write_results("online_serving", render_results(title, COLUMNS, rows), rows)
 
 
 def check(rows):
+    """Claims ``rows`` break, at full precision and as the table shows."""
+    return at_both_precisions(problems, rows, COLUMNS)
+
+
+def problems(rows):
     oracle, online = rows["oracle-offline"], rows["online-w2"]
     claims = []
     # Every scenario finishes every job.

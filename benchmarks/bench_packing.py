@@ -38,7 +38,13 @@ Run under pytest (the default seed) or standalone:
 
 import argparse
 
-from benchmarks.common import require, unfinished, write_results
+from benchmarks.common import (
+    at_both_precisions,
+    render_results,
+    require,
+    unfinished,
+    write_results,
+)
 from repro.data import synthetic_dataset
 from repro.gpu import H100
 from repro.models import LLAMA3_8B
@@ -146,17 +152,20 @@ def row(result):
 
 
 def report(rows, seed):
-    write_results(
-        "packing",
+    title = (
         "Length-aware knapsack packing vs arrival-order head-tail grouping "
         f"(seed {seed}, {NUM_STAGES}-stage pipeline, LLaMa-8B, capacity "
-        f"{CAPACITY}, waste-reduction floor {WASTE_REDUCTION_FLOOR})",
-        COLUMNS,
-        rows,
+        f"{CAPACITY}, waste-reduction floor {WASTE_REDUCTION_FLOOR})"
     )
+    write_results("packing", render_results(title, COLUMNS, rows), rows)
 
 
 def check(rows):
+    """Claims ``rows`` break, at full precision and as the table shows."""
+    return at_both_precisions(problems, rows, COLUMNS)
+
+
+def problems(rows):
     arrival, knapsack = rows["arrival"], rows["knapsack"]
     reduction = 1.0 - knapsack["waste"] / arrival["waste"]
     claims = [

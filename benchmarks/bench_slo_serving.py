@@ -23,7 +23,13 @@ import argparse
 
 import numpy as np
 
-from benchmarks.common import require, unfinished, write_results
+from benchmarks.common import (
+    at_both_precisions,
+    render_results,
+    require,
+    unfinished,
+    write_results,
+)
 from repro.baselines import train_job_sequentially
 from repro.core.lora import LoRAConfig
 from repro.data import synthetic_dataset
@@ -59,6 +65,8 @@ ARRIVALS = [0.0, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12, 0.14]
 #: Short tenants are the high class in the priority/deadline scenarios.
 HIGH_CLASS = {3, 4, 5, 6, 7}
 DEADLINES = {a: 3.0 + 0.2 * a for a in HIGH_CLASS}
+#: The numeric losslessness leg's row; the table shows it as one line.
+NUMERIC = "numeric-resume"
 
 
 def make_workload(seed, priorities=False, deadlines=False):
@@ -170,7 +178,7 @@ def sweep(seed=DEFAULT_SEED):
         "fcfs-deadlines": serve(
             make_workload(seed, deadlines=True), FCFSOrdering()
         ),
-        "numeric-resume": preemption_losslessness(),
+        NUMERIC: preemption_losslessness(),
     }
 
 
@@ -179,11 +187,9 @@ COLUMNS = (
     ("jctHigh", 9, ".3f"), ("jctLow", 9, ".3f"), ("preempt", 8, None),
     ("cuts", 5, None), ("missrate", 8, ".2f"),
 )
-#: The numeric leg's JSON-only row, rendered under the table.
-FOOTER = {
-    "numeric-resume": "numeric preempt-and-resume: {preempt} preemption(s), "
-    "weights bit-identical to sequential (atol=0): {lossless}",
-}
+#: The numeric leg's line, rendered under the table.
+NUMERIC_LINE = ("numeric preempt-and-resume: {preempt} preemption(s), "
+                "weights bit-identical to sequential (atol=0): {lossless}")
 
 
 def row(result):
@@ -202,26 +208,36 @@ def row(result):
 
 
 def report(rows, seed):
-    write_results(
-        "slo_serving",
+    title = (
         f"SLO-aware serving on a heavy-tailed trace ({len(SIZES)} jobs, "
         f"sizes {SIZES}, seed {seed}, {SLOTS} slots, {NUM_STAGES}-stage "
-        f"pipeline, LLaMa-8B)",
-        COLUMNS,
-        rows,
-        footer=FOOTER,
+        f"pipeline, LLaMa-8B)"
     )
+    write_results("slo_serving", render(title, rows), rows)
+
+
+def render(title, rows):
+    """The table of the simulated scenarios, then the numeric leg's line."""
+    table = {name: row for name, row in rows.items() if name != NUMERIC}
+    return render_results(title, COLUMNS, table) + [
+        "", NUMERIC_LINE.format(**rows[NUMERIC])
+    ]
 
 
 def check(rows):
+    """Claims ``rows`` break, at full precision and as the table shows."""
+    return at_both_precisions(problems, rows, COLUMNS)
+
+
+def problems(rows):
     fcfs, srpt = rows["fcfs"], rows["srpt"]
     srpt_preempt, priority = rows["srpt-preempt"], rows["priority-preempt"]
     edf, fcfs_deadlines = rows["edf"], rows["fcfs-deadlines"]
-    numeric = rows["numeric-resume"]
+    numeric = rows[NUMERIC]
     claims = []
     # Every scenario finishes every job, losslessly spliced.
     for name, row in rows.items():
-        if name not in FOOTER:
+        if name != NUMERIC:
             claims += [
                 (row["unfinished"] == 0,
                  f"{name} left {row['unfinished']} job(s) unfinished"),

@@ -10,7 +10,8 @@ value}}``, full precision), commit them as ``<name>.json`` next to the
 ``<name>.txt`` table rendered from the same rows
 (:func:`write_results`), and state their claims once, as a
 ``check(rows) -> list[str]`` run both on a fresh sweep and on the
-committed JSON (``scripts/check_bench_results.py``).
+committed JSON (``scripts/check_bench_results.py``), at full precision
+and as the table shows them (:func:`at_both_precisions`).
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def fmt_row(cells, widths):
     return "  ".join(str(c).ljust(w) for c, w in zip(cells, widths))
 
 
-def render_results(title, columns, rows, footer=None):
+def render_results(title, columns, rows):
     """The text lines of a results table rendered from ``rows``.
 
     ``columns`` are ``(header, width, spec)`` triples, the first one the
@@ -71,16 +72,11 @@ def render_results(title, columns, rows, footer=None):
     A cell renders as ``format(value, spec)``, ``str(value)`` when
     ``spec`` is ``None``, and ``-`` when the value is ``None``.  Row keys
     no column names are JSON-only: values a claim reads but the table
-    does not show.  ``footer`` maps a JSON-only row to a
-    :meth:`str.format` template rendered under the table instead of as
-    a table row.
+    does not show.
     """
-    footer = footer or {}
     widths = [width for _, width, _ in columns]
     lines = [title, fmt_row([header for header, _, _ in columns], widths)]
     for scenario, row in rows.items():
-        if scenario in footer:
-            continue
         cells = [scenario] + [
             "-" if row[header] is None
             else str(row[header]) if spec is None
@@ -88,20 +84,50 @@ def render_results(title, columns, rows, footer=None):
             for header, _, spec in columns[1:]
         ]
         lines.append(fmt_row(cells, widths))
-    for scenario, template in footer.items():
-        lines += ["", template.format(**rows[scenario])]
     return lines
 
 
-def write_results(name, title, columns, rows, footer=None):
-    """Commit ``rows`` as ``<name>.json`` and render ``<name>.txt`` from them.
-
-    See :func:`render_results` for ``columns`` and ``footer``.
-    """
-    write_table(name, render_results(title, columns, rows, footer))
+def write_results(name, lines, rows):
+    """Commit ``rows`` as ``<name>.json`` and table ``lines`` as ``.txt``."""
+    write_table(name, lines)
     (RESULTS_DIR / f"{name}.json").write_text(
         json.dumps(rows, indent=2, default=lambda value: value.item()) + "\n"
     )
+
+
+def shown(rows, columns):
+    """``rows`` as their table shows them: each formatted cell read back.
+
+    Cells a ``columns`` spec formats become the number they print as
+    (``.1%`` cells back as fractions); every other value is unchanged.
+    """
+    specs = {header: spec for header, _, spec in columns[1:] if spec}
+
+    def read_back(value, spec):
+        text = format(value, spec)
+        return float(text[:-1]) / 100 if text.endswith("%") else float(text)
+
+    return {
+        scenario: {
+            key: value if key not in specs or value is None
+            else read_back(value, specs[key])
+            for key, value in row.items()
+        }
+        for scenario, row in rows.items()
+    }
+
+
+def at_both_precisions(claims, rows, columns):
+    """Every problem ``claims(rows)`` finds, also as the table shows ``rows``.
+
+    A strict win below the table's digits prints as a tie, so a claim
+    must hold on the full-precision rows and on their rounded cells
+    (:func:`shown`); problems found on the rounded cells say so.
+    """
+    return claims(rows) + [
+        f"{problem} (at table precision)"
+        for problem in claims(shown(rows, columns))
+    ]
 
 
 def load_rows(name):
