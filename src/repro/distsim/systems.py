@@ -112,14 +112,21 @@ def onthefly_microbatches_for_batch(
     capacity: int, padding_multiple: int,
 ) -> list[Microbatch]:
     """Fixed-sample-count on-the-fly packing of one global batch (Fig. 2c)."""
-    result = []
-    for i in range(0, len(batch), microbatch_samples):
-        mb = Microbatch(capacity=capacity, padding_multiple=padding_multiple,
-                        step=step)
-        for sample in batch[i : i + microbatch_samples]:
-            mb.assignments.append(Assignment(sample=sample, global_batch=step))
-        result.append(mb)
-    return result
+    # Built from the full assignment list, not through ``add``: the
+    # fixed-count baselines overfill microbatches by design, and ``add``
+    # would refuse the sample that crosses capacity.
+    return [
+        Microbatch(
+            assignments=[
+                Assignment(sample=sample, global_batch=step)
+                for sample in batch[i : i + microbatch_samples]
+            ],
+            capacity=capacity,
+            padding_multiple=padding_multiple,
+            step=step,
+        )
+        for i in range(0, len(batch), microbatch_samples)
+    ]
 
 
 def default_microbatch_samples(

@@ -87,7 +87,8 @@ class Microbatch:
     so the FusedMultiLoRA tile table never straddles adapters.
 
     Attributes:
-        assignments: Samples in this microbatch.
+        assignments: Samples in this microbatch.  Pass them at construction
+            or append through :meth:`add`, which keeps the token totals.
         capacity: Token budget (padded tokens must not exceed it).
         padding_multiple: The padding granule ``P``.
         group: Adapter-group index that produced this microbatch.
@@ -111,6 +112,30 @@ class Microbatch:
     step: int = 0
     plan_id: int = 0
     replica: int = 0
+    # Token totals, kept in step with ``assignments`` by ``__post_init__``
+    # and ``add``.  Integers, so reading them equals a rescan exactly;
+    # derived, so they stay out of ``__eq__`` and ``repr``.
+    _raw: dict[int, int] = field(init=False, repr=False, compare=False)
+    _padded: int = field(init=False, repr=False, compare=False)
+    _sum_sq: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._raw = {}
+        self._padded = 0
+        self._sum_sq = 0
+        for assignment in self.assignments:
+            self._count(assignment.adapter_id, assignment.length)
+
+    def _padded_of(self, tokens: int) -> int:
+        """``tokens`` padded up to the next multiple of ``P``."""
+        p = self.padding_multiple
+        return math.ceil(tokens / p) * p
+
+    def _count(self, adapter_id: int, length: int) -> None:
+        current = self._raw.get(adapter_id, 0)
+        self._raw[adapter_id] = current + length
+        self._padded += self._padded_of(current + length) - self._padded_of(current)
+        self._sum_sq += length * length
 
     @property
     def is_noop(self) -> bool:
@@ -118,45 +143,35 @@ class Microbatch:
         return not self.assignments
 
     def tokens_by_adapter(self) -> dict[int, int]:
-        """Raw (unpadded) token counts per adapter."""
-        totals: dict[int, int] = {}
-        for assignment in self.assignments:
-            totals[assignment.adapter_id] = (
-                totals.get(assignment.adapter_id, 0) + assignment.length
-            )
-        return totals
+        """Raw (unpadded) token counts per adapter, in first-seen order."""
+        return dict(self._raw)
 
     def padded_tokens_by_adapter(self) -> dict[int, int]:
         """Per-adapter token counts padded to the next multiple of ``P``."""
-        p = self.padding_multiple
         return {
-            adapter: math.ceil(tokens / p) * p
-            for adapter, tokens in self.tokens_by_adapter().items()
+            adapter: self._padded_of(tokens) for adapter, tokens in self._raw.items()
         }
 
     @property
     def padded_tokens(self) -> int:
         """Total padded tokens (the quantity capped by ``capacity``)."""
-        return sum(self.padded_tokens_by_adapter().values())
+        return self._padded
 
     @property
     def real_tokens(self) -> int:
         """Total unpadded tokens."""
-        return sum(a.length for a in self.assignments)
+        return sum(self._raw.values())
 
     @property
     def num_adapters(self) -> int:
         """Distinct adapters present."""
-        return len({a.adapter_id for a in self.assignments})
+        return len(self._raw)
 
     def fits(self, sample: Sample) -> bool:
         """Whether adding ``sample`` keeps the microbatch within capacity."""
-        p = self.padding_multiple
-        padded = self.padded_tokens_by_adapter()
-        current = self.tokens_by_adapter().get(sample.adapter_id, 0)
-        new_padded = math.ceil((current + sample.length) / p) * p
-        total = sum(padded.values()) - padded.get(sample.adapter_id, 0) + new_padded
-        return total <= self.capacity
+        current = self._raw.get(sample.adapter_id, 0)
+        grown = self._padded_of(current + sample.length) - self._padded_of(current)
+        return self._padded + grown <= self.capacity
 
     def add(self, assignment: Assignment) -> None:
         """Add a sample, enforcing the capacity invariant."""
@@ -166,14 +181,14 @@ class Microbatch:
                 f"(used {self.padded_tokens}/{self.capacity})"
             )
         self.assignments.append(assignment)
+        self._count(assignment.adapter_id, assignment.length)
 
     def shape(self) -> MicrobatchShape:
         """Workload descriptor for the cost model (padded tokens)."""
-        lengths = [a.length for a in self.assignments]
         return MicrobatchShape(
-            tokens=self.padded_tokens,
-            sum_sq_len=float(sum(l * l for l in lengths)),
-            num_adapters=self.num_adapters,
+            tokens=self._padded,
+            sum_sq_len=float(self._sum_sq),
+            num_adapters=len(self._raw),
         )
 
     def batches_by_adapter(self) -> dict[int, set[int]]:

@@ -365,14 +365,46 @@ class OnlineOrchestrator:
         self._idle_advanced = 0.0
         self._open_wave: tuple[float, float, float, tuple[int, ...]] | None = None
         self._wave_estimates: list[tuple[float, float]] = []
+        # Price-on-change memos.  ``_prices`` holds one entry per live
+        # job: ``(job, batches, calibration version, replica, seconds)``
+        # -- a job is re-priced only when one of those moves.
+        # ``_generation`` is bumped wherever ``_active``, ``_parked``,
+        # ``_pending`` or a ``steps_completed`` changes, and stamps the
+        # memoised :meth:`expected_remaining_seconds` total.
+        self._prices: dict[int, tuple[AdapterJob, int, int, int, float]] = {}
+        self._generation = 0
+        self._total: tuple[tuple[int, int], float] | None = None
 
     # -- candidate ranking ---------------------------------------------------
 
+    def _calibration_version(self) -> int:
+        """The estimator's correction stamp (0 without a tracker)."""
+        estimator = self._estimator
+        calibration = None if estimator is None else estimator.calibration
+        return 0 if calibration is None else calibration.version
+
     def _remaining_seconds(self, job: AdapterJob, batches: int) -> float | None:
-        """Expected service seconds for ``batches`` more of ``job``."""
+        """Expected service seconds for ``batches`` more of ``job``.
+
+        Memoised per live job: the price is a pure function of the job,
+        its remaining batches, the calibration version and the replica,
+        so a hit returns the very float a recompute would.
+        """
         if self._estimator is None:
             return None
-        return self._estimator.job_seconds(job, batches, replica=self.replica_id)
+        version = self._calibration_version()
+        entry = self._prices.get(job.adapter_id)
+        if (
+            entry is not None
+            and entry[0] is job
+            and entry[1] == batches
+            and entry[2] == version
+            and entry[3] == self.replica_id
+        ):
+            return entry[4]
+        seconds = self._estimator.job_seconds(job, batches, replica=self.replica_id)
+        self._prices[job.adapter_id] = (job, batches, version, self.replica_id, seconds)
+        return seconds
 
     def _view(self, job: ServeJob, remaining: int, admitted: bool) -> JobView:
         return JobView(
@@ -493,9 +525,12 @@ class OnlineOrchestrator:
                 self._pending_view(job), now, backlog
             ):
                 self._records[job.adapter_id].rejected_time = now
+                self._prices.pop(job.adapter_id, None)
                 self._churn += 1
             else:
                 survivors.append(job)
+        if len(survivors) != len(self._pending):
+            self._generation += 1
         self._pending = survivors
 
     # -- lifecycle -----------------------------------------------------------
@@ -503,6 +538,7 @@ class OnlineOrchestrator:
     def _admit(self, adapter_id: int) -> None:
         """Give ``adapter_id`` (pending or parked) an adapter slot."""
         self._churn += 1
+        self._generation += 1
         record = self._records[adapter_id]
         parked = self._parked.pop(adapter_id, None)
         if parked is not None:
@@ -549,6 +585,7 @@ class OnlineOrchestrator:
         state.record.preemptions += 1
         self._preemptions += 1
         self._churn += 1
+        self._generation += 1
 
     def _admit_ready(self) -> int:
         """Admit due candidates in policy order; preempt where allowed.
@@ -586,6 +623,7 @@ class OnlineOrchestrator:
         self.executor.remove_job(adapter_id)
         self._splicer.retire(adapter_id)
         del self._active[adapter_id]
+        self._prices.pop(adapter_id, None)
         self._churn += 1
 
     def _handle_events(self, events: list[StepEvent]) -> int:
@@ -596,6 +634,7 @@ class OnlineOrchestrator:
             if state is None:
                 raise ScheduleError(f"step event for unknown job {event.adapter_id}")
             state.steps_completed += 1
+            self._generation += 1
             if state.finished:
                 state.record.finish_time = event.time
                 self._retire(event.adapter_id)
@@ -918,6 +957,7 @@ class OnlineOrchestrator:
                 deadline=job.deadline,
             )
         self._records[job.adapter_id] = record
+        self._generation += 1
         insort(
             self._pending,
             job,
@@ -1020,7 +1060,7 @@ class OnlineOrchestrator:
                     f"job {adapter_id} has scheduled-but-unstepped batches; "
                     "migrate only between waves"
                 )
-            self._churn += 1
+            self._ejected(adapter_id)
             payload = self.executor.export_job(adapter_id)
             self.executor.remove_job(adapter_id)
             # Splicer positions are kept, not retired: a ticket may be
@@ -1037,7 +1077,7 @@ class OnlineOrchestrator:
             )
         parked = self._parked.pop(adapter_id, None)
         if parked is not None:
-            self._churn += 1
+            self._ejected(adapter_id)
             return MigrationTicket(
                 job=parked.serve_job,
                 record=self._records.pop(adapter_id),
@@ -1047,7 +1087,7 @@ class OnlineOrchestrator:
         for index, job in enumerate(self._pending):
             if job.adapter_id == adapter_id:
                 self._pending.pop(index)
-                self._churn += 1
+                self._ejected(adapter_id)
                 return MigrationTicket(
                     job=job,
                     record=self._records.pop(adapter_id),
@@ -1055,6 +1095,12 @@ class OnlineOrchestrator:
                     payload=None,
                 )
         raise ScheduleError(f"unknown job {adapter_id}")
+
+    def _ejected(self, adapter_id: int) -> None:
+        """Bookkeeping shared by every :meth:`eject_job` branch."""
+        self._churn += 1
+        self._generation += 1
+        self._prices.pop(adapter_id, None)
 
     def inject_job(self, ticket: MigrationTicket) -> None:
         """Accept a migrated job from another replica.
@@ -1087,6 +1133,7 @@ class OnlineOrchestrator:
                 "replica (admission budget applies to migrations too)"
             )
         self._churn += 1
+        self._generation += 1
         self._records[aid] = ticket.record
         self.executor.import_job(ticket.job, ticket.payload)
         self._active[aid] = _ActiveJob(
@@ -1175,10 +1222,16 @@ class OnlineOrchestrator:
         The seconds-valued counterpart of :meth:`outstanding_batches`:
         every unfinished job -- active, parked (preempted), and pending
         alike -- is priced by the estimator at its remaining batches.
-        ``None`` without an estimator.
+        ``None`` without an estimator.  Memoised under the state
+        generation and calibration version; a miss re-sums in the fixed
+        active, parked, pending order (never a running sum), so the
+        total's bits match a fresh recompute.
         """
         if self._estimator is None:
             return None
+        stamp = (self._generation, self._calibration_version())
+        if self._total is not None and self._total[0] == stamp:
+            return self._total[1]
         total = 0.0
         for state in self._active.values():
             remaining = state.num_batches - state.steps_completed
@@ -1189,6 +1242,7 @@ class OnlineOrchestrator:
         for job in self._pending:
             remaining = job.job.num_global_batches()
             total += self._remaining_seconds(job.job, remaining) or 0.0
+        self._total = (stamp, total)
         return total
 
     def expected_wave_seconds(self) -> float | None:

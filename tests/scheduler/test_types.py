@@ -1,10 +1,14 @@
 """Tests for scheduler datatypes: microbatch token accounting."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.dataset import FinetuneDataset, Sample
+from repro.distsim.systems import onthefly_microbatches_for_batch
 from repro.errors import CapacityError, ScheduleError
 from repro.scheduler import AdapterJob, Assignment, Microbatch, Schedule
 
@@ -72,6 +76,131 @@ class TestMicrobatchAccounting:
         mb.add(Assignment(sample(0, 1, 10), 4))
         mb.add(Assignment(sample(1, 0, 10), 3))
         assert mb.batches_by_adapter() == {0: {3, 4}, 1: {3}}
+
+
+def rescanned(mb):
+    """Every token total of ``mb``, recounted from its assignments."""
+    raw: dict[int, int] = {}
+    for a in mb.assignments:
+        raw[a.adapter_id] = raw.get(a.adapter_id, 0) + a.length
+    p = mb.padding_multiple
+    padded = {aid: math.ceil(tokens / p) * p for aid, tokens in raw.items()}
+    lengths = [a.length for a in mb.assignments]
+    return {
+        "tokens_by_adapter": list(raw.items()),
+        "padded_tokens_by_adapter": list(padded.items()),
+        "padded_tokens": sum(padded.values()),
+        "real_tokens": sum(lengths),
+        "num_adapters": len(raw),
+        "shape": (sum(padded.values()), float(sum(l * l for l in lengths)),
+                  len(raw)),
+    }
+
+
+def counted(mb):
+    """The same totals, read from the microbatch's bookkeeping."""
+    shape = mb.shape()
+    return {
+        "tokens_by_adapter": list(mb.tokens_by_adapter().items()),
+        "padded_tokens_by_adapter": list(mb.padded_tokens_by_adapter().items()),
+        "padded_tokens": mb.padded_tokens,
+        "real_tokens": mb.real_tokens,
+        "num_adapters": mb.num_adapters,
+        "shape": (shape.tokens, shape.sum_sq_len, shape.num_adapters),
+    }
+
+
+def rescan_fits(mb, s):
+    """``fits`` recomputed from a rescan."""
+    padded = dict(rescanned(mb)["padded_tokens_by_adapter"])
+    raw = dict(rescanned(mb)["tokens_by_adapter"])
+    p = mb.padding_multiple
+    grown = math.ceil((raw.get(s.adapter_id, 0) + s.length) / p) * p
+    total = sum(padded.values()) - padded.get(s.adapter_id, 0) + grown
+    return total <= mb.capacity
+
+
+class TestIncrementalTotals:
+    def test_overfilled_onthefly_microbatch_counts_its_list(self):
+        # The fixed-count baselines overfill by design: 3 x 100 tokens in
+        # a 128-token microbatch.  The list is counted as passed, never
+        # refused, and further ``fits`` checks see the overfill.
+        batch = [sample(0, i, 100) for i in range(3)] + [sample(1, 0, 30)]
+        mbs = onthefly_microbatches_for_batch(
+            batch, microbatch_samples=4, step=2, capacity=128,
+            padding_multiple=64,
+        )
+        assert len(mbs) == 1
+        mb = mbs[0]
+        assert mb.padded_tokens == 320 + 64 > mb.capacity
+        assert counted(mb) == rescanned(mb)
+        assert not mb.fits(sample(1, 1, 1))
+        assert [a.global_batch for a in mb.assignments] == [2, 2, 2, 2]
+
+    def test_add_and_list_construction_agree(self):
+        items = [Assignment(sample(a % 3, i, 17 * i + 5), 0)
+                 for i, a in enumerate(range(9))]
+        built = Microbatch(assignments=list(items), capacity=4096,
+                           padding_multiple=64)
+        added = Microbatch(capacity=4096, padding_multiple=64)
+        for item in items:
+            added.add(item)
+        assert counted(built) == counted(added) == rescanned(added)
+
+    def test_bookkeeping_stays_out_of_eq_repr_and_dicts(self):
+        first = Microbatch(capacity=256, padding_multiple=64, step=1)
+        first.add(Assignment(sample(0, 0, 100), 1))
+        second = Microbatch(
+            assignments=[Assignment(sample(0, 0, 100), 1)],
+            capacity=256, padding_multiple=64, step=1,
+        )
+        assert first == second
+        assert first != Microbatch(capacity=256, padding_multiple=64, step=1)
+        assert "_raw" not in repr(first)
+        schedule = Schedule(microbatches=[first, Microbatch()], num_stages=2)
+        payload = schedule.to_dict()
+        assert set(payload["microbatches"][0]) == {
+            "capacity", "padding_multiple", "group", "step", "plan_id",
+            "replica", "assignments",
+        }
+        rebuilt = Schedule.from_dict(json.loads(json.dumps(payload)))
+        assert rebuilt.microbatches == schedule.microbatches
+        assert counted(rebuilt.microbatches[0]) == counted(first)
+
+
+@pytest.mark.slow
+@given(
+    padding=st.sampled_from([1, 8, 64]),
+    capacity_granules=st.integers(1, 40),
+    initial=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(1, 300)), max_size=12
+    ),
+    adds=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(1, 300)), max_size=30
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_incremental_totals_match_a_rescan(padding, capacity_granules,
+                                           initial, adds):
+    """Random list construction (overfilled allowed) then random ``add``s."""
+    capacity = capacity_granules * 64
+    mb = Microbatch(
+        assignments=[Assignment(sample(a, i, n), 0)
+                     for i, (a, n) in enumerate(initial)],
+        capacity=capacity,
+        padding_multiple=padding,
+    )
+    assert counted(mb) == rescanned(mb)
+    for i, (adapter, length) in enumerate(adds):
+        candidate = sample(adapter, 100 + i, length)
+        expected = rescan_fits(mb, candidate)
+        assert mb.fits(candidate) == expected
+        if expected:
+            mb.add(Assignment(candidate, 0))
+        else:
+            with pytest.raises(CapacityError):
+                mb.add(Assignment(candidate, 0))
+        assert counted(mb) == rescanned(mb)
 
 
 class TestSchedule:
