@@ -78,9 +78,9 @@ contracts):
   * :class:`EventKind` -- the event taxonomy: arrival, wave close,
     rebalance, migration, flush, plus the scale events (replica join /
     retire, reclaim deadline).
-  * :class:`FleetArrays` -- column mirror of the fleet's routing views,
-    kept fresh by the kernel's dirty-set caching so array-aware routing
-    skips per-arrival attribute extraction.
+  * :class:`FleetArrays` -- the two routing columns (expected backlog,
+    active jobs) per replica, filled from the orchestrators by the
+    kernel's dirty-set caching so array-aware routing builds no view.
 
 **Costing** (``docs/costing.md``)
   * :class:`CostEstimator` -- prices jobs/placements/waves in expected

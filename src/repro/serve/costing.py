@@ -568,10 +568,15 @@ class CostEstimator:
         """Price one arrival against many candidate replicas at once.
 
         Element ``i`` is ``placement_seconds(job, num_active[i],
-        replicas[i])``.  Each distinct concurrency is priced once through
-        :meth:`batch_seconds` (fleets concentrate on few distinct
-        ``num_active`` values), so a 1000-replica routing decision costs
-        a handful of estimator evaluations plus one correction multiply.
+        replicas[i])``.  The raw prices come from a concurrency table:
+        ``np.bincount`` finds the concurrencies present, each one is
+        priced once through :meth:`batch_seconds`, in ascending order,
+        and one gather hands every candidate its row.  Concurrencies no
+        candidate has are never priced, so the estimator's memos see
+        exactly one call per distinct value; fleets concentrate on few
+        distinct ``num_active`` values, so a 1000-replica routing
+        decision costs a handful of estimator evaluations plus one
+        correction multiply.
 
         Args:
             job: The arriving job.
@@ -585,14 +590,14 @@ class CostEstimator:
             candidate.
         """
         batches = job.num_global_batches()
-        raw = np.zeros(len(num_active), dtype=np.float64)
+        active = np.asarray(num_active, dtype=np.int64)
+        present = np.bincount(active)
+        table = np.zeros(len(present), dtype=np.float64)
         if batches > 0:
             profile = TenantProfile.from_job(job)
-            active = np.asarray(num_active, dtype=np.int64)
-            for value in np.unique(active):
-                raw[active == value] = batches * self.batch_seconds(
-                    profile, int(value) + 1
-                )
+            for value in np.flatnonzero(present).tolist():
+                table[value] = batches * self.batch_seconds(profile, value + 1)
+        raw = table[active]
         if self.calibration is None:
             return raw
         if self.calibration.tracks_tenant(job.adapter_id):

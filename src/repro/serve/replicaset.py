@@ -13,9 +13,10 @@ kernel of :mod:`repro.serve.events`: arrivals, per-replica wave closes
 and scale actions are typed events on one global heap, control work
 (rebalance checks, migrations, drains) runs on the kernel's immediate
 lane, and each event kind has one handler method.  Per-replica
-load/view snapshots are cached and invalidated only when an event
-actually mutates that replica, so finding the next actor is O(log n)
-instead of an O(n) clock scan -- which is what makes
+loads, routing columns and views are cached and invalidated only when
+an event actually mutates that replica (views are rebuilt only when a
+policy reads them), so finding the next actor is O(log n) instead of
+an O(n) clock scan -- which is what makes
 100-1000-replica traces replayable (``benchmarks/bench_fleet_kernel.py``
 measures the per-event cost).  Every arrival is routed against replica
 state as of the arrival instant, which is what makes least-loaded and
@@ -37,8 +38,9 @@ adapter is bit-identical to an unmigrated run
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, cast
+from typing import Callable, overload
 
 import numpy as np
 
@@ -263,9 +265,10 @@ class ReplicaSet:
         -- the same work is priced in expected seconds
         (``expected_remaining_time``, ``expected_wave_time``) for
         cost-aware policies.  A pure function of the replica's state:
-        the fleet loop caches the result and recomputes only after an
-        event mutates that replica, which is safe exactly because
-        nothing here depends on other replicas.
+        the fleet loop builds it only when a routing policy reads it,
+        caches the result and rebuilds only after an event mutates that
+        replica, which is safe exactly because nothing here depends on
+        other replicas.
         """
         replica = self.replicas[index]
         return ReplicaView(
@@ -622,13 +625,21 @@ class FleetLoop:
     arrival and wave close, and the migrations/drains it decides -- run
     on the kernel's immediate lane, ahead of any timed event.
 
-    Per-replica loads and routing views are cached and recomputed only
-    after a mutation, which is sound because both are pure functions of
-    one replica's state -- with a single exception: a calibration
-    observe on replica *B* reprices any tenant of *B*'s closed wave that
-    has since migrated to another replica, so the loop watches the
-    tracker's version stamp and invalidates the migrant's current host
-    too.
+    Three per-replica caches -- rebalance loads, the router's
+    :class:`~repro.serve.router.FleetArrays` columns, and routing views
+    -- each keep their own staleness set, all fed by one invalidation,
+    and are recomputed only after a mutation.  Loads and columns are
+    refreshed straight from the orchestrators (the columns read
+    ``expected_remaining_seconds()`` and ``num_active``, the two values
+    array-aware routing scores); views are built on read: routing gets
+    a lazy sequence, and a stale replica's view is rebuilt only when a
+    policy indexes it, so an arrival routed from the columns builds
+    none.  Caching is sound because every cached value is a pure
+    function of one replica's state -- with a single exception: a
+    calibration observe on replica *B* reprices any tenant of *B*'s
+    closed wave that has since migrated to another replica, so the loop
+    watches the tracker's version stamp and invalidates the migrant's
+    current host too (all three caches).
 
     Attributes:
         kernel: The event heap the loop runs on.
@@ -651,6 +662,7 @@ class FleetLoop:
         self.arrays = FleetArrays.for_fleet(n)
         self.loads = np.empty(n, dtype=np.float64)
         self.stale_views: set[int] = set(range(n))
+        self.stale_rows: set[int] = set(range(n))
         self.stale_loads: set[int] = set(range(n))
         self.wave_events: list[Event | None] = [None] * n
         # Elastic-fleet state; untouched on a fixed fleet.
@@ -722,6 +734,7 @@ class FleetLoop:
 
     def _invalidate(self, index: int) -> None:
         self.stale_views.add(index)
+        self.stale_rows.add(index)
         self.stale_loads.add(index)
 
     def _resync(self, index: int) -> None:
@@ -752,15 +765,26 @@ class FleetLoop:
                 replica.clock, EventKind.WAVE_CLOSE, payload=index, lane=index
             )
 
-    def _replica_views(self) -> list[ReplicaView]:
-        # Refresh only the replicas an event has touched since the last
+    def _view(self, index: int) -> ReplicaView:
+        """Replica ``index``'s routing view, rebuilt only if stale."""
+        if index in self.stale_views:
+            self.stale_views.discard(index)
+            self.views[index] = self.fleet._replica_view(index)
+        view = self.views[index]
+        assert view is not None  # every index starts stale
+        return view
+
+    def _fleet_arrays(self) -> FleetArrays:
+        # Refresh only the rows an event has touched since the last
         # call -- O(dirty), not O(fleet).
-        for index in self.stale_views:
-            view = self.fleet._replica_view(index)
-            self.views[index] = view
-            self.arrays.refill(index, view)
-        self.stale_views.clear()
-        return cast("list[ReplicaView]", self.views)
+        replicas = self.fleet.replicas
+        for index in self.stale_rows:
+            replica = replicas[index]
+            self.arrays.refill(
+                index, replica.expected_remaining_seconds(), replica.num_active
+            )
+        self.stale_rows.clear()
+        return self.arrays
 
     def _replica_loads(self, seconds_mode: bool) -> np.ndarray:
         for index in self.stale_loads:
@@ -788,13 +812,13 @@ class FleetLoop:
     def _on_arrival(self, event: Event) -> None:
         """Route a job (trace ARRIVAL or live GATEWAY_INGRESS) and offer it."""
         job = event.payload
-        views = self._replica_views()
         routable = self._routable()
+        views = _LazyViews(self, routable)
         router = self.fleet.router
-        if len(routable) == len(views):
-            index = router.route(job, views, self.arrays)
+        if len(routable) == len(self.fleet.replicas):
+            index = router.route(job, views, self._fleet_arrays())
         else:
-            index = router.route(job, [views[i] for i in routable])
+            index = router.route(job, views)
         record = self.fleet.replicas[index].offer(job)
         record.replica = index
         self.records[job.adapter_id] = record
@@ -1024,6 +1048,38 @@ class FleetLoop:
     def _mark_unroutable(self, index: int) -> None:
         self.unroutable.add(index)
         self.routable_cache = None
+
+
+class _LazyViews(Sequence[ReplicaView]):
+    """The routable replicas' views, each built only when read.
+
+    What :class:`FleetLoop` hands :meth:`TenantRouter.route`: position
+    ``k`` is replica ``indices[k]``'s view, fetched through the loop's
+    view cache at the moment a policy indexes or iterates it -- so a
+    policy that scores from the columns alone costs no view at all.
+    """
+
+    def __init__(self, loop: FleetLoop, indices: list[int]) -> None:
+        self._loop = loop
+        self._indices = indices
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    @overload
+    def __getitem__(self, position: int) -> ReplicaView: ...
+
+    @overload
+    def __getitem__(self, position: slice) -> list[ReplicaView]: ...
+
+    def __getitem__(self, position):
+        if isinstance(position, slice):
+            return [self._loop._view(i) for i in self._indices[position]]
+        return self._loop._view(self._indices[position])
+
+    def __iter__(self):
+        view = self._loop._view
+        return (view(index) for index in self._indices)
 
 
 class FleetSession:

@@ -127,25 +127,29 @@ class ReplicaView:
 
 @dataclass
 class FleetArrays:
-    """Column-oriented mirror of the fleet's :class:`ReplicaView` rows.
+    """The two routing columns of a fleet, one row per replica.
 
-    The fleet loop (:class:`~repro.serve.replicaset.FleetLoop`) keeps
-    one of these fresh with the same dirty-set
-    discipline as its cached views: when an event touches replica ``i``,
-    row ``i`` is refilled from the rebuilt view; untouched rows keep
-    their floats.  Passing it to :meth:`TenantRouter.route` lets
-    :meth:`CostAwareRouting.choose_arrays` score a 1000-replica fleet
-    without re-extracting per-view attributes on every arrival; it
-    reads the same float64s the views hold.
+    :meth:`CostAwareRouting.choose_arrays` reads only each replica's
+    expected backlog and active-job count, so the fleet loop
+    (:class:`~repro.serve.replicaset.FleetLoop`) keeps exactly those two
+    columns, filled straight from each replica's orchestrator
+    (``expected_remaining_seconds()`` and ``num_active``) -- the values
+    a :class:`ReplicaView` of that replica would carry, without building
+    one.  It keeps them fresh with its dirty-set discipline: when an
+    event touches replica ``i``, row ``i`` is refilled before the next
+    arrival that reads the columns; untouched rows keep their floats.
+    Passing the columns to :meth:`TenantRouter.route` lets a
+    1000-replica fleet be scored (and the choice validated) with no
+    per-view attribute walk, and no view built at all.
 
     Attributes:
-        backlogs: ``expected_remaining_time`` per replica, in index
-            order (0.0 where the view reports ``None``; see
+        backlogs: Expected remaining seconds per replica, in index
+            order (0.0 where the replica has no estimator; see
             ``missing``).  Unit: virtual seconds.
         num_active: Jobs holding adapter slots, per replica.
         indices: Replica indices, in view order.
-        missing: True where the view's ``expected_remaining_time`` is
-            ``None`` -- any True row sends routing back to the views.
+        missing: True where the replica reports no expected remaining
+            seconds -- any True row sends routing back to the views.
     """
 
     backlogs: np.ndarray
@@ -163,11 +167,17 @@ class FleetArrays:
             missing=np.ones(num_replicas, dtype=bool),
         )
 
-    def refill(self, index: int, view: ReplicaView) -> None:
-        """Refresh row ``index`` from a freshly rebuilt view."""
-        remaining = view.expected_remaining_time
+    def refill(self, index: int, remaining: float | None, num_active: int) -> None:
+        """Refresh row ``index`` with the replica's current values.
+
+        Args:
+            index: The replica's row.
+            remaining: Its expected remaining seconds (``None`` without
+                an estimator, which marks the row ``missing``).
+            num_active: Its jobs holding adapter slots.
+        """
         self.backlogs[index] = 0.0 if remaining is None else remaining
-        self.num_active[index] = view.num_active
+        self.num_active[index] = num_active
         self.missing[index] = remaining is None
 
     def grow(self) -> int:
@@ -479,11 +489,13 @@ class TenantRouter:
 
         Args:
             job: The arriving job.
-            replicas: One view per replica, in index order.
+            replicas: One view per replica, in index order.  Any
+                ``Sequence`` works; the fleet loop passes one that
+                builds each view only when it is read.
             arrays: Optional column mirror of ``replicas`` (same order,
                 same values).  Policies exposing ``choose_arrays`` score
-                from it instead of re-walking the views; others ignore
-                it.
+                from it instead of re-walking the views, and the choice
+                is validated against its ``indices``; others ignore it.
 
         Returns:
             The chosen replica index.
@@ -497,15 +509,21 @@ class TenantRouter:
         chooser = getattr(self.policy, "choose_arrays", None)
         if arrays is not None and chooser is not None:
             index = chooser(job, replicas, arrays)
+            ids = arrays.indices
+            # The columns name the same replicas as the views, so the
+            # choice is checked without reading (or building) a view.
+            offered = (0 <= index < len(ids) and ids[index] == index) or index in ids
         else:
             index = self.policy.choose(job, replicas)
-        # Validate against the views' identities, not their positions:
-        # under an elastic fleet the offered views can be a routable
-        # subset.  The positional probe keeps the contiguous full-fleet
-        # case O(1); the membership scan only runs for subsets.
-        if not (
-            0 <= index < len(replicas) and replicas[index].index == index
-        ) and not any(view.index == index for view in replicas):
+            # Validate against the views' identities, not their
+            # positions: under an elastic fleet the offered views can be
+            # a routable subset.  The positional probe keeps the
+            # contiguous full-fleet case O(1); the membership scan only
+            # runs for subsets.
+            offered = (
+                0 <= index < len(replicas) and replicas[index].index == index
+            ) or any(view.index == index for view in replicas)
+        if not offered:
             raise ScheduleError(
                 f"routing policy chose replica {index}, not one of the "
                 f"{len(replicas)} offered views"

@@ -1,0 +1,69 @@
+"""The pair-run claim rule of ``scripts/pair_bench.py``, on synthetic pairs."""
+
+import pytest
+
+from scripts.pair_bench import Spread, verdict, wins_and_ties
+
+PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.0, 101.0, 99.0]
+
+
+def test_spread_is_median_and_quartiles():
+    spread = Spread.of([1.0, 2.0, 3.0, 4.0, 5.0])
+    assert (spread.q1, spread.median, spread.q3) == (2.0, 3.0, 4.0)
+    assert spread.iqr == 2.0
+    assert Spread.of([7.0]) == Spread(7.0, 7.0, 7.0)
+
+
+def test_clear_gain_holds_in_either_direction():
+    faster = [value - 20.0 for value in PARENT]
+    result = verdict(PARENT, faster, "lower")
+    assert (result.wins, result.ties, result.pairs) == (10, 0, 10)
+    assert result.holds
+    higher = verdict(PARENT, [value + 20.0 for value in PARENT], "higher")
+    assert higher.holds
+    # The same runs read in the wrong direction are ten losses.
+    assert verdict(PARENT, faster, "higher").wins == 0
+
+
+def test_nine_of_ten_is_enough_and_eight_is_not():
+    change = [value - 20.0 for value in PARENT]
+    change[0] = PARENT[0] + 1.0  # one loss
+    assert verdict(PARENT, change, "lower").holds
+    change[1] = PARENT[1] + 1.0  # two losses
+    result = verdict(PARENT, change, "lower")
+    assert result.wins == 8
+    assert not result.holds
+
+
+def test_ties_count_for_neither_side():
+    change = [value - 20.0 for value in PARENT]
+    change[0] = PARENT[0]
+    assert wins_and_ties(PARENT, change, "lower") == (9, 1)
+    change[1] = PARENT[1]
+    result = verdict(PARENT, change, "lower")
+    assert (result.wins, result.ties) == (8, 2)
+    assert not result.holds
+
+
+def test_median_gap_must_exceed_the_parent_iqr():
+    # Every pair is a win, but by less than the parent's own spread.
+    parent_iqr = Spread.of(PARENT).iqr
+    assert parent_iqr == pytest.approx(2.0)
+    result = verdict(PARENT, [value - 1.0 for value in PARENT], "lower")
+    assert result.wins == 10
+    assert not result.holds
+    # A gap equal to the IQR is not "more than" it.
+    assert not verdict(PARENT, [v - parent_iqr for v in PARENT], "lower").holds
+
+
+def test_fewer_than_ten_pairs_never_claim():
+    result = verdict(PARENT[:9], [value - 50.0 for value in PARENT[:9]], "lower")
+    assert result.wins == 9
+    assert not result.holds
+
+
+def test_unequal_runs_and_unknown_direction_raise():
+    with pytest.raises(ValueError):
+        wins_and_ties([1.0, 2.0], [1.0], "lower")
+    with pytest.raises(ValueError):
+        wins_and_ties([1.0], [1.0], "sideways")

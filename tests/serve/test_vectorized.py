@@ -13,7 +13,8 @@ be **exactly** the per-item rule's -- each test asserts ``==``, never
 
 import math
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import synthetic_dataset
@@ -140,9 +141,17 @@ class TestBatchedPricingEqualsScalar:
             assert batch[i] == scalar
 
     @given(calibrated=st.booleans(),
-           num_active=st.lists(st.integers(min_value=0, max_value=5),
-                               min_size=1, max_size=12))
-    @settings(max_examples=30, deadline=None)
+           num_active=st.one_of(
+               st.lists(st.integers(min_value=0, max_value=5),
+                        min_size=1, max_size=12),
+               # Gapped concurrency sets: table rows between the present
+               # values are never priced, and must never be read.
+               st.lists(st.sampled_from([0, 5]), min_size=1, max_size=12),
+               st.lists(st.sampled_from([1, 4, 9]), min_size=1, max_size=12),
+           ))
+    @example(calibrated=True, num_active=[5, 0, 5, 0])
+    @example(calibrated=False, num_active=[9])
+    @settings(max_examples=40, deadline=None)
     def test_placement_seconds_batch(self, calibrated, num_active):
         estimator = make_estimator(calibrated)
         job = make_job(0)
@@ -153,6 +162,34 @@ class TestBatchedPricingEqualsScalar:
                 job, active, replica=replicas[i]
             )
             assert batch[i] == scalar
+
+    @given(num_active=st.lists(st.integers(min_value=0, max_value=9),
+                               min_size=1, max_size=16))
+    @example(num_active=[0, 5, 5, 0])
+    @settings(max_examples=30, deadline=None)
+    def test_placement_prices_each_present_concurrency_once(self, num_active):
+        # The concurrency table prices every distinct present value
+        # exactly once, in ascending order, and no absent one -- the
+        # estimator's memos see the calls a per-value loop would make.
+        estimator = make_estimator(calibrated=False)
+        priced = []
+        batch_seconds = estimator.batch_seconds
+
+        def counting(profile, num_adapters=1):
+            priced.append(num_adapters)
+            return batch_seconds(profile, num_adapters)
+
+        estimator.batch_seconds = counting
+        estimator.placement_seconds_batch(make_job(0), num_active)
+        assert priced == sorted({active + 1 for active in num_active})
+
+    def test_empty_candidate_list_prices_nothing(self):
+        estimator = make_estimator(calibrated=True)
+        for job in (make_job(0), make_job(5)):  # tracked, untracked tenant
+            for candidates in ([], np.array([], dtype=np.int64)):
+                batch = estimator.placement_seconds_batch(job, candidates)
+                assert batch.dtype == np.float64
+                assert batch.shape == (0,)
 
     def test_replicas_argument_defaults_to_uncorrected(self):
         estimator = make_estimator(calibrated=True)
@@ -262,7 +299,7 @@ class TestRouterChoiceEqualsScalar:
         ]
         arrays = FleetArrays.for_fleet(len(views))
         for i, view in enumerate(views):
-            arrays.refill(i, view)
+            arrays.refill(i, view.expected_remaining_time, view.num_active)
         policy = CostAwareRouting(estimator=estimator)
         assert policy.choose_arrays(job, views, arrays) == policy.choose(
             job, views
