@@ -3,16 +3,20 @@
     python3 scripts/pair_bench.py --base HEAD~1 --workload fleet-512 \\
         --seed 23 --seconds 8 --pairs 10 [--claim us_per_item]
 
-Checks ``--base`` out into a temporary ``git worktree`` (removed when
-done), then runs ``perfbench/run.py`` with identical settings on both
-sides, ``--pairs`` times, alternating which side runs first.  The change
-side is the working tree this script sits in.  Prints every pair, each
-side's median and quartiles, and the win count for every end-to-end
-metric ``BENCHMARK.json`` declares (direction from its ``better``),
-then the verdict for the claimed metric: the change must win at least
-nine tenths of the pairs (ties count for neither side), and the medians
-must differ, in the better direction, by more than the parent's
-interquartile range.  Fewer than ten pairs never make a claim.  Exits 1 when a run fails its checks.
+Exports ``--base`` into a temporary directory (``git archive``, removed
+when done), then runs ``perfbench/run.py`` with identical settings on
+both sides, ``--pairs`` times, alternating which side runs first.  The
+change side is the working tree this script sits in.  Prints every
+pair, each side's median and quartiles, and the win count for every
+end-to-end metric ``BENCHMARK.json`` declares (direction from its
+``better``).  The claimed metric also gets its median ratio in the
+better direction (``1.19x``) and the claim verdict: the change must win
+at least nine tenths of the pairs (ties count for neither side), and
+the medians must differ, in the better direction, by more than the
+parent's interquartile range.  Fewer than ten pairs never make a claim.
+Every other metric gets a no-regression verdict against its declared
+``bound`` (see :func:`regression`).  Exits 1 when a run fails its
+checks.
 """
 
 from __future__ import annotations
@@ -106,6 +110,34 @@ def verdict(base: Sequence[float], change: Sequence[float], better: str) -> Verd
     return Verdict(pairs, wins, ties, base_spread, change_spread, holds, reason)
 
 
+def gain_ratio(base: Spread, change: Spread, better: str) -> float:
+    """How many times better the change's median is (above 1 is a gain)."""
+    num, den = (base, change) if better == "lower" else (change, base)
+    return num.median / den.median if den.median else float("inf")
+
+
+def regression(
+    base: Sequence[float], change: Sequence[float], better: str, bound: float
+) -> str:
+    """The verdict on a metric the change does not claim.
+
+    ``bound`` is the share of the parent's median the metric may worsen
+    by.  ``ok`` when the change's median is worse by no more than that,
+    ``REGRESSED`` when it is worse by more.  When the parent's own
+    spread (IQR over median) exceeds the bound, the runs cannot tell
+    either way: ``unresolved``, unless every change run reads better
+    than every parent run.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    base_spread, change_spread = Spread.of(base), Spread.of(change)
+    allowed = bound * abs(base_spread.median)
+    if base_spread.iqr > allowed:
+        dominates = min(sign * c for c in change) > max(sign * b for b in base)
+        return "ok" if dominates else "unresolved"
+    worse_by = sign * (base_spread.median - change_spread.median)
+    return "ok" if worse_by <= allowed else "REGRESSED"
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced perfbench run in ``checkout``: its metric values."""
     command = [
@@ -135,58 +167,59 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     better = {metric["name"]: metric["better"] for metric in declared}
+    bounds = {metric["name"]: metric["bound"] for metric in declared}
     if args.claim not in better:
         parser.error(f"--claim must be one of {sorted(better)}")
 
     with tempfile.TemporaryDirectory(prefix="pair-bench-") as scratch:
         base_dir = Path(scratch) / "base"
-        subprocess.run(
-            ["git", "worktree", "add", "--detach", str(base_dir), args.base],
-            cwd=ROOT, check=True, capture_output=True,
+        base_dir.mkdir()
+        archive = subprocess.run(
+            ["git", "archive", args.base], cwd=ROOT, check=True, capture_output=True
         )
-        try:
-            runs: dict[str, list[dict]] = {"base": [], "change": []}
-            sides = {"base": base_dir, "change": ROOT}
-            for pair in range(args.pairs):
-                order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-                for side in order:
-                    runs[side].append(
-                        run_once(sides[side], args.workload, args.seed, args.seconds)
-                    )
-                cells = "  ".join(
-                    f"{name} {runs['base'][-1][name]:.6g} -> "
-                    f"{runs['change'][-1][name]:.6g}"
-                    for name in better
+        subprocess.run(["tar", "-x", "-C", str(base_dir)], input=archive.stdout,
+                       check=True)
+        runs: dict[str, list[dict]] = {"base": [], "change": []}
+        sides = {"base": base_dir, "change": ROOT}
+        for pair in range(args.pairs):
+            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+            for side in order:
+                runs[side].append(
+                    run_once(sides[side], args.workload, args.seed, args.seconds)
                 )
-                print(f"pair {pair + 1:>2} ({order[0]} first): {cells}", flush=True)
-        finally:
-            subprocess.run(
-                ["git", "worktree", "remove", "--force", str(base_dir)],
-                cwd=ROOT, check=False, capture_output=True,
+            cells = "  ".join(
+                f"{name} {runs['base'][-1][name]:.6g} -> "
+                f"{runs['change'][-1][name]:.6g}"
+                for name in better
             )
+            print(f"pair {pair + 1:>2} ({order[0]} first): {cells}", flush=True)
 
     print(f"{args.workload} seed {args.seed}, {args.seconds:g} s per run, "
           f"{args.pairs} pairs (median [q1, q3]; wins count for the change):")
     for name, direction in better.items():
-        result = verdict(
-            [run[name] for run in runs["base"]],
-            [run[name] for run in runs["change"]],
-            direction,
-        )
+        base = [run[name] for run in runs["base"]]
+        change = [run[name] for run in runs["change"]]
+        result = verdict(base, change, direction)
         b, c = result.base, result.change
+        if name == args.claim:
+            status = f"{gain_ratio(b, c, direction):.2f}x (claimed)"
+        else:
+            outcome = regression(base, change, direction, bounds[name])
+            status = f"{outcome} (bound {bounds[name]:.0%})"
         print(
             f"  {name:<17} base {b.median:.6g} [{b.q1:.6g}, {b.q3:.6g}]  "
             f"change {c.median:.6g} [{c.q1:.6g}, {c.q3:.6g}]  "
             f"wins {result.wins}/{result.pairs} ties {result.ties} ({direction} "
-            "is better)"
+            f"is better)  {status}"
         )
     claim = verdict(
         [run[args.claim] for run in runs["base"]],
         [run[args.claim] for run in runs["change"]],
         better[args.claim],
     )
-    print(f"claim {args.claim}: {'HOLDS' if claim.holds else 'NOT MET'} -- "
-          f"{claim.reason}")
+    ratio = gain_ratio(claim.base, claim.change, better[args.claim])
+    print(f"claim {args.claim}: {'HOLDS' if claim.holds else 'NOT MET'} "
+          f"({ratio:.2f}x) -- {claim.reason}")
     return 0
 
 

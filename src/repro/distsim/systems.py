@@ -76,17 +76,23 @@ class SystemReport:
 def stage_times(
     cost: LayerCostModel, shape: MicrobatchShape, num_stages: int
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Per-stage forward/backward seconds for one microbatch."""
+    """Per-stage forward/backward seconds for one microbatch.
+
+    Element for element equal to ``cost.stage_time`` of each stage and
+    direction, but the layer time is looked up once per direction and
+    every stage built from it by the same rule
+    (:meth:`~repro.models.layer_costs.LayerCostModel.stage_times_from_layer`).
+    """
+    if shape.tokens == 0:
+        zeros = (0.0,) * num_stages
+        return zeros, zeros
     layers = cost.model.num_layers / num_stages
-    fwd = tuple(
-        cost.stage_time(shape, "forward", layers, first_stage=(s == 0),
-                        last_stage=(s == num_stages - 1))
-        for s in range(num_stages)
-    )
-    bwd = tuple(
-        cost.stage_time(shape, "backward", layers, first_stage=(s == 0),
-                        last_stage=(s == num_stages - 1))
-        for s in range(num_stages)
+    fwd, bwd = (
+        cost.stage_times_from_layer(
+            cost.layer_time(shape, direction), shape.tokens, direction, layers,
+            num_stages,
+        )
+        for direction in ("forward", "backward")
     )
     return fwd, bwd
 

@@ -103,21 +103,27 @@ class LayerCostModel:
     ) -> list[KernelProfile]:
         """Profiles of the seven LoRA-adapted linears for one layer pass."""
         profiles: list[KernelProfile] = []
+        for k, n in self.model.linear_shapes().values():
+            profiles.extend(self._shape_profiles(tokens, k, n, direction, num_adapters))
+        return profiles
+
+    def _shape_profiles(
+        self, tokens: int, k: int, n: int, direction: str, num_adapters: int
+    ) -> list[KernelProfile]:
+        """Profiles of one LoRA-adapted linear with a ``(k, n)`` weight."""
         strategy = self.strategy
         if strategy == "fused_multi" and num_adapters <= 1:
             strategy = "fused"  # the runtime's automatic fallback
-        for k, n in self.model.linear_shapes().values():
-            shape = LoRAShape(
-                m=tokens,
-                k=k,
-                n=n,
-                r=self.lora_rank,
-                dtype=self.dtype,
-                dropout=self.dropout and strategy != "frozen",
-                num_adapters=max(1, num_adapters),
-            )
-            profiles.extend(lora_profiles(strategy, direction, shape))
-        return profiles
+        shape = LoRAShape(
+            m=tokens,
+            k=k,
+            n=n,
+            r=self.lora_rank,
+            dtype=self.dtype,
+            dropout=self.dropout and strategy != "frozen",
+            num_adapters=max(1, num_adapters),
+        )
+        return lora_profiles(strategy, direction, shape)
 
     def attention_profile(
         self, tokens: int, sum_sq_len: float, direction: str
@@ -181,7 +187,24 @@ class LayerCostModel:
     def _linear_times_uncached(
         self, tokens: int, num_adapters: int, direction: str
     ) -> tuple[float, ...]:
-        return self._kernel_times(self.linear_profiles(tokens, direction, num_adapters))
+        """Roofline times of ``linear_profiles(tokens, direction, num_adapters)``.
+
+        The seven linears have only four distinct weight shapes (q/o,
+        k/v, gate/up, down), and a linear's profiles depend on nothing
+        but its shape, so each distinct shape is built and timed once.
+        The times are laid out kernel by kernel in ``linear_shapes()``
+        order, the order :meth:`_layer_time` sums them in.
+        """
+        by_shape: dict[tuple[int, int], tuple[float, ...]] = {}
+        times: list[float] = []
+        for k, n in self.model.linear_shapes().values():
+            shape_times = by_shape.get((k, n))
+            if shape_times is None:
+                shape_times = by_shape[k, n] = self._kernel_times(
+                    self._shape_profiles(tokens, k, n, direction, num_adapters)
+                )
+            times.extend(shape_times)
+        return tuple(times)
 
     def _elementwise_times_uncached(
         self, tokens: int, direction: str
@@ -270,12 +293,46 @@ class LayerCostModel:
         """
         if shape.tokens == 0:
             return 0.0
-        total = num_layers * self.layer_time(shape, direction)
+        layer = self.layer_time(shape, direction)
+        return self.stage_times_from_layer(
+            layer, shape.tokens, direction, num_layers, 1, first_stage, last_stage
+        )[0]
+
+    def stage_times_from_layer(
+        self,
+        layer: float,
+        tokens: int,
+        direction: str,
+        num_layers: float,
+        num_stages: int,
+        first_stage: bool = True,
+        last_stage: bool = True,
+    ) -> tuple[float, ...]:
+        """Seconds each of ``num_stages`` consecutive stages spends on one
+        non-empty microbatch pass, given its layer time.
+
+        The one per-stage rule, shared by :meth:`stage_time` (a run of
+        one stage) and :func:`~repro.distsim.systems.stage_times` (the
+        whole pipeline, one layer lookup per direction): every stage
+        runs ``num_layers * layer``, then the run's first stage adds the
+        embedding on the forward pass and its last stage adds the LM
+        head.
+
+        Args:
+            layer: :meth:`layer_time` of the microbatch in ``direction``.
+            tokens: The microbatch's token count.
+            direction: ``"forward"`` or ``"backward"``.
+            num_layers: Decoder layers hosted by each stage.
+            num_stages: Stages in the run.
+            first_stage: Whether the run's first stage owns the embedding.
+            last_stage: Whether the run's last stage owns the LM head.
+        """
+        stages = [num_layers * layer] * num_stages
         if first_stage and direction == "forward":
-            total += self.embedding_time(shape.tokens)
+            stages[0] += self.embedding_time(tokens)
         if last_stage:
-            total += self.head_time(shape.tokens, direction)
-        return total
+            stages[-1] += self.head_time(tokens, direction)
+        return tuple(stages)
 
     def optimizer_step_time(self) -> float:
         """Adapter-only AdamW step cost: negligible but non-zero."""

@@ -311,6 +311,16 @@ class CalibrationTracker:
         return dict(self._replica)
 
 
+def _bottleneck(fwd: tuple[float, ...], bwd: tuple[float, ...]) -> float:
+    """The slowest stage's fwd+bwd seconds: one microbatch slot."""
+    return max(f + b for f, b in zip(fwd, bwd))
+
+
+def _roundtrip(fwd: tuple[float, ...], bwd: tuple[float, ...]) -> float:
+    """Every stage's fwd and bwd seconds: one full pipeline traversal."""
+    return sum(fwd) + sum(bwd)
+
+
 class CostEstimator:
     """Prices jobs, placements, and waves in expected seconds.
 
@@ -320,7 +330,10 @@ class CostEstimator:
     one microbatch per bottleneck-stage period, so a stream of ``M``
     microbatches costs ``sum of bottleneck times`` plus a fill term of
     ``num_stages - 1`` slots -- the same arithmetic the streaming
-    simulator's makespan converges to.
+    simulator's makespan converges to.  Job, placement and wave prices
+    share one memo per ``(profile, concurrency)``: a single
+    :func:`~repro.distsim.systems.stage_times` call gives both its
+    bottleneck and its round-trip seconds.
 
     With a :class:`CalibrationTracker` attached, every identity-carrying
     price (:meth:`job_seconds`, :meth:`placement_seconds`,
@@ -364,8 +377,9 @@ class CostEstimator:
         # so memoization changes no price -- it only collapses the
         # per-decision stage-time arithmetic that otherwise dominates
         # fleet-scale control loops.
-        self._terms_cache: dict[tuple[TenantProfile, int], tuple[int, float]] = {}
-        self._wave_terms_cache: dict[TenantProfile, tuple[int, float, float]] = {}
+        self._terms_cache: dict[
+            tuple[TenantProfile, int], tuple[int, float, float]
+        ] = {}
         self._step_cache: float | None = None
 
     @classmethod
@@ -403,8 +417,7 @@ class CostEstimator:
         """
         if shape.tokens <= 0:
             return 0.0
-        fwd, bwd = stage_times(self.cost, shape, self.num_stages)
-        return max(f + b for f, b in zip(fwd, bwd))
+        return _bottleneck(*stage_times(self.cost, shape, self.num_stages))
 
     def roundtrip_seconds(self, shape: MicrobatchShape) -> float:
         """Full pipeline traversal (all stages, fwd+bwd) of one microbatch.
@@ -416,8 +429,7 @@ class CostEstimator:
         """
         if shape.tokens <= 0:
             return 0.0
-        fwd, bwd = stage_times(self.cost, shape, self.num_stages)
-        return sum(fwd) + sum(bwd)
+        return _roundtrip(*stage_times(self.cost, shape, self.num_stages))
 
     def _batch_shape(
         self, profile: TenantProfile, num_adapters: int
@@ -433,39 +445,26 @@ class CostEstimator:
         )
         return num_mbs, shape
 
-    def _batch_terms(
+    def _terms(
         self, profile: TenantProfile, num_adapters: int
-    ) -> tuple[int, float]:
-        """``(microbatches, seconds per microbatch)`` of one global batch.
+    ) -> tuple[int, float, float]:
+        """``(microbatches, bottleneck seconds, roundtrip seconds)`` of one
+        global batch at ``num_adapters`` concurrency.
 
-        Memoized per ``(profile, concurrency)``: the stage-time sweep
-        behind :meth:`microbatch_seconds` is the expensive part of every
-        job/placement price, and fleets re-price the same tenants
-        constantly.
+        Memoized per ``(profile, concurrency)``, and filled by one
+        :func:`~repro.distsim.systems.stage_times` call that both
+        reductions share (:meth:`microbatch_seconds` and
+        :meth:`roundtrip_seconds` reduce the same way): the stage-time
+        sweep is the expensive part of every job, placement and wave
+        price, and fleets re-price the same tenants constantly.
         """
         key = (profile, num_adapters)
         terms = self._terms_cache.get(key)
         if terms is None:
             num_mbs, shape = self._batch_shape(profile, num_adapters)
-            terms = (num_mbs, self.microbatch_seconds(shape))
+            fwd, bwd = stage_times(self.cost, shape, self.num_stages)
+            terms = (num_mbs, _bottleneck(fwd, bwd), _roundtrip(fwd, bwd))
             self._terms_cache[key] = terms
-        return terms
-
-    def _wave_terms(self, profile: TenantProfile) -> tuple[int, float, float]:
-        """``(microbatches, bottleneck seconds, roundtrip seconds)`` memo.
-
-        The per-profile terms :meth:`wave_seconds` combines (waves price
-        every tenant at concurrency 1), cached like :meth:`_batch_terms`.
-        """
-        terms = self._wave_terms_cache.get(profile)
-        if terms is None:
-            num_mbs, shape = self._batch_shape(profile, 1)
-            terms = (
-                num_mbs,
-                self.microbatch_seconds(shape),
-                self.roundtrip_seconds(shape),
-            )
-            self._wave_terms_cache[profile] = terms
         return terms
 
     def _step_seconds(self) -> float:
@@ -485,7 +484,7 @@ class CostEstimator:
                 (prices the multi-adapter kernel; 1 = the tenant packs
                 alone, the scheduler's common case).
         """
-        num_mbs, mb_seconds = self._batch_terms(profile, num_adapters)
+        num_mbs, mb_seconds, _ = self._terms(profile, num_adapters)
         return num_mbs * mb_seconds + self._step_seconds()
 
     def job_seconds(
@@ -686,7 +685,7 @@ class CostEstimator:
         for profile, batches in entries:
             if batches <= 0:
                 continue
-            num_mbs, mb_seconds, roundtrip = self._wave_terms(profile)
+            num_mbs, mb_seconds, roundtrip = self._terms(profile, 1)
             step = self._step_seconds()
             total += batches * (num_mbs * mb_seconds + step)
             total_mbs += batches * num_mbs

@@ -670,6 +670,7 @@ class FleetLoop:
         self.held: list[MigrationTicket] = []
         self.unroutable: set[int] = set()
         self.routable_cache: list[int] | None = None
+        self.routable_rows = np.empty(0, dtype=np.int64)  # built with the cache
         self.reclaim_started: dict[int, float] = {}
         self.handlers: dict[EventKind, Callable[[Event], bool | None]] = {
             EventKind.ARRIVAL: self._on_arrival,
@@ -805,6 +806,7 @@ class FleetLoop:
                 for index in range(len(self.fleet.replicas))
                 if index not in self.unroutable
             ]
+            self.routable_rows = np.array(self.routable_cache, dtype=np.int64)
         return self.routable_cache
 
     # -- handlers: arrivals, waves, rebalancing -----------------------------
@@ -813,12 +815,11 @@ class FleetLoop:
         """Route a job (trace ARRIVAL or live GATEWAY_INGRESS) and offer it."""
         job = event.payload
         routable = self._routable()
-        views = _LazyViews(self, routable)
-        router = self.fleet.router
-        if len(routable) == len(self.fleet.replicas):
-            index = router.route(job, views, self._fleet_arrays())
-        else:
-            index = router.route(job, views)
+        index = self.fleet.router.route(
+            job,
+            _LazyViews(self, routable),
+            self._fleet_arrays().take(self.routable_rows),
+        )
         record = self.fleet.replicas[index].offer(job)
         record.replica = index
         self.records[job.adapter_id] = record

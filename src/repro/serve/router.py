@@ -138,9 +138,11 @@ class FleetArrays:
     one.  It keeps them fresh with its dirty-set discipline: when an
     event touches replica ``i``, row ``i`` is refilled before the next
     arrival that reads the columns; untouched rows keep their floats.
-    Passing the columns to :meth:`TenantRouter.route` lets a
-    1000-replica fleet be scored (and the choice validated) with no
-    per-view attribute walk, and no view built at all.
+    Every arrival passes the routable rows (:meth:`take`) to
+    :meth:`TenantRouter.route` -- all of them on a fixed fleet, the
+    survivors on an elastic one -- so a 1000-replica fleet is scored
+    (and the choice validated) with no per-view attribute walk, and no
+    view built at all.
 
     Attributes:
         backlogs: Expected remaining seconds per replica, in index
@@ -179,6 +181,19 @@ class FleetArrays:
         self.backlogs[index] = 0.0 if remaining is None else remaining
         self.num_active[index] = num_active
         self.missing[index] = remaining is None
+
+    def take(self, rows: np.ndarray) -> "FleetArrays":
+        """The columns of replicas ``rows`` only, in that order.
+
+        An elastic fleet routes over its routable replicas: retired and
+        draining rows stay in the fleet's arrays but are not offered.
+        """
+        return FleetArrays(
+            backlogs=self.backlogs[rows],
+            num_active=self.num_active[rows],
+            indices=self.indices[rows],
+            missing=self.missing[rows],
+        )
 
     def grow(self) -> int:
         """Append one all-stale row (a replica joining the fleet).

@@ -12,8 +12,9 @@ scenarios, a live gateway session) and of a calibrated fleet whose
 drains move active jobs between waves:
 
 * every row the loop holds fresh equals the row derived from a fresh
-  :meth:`~repro.serve.ReplicaSet._replica_view` -- and when the columns
-  are handed to the router, every row is fresh;
+  :meth:`~repro.serve.ReplicaSet._replica_view` -- and the router is
+  handed the columns of exactly the routable replicas, every row fresh
+  (on an elastic fleet too, with no row missing);
 * every view the router reads equals an eager rebuild.
 """
 
@@ -114,6 +115,13 @@ def audit(monkeypatch):
         tally["arrivals"] += 1
         if arrays is not None:
             assert not loop.stale_rows  # the router reads every row
+            # The columns are the routable rows, each fresh.
+            assert arrays.indices.tolist() == loop._routable()
+            for k, index in enumerate(arrays.indices.tolist()):
+                row = (arrays.backlogs[k], arrays.num_active[k], arrays.missing[k])
+                assert row == fresh_row(fleet, index), (index, row)
+            if not arrays.missing.any():
+                tally["columns"] += 1
         for index in range(len(fleet.replicas)):
             if index in loop.stale_rows:
                 continue
@@ -140,6 +148,15 @@ def test_cached_rows_and_read_views_equal_a_fresh_rebuild(audit, name):
         assert result.migrations > 0
     if name in ("autoscale-join-retire", "spot-reclaim-forced"):
         assert result.joins + result.reclaims > 0
+    if name in (
+        "autoscale-join-retire",
+        "spot-reclaim-forced",
+        "reclaim-holds-ticket",
+        "gateway-session",
+    ):
+        # Elastic fleets route from the columns too: every arrival hands
+        # the router a full set of fresh rows, whatever has retired.
+        assert audit["columns"] == audit["arrivals"]
 
 
 def test_views_are_read_only_where_a_policy_needs_them(audit):

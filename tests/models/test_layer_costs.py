@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.traffic import L2_PASS_ROWS, L2_RESIDENT_BYTES
+from repro.distsim import systems
 from repro.gpu import H100, L40S
 from repro.gpu.roofline import estimate_kernel_time
 from repro.gpu.specs import BYTES_PER_ELEMENT
@@ -146,13 +147,22 @@ class TestMemoIdentity:
         cost = LayerCostModel(*args)
         reference = LayerCostModel(*args)  # only its unmemoised profiles
         cases = []
+        shapes = [MicrobatchShape(0, 0.0)]
         for t in _boundary_tokens():
             # Two shapes per token count: one sample, and a packed split
             # that differs only in the attention term.
             for lengths in ([t], [t // 2, t - t // 2] if t > 1 else [t]):
                 for adapters in (1, 2, 3, 4):
                     s = MicrobatchShape.from_lengths(lengths, num_adapters=adapters)
+                    shapes.append(s)
                     for direction in ("forward", "backward"):
+                        # Each distinct weight shape is timed once, but
+                        # the linears' times still come out kernel by
+                        # kernel in ``linear_profiles`` order.
+                        assert cost._linear_times(t, adapters, direction) == tuple(
+                            estimate_kernel_time(p, cost.gpu, cost.dtype)
+                            for p in reference.linear_profiles(t, direction, adapters)
+                        )
                         layer = _reference_layer_time(reference, s, direction)
                         for first, last in STAGES:
                             want = _reference_stage_time(
@@ -164,6 +174,18 @@ class TestMemoIdentity:
             for s, direction, first, last, want in cases:
                 got = cost.stage_time(s, direction, 8, first, last)
                 assert got == want, (s, direction, first, last)
+        # ``stage_times`` looks the layer time up once per direction; each
+        # stage must still equal its own ``stage_time`` call.
+        for n in (1, 2, 3, 4):
+            layers = LLAMA3_8B.num_layers / n
+            for s in shapes:
+                assert systems.stage_times(cost, s, n) == tuple(
+                    tuple(
+                        cost.stage_time(s, direction, layers, k == 0, k == n - 1)
+                        for k in range(n)
+                    )
+                    for direction in ("forward", "backward")
+                ), (s, n)
 
     def test_instances_never_share_entries(self):
         h100 = LayerCostModel(LLAMA3_8B, H100, strategy="fused")

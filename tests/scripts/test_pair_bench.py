@@ -1,8 +1,8 @@
-"""The pair-run claim rule of ``scripts/pair_bench.py``, on synthetic pairs."""
+"""The pair-run claim and no-regression rules of ``scripts/pair_bench.py``."""
 
 import pytest
 
-from scripts.pair_bench import Spread, verdict, wins_and_ties
+from scripts.pair_bench import Spread, gain_ratio, regression, verdict, wins_and_ties
 
 PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.0, 101.0, 99.0]
 
@@ -67,3 +67,40 @@ def test_unequal_runs_and_unknown_direction_raise():
         wins_and_ties([1.0, 2.0], [1.0], "lower")
     with pytest.raises(ValueError):
         wins_and_ties([1.0], [1.0], "sideways")
+
+
+def test_gain_ratio_reads_in_the_better_direction():
+    base, change = Spread.of([119.0]), Spread.of([100.0])
+    assert gain_ratio(base, change, "lower") == pytest.approx(1.19)
+    assert gain_ratio(change, base, "higher") == pytest.approx(1.19)
+    assert gain_ratio(base, change, "higher") < 1.0
+
+
+def test_regression_ok_within_the_bound():
+    # PARENT's IQR/median is 0.02: a 10% bound resolves it.
+    assert regression(PARENT, [v + 5.0 for v in PARENT], "lower", 0.1) == "ok"
+    assert regression(PARENT, [v - 5.0 for v in PARENT], "higher", 0.1) == "ok"
+    # Worse by exactly the bound is still within it.
+    assert regression(PARENT, [v + 10.0 for v in PARENT], "lower", 0.1) == "ok"
+    # Better is never a regression.
+    assert regression(PARENT, [v - 30.0 for v in PARENT], "lower", 0.1) == "ok"
+
+
+def test_regression_flags_worse_by_more_than_the_bound():
+    assert (
+        regression(PARENT, [v + 11.0 for v in PARENT], "lower", 0.1) == "REGRESSED"
+    )
+    assert (
+        regression(PARENT, [v - 11.0 for v in PARENT], "higher", 0.1) == "REGRESSED"
+    )
+
+
+def test_regression_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    # IQR/median 0.02 exceeds a 1% bound: the runs cannot tell.
+    assert regression(PARENT, PARENT, "lower", 0.01) == "unresolved"
+    assert regression(PARENT, [v + 50.0 for v in PARENT], "lower", 0.01) == (
+        "unresolved"
+    )
+    # Unless every change run reads better than every parent run.
+    assert regression(PARENT, [v - 10.0 for v in PARENT], "lower", 0.01) == "ok"
+    assert regression(PARENT, [v + 10.0 for v in PARENT], "higher", 0.01) == "ok"

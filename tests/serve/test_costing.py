@@ -114,6 +114,68 @@ class TestCostEstimator:
         assert EST.wave_seconds([]) == 0.0
         assert EST.wave_seconds([(profile, 0)]) == 0.0
 
+    def test_batch_and_wave_prices_rebuild_from_per_shape_prices(self):
+        # One memo serves batch and wave prices; both must equal what the
+        # public per-shape prices of the same batch shape give.
+        est = CostEstimator.for_scheduler(COST, SCHED)
+        step = COST.optimizer_step_time()
+        profiles = [
+            TenantProfile.from_job(make_job(i, dataset, samples=24, gbs=8, seed=i))
+            for i, dataset in enumerate(DATASETS)
+        ]
+        for profile in profiles:
+            for adapters in (1, 2, 3, 4):
+                num_mbs, shape = est._batch_shape(profile, adapters)
+                assert est.batch_seconds(profile, adapters) == (
+                    num_mbs * est.microbatch_seconds(shape) + step
+                )
+        entries = list(zip(profiles, (3, 1, 0, 2)))
+        total, total_mbs, longest = 0.0, 0, 0.0
+        for profile, batches in entries:
+            if batches <= 0:
+                continue
+            num_mbs, shape = est._batch_shape(profile, 1)
+            mb_seconds = est.microbatch_seconds(shape)
+            roundtrip = est.roundtrip_seconds(shape)
+            total += batches * (num_mbs * mb_seconds + step)
+            total_mbs += batches * num_mbs
+            longest = max(
+                longest, batches * ((num_mbs - 1) * mb_seconds + roundtrip + step)
+            )
+        total += (NUM_STAGES - 1) * (total / total_mbs)
+        assert est.wave_seconds(entries) == max(total, longest)
+        assert est.wave_seconds(entries, merge_discount=0.5) == max(
+            total * 0.5, longest
+        )
+
+    def test_one_stage_times_call_per_profile_and_concurrency(self, monkeypatch):
+        from repro.serve import costing
+
+        calls = []
+
+        def counting(cost, shape, num_stages):
+            calls.append(shape)
+            return stage_times(cost, shape, num_stages)
+
+        stage_times = costing.stage_times
+        monkeypatch.setattr(costing, "stage_times", counting)
+        est = CostEstimator.for_scheduler(COST, SCHED)
+        jobs = [make_job(i, dataset, samples=24, gbs=8, seed=i)
+                for i, dataset in enumerate(DATASETS)]
+        profiles = [TenantProfile.from_job(job) for job in jobs]
+        keys = set()
+        for _ in range(2):  # the second round is all memo hits
+            est.batch_seconds(profiles[0], 2)
+            keys.add((profiles[0], 2))
+            est.job_seconds(jobs[1], num_adapters=3)
+            keys.add((profiles[1], 3))
+            est.placement_seconds_batch(jobs[2], [0, 3, 3, 0, 1])
+            keys.update((profiles[2], a) for a in (1, 2, 4))
+            est.wave_seconds([(profiles[0], 1), (profiles[2], 2), (profiles[3], 0)])
+            keys.update({(profiles[0], 1), (profiles[2], 1)})
+            est.job_seconds(jobs[2])
+            assert len(calls) == len(keys)
+
     def test_schedule_seconds_prices_noops_free(self):
         from repro.scheduler.types import Microbatch
 

@@ -251,9 +251,15 @@ class TestRouterChoiceEqualsScalar:
             for index, (backlog, active) in zip(indices, loads)
         ]
         policy = CostAwareRouting(estimator=estimator)
-        assert policy.choose(job, views) == self.scalar_choose(
-            job, views, estimator
-        )
+        chosen = policy.choose(job, views)
+        assert chosen == self.scalar_choose(job, views, estimator)
+        # The fleet loop hands the router the routable rows of its
+        # columns; the rows between them stay unrefilled (missing).
+        arrays = FleetArrays.for_fleet(indices[-1] + 1)
+        for view in views:
+            arrays.refill(view.index, view.expected_remaining_time, view.num_active)
+        rows = arrays.take(np.array(indices, dtype=np.int64))
+        assert policy.choose_arrays(job, views, rows) == chosen
 
     def test_unpriced_view_falls_back_to_batch_counts(self):
         job = ServeJob(job=make_job(1), arrival_time=0.0)
