@@ -15,8 +15,10 @@ at least nine tenths of the pairs (ties count for neither side), and
 the medians must differ, in the better direction, by more than the
 parent's interquartile range.  Fewer than ten pairs never make a claim.
 Every other metric gets a no-regression verdict against its declared
-``bound`` (see :func:`regression`).  Exits 1 when a run fails its
-checks.
+``bound`` (see :func:`regression`).  Last come both sides' code lines
+(``scripts/count_loc.py``) for ``src/`` and ``src/repro/serve``, so a
+change that claims to shrink the code gets its size delta from the same
+command.  Exits 1 when a run fails its checks.
 """
 
 from __future__ import annotations
@@ -32,9 +34,14 @@ from typing import Sequence
 
 import numpy as np
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from count_loc import count_tree  # noqa: E402
+
 ROOT = Path(__file__).resolve().parent.parent
 MIN_PAIRS = 10
 WIN_FRACTION = 0.9
+#: Trees whose code lines are printed for both sides.
+LOC_TREES = ("src", "src/repro/serve")
 
 
 @dataclass(frozen=True)
@@ -138,6 +145,18 @@ def regression(
     return "ok" if worse_by <= allowed else "REGRESSED"
 
 
+def code_lines(base: Path, change: Path) -> list[str]:
+    """One report line per :data:`LOC_TREES` tree: both sides' code lines."""
+    report = []
+    for tree in LOC_TREES:
+        before, after = count_tree(base / tree)[1], count_tree(change / tree)[1]
+        report.append(
+            f"  {tree:<17} code lines base {before:,}  change {after:,}  "
+            f"({after - before:+,})"
+        )
+    return report
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced perfbench run in ``checkout``: its metric values."""
     command = [
@@ -193,6 +212,7 @@ def main(argv: list[str] | None = None) -> int:
                 for name in better
             )
             print(f"pair {pair + 1:>2} ({order[0]} first): {cells}", flush=True)
+        sizes = code_lines(base_dir, ROOT)
 
     print(f"{args.workload} seed {args.seed}, {args.seconds:g} s per run, "
           f"{args.pairs} pairs (median [q1, q3]; wins count for the change):")
@@ -220,6 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     ratio = gain_ratio(claim.base, claim.change, better[args.claim])
     print(f"claim {args.claim}: {'HOLDS' if claim.holds else 'NOT MET'} "
           f"({ratio:.2f}x) -- {claim.reason}")
+    print("\n".join(sizes))
     return 0
 
 

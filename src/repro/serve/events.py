@@ -293,22 +293,6 @@ class EventKernel:
             return event
         return None
 
-    def peek_time(self) -> float | None:
-        """Timestamp of the next live event, without popping it.
-
-        A live immediate-lane event reports :attr:`now` (posted work
-        fires "now" by construction).  Cancelled heap heads are pruned
-        in passing.  ``None`` when nothing live remains.
-        """
-        for event in self._soon:
-            if not event.cancelled:
-                return self.now
-        while self._heap and self._heap[0][3].cancelled:
-            heapq.heappop(self._heap)
-        if self._heap:
-            return self._heap[0][0]
-        return None
-
     def __len__(self) -> int:
         """Live (non-cancelled) events still queued."""
         return self._live

@@ -46,6 +46,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
+from itertools import takewhile
 
 from repro.data.dataset import FinetuneDataset, Sample
 from repro.errors import ScheduleError, require_finite
@@ -365,15 +366,10 @@ class OnlineOrchestrator:
         self._idle_advanced = 0.0
         self._open_wave: tuple[float, float, float, tuple[int, ...]] | None = None
         self._wave_estimates: list[tuple[float, float]] = []
-        # Price-on-change memos.  ``_prices`` holds one entry per live
-        # job: ``(job, batches, calibration version, replica, seconds)``
-        # -- a job is re-priced only when one of those moves.
-        # ``_generation`` is bumped wherever ``_active``, ``_parked``,
-        # ``_pending`` or a ``steps_completed`` changes, and stamps the
-        # memoised :meth:`expected_remaining_seconds` total.
-        self._prices: dict[int, tuple[AdapterJob, int, int, int, float]] = {}
-        self._generation = 0
-        self._total: tuple[tuple[int, int], float] | None = None
+        # Price on change: one entry per live job, ``(job, batches,
+        # calibration version, seconds)`` -- a job is re-priced only
+        # when one of those moves (the replica id never does).
+        self._prices: dict[int, tuple[AdapterJob, int, int, float]] = {}
 
     # -- candidate ranking ---------------------------------------------------
 
@@ -386,9 +382,9 @@ class OnlineOrchestrator:
     def _remaining_seconds(self, job: AdapterJob, batches: int) -> float | None:
         """Expected service seconds for ``batches`` more of ``job``.
 
-        Memoised per live job: the price is a pure function of the job,
-        its remaining batches, the calibration version and the replica,
-        so a hit returns the very float a recompute would.
+        Memoised per live job: on this replica the price is a pure
+        function of the job, its remaining batches and the calibration
+        version, so a hit returns the very float a recompute would.
         """
         if self._estimator is None:
             return None
@@ -399,11 +395,10 @@ class OnlineOrchestrator:
             and entry[0] is job
             and entry[1] == batches
             and entry[2] == version
-            and entry[3] == self.replica_id
         ):
-            return entry[4]
+            return entry[3]
         seconds = self._estimator.job_seconds(job, batches, replica=self.replica_id)
-        self._prices[job.adapter_id] = (job, batches, version, self.replica_id, seconds)
+        self._prices[job.adapter_id] = (job, batches, version, seconds)
         return seconds
 
     def _view(self, job: ServeJob, remaining: int, admitted: bool) -> JobView:
@@ -529,8 +524,6 @@ class OnlineOrchestrator:
                 self._churn += 1
             else:
                 survivors.append(job)
-        if len(survivors) != len(self._pending):
-            self._generation += 1
         self._pending = survivors
 
     # -- lifecycle -----------------------------------------------------------
@@ -538,7 +531,6 @@ class OnlineOrchestrator:
     def _admit(self, adapter_id: int) -> None:
         """Give ``adapter_id`` (pending or parked) an adapter slot."""
         self._churn += 1
-        self._generation += 1
         record = self._records[adapter_id]
         parked = self._parked.pop(adapter_id, None)
         if parked is not None:
@@ -585,7 +577,6 @@ class OnlineOrchestrator:
         state.record.preemptions += 1
         self._preemptions += 1
         self._churn += 1
-        self._generation += 1
 
     def _admit_ready(self) -> int:
         """Admit due candidates in policy order; preempt where allowed.
@@ -634,7 +625,6 @@ class OnlineOrchestrator:
             if state is None:
                 raise ScheduleError(f"step event for unknown job {event.adapter_id}")
             state.steps_completed += 1
-            self._generation += 1
             if state.finished:
                 state.record.finish_time = event.time
                 self._retire(event.adapter_id)
@@ -957,7 +947,6 @@ class OnlineOrchestrator:
                 deadline=job.deadline,
             )
         self._records[job.adapter_id] = record
-        self._generation += 1
         insort(
             self._pending,
             job,
@@ -1099,7 +1088,6 @@ class OnlineOrchestrator:
     def _ejected(self, adapter_id: int) -> None:
         """Bookkeeping shared by every :meth:`eject_job` branch."""
         self._churn += 1
-        self._generation += 1
         self._prices.pop(adapter_id, None)
 
     def inject_job(self, ticket: MigrationTicket) -> None:
@@ -1133,7 +1121,6 @@ class OnlineOrchestrator:
                 "replica (admission budget applies to migrations too)"
             )
         self._churn += 1
-        self._generation += 1
         self._records[aid] = ticket.record
         self.executor.import_job(ticket.job, ticket.payload)
         self._active[aid] = _ActiveJob(
@@ -1222,16 +1209,13 @@ class OnlineOrchestrator:
         The seconds-valued counterpart of :meth:`outstanding_batches`:
         every unfinished job -- active, parked (preempted), and pending
         alike -- is priced by the estimator at its remaining batches.
-        ``None`` without an estimator.  Memoised under the state
-        generation and calibration version; a miss re-sums in the fixed
-        active, parked, pending order (never a running sum), so the
-        total's bits match a fresh recompute.
+        ``None`` without an estimator.  Each call re-sums the per-job
+        price memo in the fixed active, parked, pending order (never a
+        running sum), so the total's bits match a fresh recompute; the
+        fleet loop reads it once per replica change.
         """
         if self._estimator is None:
             return None
-        stamp = (self._generation, self._calibration_version())
-        if self._total is not None and self._total[0] == stamp:
-            return self._total[1]
         total = 0.0
         for state in self._active.values():
             remaining = state.num_batches - state.steps_completed
@@ -1242,7 +1226,6 @@ class OnlineOrchestrator:
         for job in self._pending:
             remaining = job.job.num_global_batches()
             total += self._remaining_seconds(job.job, remaining) or 0.0
-        self._total = (stamp, total)
         return total
 
     def expected_wave_seconds(self) -> float | None:
@@ -1270,22 +1253,16 @@ class OnlineOrchestrator:
         """
         if self._estimator is None:
             return 0
-        pressure = 0
         now = self.clock
-        for job in self._pending:
-            if job.arrival_time > now:
-                break  # _pending is arrival-sorted; the rest are not due
+        # _pending is arrival-sorted: the due jobs are a prefix of it.
+        due = takewhile(lambda job: job.arrival_time <= now, self._pending)
+        queued = [(job, 0) for job in due]
+        queued += [(p.serve_job, p.completed) for p in self._parked.values()]
+        pressure = 0
+        for job, completed in queued:
             if job.deadline is None:
                 continue
-            remaining = job.job.num_global_batches()
-            seconds = self._remaining_seconds(job.job, remaining)
-            if seconds is not None and now + seconds > job.deadline:
-                pressure += 1
-        for parked in self._parked.values():
-            job = parked.serve_job
-            if job.deadline is None:
-                continue
-            remaining = job.job.num_global_batches() - parked.completed
+            remaining = job.job.num_global_batches() - completed
             seconds = self._remaining_seconds(job.job, remaining)
             if seconds is not None and now + seconds > job.deadline:
                 pressure += 1

@@ -12,11 +12,13 @@ The fleet runs on one loop, :class:`FleetLoop`, over the discrete-event
 kernel of :mod:`repro.serve.events`: arrivals, per-replica wave closes
 and scale actions are typed events on one global heap, control work
 (rebalance checks, migrations, drains) runs on the kernel's immediate
-lane, and each event kind has one handler method.  Per-replica
-loads, routing columns and views are cached and invalidated only when
-an event actually mutates that replica (views are rebuilt only when a
-policy reads them), so finding the next actor is O(log n) instead of
-an O(n) clock scan -- which is what makes
+lane, and each event kind has one handler method.  Each replica is
+read once per change: an event that mutates it marks it stale, and one
+refresh re-reads it into its row (routing columns, rebalance load,
+deadline pressure) for every consumer -- router, rebalancer and
+autoscaler alike (a view is rebuilt only when a policy reads it).  So
+finding the next actor is O(log n) instead of an O(n) clock scan --
+which is what makes
 100-1000-replica traces replayable (``benchmarks/bench_fleet_kernel.py``
 measures the per-event cost).  Every arrival is routed against replica
 state as of the arrival instant, which is what makes least-loaded and
@@ -263,12 +265,11 @@ class ReplicaSet:
         active **plus parked plus pending** work, and -- when the
         orchestrators carry a :class:`~repro.serve.costing.CostEstimator`
         -- the same work is priced in expected seconds
-        (``expected_remaining_time``, ``expected_wave_time``) for
-        cost-aware policies.  A pure function of the replica's state:
-        the fleet loop builds it only when a routing policy reads it,
-        caches the result and rebuilds only after an event mutates that
-        replica, which is safe exactly because nothing here depends on
-        other replicas.
+        (``expected_remaining_time``) for cost-aware policies.  A pure
+        function of the replica's state: the fleet loop builds it only
+        when a routing policy reads it, caches the result and drops it
+        when an event mutates that replica, which is safe exactly
+        because nothing here depends on other replicas.
         """
         replica = self.replicas[index]
         return ReplicaView(
@@ -283,7 +284,6 @@ class ReplicaSet:
             live_priorities=tuple(replica.live_priorities()),
             live_profiles=tuple(replica.live_profiles()),
             expected_remaining_time=replica.expected_remaining_seconds(),
-            expected_wave_time=replica.expected_wave_seconds(),
         )
 
     # -- the serving loop ---------------------------------------------------
@@ -625,21 +625,23 @@ class FleetLoop:
     arrival and wave close, and the migrations/drains it decides -- run
     on the kernel's immediate lane, ahead of any timed event.
 
-    Three per-replica caches -- rebalance loads, the router's
-    :class:`~repro.serve.router.FleetArrays` columns, and routing views
-    -- each keep their own staleness set, all fed by one invalidation,
-    and are recomputed only after a mutation.  Loads and columns are
-    refreshed straight from the orchestrators (the columns read
-    ``expected_remaining_seconds()`` and ``num_active``, the two values
-    array-aware routing scores); views are built on read: routing gets
-    a lazy sequence, and a stale replica's view is rebuilt only when a
+    Each replica is read once per change.  An event that mutates a
+    replica adds it to one staleness set, ``stale``; :meth:`_refresh`
+    re-reads every stale replica into its row -- the router's
+    :class:`~repro.serve.router.FleetArrays` columns
+    (``expected_remaining_seconds()`` and ``num_active``), the
+    rebalance load (when rebalancing is on) and, on elastic fleets, the
+    replica's ``deadline_pressure()`` -- and drops its cached view.
+    Routing, rebalancing and the autoscaler all read those rows and
+    call no orchestrator themselves.  Views are built on read: routing
+    gets a lazy sequence, and a dropped view is rebuilt only when a
     policy indexes it, so an arrival routed from the columns builds
-    none.  Caching is sound because every cached value is a pure
-    function of one replica's state -- with a single exception: a
-    calibration observe on replica *B* reprices any tenant of *B*'s
-    closed wave that has since migrated to another replica, so the loop
-    watches the tracker's version stamp and invalidates the migrant's
-    current host too (all three caches).
+    none.  Caching is sound because every row is a pure function of
+    one replica's state -- with a single exception: a calibration
+    observe on replica *B* reprices any tenant of *B*'s closed wave
+    that has since migrated to another replica, so the loop watches the
+    tracker's version stamp and marks the migrant's current host stale
+    too.
 
     Attributes:
         kernel: The event heap the loop runs on.
@@ -658,12 +660,12 @@ class FleetLoop:
         self.calibration = calibration
         self.seen_version = calibration.version if calibration is not None else 0
         self.autoscaler = fleet._autoscaler
+        # One row per replica, re-read by _refresh once per change.
         self.views: list[ReplicaView | None] = [None] * n
         self.arrays = FleetArrays.for_fleet(n)
-        self.loads = np.empty(n, dtype=np.float64)
-        self.stale_views: set[int] = set(range(n))
-        self.stale_rows: set[int] = set(range(n))
-        self.stale_loads: set[int] = set(range(n))
+        self.loads = np.empty(n, dtype=np.float64)  # with rebalancing
+        self.pressure = np.zeros(n, dtype=np.int64)  # elastic fleets
+        self.stale: set[int] = set(range(n))
         self.wave_events: list[Event | None] = [None] * n
         # Elastic-fleet state; untouched on a fixed fleet.
         self.deadline_events: dict[int, Event] = {}
@@ -731,30 +733,27 @@ class FleetLoop:
                 self.held = [t for t in self.held if not self._place(t)]
             self._probe_autoscaler(event.time)
 
-    # -- caches -------------------------------------------------------------
+    # -- replica rows -------------------------------------------------------
 
     def _invalidate(self, index: int) -> None:
-        self.stale_views.add(index)
-        self.stale_rows.add(index)
-        self.stale_loads.add(index)
+        self.stale.add(index)
 
     def _resync(self, index: int) -> None:
-        """Drop ``index``'s caches and reschedule its next wave close."""
+        """Mark ``index`` stale and reschedule its next wave close."""
         self._invalidate(index)
         calibration = self.calibration
         if calibration is not None and calibration.version != self.seen_version:
             fresh = calibration.version
             if fresh == self.seen_version + 1:
                 # One observe: its wave tenants live here unless they
-                # migrated away -- invalidate their current hosts.
+                # migrated away -- mark their current hosts stale too.
                 for adapter_id in calibration.last_observed_tenants:
                     host = self.fleet.router.assignments.get(adapter_id)
                     if host is not None and host != index:
                         self._invalidate(host)
             else:
-                # Can't attribute multiple observes; drop every cache.
-                for other in range(len(self.fleet.replicas)):
-                    self._invalidate(other)
+                # Can't attribute multiple observes; stale every row.
+                self.stale.update(range(len(self.fleet.replicas)))
             self.seen_version = fresh
         stale = self.wave_events[index]
         if stale is not None:
@@ -766,32 +765,31 @@ class FleetLoop:
                 replica.clock, EventKind.WAVE_CLOSE, payload=index, lane=index
             )
 
-    def _view(self, index: int) -> ReplicaView:
-        """Replica ``index``'s routing view, rebuilt only if stale."""
-        if index in self.stale_views:
-            self.stale_views.discard(index)
-            self.views[index] = self.fleet._replica_view(index)
-        view = self.views[index]
-        assert view is not None  # every index starts stale
-        return view
+    def _refresh(self) -> None:
+        """Re-read every stale replica into its row, then clear ``stale``.
 
-    def _fleet_arrays(self) -> FleetArrays:
-        # Refresh only the rows an event has touched since the last
-        # call -- O(dirty), not O(fleet).
-        replicas = self.fleet.replicas
-        for index in self.stale_rows:
-            replica = replicas[index]
+        O(dirty), not O(fleet).  Call it before reading any row; a view
+        is built by :meth:`_view` on first read after its drop here.
+        """
+        fleet = self.fleet
+        for index in self.stale:
+            replica = fleet.replicas[index]
             self.arrays.refill(
                 index, replica.expected_remaining_seconds(), replica.num_active
             )
-        self.stale_rows.clear()
-        return self.arrays
+            if self.params is not None:
+                self.loads[index] = fleet._replica_load(index, self.params[1])
+            if self.autoscaler is not None:
+                self.pressure[index] = replica.deadline_pressure()
+            self.views[index] = None
+        self.stale.clear()
 
-    def _replica_loads(self, seconds_mode: bool) -> np.ndarray:
-        for index in self.stale_loads:
-            self.loads[index] = self.fleet._replica_load(index, seconds_mode)
-        self.stale_loads.clear()
-        return self.loads
+    def _view(self, index: int) -> ReplicaView:
+        """Replica ``index``'s routing view, built on first read."""
+        view = self.views[index]
+        if view is None:
+            view = self.views[index] = self.fleet._replica_view(index)
+        return view
 
     def _routable(self) -> list[int]:
         """Indices arrivals, migrations, and evacuees may land on.
@@ -815,10 +813,9 @@ class FleetLoop:
         """Route a job (trace ARRIVAL or live GATEWAY_INGRESS) and offer it."""
         job = event.payload
         routable = self._routable()
+        self._refresh()
         index = self.fleet.router.route(
-            job,
-            _LazyViews(self, routable),
-            self._fleet_arrays().take(self.routable_rows),
+            job, _LazyViews(self, routable), self.arrays.take(self.routable_rows)
         )
         record = self.fleet.replicas[index].offer(job)
         record.replica = index
@@ -848,8 +845,9 @@ class FleetLoop:
         threshold, seconds_mode = self.params
         state = event.payload
         routable = self._routable()
+        self._refresh()
         action = self.fleet._plan_rebalance(
-            self._replica_loads(seconds_mode),
+            self.loads,
             threshold,
             seconds_mode,
             state.moved,
@@ -903,6 +901,7 @@ class FleetLoop:
         self.views.append(None)
         self.wave_events.append(None)
         self.loads = np.append(self.loads, 0.0)
+        self.pressure = np.append(self.pressure, 0)
         self.arrays.grow()
         self.routable_cache = None
         fleet._joins += 1
@@ -960,13 +959,11 @@ class FleetLoop:
         assert autoscaler is not None
         if not autoscaler.ready(time):
             return
-        replicas = self.fleet.replicas
         routable = self._routable()
-        backlog = [
-            (i, replicas[i].expected_remaining_seconds() or 0.0) for i in routable
-        ]
-        pressure = sum(replicas[i].deadline_pressure() for i in routable)
-        decision = autoscaler.plan(time, backlog, pressure)
+        self._refresh()
+        rows = self.routable_rows
+        backlog = list(zip(routable, self.arrays.backlogs[rows].tolist()))
+        decision = autoscaler.plan(time, backlog, int(self.pressure[rows].sum()))
         if decision is None:
             return
         if decision[0] == "join":
@@ -1056,7 +1053,8 @@ class _LazyViews(Sequence[ReplicaView]):
 
     What :class:`FleetLoop` hands :meth:`TenantRouter.route`: position
     ``k`` is replica ``indices[k]``'s view, fetched through the loop's
-    view cache at the moment a policy indexes or iterates it -- so a
+    view cache at the moment a policy indexes or iterates it (the loop
+    has refreshed its rows just before routing) -- so a
     policy that scores from the columns alone costs no view at all.
     """
 

@@ -100,9 +100,6 @@ class ReplicaView:
             by its orchestrator's
             :class:`~repro.serve.costing.CostEstimator`.  Unit: virtual
             seconds.  ``None`` without an estimator.
-        expected_wave_time: Expected seconds the replica's *next*
-            planning wave will take (window-clipped).  Unit: virtual
-            seconds.  ``None`` without an estimator.
         live_profiles: Full :class:`~repro.serve.costing.TenantProfile`
             per active job (same order as ``live_mean_lengths``).
             Estimator-mode :class:`PackingAffinityRouting` scores
@@ -121,7 +118,6 @@ class ReplicaView:
     live_priorities: tuple[int, ...] = ()
     num_parked: int = 0
     expected_remaining_time: float | None = None
-    expected_wave_time: float | None = None
     live_profiles: tuple = ()
 
 
@@ -135,9 +131,11 @@ class FleetArrays:
     columns, filled straight from each replica's orchestrator
     (``expected_remaining_seconds()`` and ``num_active``) -- the values
     a :class:`ReplicaView` of that replica would carry, without building
-    one.  It keeps them fresh with its dirty-set discipline: when an
-    event touches replica ``i``, row ``i`` is refilled before the next
-    arrival that reads the columns; untouched rows keep their floats.
+    one.  The loop reads a replica once per change: when an event
+    touches replica ``i``, its one refresh refills row ``i`` (with the
+    rebalance load and the autoscaler's deadline pressure) before
+    anything reads it; untouched rows keep their floats.  The autoscaler
+    reads its backlogs from ``backlogs`` too.
     Every arrival passes the routable rows (:meth:`take`) to
     :meth:`TenantRouter.route` -- all of them on a fixed fleet, the
     survivors on an elastic one -- so a 1000-replica fleet is scored
@@ -195,22 +193,17 @@ class FleetArrays:
             missing=self.missing[rows],
         )
 
-    def grow(self) -> int:
+    def grow(self) -> None:
         """Append one all-stale row (a replica joining the fleet).
 
         The new row is marked ``missing`` until its first
         :meth:`refill`, so routing reads the views rather than zeros
         for a replica it has never seen.
-
-        Returns:
-            The new row's replica index.
         """
-        index = len(self.indices)
         self.backlogs = np.append(self.backlogs, 0.0)
         self.num_active = np.append(self.num_active, 0)
-        self.indices = np.append(self.indices, index)
+        self.indices = np.append(self.indices, len(self.indices))
         self.missing = np.append(self.missing, True)
-        return index
 
 
 @runtime_checkable

@@ -1,20 +1,27 @@
-"""The fleet loop's cached routing state equals a fresh rebuild, always.
+"""The fleet loop's cached replica rows equal a fresh read, always.
 
-:class:`~repro.serve.replicaset.FleetLoop` refreshes a replica's
-:class:`~repro.serve.FleetArrays` row only after an event marks it
-stale, and builds a replica's view only when a routing policy reads it.
-Both shortcuts are sound only if every invalidation reaches every cache
--- including the calibration case, where a wave closing on one replica
-reprices a migrant now hosted on another.  This oracle audits each
-arrival of the golden scenarios that exercise those paths (a calibrated
-fixed fleet that reroutes, the autoscaler's join, retire and reclaim
-scenarios, a live gateway session) and of a calibrated fleet whose
-drains move active jobs between waves:
+:class:`~repro.serve.replicaset.FleetLoop` re-reads a replica -- its
+:class:`~repro.serve.FleetArrays` row, rebalance load and deadline
+pressure -- only after an event adds it to ``stale``, and builds a
+replica's view only when a routing policy reads it.  Both shortcuts are
+sound only if every mutation reaches ``stale`` -- including the
+calibration case, where a wave closing on one replica reprices a
+migrant now hosted on another.  This oracle audits each arrival and
+each autoscaler probe of the golden scenarios that exercise those
+paths (a calibrated fixed fleet that reroutes, the autoscaler's join,
+retire and reclaim scenarios, a live gateway session), of a calibrated
+fleet whose drains move active jobs between waves, and of an elastic
+fleet whose queued deadline jobs are priced as missed:
 
 * every row the loop holds fresh equals the row derived from a fresh
   :meth:`~repro.serve.ReplicaSet._replica_view` -- and the router is
   handed the columns of exactly the routable replicas, every row fresh
   (on an elastic fleet too, with no row missing);
+* with rebalancing on, every fresh load equals a fresh
+  :meth:`~repro.serve.ReplicaSet._replica_load`; on an elastic fleet,
+  every fresh pressure equals a fresh ``deadline_pressure()``;
+* the ``(backlog, pressure)`` each probe hands the autoscaler's
+  ``plan`` equals a direct read of every routable replica;
 * every view the router reads equals an eager rebuild.
 """
 
@@ -25,9 +32,23 @@ from collections.abc import Sequence
 
 import pytest
 
-from repro.serve import CostAwareRouting, ReplicaView, TenantRouter, poisson_workload
+from repro.serve import (
+    CostAwareRouting,
+    FleetAutoscaler,
+    ReplicaView,
+    ServeJob,
+    TenantRouter,
+    poisson_workload,
+)
 from repro.serve.replicaset import FleetLoop
-from tests.golden.scenarios import MIXED, SCENARIOS, fleet, make_jobs, priced
+from tests.golden.scenarios import (
+    MIXED,
+    SCENARIOS,
+    elastic,
+    fleet,
+    make_jobs,
+    priced,
+)
 
 
 def calibrated_active_migration():
@@ -48,8 +69,24 @@ def calibrated_active_migration():
     return replica_set, replica_set.run(workload)
 
 
+def elastic_deadline_pressure():
+    """An elastic fleet whose probes see queued deadline misses.
+
+    One slot per replica and tight deadlines leave due jobs queued past
+    the time they could still finish, so ``deadline_pressure`` is
+    nonzero at many probes while the fleet joins and retires replicas.
+    """
+    workload = [
+        ServeJob(job=job, arrival_time=0.02 * a, deadline=0.02 * a + 0.3)
+        for a, job in enumerate(make_jobs([(12, 2)] * 8))
+    ]
+    replica_set = elastic(("a100",), slots=1, budget_per_hour=6.0)
+    return replica_set, replica_set.run(workload)
+
+
 AUDITED = {
     "calibrated-active-migration": calibrated_active_migration,
+    "elastic-deadline-pressure": elastic_deadline_pressure,
     **{
         scenario.name: scenario.run
         for scenario in SCENARIOS
@@ -100,21 +137,27 @@ class AuditedViews(Sequence):
 
 @pytest.fixture
 def audit(monkeypatch):
-    """Patch the arrival path to audit every route; yields the tallies."""
+    """Patch the arrival and probe paths to audit every route and every
+    autoscaler plan; yields the tallies."""
     tally: Counter = Counter()
     current: dict = {}
     on_arrival, route = FleetLoop._on_arrival, TenantRouter.route
+    probe, plan = FleetLoop._probe_autoscaler, FleetAutoscaler.plan
 
     def audited_arrival(self, event):
         current["loop"] = self
         return on_arrival(self, event)
+
+    def audited_probe(self, time):
+        current["loop"] = self
+        return probe(self, time)
 
     def audited_route(self, job, replicas, arrays=None):
         loop = current["loop"]
         fleet = loop.fleet
         tally["arrivals"] += 1
         if arrays is not None:
-            assert not loop.stale_rows  # the router reads every row
+            assert not loop.stale  # the router reads every row
             # The columns are the routable rows, each fresh.
             assert arrays.indices.tolist() == loop._routable()
             for k, index in enumerate(arrays.indices.tolist()):
@@ -122,8 +165,8 @@ def audit(monkeypatch):
                 assert row == fresh_row(fleet, index), (index, row)
             if not arrays.missing.any():
                 tally["columns"] += 1
-        for index in range(len(fleet.replicas)):
-            if index in loop.stale_rows:
+        for index, replica in enumerate(fleet.replicas):
+            if index in loop.stale:
                 continue
             row = (
                 loop.arrays.backlogs[index],
@@ -132,24 +175,54 @@ def audit(monkeypatch):
             )
             assert row == fresh_row(fleet, index), (index, row)
             tally["rows"] += 1
+            if loop.params is not None:
+                fresh = fleet._replica_load(index, loop.params[1])
+                assert loop.loads[index] == fresh, (index, loop.loads[index])
+                tally["loads"] += 1
+            if loop.autoscaler is not None:
+                fresh = replica.deadline_pressure()
+                assert loop.pressure[index] == fresh, (index, loop.pressure[index])
+                tally["pressures"] += 1
         return route(self, job, AuditedViews(replicas, fleet, tally), arrays)
 
+    def audited_plan(self, now, loads, pressure):
+        replicas = current["loop"].fleet.replicas
+        routable = current["loop"]._routable()
+        direct = [(i, replicas[i].expected_remaining_seconds() or 0.0)
+                  for i in routable]
+        assert loads == direct
+        assert all(type(backlog) is float for _, backlog in loads)
+        assert type(pressure) is int
+        assert pressure == sum(replicas[i].deadline_pressure() for i in routable)
+        tally["probes"] += 1
+        tally["pressured_probes"] += pressure > 0
+        return plan(self, now, loads, pressure)
+
     monkeypatch.setattr(FleetLoop, "_on_arrival", audited_arrival)
+    monkeypatch.setattr(FleetLoop, "_probe_autoscaler", audited_probe)
     monkeypatch.setattr(TenantRouter, "route", audited_route)
+    monkeypatch.setattr(FleetAutoscaler, "plan", audited_plan)
     return tally
 
 
 @pytest.mark.parametrize("name", sorted(AUDITED))
 def test_cached_rows_and_read_views_equal_a_fresh_rebuild(audit, name):
-    _, result = AUDITED[name]()
+    replica_set, result = AUDITED[name]()
     assert audit["arrivals"] == len(result.records)
     assert audit["rows"] > 0
+    if replica_set._rebalance_params() is not None:
+        assert audit["loads"] > 0
+    if replica_set.config.autoscaler is not None:
+        assert audit["pressures"] > 0 and audit["probes"] > 0
     if name == "calibrated-active-migration":
         assert result.migrations > 0
     if name in ("autoscale-join-retire", "spot-reclaim-forced"):
         assert result.joins + result.reclaims > 0
+    if name == "elastic-deadline-pressure":
+        assert result.joins > 0 and audit["pressured_probes"] > 0
     if name in (
         "autoscale-join-retire",
+        "elastic-deadline-pressure",
         "spot-reclaim-forced",
         "reclaim-holds-ticket",
         "gateway-session",

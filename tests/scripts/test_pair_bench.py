@@ -2,7 +2,14 @@
 
 import pytest
 
-from scripts.pair_bench import Spread, gain_ratio, regression, verdict, wins_and_ties
+from scripts.pair_bench import (
+    Spread,
+    code_lines,
+    gain_ratio,
+    regression,
+    verdict,
+    wins_and_ties,
+)
 
 PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.0, 101.0, 99.0]
 
@@ -104,3 +111,21 @@ def test_regression_unresolved_when_the_parent_spreads_wider_than_the_bound():
     # Unless every change run reads better than every parent run.
     assert regression(PARENT, [v - 10.0 for v in PARENT], "lower", 0.01) == "ok"
     assert regression(PARENT, [v + 10.0 for v in PARENT], "higher", 0.01) == "ok"
+
+
+def test_code_lines_are_reported_for_both_sides(tmp_path):
+    sources = {
+        "base": {"src/a.py": "x = 1\n", "src/repro/serve/b.py": "y = 2\nz = 3\n"},
+        "change": {
+            "src/a.py": '"""Docstring."""\n\n# comment\nx = 1\n',
+            "src/repro/serve/b.py": "y = 2\n",
+        },
+    }
+    for side, files in sources.items():
+        for name, text in files.items():
+            path = tmp_path / side / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    src, serve = code_lines(tmp_path / "base", tmp_path / "change")
+    assert src.split() == "src code lines base 3 change 2 (-1)".split()
+    assert serve.split() == "src/repro/serve code lines base 2 change 1 (-1)".split()

@@ -276,5 +276,4 @@ class TestCostAware:
     def test_view_seconds_fields_default_to_unpriced(self):
         snapshot = view(0)
         assert snapshot.expected_remaining_time is None
-        assert snapshot.expected_wave_time is None
         assert snapshot.num_parked == 0
