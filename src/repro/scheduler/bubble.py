@@ -127,7 +127,8 @@ def insert_noops(
     inserted = 0
     for mb in microbatches:
         required = start_position + len(output)
-        for adapter_id, batches in mb.batches_by_adapter().items():
+        batches_by_adapter = mb.batches_by_adapter()
+        for adapter_id, batches in batches_by_adapter.items():
             for batch in batches:
                 prev = last_position.get((adapter_id, batch - 1))
                 if prev is not None:
@@ -145,7 +146,7 @@ def insert_noops(
             inserted += 1
         position = start_position + len(output)
         output.append(mb)
-        for adapter_id, batches in mb.batches_by_adapter().items():
+        for adapter_id, batches in batches_by_adapter.items():
             for batch in batches:
                 last_position[(adapter_id, batch)] = position
     return output, inserted

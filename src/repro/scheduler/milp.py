@@ -8,12 +8,21 @@ padded tokens, leaving maximal room for the later merge pass.
 Both stages are one integer branch-and-bound over the paper's model: a
 bin's load is the sum over adapters of that adapter's tokens in it,
 padded to a multiple of ``P``, and may not exceed the capacity.  The
-search starts from greedy's packing as the incumbent and keeps only
+search starts from greedy's bin loads as the incumbent and keeps only
 strictly better packings, so its answer is never worse than greedy's
 (Algorithm 1, lines 2-10).  It counts nodes, not seconds: the same
 input gives the same packing on any machine.  When
 :data:`SEARCH_NODE_BUDGET` runs out it returns the best packing found so
 far and reports that stage 2 is not proven optimal.
+
+The search stops as soon as it meets a proven stage-2 floor.  When no
+packing into the current bin count can leave a bin empty -- the count
+is :func:`bin_count_lower_bound`, or the padded volume ``V`` exceeds
+``(count - 1) * capacity`` -- every bin holds at least the padded
+shortest sample and at least ``V - (count - 1) * capacity`` tokens
+(:func:`stage2_floor`).  A packing whose smallest bin meets the floor
+cannot be beaten, so an incumbent that meets it is not searched and the
+search returns at the first leaf that meets it.
 """
 
 from __future__ import annotations
@@ -21,9 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.data.dataset import Sample
-from repro.scheduler.types import Assignment, Microbatch
+from repro.scheduler.greedy import microbatches_from_layout
+from repro.scheduler.types import Microbatch
 
-__all__ = ["MILPResult", "bin_count_lower_bound", "milp_pack"]
+__all__ = ["MILPResult", "bin_count_lower_bound", "milp_pack", "stage2_floor"]
 
 #: Placements one :func:`milp_pack` call may try before it stops with
 #: the best packing found so far.  No offline-milp, fig21 or scheduler
@@ -44,7 +54,10 @@ class MILPResult:
         stage1_optimal: Whether no packing uses fewer bins.
         stage2_optimal: Whether no packing into ``num_bins`` bins has a
             smaller smallest bin (False when the node budget ran out).
-        nodes: Placements the search tried.
+        nodes: Placements the search tried, over all bin counts.
+        stage2_nodes: Those tried at the final bin count: by the search
+            that emptied no bin.  The rest found packings with fewer
+            bins (stage 1).
     """
 
     microbatches: list[Microbatch] | None
@@ -53,10 +66,25 @@ class MILPResult:
     stage1_optimal: bool = False
     stage2_optimal: bool = False
     nodes: int = 0
+    stage2_nodes: int = 0
 
 
 def _padded(tokens: int, p: int) -> int:
     return -(-tokens // p) * p
+
+
+def _bounds(
+    samples: list[tuple[Sample, int]], capacity: int, p: int
+) -> tuple[int, int]:
+    """``(bins, volume)``: :func:`bin_count_lower_bound` and the padded
+    volume, the tokens every packing holds at least."""
+    totals: dict[int, int] = {}
+    halves = 0
+    for sample, _ in samples:
+        totals[sample.adapter_id] = totals.get(sample.adapter_id, 0) + sample.length
+        halves += 2 * sample.length > capacity
+    volume = sum(_padded(tokens, p) for tokens in totals.values())
+    return max(-(-volume // capacity), halves), volume
 
 
 def bin_count_lower_bound(
@@ -71,15 +99,31 @@ def bin_count_lower_bound(
     than half"; for an odd one two same-adapter samples padded past half
     may still share.)
     """
-    totals: dict[int, int] = {}
-    for sample, _ in samples:
-        totals[sample.adapter_id] = totals.get(sample.adapter_id, 0) + sample.length
-    volume = sum(_padded(tokens, padding_multiple) for tokens in totals.values())
-    halves = sum(1 for sample, _ in samples if 2 * sample.length > capacity)
-    return max(-(-volume // capacity), halves)
+    return _bounds(samples, capacity, padding_multiple)[0]
 
 
-def _search(items, na, capacity, p, num_bins, smallest, budget):
+def stage2_floor(
+    num_bins: int,
+    capacity: int,
+    lower_bound: int,
+    volume: int,
+    shortest: int,
+) -> int:
+    """Fewest padded tokens the smallest of ``num_bins`` bins can hold.
+
+    Zero unless no packing into ``num_bins`` bins can leave one empty:
+    ``num_bins`` is the ``lower_bound`` on the bin count, or the padded
+    ``volume`` does not fit in one bin fewer.  Then every bin holds a
+    sample, at least the padded ``shortest`` one, and the other bins
+    hold at most ``(num_bins - 1) * capacity`` of the volume.
+    """
+    rest = (num_bins - 1) * capacity
+    if num_bins > lower_bound and volume <= rest:
+        return 0
+    return max(shortest, volume - rest)
+
+
+def _search(items, na, capacity, p, num_bins, smallest, floor, budget):
     """Find a ``num_bins``-bin packing whose smallest bin is under ``smallest``.
 
     Depth-first: ``items`` (``(length, adapter)``, longest first) go in
@@ -87,11 +131,12 @@ def _search(items, na, capacity, p, num_bins, smallest, budget):
     same tokens per adapter -- empty ones included -- are tried once.
     Each leaf under the incumbent becomes the new incumbent.  A branch is
     cut when every bin has reached the incumbent, or when the padded
-    volume it must still place cannot fit with one bin under it.  An
-    empty bin is the smallest possible, so the search stops at the first
-    leaf that has one.  The stack is explicit, one generator of
-    placements per item, so no batch size reaches Python's recursion
-    limit.
+    volume it must still place cannot fit with one bin under it.  No
+    leaf's smallest bin is under ``floor`` (zero, an empty bin, when no
+    floor is proven), so the search stops at the first leaf that meets
+    it.  The stack is explicit -- per open level, the next bin to try and
+    the cut test's inputs, in flat lists indexed by item -- so no batch
+    size reaches Python's recursion limit and no level costs a call.
 
     Returns:
         ``(best, nodes, exhausted)``: the best leaf as ``(where, loads)``
@@ -110,70 +155,83 @@ def _search(items, na, capacity, p, num_bins, smallest, budget):
     load = [0] * num_bins
     padded = [0] * na  # per adapter: padded tokens summed over bins
     placed = [0] * na  # per adapter: raw tokens placed
-    where = [0] * len(items)
+    n = len(items)
+    where = [0] * n
+    growths = [0] * n
+    # Per open level: the next bin to try, the bins' contents already
+    # tried, and the inputs of the cut test (fixed while it is open).
+    next_bin = [0] * n
+    seens: list[set[tuple[int, ...]]] = [set()] * n
+    lows = [0] * n
+    spares = [0] * n
     best = None
-
-    def branches(i: int):
-        """``(bin, growth)`` placements of item ``i`` worth trying."""
-        # Padded volume every completion needs: the slack already in an
-        # adapter's padding may absorb its remaining tokens.
-        volume = 0
-        for c in range(na):
-            spill = remaining[i][c] - (padded[c] - placed[c])
-            volume += padded[c] + (_padded(spill, p) if spill > 0 else 0)
-        spare = (num_bins - 1) * capacity - p - volume
-        low = min(load)
-        length, a = items[i]
-        seen: set[tuple[int, ...]] = set()
-        for b, row in enumerate(raw):
-            # Re-checked per branch: a leaf found below may have
-            # lowered `smallest`.
-            if low >= smallest or spare + smallest < 0:
-                return
-            state = tuple(row)
-            if state in seen:
-                continue
-            seen.add(state)
-            # Granules added: ceil((raw + length) / p) - ceil(raw / p).
-            growth = (-row[a] // p - -(row[a] + length) // p) * p
-            if load[b] + growth <= capacity:
-                yield b, growth
-
-    last = len(items) - 1
-    stack = [branches(0)]
-    moves: list[tuple[int, int]] = []  # (bin, growth) of each open level
+    adapters = range(na)
+    others = (num_bins - 1) * capacity - p
+    last = n - 1
     nodes = 0
-    while stack:
-        move = next(stack[-1], None)
-        if move is None:  # level exhausted: take its parent's item out
-            stack.pop()
-            if moves:
-                b, growth = moves.pop()
-                length, a = items[len(moves)]
+    i = 0
+    opening = True
+    while i >= 0:
+        length, a = items[i]
+        if opening:
+            # Padded volume every completion needs: the slack already in
+            # an adapter's padding may absorb its remaining tokens.
+            volume = 0
+            rest = remaining[i]
+            for c in adapters:
+                spill = rest[c] - padded[c] + placed[c]
+                volume += padded[c] + (-(-spill // p) * p if spill > 0 else 0)
+            lows[i] = min(load)
+            spares[i] = others - volume
+            next_bin[i] = 0
+            seens[i] = set()
+            opening = False
+        low, spare, seen = lows[i], spares[i], seens[i]
+        b = next_bin[i]
+        growth = -1
+        # Re-checked per bin: a leaf found below may have lowered
+        # `smallest`.
+        while b < num_bins and low < smallest and spare + smallest >= 0:
+            row = raw[b]
+            state = tuple(row)
+            if state not in seen:
+                seen.add(state)
+                # Granules added: ceil((raw + length) / p) - ceil(raw / p).
+                grown = (-row[a] // p - -(row[a] + length) // p) * p
+                if load[b] + grown <= capacity:
+                    growth = grown
+                    break
+            b += 1
+        if growth < 0:  # level exhausted: take its parent's item out
+            i -= 1
+            if i >= 0:
+                b, growth = where[i], growths[i]
+                length, a = items[i]
                 raw[b][a] -= length
                 load[b] -= growth
                 padded[a] -= growth
                 placed[a] -= length
             continue
+        next_bin[i] = b + 1
         nodes += 1
         if nodes > budget:
             return best, budget, True
-        i = len(moves)
-        b, growth = move
         where[i] = b
         if i == last:  # a leaf: only the loads matter
             load[b] += growth
             if min(load) < smallest:
                 best, smallest = (list(where), list(load)), min(load)
+                if smallest <= floor:
+                    return best, nodes, False
             load[b] -= growth
             continue
-        length, a = items[i]
+        growths[i] = growth
         raw[b][a] += length
         load[b] += growth
         padded[a] += growth
         placed[a] += length
-        moves.append(move)
-        stack.append(branches(i + 1))
+        i += 1
+        opening = True
     return best, nodes, False
 
 
@@ -181,20 +239,22 @@ def milp_pack(
     samples: list[tuple[Sample, int]],
     capacity: int,
     padding_multiple: int,
-    incumbent: list[Microbatch],
+    incumbent: list[int],
 ) -> MILPResult:
     """Solve both stages for one global batch, starting from ``incumbent``.
 
     Stage 2 searches at the incumbent's bin count for a smaller smallest
     bin.  A packing with an empty bin is a stage-1 win: its empty bins
     are dropped and the search runs again at the new count, from that
-    packing's smallest bin.
+    packing's smallest bin.  No search runs at a count where the
+    incumbent's smallest bin already meets :func:`stage2_floor`.
 
     Args:
         samples: ``(sample, global_batch_index)`` pairs.
         capacity: Microbatch token budget.
         padding_multiple: Padding granule ``P``.
-        incumbent: A capacity-feasible packing of ``samples`` -- greedy's.
+        incumbent: Padded loads of a capacity-feasible packing of
+            ``samples``, one per bin -- greedy's.
 
     Returns:
         A :class:`MILPResult`; ``microbatches`` is None when no packing
@@ -202,27 +262,31 @@ def milp_pack(
     """
     p = padding_multiple
     num_bins = len(incumbent)
-    smallest = min((mb.padded_tokens for mb in incumbent), default=0)
+    smallest = min(incumbent, default=0)
     ids = sorted({sample.adapter_id for sample, _ in samples})
     adapter = {adapter_id: i for i, adapter_id in enumerate(ids)}
-    order = sorted(
-        range(len(samples)),
-        key=lambda s: (-samples[s][0].length, adapter[samples[s][0].adapter_id], s),
+    keys = sorted(
+        (-sample.length, adapter[sample.adapter_id], s)
+        for s, (sample, _) in enumerate(samples)
     )
-    items = [
-        (samples[s][0].length, adapter[samples[s][0].adapter_id]) for s in order
-    ]
-    floor = bin_count_lower_bound(samples, capacity, p)
+    order = [s for _, _, s in keys]
+    items = [(-neg_length, a) for neg_length, a, _ in keys]
+    lower_bound, volume = _bounds(samples, capacity, p)
+    shortest = _padded(items[-1][0], p) if items else 0
     best_where = None
-    nodes = 0
+    nodes = stage2_nodes = 0
     exhausted = False
     while num_bins > 1:
+        floor = stage2_floor(num_bins, capacity, lower_bound, volume, shortest)
+        if smallest <= floor:
+            break
         best, used, exhausted = _search(
-            items, len(ids), capacity, p, num_bins, smallest,
+            items, len(ids), capacity, p, num_bins, smallest, floor,
             SEARCH_NODE_BUDGET - nodes,
         )
         nodes += used
         if best is None:
+            stage2_nodes = used
             break
         where, loads = best
         # Number the used bins densely, dropping any empty ones.
@@ -232,22 +296,24 @@ def milp_pack(
         emptied = len(dense) < num_bins
         num_bins = len(dense)
         if exhausted or not emptied:
+            stage2_nodes = used
             break
         # Fewer bins suffice: search again at the new count.
     result = MILPResult(
         microbatches=None,
         num_bins=num_bins,
         min_bin_tokens=smallest,
-        stage1_optimal=not exhausted or num_bins == floor,
+        stage1_optimal=not exhausted or num_bins == lower_bound,
         stage2_optimal=not exhausted,
         nodes=nodes,
+        stage2_nodes=stage2_nodes,
     )
     if best_where is None:
         return result
-    bins = [Microbatch(capacity=capacity, padding_multiple=p) for _ in range(num_bins)]
-    bin_of = dict(zip(order, best_where))
-    for s, (sample, batch_index) in enumerate(samples):
-        bins[bin_of[s]].add(Assignment(sample=sample, global_batch=batch_index))
+    members: list[list[int]] = [[] for _ in range(num_bins)]
+    for s, b in sorted(zip(order, best_where)):
+        members[b].append(s)
+    bins = microbatches_from_layout(samples, members, capacity, p)
     # Fullest first, so the final (mergeable) bin is the smallest.
     bins.sort(key=lambda mb: -mb.padded_tokens)
     result.microbatches = bins

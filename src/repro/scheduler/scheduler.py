@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from repro.data.dataset import Sample
 from repro.errors import ScheduleError
 from repro.scheduler.bubble import find_violations, insert_noops
-from repro.scheduler.greedy import greedy_pack
+from repro.scheduler.greedy import greedy_layout, microbatches_from_layout
 from repro.scheduler.grouping import head_tail_groups
 from repro.scheduler.merging import merge_pass
 from repro.scheduler.milp import milp_pack
@@ -101,21 +101,24 @@ def pack_global_batch(
 
     Greedy packs first; with more than one greedy bin the two-stage
     search (:func:`~repro.scheduler.milp.milp_pack`) starts from that
-    packing and replaces it only with a strictly better one -- fewer
-    bins, or as many with a smaller smallest bin.
+    packing's bin loads and replaces it only with a strictly better one
+    -- fewer bins, or as many with a smaller smallest bin.  Greedy's
+    microbatches are built only when greedy's packing is kept.
 
     Module-level (picklable) so worker processes can run it.
 
     Returns:
         ``(microbatches, method)`` with method ``"milp"`` or ``"greedy"``.
     """
-    greedy_bins = greedy_pack(samples, capacity, padding_multiple)
-    if not use_milp or len(greedy_bins) <= 1:
-        return greedy_bins, "greedy"
-    result = milp_pack(samples, capacity, padding_multiple, greedy_bins)
-    if result.microbatches is None:
-        return greedy_bins, "greedy"
-    return result.microbatches, "milp"
+    members, loads = greedy_layout(samples, capacity, padding_multiple)
+    if use_milp and len(loads) > 1:
+        result = milp_pack(samples, capacity, padding_multiple, loads)
+        if result.microbatches is not None:
+            return result.microbatches, "milp"
+    return (
+        microbatches_from_layout(samples, members, capacity, padding_multiple),
+        "greedy",
+    )
 
 
 def _pack_task(args):

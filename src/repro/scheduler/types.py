@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -10,6 +11,15 @@ from repro.errors import CapacityError, ScheduleError
 from repro.models.layer_costs import MicrobatchShape
 
 __all__ = ["AdapterJob", "Assignment", "Microbatch", "Schedule"]
+
+
+@functools.lru_cache(maxsize=4096)
+def _one_batch(batch: int) -> frozenset[int]:
+    """``{batch}``, shared: most adapters bring one batch to a microbatch,
+    and microbatches that keep their batch maps share these sets.  Bounded,
+    since batch indices grow with a job's length; an evicted index only
+    costs a fresh set."""
+    return frozenset((batch,))
 
 
 @dataclass(frozen=True)
@@ -118,24 +128,33 @@ class Microbatch:
     _raw: dict[int, int] = field(init=False, repr=False, compare=False)
     _padded: int = field(init=False, repr=False, compare=False)
     _sum_sq: int = field(init=False, repr=False, compare=False)
+    # The adapter -> global batches map, built by the first
+    # ``batches_by_adapter`` call and kept in step by ``add`` after it.
+    _batches: dict[int, frozenset[int]] | None = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        self._raw = {}
-        self._padded = 0
-        self._sum_sq = 0
+        raw: dict[int, int] = {}
+        sum_sq = 0
         for assignment in self.assignments:
-            self._count(assignment.adapter_id, assignment.length)
+            sample = assignment.sample
+            raw[sample.adapter_id] = raw.get(sample.adapter_id, 0) + sample.length
+            sum_sq += sample.length * sample.length
+        self._raw = raw
+        self._padded = sum(self._padded_of(tokens) for tokens in raw.values())
+        self._sum_sq = sum_sq
+        self._batches = None
 
     def _padded_of(self, tokens: int) -> int:
         """``tokens`` padded up to the next multiple of ``P``."""
         p = self.padding_multiple
-        return math.ceil(tokens / p) * p
+        return -(-tokens // p) * p
 
-    def _count(self, adapter_id: int, length: int) -> None:
+    def _growth(self, adapter_id: int, length: int) -> int:
+        """Padded tokens that adding ``length`` of ``adapter_id`` costs."""
         current = self._raw.get(adapter_id, 0)
-        self._raw[adapter_id] = current + length
-        self._padded += self._padded_of(current + length) - self._padded_of(current)
-        self._sum_sq += length * length
+        return self._padded_of(current + length) - self._padded_of(current)
 
     @property
     def is_noop(self) -> bool:
@@ -169,19 +188,31 @@ class Microbatch:
 
     def fits(self, sample: Sample) -> bool:
         """Whether adding ``sample`` keeps the microbatch within capacity."""
-        current = self._raw.get(sample.adapter_id, 0)
-        grown = self._padded_of(current + sample.length) - self._padded_of(current)
-        return self._padded + grown <= self.capacity
+        growth = self._growth(sample.adapter_id, sample.length)
+        return self._padded + growth <= self.capacity
 
     def add(self, assignment: Assignment) -> None:
         """Add a sample, enforcing the capacity invariant."""
-        if not self.fits(assignment.sample):
+        adapter_id, length = assignment.adapter_id, assignment.length
+        growth = self._growth(adapter_id, length)
+        if self._padded + growth > self.capacity:
             raise CapacityError(
-                f"sample of length {assignment.length} does not fit "
+                f"sample of length {length} does not fit "
                 f"(used {self.padded_tokens}/{self.capacity})"
             )
         self.assignments.append(assignment)
-        self._count(assignment.adapter_id, assignment.length)
+        self._raw[adapter_id] = self._raw.get(adapter_id, 0) + length
+        self._padded += growth
+        self._sum_sq += length * length
+        if self._batches is not None:
+            self._note_batch(adapter_id, assignment.global_batch)
+
+    def _note_batch(self, adapter_id: int, batch: int) -> None:
+        batches = self._batches.get(adapter_id)
+        if batches is None:
+            self._batches[adapter_id] = _one_batch(batch)
+        elif batch not in batches:
+            self._batches[adapter_id] = batches | {batch}
 
     def shape(self) -> MicrobatchShape:
         """Workload descriptor for the cost model (padded tokens)."""
@@ -191,14 +222,20 @@ class Microbatch:
             num_adapters=len(self._raw),
         )
 
-    def batches_by_adapter(self) -> dict[int, set[int]]:
-        """Which global-batch indices each adapter contributes."""
-        result: dict[int, set[int]] = {}
-        for assignment in self.assignments:
-            result.setdefault(assignment.adapter_id, set()).add(
-                assignment.global_batch
-            )
-        return result
+    def batches_by_adapter(self) -> dict[int, frozenset[int]]:
+        """Which global-batch indices each adapter contributes.
+
+        Built on the first call and kept in step by :meth:`add`, so the
+        map is shared: callers must not mutate it.  A no-op's empty map
+        is not kept: streams hold many no-ops.
+        """
+        if not self.assignments:
+            return {}
+        if self._batches is None:
+            self._batches = {}
+            for assignment in self.assignments:
+                self._note_batch(assignment.adapter_id, assignment.global_batch)
+        return self._batches
 
 
 @dataclass

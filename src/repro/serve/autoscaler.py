@@ -285,10 +285,6 @@ class FleetAutoscaler:
         self._live[pool.name] -= 1
         self._committed_rate -= pool.hourly_rate
 
-    def pool_of(self, index: int) -> CapacityPool:
-        """The pool a live replica was bought from (rate, spot-ness)."""
-        return self._pool_of[index]
-
     @property
     def committed_rate(self) -> float:
         """Current fleet $/hour (live plus in-flight replicas)."""

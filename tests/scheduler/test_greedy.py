@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from repro.data.dataset import Sample
 from repro.errors import CapacityError
 from repro.scheduler import greedy_pack
-from repro.scheduler.greedy import check_sample_fits_capacity
+from repro.scheduler.greedy import check_sample_fits_capacity, greedy_layout
+from tests.scheduler.greedy_reference import reference_greedy_pack
 
 
 def entries(lengths, aid=0, batch=0):
@@ -81,3 +82,47 @@ class TestGreedyProperties:
         assert placed == list(range(len(lengths)))
         # no empty bins
         assert all(not mb.is_noop for mb in bins)
+
+
+@st.composite
+def tasks(draw):
+    """1-4 adapters, 0-30 samples with tied lengths, any batch labels."""
+    p = draw(st.sampled_from([1, 8, 64, 128]))
+    capacity = draw(st.integers(1, 4096 // p)) * p
+    spec = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.sampled_from([1, p, capacity // 2, capacity])
+                | st.integers(1, capacity),
+                st.integers(0, 2),
+            ),
+            max_size=30,
+        )
+    )
+    counters: dict[int, int] = {}
+    samples = []
+    for adapter_id, length, batch in spec:
+        index = counters.get(adapter_id, 0)
+        counters[adapter_id] = index + 1
+        samples.append((Sample(adapter_id, index, max(1, length)), batch))
+    return samples, capacity, p
+
+
+class TestAgainstReference:
+    @given(tasks())
+    @settings(max_examples=200, deadline=None)
+    def test_same_bins_as_the_microbatch_packer(self, task):
+        samples, capacity, p = task
+        bins = greedy_pack(samples, capacity, p)
+        reference = reference_greedy_pack(samples, capacity, p)
+        assert bins == reference
+        assert [list(mb.tokens_by_adapter().items()) for mb in bins] == [
+            list(mb.tokens_by_adapter().items()) for mb in reference
+        ]
+        members, loads = greedy_layout(samples, capacity, p)
+        assert loads == [mb.padded_tokens for mb in reference]
+        assert [[samples[s] for s in bin_] for bin_ in members] == [
+            [(a.sample, a.global_batch) for a in mb.assignments]
+            for mb in reference
+        ]

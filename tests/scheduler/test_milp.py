@@ -33,7 +33,9 @@ class TestStage1:
         capacity = 14 * 64
         greedy = greedy_pack(entries(lengths), capacity, 64)
         assert len(greedy) == 3
-        result = milp_pack(entries(lengths), capacity, 64, greedy)
+        result = milp_pack(
+            entries(lengths), capacity, 64, [mb.padded_tokens for mb in greedy]
+        )
         assert result.microbatches is not None
         assert result.num_bins == 2
 
@@ -48,13 +50,14 @@ class TestStage1:
         ]
         greedy = greedy_pack(samples, 8192, 64)
         monkeypatch.setattr(milp_module, "SEARCH_NODE_BUDGET", len(samples) + 1)
-        result = milp_pack(samples, 8192, 64, greedy)
+        result = milp_pack(samples, 8192, 64, [mb.padded_tokens for mb in greedy])
         assert result.nodes == len(samples) + 1 and not result.stage2_optimal
         assert result.num_bins <= len(greedy)
 
     def test_single_bin_returns_none(self):
         samples = entries([100, 100])
-        result = milp_pack(samples, 1024, 64, greedy_pack(samples, 1024, 64))
+        greedy = greedy_pack(samples, 1024, 64)
+        result = milp_pack(samples, 1024, 64, [mb.padded_tokens for mb in greedy])
         assert result.microbatches is None
 
     def test_empty_returns_none(self):
@@ -64,7 +67,8 @@ class TestStage1:
     def test_all_samples_assigned_once(self):
         lengths = [l * 64 for l in (7, 6, 5, 4, 3, 3)]
         samples = entries(lengths)
-        result = milp_pack(samples, 14 * 64, 64, greedy_pack(samples, 14 * 64, 64))
+        greedy = greedy_pack(samples, 14 * 64, 64)
+        result = milp_pack(samples, 14 * 64, 64, [mb.padded_tokens for mb in greedy])
         placed = sorted(
             a.sample.index
             for mb in result.microbatches
@@ -75,7 +79,8 @@ class TestStage1:
     def test_capacity_respected(self):
         lengths = [l * 64 for l in (7, 6, 5, 4, 3, 3)]
         samples = entries(lengths)
-        result = milp_pack(samples, 14 * 64, 64, greedy_pack(samples, 14 * 64, 64))
+        greedy = greedy_pack(samples, 14 * 64, 64)
+        result = milp_pack(samples, 14 * 64, 64, [mb.padded_tokens for mb in greedy])
         assert all(mb.padded_tokens <= 14 * 64 for mb in result.microbatches)
 
 
@@ -86,7 +91,9 @@ class TestStage2:
         lengths = [l * 64 for l in (4, 3, 3, 2, 2)]
         greedy = greedy_pack(entries(lengths), 8 * 64, 64)
         assert [mb.padded_tokens for mb in greedy] == [448, 448]
-        result = milp_pack(entries(lengths), 8 * 64, 64, greedy)
+        result = milp_pack(
+            entries(lengths), 8 * 64, 64, [mb.padded_tokens for mb in greedy]
+        )
         assert result.microbatches is not None
         sizes = [mb.padded_tokens for mb in result.microbatches]
         assert sizes == [512, 384]
@@ -95,7 +102,8 @@ class TestStage2:
     def test_multi_adapter_padding_multiples_respected(self):
         spec = [(2, 224), (1, 101), (2, 81), (1, 67), (0, 230), (0, 28)]
         samples = mixed_entries(spec)
-        result = milp_pack(samples, 256, 64, greedy_pack(samples, 256, 64))
+        greedy = greedy_pack(samples, 256, 64)
+        result = milp_pack(samples, 256, 64, [mb.padded_tokens for mb in greedy])
         assert result.microbatches is not None
         for mb in result.microbatches:
             assert mb.padded_tokens <= 256

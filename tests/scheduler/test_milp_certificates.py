@@ -8,14 +8,19 @@ bin -- on every instance; its layout may differ where optimal packings
 tie.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.dataset import Sample
 from repro.scheduler import greedy_pack, milp_pack, pack_global_batch
 from repro.scheduler import milp as milp_module
-from repro.scheduler.milp import bin_count_lower_bound
+from repro.scheduler.milp import bin_count_lower_bound, stage2_floor
+from repro.scheduler import scheduler as scheduler_module
+from tests.scheduler.het import GENERATOR_SEEDS, captured_calls
 from tests.scheduler.milp_reference import two_stage
+from tests.scheduler.search_reference import reference_search
 
 
 def objectives(bins):
@@ -60,8 +65,22 @@ def instances(draw):
     return mixed_entries(spec), capacity, p
 
 
+def floor_of(samples, capacity, p, num_bins):
+    """:func:`stage2_floor` of ``samples`` packed into ``num_bins`` bins."""
+    totals = {}
+    for sample, _ in samples:
+        totals[sample.adapter_id] = totals.get(sample.adapter_id, 0) + sample.length
+    volume = sum(-(-tokens // p) * p for tokens in totals.values())
+    shortest = -(-min(sample.length for sample, _ in samples) // p) * p
+    return stage2_floor(
+        num_bins, capacity, bin_count_lower_bound(samples, capacity, p),
+        volume, shortest,
+    )
+
+
 def search(samples, capacity, p):
-    return milp_pack(samples, capacity, p, greedy_pack(samples, capacity, p))
+    greedy = greedy_pack(samples, capacity, p)
+    return milp_pack(samples, capacity, p, [mb.padded_tokens for mb in greedy])
 
 
 class TestAgainstOracle:
@@ -79,6 +98,8 @@ class TestAgainstOracle:
             oracle.num_bins,
             oracle.min_bin_tokens,
         )
+        assert oracle.min_bin_tokens >= floor_of(samples, capacity, p,
+                                                 oracle.num_bins)
 
 
 class TestBinCountLowerBound:
@@ -89,7 +110,7 @@ class TestBinCountLowerBound:
         bound = bin_count_lower_bound(samples, capacity, p)
         greedy = greedy_pack(samples, capacity, p)
         assert bound <= len(greedy)
-        result = milp_pack(samples, capacity, p, greedy)
+        result = milp_pack(samples, capacity, p, [mb.padded_tokens for mb in greedy])
         assert bound <= result.num_bins
         if result.microbatches is not None:
             assert bound <= len(result.microbatches)
@@ -144,7 +165,7 @@ class TestNoWinSearch:
         )
         greedy = greedy_pack(samples, 512, 64)
         assert objectives(greedy) == (4, 64)
-        result = milp_pack(samples, 512, 64, greedy)
+        result = milp_pack(samples, 512, 64, [mb.padded_tokens for mb in greedy])
         assert objectives(result.microbatches) == (3, 448)
 
     def test_bins_are_told_apart_by_contents_not_load(self):
@@ -176,8 +197,9 @@ class TestNoWinSearch:
         capacity, p = 4096, 64
         greedy = greedy_pack(samples, capacity, p)
         monkeypatch.setattr(milp_module, "SEARCH_NODE_BUDGET", 1000)
-        first = milp_pack(samples, capacity, p, greedy)
-        second = milp_pack(samples, capacity, p, greedy)
+        loads = [mb.padded_tokens for mb in greedy]
+        first = milp_pack(samples, capacity, p, loads)
+        second = milp_pack(samples, capacity, p, loads)
         assert not first.stage2_optimal and first.nodes == 1000
         bins = first.microbatches
         assert all(mb.padded_tokens <= capacity for mb in bins)
@@ -198,7 +220,7 @@ class TestStageOneSkip:
         greedy = greedy_pack(samples, 8 * 64, 64)
         assert bin_count_lower_bound(samples, 8 * 64, 64) == len(greedy) == 2
         monkeypatch.setattr(milp_module, "SEARCH_NODE_BUDGET", 1)
-        result = milp_pack(samples, 8 * 64, 64, greedy)
+        result = milp_pack(samples, 8 * 64, 64, [mb.padded_tokens for mb in greedy])
         assert result.num_bins == 2 and result.stage1_optimal
         assert not result.stage2_optimal
 
@@ -209,7 +231,7 @@ class TestStageOneSkip:
         greedy = greedy_pack(samples, 14 * 64, 64)
         assert bin_count_lower_bound(samples, 14 * 64, 64) < len(greedy)
         monkeypatch.setattr(milp_module, "SEARCH_NODE_BUDGET", 1)
-        result = milp_pack(samples, 14 * 64, 64, greedy)
+        result = milp_pack(samples, 14 * 64, 64, [mb.padded_tokens for mb in greedy])
         assert result.microbatches is None and result.num_bins == 3
         assert not result.stage1_optimal and not result.stage2_optimal
 
@@ -217,6 +239,136 @@ class TestStageOneSkip:
         # The only 2-bin packings are greedy's own split: nothing beats it.
         samples = mixed_entries([(0, 8 * 64), (0, 5 * 64), (1, 3 * 64)])
         greedy = greedy_pack(samples, 8 * 64, 64)
-        result = milp_pack(samples, 8 * 64, 64, greedy)
+        result = milp_pack(samples, 8 * 64, 64, [mb.padded_tokens for mb in greedy])
         assert result.microbatches is None and result.stage2_optimal
         assert (result.num_bins, result.min_bin_tokens) == objectives(greedy)
+
+
+def without_floor(samples, capacity, p, loads):
+    """``milp_pack`` with the stage-2 floor forced to 0."""
+    with mock.patch.object(milp_module, "stage2_floor", lambda *args: 0):
+        return milp_pack(samples, capacity, p, loads)
+
+
+def same_answer(with_floor, without):
+    """The packing and every flag agree; the floor only saves nodes."""
+    assert with_floor.microbatches == without.microbatches
+    assert (
+        with_floor.num_bins,
+        with_floor.min_bin_tokens,
+        with_floor.stage1_optimal,
+        with_floor.stage2_optimal,
+    ) == (
+        without.num_bins,
+        without.min_bin_tokens,
+        without.stage1_optimal,
+        without.stage2_optimal,
+    )
+    assert with_floor.nodes <= without.nodes
+
+
+class TestStageTwoFloor:
+    def test_zero_while_a_bin_may_be_empty(self):
+        # Three bins above the bound of two, volume fits in two bins.
+        assert stage2_floor(3, 512, 2, 768, 128) == 0
+
+    def test_at_the_bound_every_bin_holds_a_sample(self):
+        # Two bins at the bound, volume 768 leaves at least 256 in each.
+        assert stage2_floor(2, 512, 2, 768, 128) == 256
+        assert stage2_floor(2, 512, 2, 768, 320) == 320
+
+    def test_volume_past_one_bin_fewer_proves_a_floor(self):
+        # Above the halves bound of two but 1,100 tokens need all three.
+        assert stage2_floor(3, 512, 2, 1100, 64) == 1100 - 1024
+
+    def test_an_incumbent_at_the_floor_is_not_searched(self):
+        samples = mixed_entries([(0, 512)] * 4)
+        result = search(samples, 1024, 64)
+        assert result.nodes == 0 and result.microbatches is None
+        assert result.stage1_optimal and result.stage2_optimal
+
+    @given(instances())
+    @settings(max_examples=60, deadline=None)
+    def test_floor_changes_no_answer(self, instance):
+        samples, capacity, p = instance
+        loads = [mb.padded_tokens for mb in greedy_pack(samples, capacity, p)]
+        same_answer(
+            milp_pack(samples, capacity, p, loads),
+            without_floor(samples, capacity, p, loads),
+        )
+
+    def test_floor_changes_no_answer_on_offline_milp_tasks(self):
+        calls = 0
+        for seed in GENERATOR_SEEDS:
+            for args in captured_calls(scheduler_module, "milp_pack", seed, 4):
+                same_answer(milp_pack(*args), without_floor(*args))
+                calls += 1
+        assert calls > 400
+
+
+class TestNodesByStage:
+    def test_no_fewer_bins_means_all_nodes_are_stage_two(self):
+        samples = mixed_entries(
+            [(0, 192), (0, 384), (0, 98), (0, 162), (0, 384), (0, 98), (0, 290)]
+        )
+        result = search(samples, 384, 64)
+        assert result.num_bins == len(greedy_pack(samples, 384, 64))
+        assert result.stage2_nodes == result.nodes > 0
+
+    def test_fewer_bins_split_the_count(self):
+        # Stage 1 empties greedy's fourth bin; stage 2 then lowers the
+        # smallest of three to 448.
+        samples = mixed_entries(
+            [(0, 200), (0, 162), (1, 354), (0, 256), (0, 64), (0, 162),
+             (1, 121), (1, 81)]
+        )
+        result = search(samples, 512, 64)
+        assert result.num_bins == 3
+        assert 0 < result.stage2_nodes < result.nodes
+
+    def test_a_stage_one_win_at_the_floor_needs_no_stage_two(self):
+        # Two full bins: the floor at two bins is the capacity.
+        samples = mixed_entries([(0, l * 64) for l in (7, 6, 5, 4, 3, 3)])
+        result = search(samples, 14 * 64, 64)
+        assert result.num_bins == 2 and result.stage2_nodes == 0 < result.nodes
+
+
+def search_calls(samples, capacity, p):
+    """The ``_search`` calls ``milp_pack`` makes from greedy's packing."""
+    calls = []
+    real = milp_module._search
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(milp_module, "_search", record):
+        search(samples, capacity, p)
+    return calls
+
+
+def same_as_reference(args):
+    """The trimmed search and the reference agree, also when the budget
+    runs out half way."""
+    result = milp_module._search(*args)
+    assert result == reference_search(*args)
+    short = (*args[:-1], result[1] // 2)
+    assert milp_module._search(*short) == reference_search(*short)
+
+
+class TestTrimmedSearch:
+    @given(instances())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_reference_search(self, instance):
+        for args in search_calls(*instance):
+            same_as_reference(args)
+
+    def test_matches_the_reference_on_offline_milp_tasks(self):
+        calls = [
+            args
+            for seed in GENERATOR_SEEDS
+            for args in captured_calls(milp_module, "_search", seed, 4)
+        ]
+        assert len(calls) > 300
+        for args in calls:
+            same_as_reference(args)

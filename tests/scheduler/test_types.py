@@ -11,6 +11,7 @@ from repro.data.dataset import FinetuneDataset, Sample
 from repro.distsim.systems import onthefly_microbatches_for_batch
 from repro.errors import CapacityError, ScheduleError
 from repro.scheduler import AdapterJob, Assignment, Microbatch, Schedule
+from tests.scheduler.het import GENERATOR_SEEDS, het_scheduler
 
 
 def sample(aid, idx, length):
@@ -76,6 +77,15 @@ class TestMicrobatchAccounting:
         mb.add(Assignment(sample(0, 1, 10), 4))
         mb.add(Assignment(sample(1, 0, 10), 3))
         assert mb.batches_by_adapter() == {0: {3, 4}, 1: {3}}
+
+    def test_batches_by_adapter_is_kept_in_step_by_add(self):
+        mb = Microbatch(assignments=[Assignment(sample(0, 0, 10), 3)],
+                        capacity=1024, padding_multiple=64)
+        batches = mb.batches_by_adapter()
+        mb.add(Assignment(sample(0, 1, 10), 4))
+        mb.add(Assignment(sample(1, 0, 10), 3))
+        assert mb.batches_by_adapter() is batches
+        assert batches == {0: {3, 4}, 1: {3}}
 
 
 def rescanned(mb):
@@ -157,6 +167,8 @@ class TestIncrementalTotals:
         assert first == second
         assert first != Microbatch(capacity=256, padding_multiple=64, step=1)
         assert "_raw" not in repr(first)
+        first.batches_by_adapter()
+        assert first == second and "_batches" not in repr(first)
         schedule = Schedule(microbatches=[first, Microbatch()], num_stages=2)
         payload = schedule.to_dict()
         assert set(payload["microbatches"][0]) == {
@@ -166,6 +178,32 @@ class TestIncrementalTotals:
         rebuilt = Schedule.from_dict(json.loads(json.dumps(payload)))
         assert rebuilt.microbatches == schedule.microbatches
         assert counted(rebuilt.microbatches[0]) == counted(first)
+
+
+def rescanned_batches(mb):
+    batches: dict[int, set[int]] = {}
+    for a in mb.assignments:
+        batches.setdefault(a.adapter_id, set()).add(a.global_batch)
+    return batches
+
+
+def test_batch_maps_match_a_rescan_after_every_add(monkeypatch):
+    """Over a whole schedule: greedy, the search, merge probes and merges."""
+    adds = []
+    real_add = Microbatch.add
+
+    def checked_add(self, assignment):
+        real_add(self, assignment)
+        adds.append(self)
+        assert self.batches_by_adapter() == rescanned_batches(self)
+
+    monkeypatch.setattr(Microbatch, "add", checked_add)
+    scheduler = het_scheduler(GENERATOR_SEEDS[0], global_batch_size=4,
+                              num_stages=1)
+    schedule = scheduler.schedule()
+    assert schedule.stats["merges"] > 0 and adds
+    for mb in schedule.microbatches:
+        assert mb.batches_by_adapter() == rescanned_batches(mb)
 
 
 @pytest.mark.slow
