@@ -39,6 +39,14 @@ throughout: window scheduling never reorders samples across global-batch
 boundaries, the splicer preserves update ordering, and preemption only
 moves state at optimizer-step boundaries, so a job served under churn --
 even evicted and resumed -- trains exactly as it would alone.
+
+Every unfinished job is one private record, whichever state it is in:
+queued (pending), preempted (parked) or holding a slot (active).  The
+record carries the job's batch count (fixed at offer), the optimizer
+steps banked, the next batch to schedule, its global batches (built at
+first admission) and, while parked, its exported executor state; the
+work a job still owes is defined once, as batches minus steps banked.
+A :class:`MigrationTicket` carries the same state between replicas.
 """
 
 from __future__ import annotations
@@ -46,7 +54,8 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import chain
+from typing import Iterator
 
 from repro.data.dataset import FinetuneDataset, Sample
 from repro.errors import ScheduleError, require_finite
@@ -219,36 +228,28 @@ class OrchestratorConfig:
             )
 
 
-@dataclass
-class _ActiveJob:
-    """Orchestrator-side state of one admitted job."""
+@dataclass(eq=False)
+class _Job:
+    """Orchestrator-side state of one unfinished job, pending, parked or active.
+
+    ``num_batches`` is fixed at offer; ``batches`` are built at first
+    admission and kept across preemption; ``payload`` holds the executor
+    state exported at eviction while the job is parked (or carried in by
+    a migration ticket until the job is activated).
+    """
 
     serve_job: ServeJob
-    batches: list[list[Sample]]
     record: JobRecord
+    num_batches: int
+    completed: int = 0  # optimizer steps banked
     next_batch: int = 0  # first not-yet-scheduled global batch
-    steps_completed: int = 0
+    batches: list[list[Sample]] | None = None
+    payload: object | None = None
 
     @property
-    def num_batches(self) -> int:
-        return len(self.batches)
-
-    @property
-    def fully_scheduled(self) -> bool:
-        return self.next_batch >= self.num_batches
-
-    @property
-    def finished(self) -> bool:
-        return self.steps_completed >= self.num_batches
-
-
-@dataclass
-class _ParkedJob:
-    """A preempted job waiting (with its exported state) for a slot."""
-
-    serve_job: ServeJob
-    payload: object
-    completed: int  # optimizer steps banked before eviction
+    def remaining(self) -> int:
+        """Global batches this job still owes (not yet stepped)."""
+        return self.num_batches - self.completed
 
 
 @dataclass(frozen=True)
@@ -291,6 +292,13 @@ class OnlineOrchestrator:
     :meth:`eject_job`/:meth:`inject_job` (migration), finishing with
     :meth:`finish`.
 
+    Each unfinished job lives in one record held by exactly one of three
+    containers: the arrival-sorted pending queue, the parked (preempted)
+    jobs, or the active (slot-holding) jobs, the latter two in insertion
+    order.  Admission, preemption, migration and every load read move or
+    read that one record, so remaining work is counted one way for all
+    three states.
+
     Args:
         executor: Execution backend (numeric engine or pipeline
             simulator).
@@ -313,9 +321,11 @@ class OnlineOrchestrator:
         self._splicer = StreamSplicer(config.scheduler.num_stages)
         self._policy: OrderingPolicy = config.ordering or FCFSOrdering()
         self._estimator: CostEstimator | None = config.estimator
-        self._pending: list[ServeJob] = []
-        self._parked: dict[int, _ParkedJob] = {}
-        self._active: dict[int, _ActiveJob] = {}
+        # Every unfinished job is one _Job, held by exactly one of these:
+        # arrival-sorted pending, then insertion-ordered parked and active.
+        self._pending: list[_Job] = []
+        self._parked: dict[int, _Job] = {}
+        self._active: dict[int, _Job] = {}
         self._records: dict[int, JobRecord] = {}
         self._replans = 0
         self._preemptions = 0
@@ -401,28 +411,42 @@ class OnlineOrchestrator:
         self._prices[job.adapter_id] = (job, batches, version, seconds)
         return seconds
 
-    def _view(self, job: ServeJob, remaining: int, admitted: bool) -> JobView:
+    def _price(self, job: _Job) -> float | None:
+        """Expected service seconds of ``job``'s remaining batches."""
+        return self._remaining_seconds(job.serve_job.job, job.remaining)
+
+    def _view(self, job: _Job, admitted: bool = False) -> JobView:
+        serve_job = job.serve_job
         return JobView(
-            adapter_id=job.adapter_id,
-            arrival_time=job.arrival_time,
-            priority=job.priority,
-            deadline=job.deadline,
-            remaining_batches=remaining,
+            adapter_id=serve_job.adapter_id,
+            arrival_time=serve_job.arrival_time,
+            priority=serve_job.priority,
+            deadline=serve_job.deadline,
+            remaining_batches=job.remaining,
             admitted=admitted,
-            remaining_seconds=self._remaining_seconds(job.job, remaining),
+            remaining_seconds=self._price(job),
         )
 
-    def _pending_view(self, job: ServeJob) -> JobView:
-        return self._view(job, job.job.num_global_batches(), admitted=False)
+    def _jobs(self) -> Iterator[_Job]:
+        """Every unfinished job: active, then parked, then pending."""
+        return chain(self._active.values(), self._parked.values(), self._pending)
 
-    def _parked_view(self, parked: _ParkedJob) -> JobView:
-        job = parked.serve_job
-        remaining = job.job.num_global_batches() - parked.completed
-        return self._view(job, remaining, admitted=False)
+    def _held(self, adapter_id: int) -> _Job:
+        """The unfinished job ``adapter_id``, whichever container holds it."""
+        for job in self._jobs():
+            if job.serve_job.adapter_id == adapter_id:
+                return job
+        raise ScheduleError(f"unknown job {adapter_id}")
 
-    def _active_view(self, state: _ActiveJob) -> JobView:
-        remaining = state.num_batches - state.steps_completed
-        return self._view(state.serve_job, remaining, admitted=True)
+    def _queued(self, now: float) -> list[_Job]:
+        """The slot candidates at ``now``: due pending arrivals, then parked."""
+        queued = []
+        for job in self._pending:
+            if job.serve_job.arrival_time > now:
+                break  # _pending is arrival-sorted
+            queued.append(job)
+        queued += self._parked.values()
+        return queued
 
     def _due_candidates(self) -> list[tuple[tuple[float, ...], int]]:
         """Every job eligible for a slot now, best policy rank first.
@@ -442,16 +466,8 @@ class OnlineOrchestrator:
         predicted post-pack waste before the adapter-id fallback.
         """
         now = self.executor.clock
-        views: list[JobView] = []
-        jobs: list[AdapterJob] = []
-        for job in self._pending:
-            if job.arrival_time > now:
-                break  # _pending is arrival-sorted
-            views.append(self._pending_view(job))
-            jobs.append(job.job)
-        for parked in self._parked.values():
-            views.append(self._parked_view(parked))
-            jobs.append(parked.serve_job.job)
+        queued = self._queued(now)
+        views = [self._view(job) for job in queued]
         keys = policy_keys(self._policy, views, now)
         if self._interleave is None:
             return sorted(
@@ -468,11 +484,11 @@ class OnlineOrchestrator:
             (
                 key,
                 self._interleave(
-                    TenantProfile.from_job(job), live, self._estimator
+                    TenantProfile.from_job(job.serve_job.job), live, self._estimator
                 ),
                 view.adapter_id,
             )
-            for key, view, job in zip(keys, views, jobs)
+            for key, view, job in zip(keys, views, queued)
         )
         return [(key, aid) for key, _bias, aid in ranked]
 
@@ -485,8 +501,8 @@ class OnlineOrchestrator:
         """
         now = self.executor.clock
         worst: tuple[tuple[float, ...], int] | None = None
-        for adapter_id, state in self._active.items():
-            victim_key = self._policy.key(self._active_view(state), now)
+        for adapter_id, job in self._active.items():
+            victim_key = self._policy.key(self._view(job, admitted=True), now)
             if victim_key > key and (worst is None or victim_key > worst[0]):
                 worst = (victim_key, adapter_id)
         return None if worst is None else worst[1]
@@ -514,13 +530,13 @@ class OnlineOrchestrator:
         # Skip pricing the backlog when the gate would zero it anyway.
         wants_backlog = bool(getattr(self.config.admission, "queueing_aware", True))
         backlog = (self.expected_wave_seconds() or 0.0) if wants_backlog else 0.0
-        survivors: list[ServeJob] = []
+        survivors: list[_Job] = []
         for job in self._pending:
-            if job.arrival_time <= now and not gate(
-                self._pending_view(job), now, backlog
+            if job.serve_job.arrival_time <= now and not gate(
+                self._view(job), now, backlog
             ):
-                self._records[job.adapter_id].rejected_time = now
-                self._prices.pop(job.adapter_id, None)
+                job.record.rejected_time = now
+                self._prices.pop(job.serve_job.adapter_id, None)
                 self._churn += 1
             else:
                 survivors.append(job)
@@ -530,51 +546,47 @@ class OnlineOrchestrator:
 
     def _admit(self, adapter_id: int) -> None:
         """Give ``adapter_id`` (pending or parked) an adapter slot."""
+        job = self._held(adapter_id)
+        if self._parked.pop(adapter_id, None) is None:
+            self._pending.remove(job)
+        self._activate(job)
+
+    def _activate(self, job: _Job) -> None:
+        """Seat ``job`` on the executor: fresh, resumed, or migrated in."""
         self._churn += 1
-        record = self._records[adapter_id]
-        parked = self._parked.pop(adapter_id, None)
-        if parked is not None:
-            self.executor.import_job(parked.serve_job, parked.payload)
-            self._active[adapter_id] = _ActiveJob(
-                serve_job=parked.serve_job,
-                batches=parked.serve_job.job.dataset.global_batches(
-                    parked.serve_job.job.global_batch_size
-                ),
-                record=record,
-                next_batch=parked.completed,
-                steps_completed=parked.completed,
+        serve_job = job.serve_job
+        if job.record.admit_time is None:
+            job.record.admit_time = self.executor.clock
+        if job.payload is None:
+            self.executor.add_job(serve_job)
+        else:
+            self.executor.import_job(serve_job, job.payload)
+            job.payload = None
+        if job.batches is None:
+            job.batches = serve_job.job.dataset.global_batches(
+                serve_job.job.global_batch_size
             )
-            return
-        index = next(
-            i
-            for i, job in enumerate(self._pending)
-            if job.adapter_id == adapter_id
-        )
-        job = self._pending.pop(index)
-        if record.admit_time is None:
-            record.admit_time = self.executor.clock
-        self.executor.add_job(job)
-        self._active[adapter_id] = _ActiveJob(
-            serve_job=job,
-            batches=job.job.dataset.global_batches(job.job.global_batch_size),
-            record=record,
-        )
+        job.next_batch = job.completed
+        self._active[serve_job.adapter_id] = job
+
+    def _unseat(self, adapter_id: int) -> _Job:
+        """Take an active job (at a step boundary) off the executor.
+
+        Its state is exported into ``payload``.  The splicer's position
+        bookkeeping is NOT retired: the job may resume on this same
+        stream (after preemption, or a migration bounce), and its next
+        batch must still be spaced against the last one it trained here.
+        On a true cross-replica move the entries are simply unused.
+        """
+        job = self._active.pop(adapter_id)
+        job.payload = self.executor.export_job(adapter_id)
+        self.executor.remove_job(adapter_id)
+        return job
 
     def _preempt(self, adapter_id: int) -> None:
         """Evict an active job (at a step boundary) and park its state."""
-        state = self._active[adapter_id]
-        payload = self.executor.export_job(adapter_id)
-        self.executor.remove_job(adapter_id)
-        # The splicer's position bookkeeping is NOT retired: the job
-        # resumes on this same stream, and its next batch must still be
-        # spaced against the last one it trained here.
-        del self._active[adapter_id]
-        self._parked[adapter_id] = _ParkedJob(
-            serve_job=state.serve_job,
-            payload=payload,
-            completed=state.steps_completed,
-        )
-        state.record.preemptions += 1
+        job = self._parked[adapter_id] = self._unseat(adapter_id)
+        job.record.preemptions += 1
         self._preemptions += 1
         self._churn += 1
 
@@ -604,7 +616,7 @@ class OnlineOrchestrator:
             victim = self._preemption_victim(candidates[0][0])
             if victim is None:
                 break
-            if any(s.steps_completed != s.next_batch for s in self._active.values()):
+            if any(j.completed != j.next_batch for j in self._active.values()):
                 self._handle_events(self.executor.drain())
                 continue
             self._preempt(victim)
@@ -621,12 +633,12 @@ class OnlineOrchestrator:
         """Record optimizer-step completions; retire finished jobs."""
         retired = 0
         for event in events:
-            state = self._active.get(event.adapter_id)
-            if state is None:
+            job = self._active.get(event.adapter_id)
+            if job is None:
                 raise ScheduleError(f"step event for unknown job {event.adapter_id}")
-            state.steps_completed += 1
-            if state.finished:
-                state.record.finish_time = event.time
+            job.completed += 1
+            if not job.remaining:
+                job.record.finish_time = event.time
                 self._retire(event.adapter_id)
                 retired += 1
         return retired
@@ -669,12 +681,12 @@ class OnlineOrchestrator:
     def _wave_entries(self, window: int | None) -> list[tuple[TenantProfile, int]]:
         """Estimator pricing entries for the next wave at ``window``."""
         entries = []
-        for state in self._active.values():
-            remaining = state.num_batches - state.next_batch
+        for job in self._active.values():
+            remaining = job.num_batches - job.next_batch
             if remaining <= 0:
                 continue
             batches = remaining if window is None else min(window, remaining)
-            entries.append((TenantProfile.from_job(state.serve_job.job), batches))
+            entries.append((TenantProfile.from_job(job.serve_job.job), batches))
         return entries
 
     def _merge_discount(self) -> float:
@@ -729,7 +741,7 @@ class OnlineOrchestrator:
                 predicted, observed, tenants=tenants, replica=self.replica_id
             )
 
-    def _window_job(self, state: _ActiveJob, window: int | None) -> AdapterJob:
+    def _window_job(self, state: _Job, window: int | None) -> AdapterJob:
         """The job's next window as an offset-carrying scheduler job."""
         end = (
             state.num_batches
@@ -772,7 +784,7 @@ class OnlineOrchestrator:
         wave_jobs = [
             self._window_job(state, window_size)
             for state in self._active.values()
-            if not state.fully_scheduled
+            if state.next_batch < state.num_batches
         ]
         scheduler = MultiLoRAScheduler(wave_jobs, self.config.scheduler)
         if self._grouper is not None:
@@ -831,7 +843,7 @@ class OnlineOrchestrator:
         Called only at a whole-global-batch point: every batch touched
         so far is fully submitted, so the flush steps them all and
         leaves every active job at an optimizer-step boundary.
-        Rewinding ``next_batch`` to ``steps_completed`` returns the
+        Rewinding ``next_batch`` to ``completed`` returns the
         abandoned batches to the planning horizon, and the splicer
         forgets the phantom tail positions; the next :meth:`step`
         re-admits (possibly preempting) and replans with the urgent
@@ -846,8 +858,8 @@ class OnlineOrchestrator:
         self._open_wave = None
         self._handle_events(self.executor.drain())
         self._splicer.truncate(len(self.stream))
-        for state in self._active.values():
-            state.next_batch = state.steps_completed
+        for job in self._active.values():
+            job.next_batch = job.completed
 
     def _execute(self, microbatches: list[Microbatch]) -> None:
         interruptible = self.config.mid_wave_admission
@@ -915,44 +927,46 @@ class OnlineOrchestrator:
         for job in workload:
             self.offer(job)
 
-    def offer(self, job: ServeJob, record: JobRecord | None = None) -> JobRecord:
+    def offer(self, job: ServeJob) -> JobRecord:
         """Enqueue one arriving job (a coordinator's routed arrival).
 
         Args:
             job: The arriving job; its adapter id must be new here.
-            record: Lifecycle record to adopt (a rerouted job keeps its
-                original arrival timestamp); a fresh one is created when
-                omitted.
 
         Returns:
-            The job's lifecycle record (created or adopted).
+            The job's fresh lifecycle record.
 
         Raises:
             ScheduleError: Before :meth:`start`, or on a duplicate id.
         """
         if not self._started:
             raise ScheduleError("offer() requires start() first")
-        if job.adapter_id in self._records:
-            raise ScheduleError(
-                f"adapter id {job.adapter_id} already known to this "
-                "orchestrator"
-            )
-        if record is None:
-            record = JobRecord(
-                adapter_id=job.adapter_id,
-                arrival_time=job.arrival_time,
-                num_batches=job.job.num_global_batches(),
-                total_tokens=job.job.dataset.total_tokens(),
-                priority=job.priority,
-                deadline=job.deadline,
-            )
-        self._records[job.adapter_id] = record
+        record = JobRecord(
+            adapter_id=job.adapter_id,
+            arrival_time=job.arrival_time,
+            num_batches=job.job.num_global_batches(),
+            total_tokens=job.job.dataset.total_tokens(),
+            priority=job.priority,
+            deadline=job.deadline,
+        )
+        self._enqueue(_Job(job, record, record.num_batches))
+        return record
+
+    def _claim(self, job: _Job) -> None:
+        """Register ``job``'s record; its adapter id must be new here."""
+        aid = job.serve_job.adapter_id
+        if aid in self._records:
+            raise ScheduleError(f"adapter id {aid} already known to this orchestrator")
+        self._records[aid] = job.record
+
+    def _enqueue(self, job: _Job) -> None:
+        """Register ``job`` and queue it in arrival order."""
+        self._claim(job)
         insort(
             self._pending,
             job,
-            key=lambda item: (item.arrival_time, item.adapter_id),
+            key=lambda item: (item.serve_job.arrival_time, item.serve_job.adapter_id),
         )
-        return record
 
     def has_work(self) -> bool:
         """Whether any job is still pending, parked, or actively training."""
@@ -977,7 +991,7 @@ class OnlineOrchestrator:
         if not self.has_work():
             return False
         progressed = self._admit_ready() > 0
-        if any(not s.fully_scheduled for s in self._active.values()):
+        if any(j.next_batch < j.num_batches for j in self._active.values()):
             self._execute(self._plan_wave())
             return True
         # Nothing left to plan: flush in-flight work, then either the
@@ -985,7 +999,7 @@ class OnlineOrchestrator:
         # next arrival.
         progressed |= self._handle_events(self.executor.drain()) > 0
         if not self._active and not self._parked and self._pending:
-            next_arrival = self._pending[0].arrival_time
+            next_arrival = self._pending[0].serve_job.arrival_time
             if next_arrival > self.executor.clock:
                 # Idle fast-forward: excluded from per-wave observed time
                 # (it is waiting, not execution).
@@ -1042,53 +1056,25 @@ class OnlineOrchestrator:
             ScheduleError: For unknown jobs or a job mid-wave (scheduled
                 batches not yet stepped).
         """
-        state = self._active.get(adapter_id)
-        if state is not None:
-            if state.steps_completed != state.next_batch:
+        job = self._held(adapter_id)
+        if adapter_id in self._active:
+            if job.completed != job.next_batch:
                 raise ScheduleError(
                     f"job {adapter_id} has scheduled-but-unstepped batches; "
                     "migrate only between waves"
                 )
-            self._ejected(adapter_id)
-            payload = self.executor.export_job(adapter_id)
-            self.executor.remove_job(adapter_id)
-            # Splicer positions are kept, not retired: a ticket may be
-            # re-injected into THIS orchestrator (checkpoint/restore,
-            # a bounce), and its next batch must still be spaced
-            # against the last one it trained on this stream.  On a
-            # true cross-replica move the entries are simply unused.
-            del self._active[adapter_id]
-            return MigrationTicket(
-                job=state.serve_job,
-                record=self._records.pop(adapter_id),
-                completed=state.steps_completed,
-                payload=payload,
-            )
-        parked = self._parked.pop(adapter_id, None)
-        if parked is not None:
-            self._ejected(adapter_id)
-            return MigrationTicket(
-                job=parked.serve_job,
-                record=self._records.pop(adapter_id),
-                completed=parked.completed,
-                payload=parked.payload,
-            )
-        for index, job in enumerate(self._pending):
-            if job.adapter_id == adapter_id:
-                self._pending.pop(index)
-                self._ejected(adapter_id)
-                return MigrationTicket(
-                    job=job,
-                    record=self._records.pop(adapter_id),
-                    completed=0,
-                    payload=None,
-                )
-        raise ScheduleError(f"unknown job {adapter_id}")
-
-    def _ejected(self, adapter_id: int) -> None:
-        """Bookkeeping shared by every :meth:`eject_job` branch."""
+            self._unseat(adapter_id)
+        elif self._parked.pop(adapter_id, None) is None:
+            self._pending.remove(job)
         self._churn += 1
         self._prices.pop(adapter_id, None)
+        del self._records[adapter_id]
+        return MigrationTicket(
+            job=job.serve_job,
+            record=job.record,
+            completed=job.completed,
+            payload=job.payload,
+        )
 
     def inject_job(self, ticket: MigrationTicket) -> None:
         """Accept a migrated job from another replica.
@@ -1098,40 +1084,54 @@ class OnlineOrchestrator:
         (admitted or parked on the source) is restored onto the executor
         and resumes as an active job at its next global batch.
 
+        A ticket is refused before any state changes unless its record
+        belongs to its job, its ``completed`` lies in ``[0,
+        num_global_batches)``, and a ticket without a payload has
+        ``completed == 0`` (a pending job has banked no steps).
+
         Args:
             ticket: A ticket from another orchestrator's
                 :meth:`eject_job`.
 
         Raises:
-            ScheduleError: Before :meth:`start`, on a duplicate id, or
-                when an admitted ticket arrives with no free adapter
-                slot (the admission budget holds across migration too).
+            ScheduleError: Before :meth:`start`, on a duplicate id, on a
+                malformed ticket, or when an admitted ticket arrives with
+                no free adapter slot (the admission budget holds across
+                migration too).
         """
         if not self._started:
             raise ScheduleError("inject_job() requires start() first")
         aid = ticket.adapter_id
-        if aid in self._records:
-            raise ScheduleError(f"adapter id {aid} already known to this orchestrator")
+        num_batches = ticket.job.job.num_global_batches()
+        if ticket.record.adapter_id != aid:
+            raise ScheduleError(
+                f"ticket for job {aid} carries the record of job "
+                f"{ticket.record.adapter_id}"
+            )
+        if not 0 <= ticket.completed < num_batches:
+            raise ScheduleError(
+                f"ticket for job {aid}: completed={ticket.completed} outside "
+                f"[0, {num_batches})"
+            )
+        if ticket.payload is None and ticket.completed:
+            raise ScheduleError(
+                f"pending ticket for job {aid} claims {ticket.completed} "
+                "completed steps without executor state"
+            )
+        job = _Job(
+            ticket.job, ticket.record, num_batches, ticket.completed,
+            payload=ticket.payload,
+        )
         if ticket.payload is None:
-            self.offer(ticket.job, record=ticket.record)
+            self._enqueue(job)
             return
         if self.slots_free == 0:
             raise ScheduleError(
                 f"cannot inject job {aid}: no free adapter slot on this "
                 "replica (admission budget applies to migrations too)"
             )
-        self._churn += 1
-        self._records[aid] = ticket.record
-        self.executor.import_job(ticket.job, ticket.payload)
-        self._active[aid] = _ActiveJob(
-            serve_job=ticket.job,
-            batches=ticket.job.job.dataset.global_batches(
-                ticket.job.job.global_batch_size
-            ),
-            record=ticket.record,
-            next_batch=ticket.completed,
-            steps_completed=ticket.completed,
-        )
+        self._claim(job)
+        self._activate(job)
 
     # -- load introspection (router/rebalancer inputs) -----------------------
 
@@ -1169,16 +1169,7 @@ class OnlineOrchestrator:
         replicas: the work this pipeline still owes its tenants --
         active, parked, and pending alike.
         """
-        active = sum(
-            state.num_batches - state.steps_completed
-            for state in self._active.values()
-        )
-        parked = sum(
-            p.serve_job.job.num_global_batches() - p.completed
-            for p in self._parked.values()
-        )
-        pending = sum(job.job.num_global_batches() for job in self._pending)
-        return active + parked + pending
+        return sum(job.remaining for job in self._jobs())
 
     @property
     def wave_estimates(self) -> list[tuple[float, float]]:
@@ -1217,15 +1208,8 @@ class OnlineOrchestrator:
         if self._estimator is None:
             return None
         total = 0.0
-        for state in self._active.values():
-            remaining = state.num_batches - state.steps_completed
-            total += self._remaining_seconds(state.serve_job.job, remaining) or 0.0
-        for parked in self._parked.values():
-            remaining = parked.serve_job.job.num_global_batches() - parked.completed
-            total += self._remaining_seconds(parked.serve_job.job, remaining) or 0.0
-        for job in self._pending:
-            remaining = job.job.num_global_batches()
-            total += self._remaining_seconds(job.job, remaining) or 0.0
+        for job in self._jobs():
+            total += self._remaining_seconds(job.serve_job.job, job.remaining) or 0.0
         return total
 
     def expected_wave_seconds(self) -> float | None:
@@ -1254,23 +1238,19 @@ class OnlineOrchestrator:
         if self._estimator is None:
             return 0
         now = self.clock
-        # _pending is arrival-sorted: the due jobs are a prefix of it.
-        due = takewhile(lambda job: job.arrival_time <= now, self._pending)
-        queued = [(job, 0) for job in due]
-        queued += [(p.serve_job, p.completed) for p in self._parked.values()]
         pressure = 0
-        for job, completed in queued:
-            if job.deadline is None:
+        for job in self._queued(now):
+            deadline = job.serve_job.deadline
+            if deadline is None:
                 continue
-            remaining = job.job.num_global_batches() - completed
-            seconds = self._remaining_seconds(job.job, remaining)
-            if seconds is not None and now + seconds > job.deadline:
+            seconds = self._price(job)
+            if seconds is not None and now + seconds > deadline:
                 pressure += 1
         return pressure
 
     def live_mean_lengths(self) -> list[float]:
         """Mean sample length of each active job (packing-affinity input)."""
-        return [state.serve_job.job.mean_length() for state in self._active.values()]
+        return [job.serve_job.job.mean_length() for job in self._active.values()]
 
     def live_profiles(self) -> list[TenantProfile]:
         """Length profile of each active job (waste-affinity routing input).
@@ -1286,7 +1266,7 @@ class OnlineOrchestrator:
 
     def live_priorities(self) -> list[int]:
         """Priority class of each active job (headroom-routing input)."""
-        return [state.serve_job.priority for state in self._active.values()]
+        return [job.serve_job.priority for job in self._active.values()]
 
     def migratable_jobs(self) -> list[tuple[int, int, float | None, bool]]:
         """Jobs a rebalancer may move right now, priced in both units.
@@ -1301,22 +1281,17 @@ class OnlineOrchestrator:
             estimator -- the seconds-skew rebalancer picks migrants by
             it, the batch-skew one by the count.
         """
-        candidates = []
-        for job in self._pending:
-            batches = job.job.num_global_batches()
-            seconds = self._remaining_seconds(job.job, batches)
-            candidates.append((job.adapter_id, batches, seconds, True))
-        for aid, parked in self._parked.items():
-            batches = parked.serve_job.job.num_global_batches() - parked.completed
-            seconds = self._remaining_seconds(parked.serve_job.job, batches)
-            candidates.append((aid, batches, seconds, False))
-        for aid, state in self._active.items():
-            if state.finished or state.steps_completed != state.next_batch:
-                continue
-            batches = state.num_batches - state.steps_completed
-            seconds = self._remaining_seconds(state.serve_job.job, batches)
-            candidates.append((aid, batches, seconds, False))
-        return candidates
+        movable = [(job, True) for job in self._pending]
+        movable += [(job, False) for job in self._parked.values()]
+        movable += [
+            (job, False)
+            for job in self._active.values()
+            if job.completed == job.next_batch
+        ]
+        return [
+            (job.serve_job.adapter_id, job.remaining, self._price(job), pending)
+            for job, pending in movable
+        ]
 
     def drainable_jobs(self) -> list[tuple[int, int, float | None]]:
         """Mid-flight active jobs a partial drain could unlock for moving.
@@ -1331,14 +1306,11 @@ class OnlineOrchestrator:
             tuples, priced exactly like :meth:`migratable_jobs`
             (``remaining_seconds`` is ``None`` without an estimator).
         """
-        candidates = []
-        for aid, state in self._active.items():
-            if state.finished or state.steps_completed == state.next_batch:
-                continue
-            batches = state.num_batches - state.steps_completed
-            seconds = self._remaining_seconds(state.serve_job.job, batches)
-            candidates.append((aid, batches, seconds))
-        return candidates
+        return [
+            (aid, job.remaining, self._price(job))
+            for aid, job in self._active.items()
+            if job.completed != job.next_batch
+        ]
 
     def drain_for(self, adapter_id: int) -> int:
         """Drain only until ``adapter_id``'s submitted batches step.
@@ -1366,10 +1338,7 @@ class OnlineOrchestrator:
             saved.
         """
         self._handle_events(self.executor.drain_job(adapter_id))
-        return sum(
-            state.next_batch - state.steps_completed
-            for state in self._active.values()
-        )
+        return sum(job.next_batch - job.completed for job in self._active.values())
 
     def flush(self) -> int:
         """Drain the pipeline so every active job reaches a step boundary.

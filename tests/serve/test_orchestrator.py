@@ -1,5 +1,7 @@
 """Tests for the online orchestrator's serving loop."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.data import synthetic_dataset
@@ -199,6 +201,40 @@ class TestServingLoop:
         target.step()  # job 1 occupies the only slot
         with pytest.raises(ScheduleError, match="no free adapter slot"):
             target.inject_job(ticket)
+
+    @pytest.mark.parametrize(
+        ("forge", "match"),
+        [
+            (lambda active, pending: replace(active, completed=-1), "outside"),
+            (lambda active, pending: replace(active, completed=99), "outside"),
+            (
+                lambda active, pending: replace(pending, completed=3),
+                "without executor state",
+            ),
+            (
+                lambda active, pending: replace(active, record=pending.record),
+                "carries the record",
+            ),
+        ],
+        ids=["negative-completed", "completed-past-end", "pending-with-steps",
+             "foreign-record"],
+    )
+    def test_malformed_ticket_refused_before_any_state_change(self, forge, match):
+        jobs = make_jobs(3, samples=24, gbs=4)  # 6 global batches each
+        source = make_orchestrator(num_stages=1, window=1)
+        source.start([ServeJob(job=jobs[0], arrival_time=0.0),
+                      ServeJob(job=jobs[1], arrival_time=50.0)])
+        source.step()  # job 0 active at a boundary; job 1 not yet due
+        active, pending = source.eject_job(0), source.eject_job(1)
+        assert active.payload is not None and pending.payload is None
+        target = make_orchestrator(num_stages=1, window=1)
+        target.start([ServeJob(job=jobs[2], arrival_time=0.0)])
+        target.step()
+        before = (target.num_active, target.num_pending,
+                  {aid: replace(r) for aid, r in target._records.items()})
+        with pytest.raises(ScheduleError, match=match):
+            target.inject_job(forge(active, pending))
+        assert (target.num_active, target.num_pending, target._records) == before
 
     def test_plan_ids_trace_replanning_waves(self):
         jobs = make_jobs(3, samples=12, gbs=4)

@@ -7,7 +7,9 @@ of the key).  :meth:`expected_remaining_seconds` keeps no cache: each
 call re-sums that memo.  These tests hold the memo and the total to an
 unmemoised recompute, bit for bit, at every wave close; pin when the
 estimator is and is not consulted; and check that the memo holds only
-live jobs.
+live jobs.  The same wave-close oracle also holds the migration read
+paths (``migratable_jobs``, ``drainable_jobs``, ``outstanding_batches``)
+to the job records, on every golden scenario.
 """
 
 import pytest
@@ -33,33 +35,17 @@ from tests.golden.scenarios import (
     scheduler,
 )
 
-# Golden-corpus scenarios whose orchestrators price with an estimator.
-PRICED_SCENARIOS = [
-    s for s in SCENARIOS
-    if s.name in {
-        "seconds-skew-drain-4-stages", "seconds-skew-srpt", "preemptive-srpt",
-        "deadline-rejects", "knapsack-packing", "cost-aware-calibrated",
-        "autoscale-join-retire", "spot-reclaim-forced",
-        "reclaim-holds-ticket", "gateway-session",
-    }
-]
+def owed(job):
+    """A held job's unstepped batches, from its dataset, not the record."""
+    return job.serve_job.job.num_global_batches() - job.completed
 
 
 def unmemoised_total(orch):
     """``expected_remaining_seconds`` priced afresh, in the same order."""
     estimator, replica = orch._estimator, orch.replica_id
     total = 0.0
-    for state in orch._active.values():
-        batches = state.num_batches - state.steps_completed
-        total += estimator.job_seconds(state.serve_job.job, batches,
-                                       replica=replica)
-    for parked in orch._parked.values():
-        job = parked.serve_job.job
-        total += estimator.job_seconds(
-            job, job.num_global_batches() - parked.completed, replica=replica
-        )
-    for job in orch._pending:
-        total += estimator.job_seconds(job.job, job.job.num_global_batches(),
+    for job in [*orch._active.values(), *orch._parked.values(), *orch._pending]:
+        total += estimator.job_seconds(job.serve_job.job, owed(job),
                                        replica=replica)
     return total
 
@@ -68,20 +54,41 @@ def unmemoised_pressure(orch):
     """``deadline_pressure`` priced afresh."""
     estimator, now = orch._estimator, orch.clock
     queued = [
-        (job.job, job.job.num_global_batches(), job.deadline)
-        for job in orch._pending
-        if job.arrival_time <= now
-    ] + [
-        (p.serve_job.job, p.serve_job.job.num_global_batches() - p.completed,
-         p.serve_job.deadline)
-        for p in orch._parked.values()
-    ]
+        job for job in orch._pending if job.serve_job.arrival_time <= now
+    ] + list(orch._parked.values())
     return sum(
         1
-        for job, batches, deadline in queued
-        if deadline is not None
-        and now + estimator.job_seconds(job, batches, replica=orch.replica_id)
-        > deadline
+        for job in queued
+        if job.serve_job.deadline is not None
+        and now + estimator.job_seconds(job.serve_job.job, owed(job),
+                                        replica=orch.replica_id)
+        > job.serve_job.deadline
+    )
+
+
+def check_batch_counts(orch):
+    """The migration read paths agree with the job records.
+
+    Every unfinished, unrejected record is either migratable now or
+    drainable (never both); ``is_pending`` means never admitted; and the
+    batches those paths report sum to ``outstanding_batches``.
+    """
+    movable = orch.migratable_jobs()
+    drainable = orch.drainable_jobs()
+    moving = [aid for aid, *_rest in movable]
+    draining = [aid for aid, *_rest in drainable]
+    live = {
+        aid: record for aid, record in orch._records.items()
+        if record.finish_time is None and record.rejected_time is None
+    }
+    assert not set(moving) & set(draining)
+    assert sorted(moving + draining) == sorted(live)
+    for aid, _batches, _seconds, is_pending in movable:
+        assert is_pending == (live[aid].admit_time is None)
+    for aid in draining:
+        assert live[aid].admit_time is not None
+    assert orch.outstanding_batches() == sum(
+        batches for _aid, batches, *_rest in movable + drainable
     )
 
 
@@ -89,16 +96,21 @@ def unmemoised_pressure(orch):
 def wave_close_oracle(monkeypatch):
     """Compare memoised and fresh prices around every wave close.
 
-    Yields a list that collects ``(orchestrator, calibration version)``
-    per priced check, and accepts callables in ``on_close`` to run just
-    before a close's second check (to move calibration mid-run).
+    Every check first holds the batch counts to the records (on any
+    orchestrator); the price checks then skip orchestrators without an
+    estimator.  Yields a list that collects ``(orchestrator, calibration
+    version)`` per check (``None`` when unpriced), and accepts callables
+    in ``on_close`` to run just before a close's second check (to move
+    calibration mid-run).
     """
-    checks: list[tuple[OnlineOrchestrator, int]] = []
+    checks: list[tuple[OnlineOrchestrator, int | None]] = []
     on_close: list = []
     close = OnlineOrchestrator._close_wave_estimate
 
     def check(orch):
+        check_batch_counts(orch)
         if orch._estimator is None:
+            checks.append((orch, None))
             return
         assert orch.expected_remaining_seconds() == unmemoised_total(orch)
         assert orch.deadline_pressure() == unmemoised_pressure(orch)
@@ -155,7 +167,7 @@ class TestSoundnessOracle:
         for orch in replica_set.replicas:
             assert orch._prices == {}
 
-    @pytest.mark.parametrize("scenario", PRICED_SCENARIOS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
     def test_golden_scenario(self, scenario, wave_close_oracle):
         checks, _on_close = wave_close_oracle
         scenario.run()

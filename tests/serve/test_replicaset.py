@@ -519,10 +519,9 @@ class TestParkedLoadAccounting:
         owed = (parked_remaining.serve_job.job.num_global_batches()
                 - parked_remaining.completed)
         assert owed > 0
-        active_and_pending = (
-            sum(s.num_batches - s.steps_completed
-                for s in replica._active.values())
-            + sum(j.job.num_global_batches() for j in replica._pending)
+        active_and_pending = sum(
+            j.serve_job.job.num_global_batches() - j.completed
+            for j in [*replica._active.values(), *replica._pending]
         )
         assert view.outstanding_batches == active_and_pending + owed
         # ...and in the seconds-valued load the estimator prices.
