@@ -100,6 +100,9 @@ WITNESSES = {
     "reclaim-holds-ticket": lambda r, held: r.reclaims >= 1 and held >= 1,
     "gateway-session": lambda r, held: "GATEWAY_INGRESS" in r.events_processed
     and "ARRIVAL" not in r.events_processed,
+    "gateway-door-churn": lambda r, held: r.gateway.sheds["quota"] >= 1
+    and r.gateway.sheds["queue_full"] >= 1
+    and r.gateway.cancelled >= 2,
 }
 
 

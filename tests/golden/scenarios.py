@@ -342,6 +342,62 @@ def gateway_session():
     return gateway.replica_set, result.fleet
 
 
+def gateway_door_churn():
+    """A live session under a fairness quota: cancels and resubmissions
+    of the same ids, shed resubmissions, and jobs still held at drain."""
+    sched = scheduler(2)
+    config = ServeConfig(
+        num_replicas=2,
+        slots=2,
+        window_batches=1,
+        gateway_queue_bound=3,
+        gateway_fairness=0.5,
+        gateway_hold=0.3,
+    )
+    # (advance, op, adapter id, tenant); ids repeat on purpose.
+    script = (
+        (0.0, "submit", 0, "a"),
+        (0.0, "submit", 1, "a"),
+        (0.05, "submit", 2, "b"),
+        (0.05, "submit", 3, "a"),  # quota: b is waiting
+        (0.0, "cancel", 1, None),
+        (0.05, "submit", 1, "a"),  # resubmit the cancelled id
+        (0.05, "submit", 3, "a"),  # resubmit the shed id: shed again
+        (0.1, "submit", 4, "c"),
+        (0.1, "submit", 5, "b"),
+        (0.0, "cancel", 5, None),
+        (0.0, "submit", 6, "b"),
+        (0.0, "submit", 7, "b"),
+        (0.0, "submit", 11, "b"),
+        (0.0, "submit", 5, "b"),  # resubmit the cancelled id: queue full
+        (0.4, "submit", 3, "a"),  # the shed id, accepted at last
+        (2.0, "submit", 8, "c"),
+        (0.0, "submit", 9, "a"),
+        (0.0, "submit", 5, "b"),
+        (0.1, "cancel", 8, None),
+        (0.0, "submit", 8, "c"),
+        (0.05, "submit", 10, "b"),
+    )
+
+    async def drive():
+        clock = ManualClock()
+        gateway = config.build_gateway(COST, sched, clock=clock)
+        for advance, op, a, tenant in script:
+            clock.advance(advance)
+            if op == "cancel":
+                await gateway.cancel(a)
+            else:
+                await gateway.submit(
+                    make_job(a, *MIXED[a % len(MIXED)]), tenant=tenant
+                )
+        if await gateway.status(10) != "held":
+            raise AssertionError("gateway-door-churn: nothing held at drain")
+        return gateway, await gateway.drain()
+
+    gateway, result = asyncio.run(drive())
+    return gateway.replica_set, result.fleet
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One corpus entry's recipe.
@@ -383,6 +439,7 @@ SCENARIOS = [
     Scenario("spot-reclaim-forced", spot_reclaim_forced, lockstep=False),
     Scenario("reclaim-holds-ticket", reclaim_holds_ticket, lockstep=False),
     Scenario("gateway-session", session=gateway_session, lockstep=False),
+    Scenario("gateway-door-churn", session=gateway_door_churn, lockstep=False),
 ]
 
 
