@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+from collections import deque
 import time as _time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, AsyncIterator, Protocol
@@ -292,13 +293,19 @@ class GatewayResult:
 
 
 @dataclass
-class _HeldJob:
-    """One accepted submission sitting in the door's hold window."""
+class _Submission:
+    """One submission at the door, from its decision to its release.
 
-    job: ServeJob  # arrival-stamped at submit time; restamped on release
-    release_due: float
-    seq: int
-    ticket: GatewayTicket
+    ``state`` is ``"held"`` (inside the hold window), ``"released"``
+    (handed to the fleet), ``"cancelled"`` or ``"shed"``.  ``job`` is
+    stamped at submission, and restamped at release so the record holds
+    the job the fleet got; it is ``None`` for a shed submission.
+    """
+
+    tenant: str
+    state: str
+    job: ServeJob | None = None
+    release_due: float = 0.0
 
 
 @dataclass
@@ -310,6 +317,18 @@ class ServeGateway:
     shot) and serializes all door work behind one asyncio lock, so
     concurrent ``submit()`` coroutines see a consistent ledger and the
     fleet sees a single deterministic operation order.
+
+    One record per submission: the door keeps the latest submission of
+    each adapter id as one private ``_Submission`` (tenant, state --
+    held, released, cancelled or shed -- the job and its release stamp),
+    so :meth:`status`, :meth:`cancel` and the duplicate check read one
+    lookup, and a resubmission's outcome replaces the old one's.  Two
+    indexes hold the same objects: a FIFO of held submissions, and each
+    tenant's backlog (held plus released-unadmitted), which the door
+    prunes of cancelled and settled entries as it counts it.  Stamps are
+    clamped monotone and the hold window is fixed, so submission order
+    *is* release order: due submissions leave from the front of the
+    FIFO, and :meth:`drain` releases the rest in the same order.
 
     Determinism contract: given the same sequence of (operation, virtual
     stamp) pairs -- which a :class:`ManualClock` scripts exactly -- a
@@ -342,14 +361,10 @@ class ServeGateway:
         self._lock = asyncio.Lock()
         self.stats = GatewayStats(sheds={reason: 0 for reason in SHED_REASONS})
         self._stamp = 0.0
-        self._seq = 0
-        self._held: dict[int, _HeldJob] = {}
-        self._released: dict[int, str] = {}  # adapter id -> tenant
-        self._tenant_released: dict[str, list[int]] = {}
+        self._subs: dict[int, _Submission] = {}  # adapter id -> latest
+        self._fifo: deque[_Submission] = deque()  # held, in release order
+        self._backlog: dict[str, list[_Submission]] = {}  # tenant -> in flight
         self._buckets: dict[str, tuple[float, float]] = {}  # tenant -> (tokens, at)
-        self._tickets: dict[int, GatewayTicket] = {}
-        self._overloads: dict[int, GatewayOverload] = {}
-        self._cancelled: set[int] = set()
         self._trace: list[ServeJob] = []
         self._result: GatewayResult | None = None
 
@@ -370,13 +385,16 @@ class ServeGateway:
         runs the four door checks (see the module docstring).  Returns a
         :class:`GatewayTicket` on acceptance or a
         :class:`GatewayOverload` on refusal -- never raises for
-        overload; raises only for caller errors (a duplicate in-flight
-        adapter id, an invalid payload, a closed gateway).
+        overload; raises :class:`~repro.errors.ScheduleError` only for
+        caller errors (a tenant that is not a non-empty string, a
+        duplicate in-flight adapter id, an invalid payload, a closed
+        gateway).
 
         Args:
             job: The scheduling view of the request (``batch_offset``
                 0; the orchestrator windows it).
-            tenant: Billing identity rate/quota/queue checks run under.
+            tenant: Billing identity rate/quota/queue checks run under,
+                exactly as given; must be a non-empty string.
             priority: SLO class (larger = more urgent).
             deadline: Absolute virtual finish-by time; gates the
                 submission through deadline-feasibility admission at the
@@ -396,8 +414,11 @@ class ServeGateway:
     ) -> GatewayTicket | GatewayOverload:
         started = _time.perf_counter()
         self._require_open()
+        if not isinstance(tenant, str) or not tenant:
+            raise ScheduleError(f"tenant must be a non-empty string, not {tenant!r}")
         adapter_id = job.adapter_id
-        if adapter_id in self._held or adapter_id in self._released:
+        latest = self._subs.get(adapter_id)
+        if latest is not None and latest.state in ("held", "released"):
             raise ScheduleError(
                 f"adapter {adapter_id} is already in flight; one submission "
                 "per adapter id at a time"
@@ -410,12 +431,7 @@ class ServeGateway:
         if deadline is not None and deadline <= stamp:
             # Already expired at the door: shed before anything else
             # runs (ServeJob itself would reject the stamp ordering).
-            refusal: GatewayOverload | None = GatewayOverload(
-                adapter_id=adapter_id,
-                tenant=tenant,
-                time=stamp,
-                reason="infeasible",
-            )
+            refusal: tuple[str, float | None] | None = ("infeasible", None)
         else:
             # Constructing the ServeJob up front also validates the
             # payload (numeric consistency, batch_offset 0) before any
@@ -429,77 +445,51 @@ class ServeGateway:
                 tenant=tenant,
             )
             refusal = self._door(serve_job, tenant, stamp)
+        outcome: GatewayTicket | GatewayOverload
         if refusal is not None:
-            self.stats.sheds[refusal.reason] += 1
-            self._overloads[adapter_id] = refusal
-            self._tickets.pop(adapter_id, None)
-            self.stats.admission_latencies.append(_time.perf_counter() - started)
-            return refusal
-        assert serve_job is not None  # refusal covered the expired case
-        self.stats.accepted += 1
-        release_due = stamp + self.limits.ingress_hold
-        ticket = GatewayTicket(
-            adapter_id=adapter_id,
-            tenant=tenant,
-            submit_time=stamp,
-            release_time=release_due,
-        )
-        self._tickets[adapter_id] = ticket
-        self._overloads.pop(adapter_id, None)
-        self._cancelled.discard(adapter_id)
-        entry = _HeldJob(
-            job=serve_job, release_due=release_due, seq=self._seq, ticket=ticket
-        )
-        self._seq += 1
-        if self.limits.ingress_hold > 0:
-            self._held[adapter_id] = entry
+            reason, retry_after = refusal
+            self.stats.sheds[reason] += 1
+            self._subs[adapter_id] = _Submission(tenant, "shed")
+            outcome = GatewayOverload(adapter_id, tenant, stamp, reason, retry_after)
         else:
-            self._release(entry, at=stamp)
-            self._session.advance(stamp)
+            self.stats.accepted += 1
+            release_due = stamp + self.limits.ingress_hold
+            sub = _Submission(tenant, "held", serve_job, release_due)
+            self._subs[adapter_id] = sub
+            self._backlog.setdefault(tenant, []).append(sub)
+            if self.limits.ingress_hold > 0:
+                self._fifo.append(sub)
+            else:
+                self._release(sub)
+                self._session.advance(stamp)
+            outcome = GatewayTicket(adapter_id, tenant, stamp, release_due)
         self.stats.admission_latencies.append(_time.perf_counter() - started)
-        return ticket
+        return outcome
 
     def _door(
         self, serve_job: ServeJob, tenant: str, stamp: float
-    ) -> GatewayOverload | None:
-        """Run the four door checks; a refusal or ``None`` (accept)."""
+    ) -> tuple[str, float | None] | None:
+        """Run the four door checks: a ``(reason, retry_after)`` refusal,
+        or ``None`` to accept."""
         limits = self.limits
-        adapter_id = serve_job.adapter_id
         if limits.rate is not None:
             tokens, at = self._buckets.get(tenant, (limits.burst, stamp))
             tokens = min(limits.burst, tokens + (stamp - at) * limits.rate)
             if tokens < 1.0 - _BUCKET_EPSILON:
                 self._buckets[tenant] = (tokens, stamp)
-                return GatewayOverload(
-                    adapter_id=adapter_id,
-                    tenant=tenant,
-                    time=stamp,
-                    reason="rate_limited",
-                    retry_after=(1.0 - tokens) / limits.rate,
-                )
+                return "rate_limited", (1.0 - tokens) / limits.rate
             # A spent token stays spent even if a later check sheds:
             # refusals bill the tenant's rate too, or retry storms
             # against a full queue would be free.
             self._buckets[tenant] = (tokens - 1.0, stamp)
         mine = self._occupancy(tenant)
         if limits.queue_bound is not None and mine >= limits.queue_bound:
-            return GatewayOverload(
-                adapter_id=adapter_id,
-                tenant=tenant,
-                time=stamp,
-                reason="queue_full",
-            )
+            return "queue_full", None
         if limits.fairness_share is not None:
-            total = sum(self._occupancy(t) for t in self._known_tenants())
-            others = total - mine
-            allowed = max(1, math.ceil(limits.fairness_share * (total + 1)))
+            others = sum(self._occupancy(t) for t in self._backlog if t != tenant)
+            allowed = max(1, math.ceil(limits.fairness_share * (mine + others + 1)))
             if others > 0 and mine + 1 > allowed:
-                return GatewayOverload(
-                    adapter_id=adapter_id,
-                    tenant=tenant,
-                    time=stamp,
-                    reason="quota",
-                )
+                return "quota", None
         if serve_job.deadline is not None:
             doomed = serve_job.deadline <= stamp + limits.ingress_hold
             if not doomed and self._gate is not None:
@@ -507,18 +497,8 @@ class ServeGateway:
                     serve_job, stamp, self._estimator
                 )
             if doomed:
-                return GatewayOverload(
-                    adapter_id=adapter_id,
-                    tenant=tenant,
-                    time=stamp,
-                    reason="infeasible",
-                )
+                return "infeasible", None
         return None
-
-    def _known_tenants(self) -> set[str]:
-        tenants = {entry.job.tenant or "default" for entry in self._held.values()}
-        tenants.update(self._tenant_released)
-        return tenants
 
     def _occupancy(self, tenant: str) -> int:
         """A tenant's in-flight backlog: held plus released-unadmitted.
@@ -526,30 +506,26 @@ class ServeGateway:
         A released job settles once its record gains an admit, reject or
         finish time; each is set once and the record object travels with
         migrations, so a settled job never counts again.  The scan drops
-        settled ids from ``_tenant_released`` as it meets them, so each id
-        is dropped once and a scan costs the tenant's pending backlog,
-        amortised -- not its whole release history.
+        cancelled and settled submissions from the tenant's backlog as it
+        meets them, so each is dropped once and a scan costs the tenant's
+        in-flight backlog, amortised -- not its whole history.
         """
-        held = sum(
-            1
-            for entry in self._held.values()
-            if (entry.job.tenant or "default") == tenant
+        backlog = self._backlog.get(tenant)
+        if not backlog:
+            return 0
+        backlog[:] = [sub for sub in backlog if self._in_flight(sub)]
+        return len(backlog)
+
+    def _in_flight(self, sub: _Submission) -> bool:
+        if sub.state != "released":
+            return sub.state == "held"
+        assert sub.job is not None  # only accepted submissions release
+        record = self._session.record(sub.job.adapter_id)
+        return record is None or (  # None: ingress event still queued
+            record.admit_time is None
+            and record.rejected_time is None
+            and record.finish_time is None
         )
-        released = self._tenant_released.get(tenant)
-        if not released:
-            return held
-        pending: list[int] = []
-        for adapter_id in released:
-            record = self._session.record(adapter_id)
-            if record is None or (  # None: ingress event still queued
-                record.admit_time is None
-                and record.rejected_time is None
-                and record.finish_time is None
-            ):
-                pending.append(adapter_id)
-        # The tenant key stays, even when empty: _known_tenants reads it.
-        self._tenant_released[tenant] = pending
-        return held + len(pending)
 
     def _advance_stamp(self) -> float:
         """Read the clock, clamped monotone over the session."""
@@ -557,35 +533,33 @@ class ServeGateway:
         return self._stamp
 
     def _release_due(self, stamp: float) -> None:
-        """Release every held job whose hold window has closed."""
-        due = sorted(
-            (
-                entry
-                for entry in self._held.values()
-                if entry.release_due <= stamp
-            ),
-            key=lambda entry: (entry.release_due, entry.seq),
-        )
-        for entry in due:
-            del self._held[entry.job.adapter_id]
-            self._release(entry, at=entry.release_due)
+        """Release every held job whose hold window has closed by ``stamp``.
 
-    def _release(self, entry: _HeldJob, at: float) -> None:
-        """Hand one accepted job to the fleet, arrival-stamped ``at``.
-
-        ``at`` is never behind a frontier the fleet was already pumped
-        to -- held jobs release at their hold expiry, which monotone
-        stamping keeps at or after every earlier pump -- so the ingested
-        event replays in the same global order it runs live.
+        The FIFO is in submission order, which is release order, so the
+        due jobs are a prefix; cancelled ones are dropped as they pass.
         """
-        job = entry.job
-        if job.arrival_time != at:
-            job = replace(job, arrival_time=at)
-        tenant = job.tenant or "default"
+        fifo = self._fifo
+        while fifo and fifo[0].release_due <= stamp:
+            sub = fifo.popleft()
+            if sub.state == "held":
+                self._release(sub)
+
+    def _release(self, sub: _Submission) -> None:
+        """Hand one accepted job to the fleet, arrival-stamped at its
+        ``release_due``.
+
+        That stamp is never behind a frontier the fleet was already
+        pumped to -- held jobs release at their hold expiry, which
+        monotone stamping keeps at or after every earlier pump -- so the
+        ingested event replays in the same global order it runs live.
+        """
+        job = sub.job
+        assert job is not None  # only accepted submissions are held
+        if job.arrival_time != sub.release_due:
+            job = sub.job = replace(job, arrival_time=sub.release_due)
+        sub.state = "released"
         self._session.ingest(job)
         self._trace.append(job)
-        self._released[job.adapter_id] = tenant
-        self._tenant_released.setdefault(tenant, []).append(job.adapter_id)
         self.stats.released += 1
 
     # -- job control --------------------------------------------------------
@@ -602,10 +576,10 @@ class ServeGateway:
         """
         async with self._lock:
             self._require_open()
-            entry = self._held.pop(adapter_id, None)
-            if entry is None:
+            sub = self._subs.get(adapter_id)
+            if sub is None or sub.state != "held":
                 return False
-            self._cancelled.add(adapter_id)
+            sub.state = "cancelled"
             self.stats.cancelled += 1
             return True
 
@@ -624,24 +598,21 @@ class ServeGateway:
             return self._status(adapter_id)
 
     def _status(self, adapter_id: int) -> str:
-        if adapter_id in self._held:
-            return "held"
-        if adapter_id in self._released:
-            record = self._session.record(adapter_id)
-            if record is None:
-                return "queued"
-            if record.rejected_time is not None:
-                return "rejected"
-            if record.finish_time is not None:
-                return "finished"
-            if record.admit_time is not None:
-                return "running"
-            return "pending"
-        if adapter_id in self._cancelled:
-            return "cancelled"
-        if adapter_id in self._overloads:
-            return "shed"
-        return "unknown"
+        sub = self._subs.get(adapter_id)
+        if sub is None:
+            return "unknown"
+        if sub.state != "released":
+            return sub.state
+        record = self._session.record(adapter_id)
+        if record is None:
+            return "queued"
+        if record.rejected_time is not None:
+            return "rejected"
+        if record.finish_time is not None:
+            return "finished"
+        if record.admit_time is not None:
+            return "running"
+        return "pending"
 
     async def stream_progress(
         self, adapter_id: int, poll: float = 0.0
@@ -681,14 +652,7 @@ class ServeGateway:
         """
         async with self._lock:
             if self._result is None:
-                stamp = self._advance_stamp()
-                self._release_due(stamp)
-                for entry in sorted(
-                    self._held.values(),
-                    key=lambda entry: (entry.release_due, entry.seq),
-                ):
-                    self._release(entry, at=entry.release_due)
-                self._held.clear()
+                self._release_due(math.inf)
                 fleet = self._session.finish()
                 fleet.gateway = self.stats
                 self._result = GatewayResult(fleet=fleet, stats=self.stats)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import ScheduleError
 from repro.serve.jobs import JobOutcome
@@ -185,10 +186,63 @@ class JobRecord:
 class _LatencyAggregates:
     """Latency/throughput/calibration views over shared result state
     (one definition for the single-pipeline and fleet results, so the
-    two can never diverge).  Subclasses supply ``records`` and
-    :meth:`_wave_pairs`."""
+    two can never diverge).  Subclasses supply ``records``,
+    :meth:`_wave_pairs` and the stream totals ``makespan``,
+    ``total_tokens``, ``total_padded_tokens``, ``total_microbatches``
+    and ``noop_microbatches`` (a fleet sums them over its replicas, so
+    its ratios are the merged-stream ones)."""
 
     records: dict[int, JobRecord]
+
+    if TYPE_CHECKING:
+        # Read-only here, so a subclass may supply a field or a property.
+        @property
+        def makespan(self) -> float: ...
+
+        @property
+        def total_tokens(self) -> int: ...
+
+        @property
+        def total_padded_tokens(self) -> int: ...
+
+        @property
+        def total_microbatches(self) -> int: ...
+
+        @property
+        def noop_microbatches(self) -> int: ...
+
+    def tokens_per_time(self) -> float:
+        """Trained real tokens per unit of virtual time."""
+        makespan = self.makespan
+        return self.total_tokens / makespan if makespan else 0.0
+
+    def padding_waste(self) -> float:
+        """Fraction of computed tokens that were padding.
+
+        ``1 - total_tokens / total_padded_tokens`` -- the serving-layer
+        counterpart of :func:`repro.data.packing.padding_waste`, over
+        the whole spliced stream.  For a fleet this weights each
+        replica by the padded tokens it computed, the same as
+        recomputing on the merged stream (``tests/serve/test_metrics.py``
+        asserts the identity).  0.0 when nothing was computed.
+        """
+        padded = self.total_padded_tokens
+        if not padded:
+            return 0.0
+        return 1.0 - self.total_tokens / padded
+
+    def bubble_rate(self) -> float:
+        """Fraction of submitted microbatch slots that were no-ops.
+
+        No-ops are the pipeline bubbles the bubble lemma and splice
+        junctions insert; fewer means tighter waves.  For a fleet this
+        weights each replica by its slot count.  0.0 when no slot was
+        submitted.
+        """
+        total = self.total_microbatches
+        if not total:
+            return 0.0
+        return self.noop_microbatches / total
 
     def _wave_pairs(self) -> list[tuple[float, float]]:
         """The per-wave ``(predicted, observed)`` pairs this result
@@ -384,32 +438,6 @@ class OrchestratorResult(_LatencyAggregates):
     wave_estimates: list[tuple[float, float]] = field(default_factory=list)
     stats: dict[str, float] = field(default_factory=dict)
 
-    def tokens_per_time(self) -> float:
-        """Trained real tokens per unit of virtual time."""
-        return self.total_tokens / self.makespan if self.makespan else 0.0
-
-    def padding_waste(self) -> float:
-        """Fraction of computed tokens that were padding.
-
-        ``1 - total_tokens / total_padded_tokens`` -- the serving-layer
-        counterpart of :func:`repro.data.packing.padding_waste`, over
-        the run's whole spliced stream.  0.0 when nothing was computed.
-        """
-        if not self.total_padded_tokens:
-            return 0.0
-        return 1.0 - self.total_tokens / self.total_padded_tokens
-
-    def bubble_rate(self) -> float:
-        """Fraction of submitted microbatch slots that were no-ops.
-
-        No-ops are the pipeline bubbles the bubble lemma and splice
-        junctions insert; fewer means tighter waves.  0.0 when no slot
-        was submitted.
-        """
-        if not self.total_microbatches:
-            return 0.0
-        return self.noop_microbatches / self.total_microbatches
-
     def pack_efficiency(self) -> float:
         """Real tokens per unit of non-noop slot capacity.
 
@@ -558,33 +586,6 @@ class ReplicaSetResult(_LatencyAggregates):
         """No-op slots across replicas."""
         return sum(r.noop_microbatches for r in self.replicas)
 
-    def padding_waste(self) -> float:
-        """Fleet padding-waste fraction, weighted by stream volume.
-
-        ``1 - sum(tokens) / sum(padded tokens)`` over all replicas --
-        identical to recomputing
-        :meth:`OrchestratorResult.padding_waste` on the merged stream,
-        so each replica's contribution is weighted by the padded tokens
-        it computed (``tests/serve/test_metrics.py`` asserts the
-        identity).  0.0 when the fleet computed nothing.
-        """
-        padded = self.total_padded_tokens
-        if not padded:
-            return 0.0
-        return 1.0 - self.total_tokens / padded
-
-    def bubble_rate(self) -> float:
-        """Fleet no-op fraction, weighted by submitted slots.
-
-        ``sum(noops) / sum(slots)`` -- the merged-stream identity again:
-        equal to each replica's :meth:`OrchestratorResult.bubble_rate`
-        weighted by its slot count.  0.0 when no slot was submitted.
-        """
-        total = self.total_microbatches
-        if not total:
-            return 0.0
-        return self.noop_microbatches / total
-
     def pack_efficiency(self) -> float:
         """Fleet pack efficiency, weighted by non-noop slot capacity.
 
@@ -626,10 +627,6 @@ class ReplicaSetResult(_LatencyAggregates):
         # Every replica's waves pooled, so the fleet calibration views
         # are wave-weighted exactly like the single-pipeline ones.
         return [pair for r in self.replicas for pair in r.wave_estimates]
-
-    def tokens_per_time(self) -> float:
-        """Trained real tokens per unit of virtual time (fleet-wide)."""
-        return self.total_tokens / self.makespan if self.makespan else 0.0
 
     def utilization(self) -> float:
         """Busy fraction of the fleet, weighted by each replica's lifetime.

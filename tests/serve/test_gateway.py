@@ -310,6 +310,23 @@ class TestHoldAndCancel:
 
         run(scenario())
 
+    def test_shed_resubmission_of_a_cancelled_id_reports_shed(self):
+        async def scenario():
+            gateway = make_gateway(gateway_queue_bound=1, gateway_hold=1.0)
+            await gateway.submit(make_job(0), tenant="a")
+            assert await gateway.cancel(0)
+            assert isinstance(
+                await gateway.submit(make_job(1), tenant="a"), GatewayTicket
+            )
+            shed = await gateway.submit(make_job(0), tenant="a")
+            assert isinstance(shed, GatewayOverload)
+            assert shed.reason == "queue_full"
+            # The latest submission decides the status, not the cancel.
+            assert await gateway.status(0) == "shed"
+            assert not await gateway.cancel(0)
+
+        run(scenario())
+
     def test_cancelled_jobs_never_reach_the_fleet(self):
         async def scenario():
             gateway = make_gateway(gateway_hold=1.0)
@@ -432,6 +449,20 @@ class TestErrors:
 
         run(scenario())
 
+    @pytest.mark.parametrize("tenant", ["", None])
+    def test_malformed_tenant_is_refused_before_the_door(self, tenant):
+        async def scenario():
+            gateway = make_gateway(gateway_queue_bound=1, gateway_hold=10.0)
+            with pytest.raises(ScheduleError, match="tenant"):
+                await gateway.submit(make_job(0), tenant=tenant)
+            assert gateway.stats.submitted == 0
+            assert await gateway.status(0) == "unknown"
+            # Nothing was recorded: the id is free and the bound untouched.
+            assert isinstance(await gateway.submit(make_job(0)), GatewayTicket)
+            assert gateway.stats.submitted == 1
+
+        run(scenario())
+
     def test_submit_after_drain_raises(self):
         async def scenario():
             gateway = make_gateway()
@@ -489,29 +520,44 @@ class TestServeConfigWiring:
 
 
 def brute_occupancy(gateway, tenant):
-    """A tenant's backlog recounted from scratch over every release."""
-    held = sum(
-        1
-        for entry in gateway._held.values()
-        if (entry.job.tenant or "default") == tenant
-    )
-    pending = 0
-    for adapter_id, owner in gateway._released.items():
-        if owner != tenant:
+    """A tenant's backlog recounted from scratch over every submission's
+    state and the fleet's job records (never the door's backlog lists)."""
+    count = 0
+    for adapter_id, sub in gateway._subs.items():
+        if sub.tenant != tenant:
             continue
-        record = gateway._session.record(adapter_id)
-        if record is None or (
-            record.admit_time is None
-            and record.rejected_time is None
-            and record.finish_time is None
-        ):
-            pending += 1
-    return held + pending
+        if sub.state == "held":
+            count += 1
+        elif sub.state == "released":
+            record = gateway._session.record(adapter_id)
+            count += record is None or (
+                record.admit_time is None
+                and record.rejected_time is None
+                and record.finish_time is None
+            )
+    return count
+
+
+#: Statuses a released job may show, depending on the fleet's progress.
+RELEASED_STATUSES = {"queued", "pending", "running", "finished", "rejected"}
 
 
 class TestOccupancy:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_incremental_occupancy_equals_brute_recount(self, seed):
+        self.session(seed, queue_bound=6, fairness=0.6)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tight_door_sheds_and_resubmits_consistently(self, seed):
+        # A tighter door sheds often, so shed ids get resubmitted too.
+        self.session(seed, queue_bound=3, fairness=0.4)
+
+    @staticmethod
+    def session(seed, queue_bound, fairness):
+        """80 random submit/resubmit/cancel/advance steps; after each,
+        ``_occupancy`` equals a brute recount, every id's status matches
+        the last operation applied to it, and the recorded trace is in
+        arrival order."""
         tenants = ("a", "b", "c")
 
         async def scenario():
@@ -521,33 +567,65 @@ class TestOccupancy:
                 num_replicas=2,
                 slots=2,
                 window_batches=1,
-                gateway_queue_bound=6,
-                gateway_fairness=0.6,
+                gateway_queue_bound=queue_bound,
+                gateway_fairness=fairness,
                 gateway_hold=0.3,
             )
             gateway = config.build_gateway(COST, SCHED, clock=clock)
+            # adapter id -> the outcome of the last operation applied to it
+            last: dict[int, GatewayTicket | GatewayOverload | str] = {}
+            stamp = 0.0
+
+            def expected_status(outcome):
+                if isinstance(outcome, GatewayOverload):
+                    return {"shed"}
+                if isinstance(outcome, GatewayTicket):
+                    if outcome.release_time > stamp:
+                        return {"held"}
+                    return RELEASED_STATUSES
+                return {outcome}
 
             def check():
                 for tenant in tenants:
                     want = brute_occupancy(gateway, tenant)
                     assert gateway._occupancy(tenant) == want
+                for adapter_id, outcome in last.items():
+                    assert gateway._status(adapter_id) in expected_status(outcome)
+                arrivals = [job.arrival_time for job in gateway.recorded_trace()]
+                assert arrivals == sorted(arrivals)
 
             next_id = 0
+            accepted = 0
             for _ in range(80):
                 op = rng.random()
                 if op < 0.55:
-                    await gateway.submit(
-                        make_job(next_id, samples=4), tenant=rng.choice(tenants)
+                    # A fresh id, or a resubmission of a cancelled/shed one.
+                    free = [
+                        a for a, outcome in last.items()
+                        if outcome == "cancelled"
+                        or isinstance(outcome, GatewayOverload)
+                    ]
+                    if free and rng.random() < 0.3:
+                        adapter_id = rng.choice(free)
+                    else:
+                        adapter_id, next_id = next_id, next_id + 1
+                    outcome = await gateway.submit(
+                        make_job(adapter_id, samples=4),
+                        tenant=rng.choice(tenants),
                     )
-                    next_id += 1
+                    stamp = clock.now()
+                    accepted += isinstance(outcome, GatewayTicket)
+                    last[adapter_id] = outcome
                 elif op < 0.7 and next_id:
-                    await gateway.cancel(rng.randrange(next_id))
+                    adapter_id = rng.randrange(next_id)
+                    if await gateway.cancel(adapter_id):
+                        last[adapter_id] = "cancelled"
                 else:
                     clock.advance(rng.choice([0.05, 0.5, 2.0, 10.0]))
                 check()
-            released = sum(len(ids) for ids in gateway._tenant_released.values())
-            # The scan really dropped settled ids along the way.
-            assert released < len(gateway._released)
+            in_lists = sum(len(subs) for subs in gateway._backlog.values())
+            # The scan really dropped settled and cancelled entries.
+            assert in_lists < accepted
             await gateway.drain()
 
         run(scenario())
