@@ -299,7 +299,7 @@ class _Submission:
     ``state`` is ``"held"`` (inside the hold window), ``"released"``
     (handed to the fleet), ``"cancelled"`` or ``"shed"``.  ``job`` is
     stamped at submission, and restamped at release so the record holds
-    the job the fleet got; it is ``None`` for a shed submission.
+    the job the fleet got; it is ``None`` for a shed or cancelled one.
     """
 
     tenant: str
@@ -423,19 +423,14 @@ class ServeGateway:
                 f"adapter {adapter_id} is already in flight; one submission "
                 "per adapter id at a time"
             )
-        stamp = self._advance_stamp()
-        self.stats.submitted += 1
-        self._release_due(stamp)
-        self._session.advance(stamp)
+        # The clock read is clamped monotone over the session.
+        stamp = max(self._stamp, float(self.clock.now()))
         serve_job: ServeJob | None = None
-        if deadline is not None and deadline <= stamp:
-            # Already expired at the door: shed before anything else
-            # runs (ServeJob itself would reject the stamp ordering).
-            refusal: tuple[str, float | None] | None = ("infeasible", None)
-        else:
-            # Constructing the ServeJob up front also validates the
-            # payload (numeric consistency, batch_offset 0) before any
-            # check runs.
+        if deadline is None or deadline > stamp:
+            # Constructing the ServeJob up front validates the payload
+            # (numeric consistency, batch_offset 0) before the
+            # submission is stamped or counted.  An already-expired
+            # deadline skips it (ServeJob would reject the ordering).
             serve_job = ServeJob(
                 job=job,
                 arrival_time=stamp,
@@ -444,7 +439,15 @@ class ServeGateway:
                 deadline=deadline,
                 tenant=tenant,
             )
-            refusal = self._door(serve_job, tenant, stamp)
+        self._stamp = stamp
+        self.stats.submitted += 1
+        self._release_due(stamp)
+        self._session.advance(stamp)
+        refusal: tuple[str, float | None] | None = (
+            ("infeasible", None)
+            if serve_job is None
+            else self._door(serve_job, tenant, stamp)
+        )
         outcome: GatewayTicket | GatewayOverload
         if refusal is not None:
             reason, retry_after = refusal
@@ -513,24 +516,19 @@ class ServeGateway:
         backlog = self._backlog.get(tenant)
         if not backlog:
             return 0
-        backlog[:] = [sub for sub in backlog if self._in_flight(sub)]
+        # A released id cannot be resubmitted, so a released record is
+        # always its id's latest and ``_status`` reads its fleet record.
+        backlog[:] = [
+            sub
+            for sub in backlog
+            if sub.state == "held"
+            or (
+                sub.state == "released"
+                and sub.job is not None
+                and self._status(sub.job.adapter_id) in ("queued", "pending")
+            )
+        ]
         return len(backlog)
-
-    def _in_flight(self, sub: _Submission) -> bool:
-        if sub.state != "released":
-            return sub.state == "held"
-        assert sub.job is not None  # only accepted submissions release
-        record = self._session.record(sub.job.adapter_id)
-        return record is None or (  # None: ingress event still queued
-            record.admit_time is None
-            and record.rejected_time is None
-            and record.finish_time is None
-        )
-
-    def _advance_stamp(self) -> float:
-        """Read the clock, clamped monotone over the session."""
-        self._stamp = max(self._stamp, float(self.clock.now()))
-        return self._stamp
 
     def _release_due(self, stamp: float) -> None:
         """Release every held job whose hold window has closed by ``stamp``.
@@ -580,6 +578,7 @@ class ServeGateway:
             if sub is None or sub.state != "held":
                 return False
             sub.state = "cancelled"
+            sub.job = None  # nothing of it reached the fleet; drop the payload
             self.stats.cancelled += 1
             return True
 

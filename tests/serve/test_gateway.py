@@ -3,6 +3,7 @@ cancellation, status streaming, the ledger, and ServeConfig wiring."""
 
 import asyncio
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -463,6 +464,20 @@ class TestErrors:
 
         run(scenario())
 
+    def test_invalid_payload_is_refused_before_it_is_counted(self):
+        async def scenario():
+            gateway = make_gateway()
+            bad = replace(make_job(0), batch_offset=1)
+            with pytest.raises(ScheduleError, match="batch_offset"):
+                await gateway.submit(bad)
+            assert gateway.stats.submitted == 0
+            assert await gateway.status(0) == "unknown"
+            assert isinstance(await gateway.submit(make_job(0)), GatewayTicket)
+            stats = (await gateway.drain()).stats
+            assert stats.submitted == stats.accepted + stats.shed_total() == 1
+
+        run(scenario())
+
     def test_submit_after_drain_raises(self):
         async def scenario():
             gateway = make_gateway()
@@ -595,7 +610,6 @@ class TestOccupancy:
                 assert arrivals == sorted(arrivals)
 
             next_id = 0
-            accepted = 0
             for _ in range(80):
                 op = rng.random()
                 if op < 0.55:
@@ -614,7 +628,6 @@ class TestOccupancy:
                         tenant=rng.choice(tenants),
                     )
                     stamp = clock.now()
-                    accepted += isinstance(outcome, GatewayTicket)
                     last[adapter_id] = outcome
                 elif op < 0.7 and next_id:
                     adapter_id = rng.randrange(next_id)
@@ -623,9 +636,14 @@ class TestOccupancy:
                 else:
                     clock.advance(rng.choice([0.05, 0.5, 2.0, 10.0]))
                 check()
-            in_lists = sum(len(subs) for subs in gateway._backlog.values())
-            # The scan really dropped settled and cancelled entries.
-            assert in_lists < accepted
+            # The scan really dropped settled entries: fewer released
+            # submissions remain listed than were ever released.
+            still = sum(
+                sub.state == "released"
+                for subs in gateway._backlog.values()
+                for sub in subs
+            )
+            assert still < gateway.stats.released
             await gateway.drain()
 
         run(scenario())
