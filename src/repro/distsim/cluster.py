@@ -34,11 +34,6 @@ class ClusterSpec:
         if self.num_gpus <= 0 or self.gpus_per_node <= 0:
             raise SimulationError("cluster sizes must be positive")
 
-    @property
-    def num_nodes(self) -> int:
-        """Nodes needed to host ``num_gpus``."""
-        return -(-self.num_gpus // self.gpus_per_node)
-
     def collective_bandwidth(self, group_size: int) -> float:
         """Per-rank algorithm bandwidth (bytes/s) for a collective.
 

@@ -135,6 +135,35 @@ def onthefly_microbatches_for_batch(
     ]
 
 
+def round_robin_stream(
+    jobs: list[AdapterJob],
+    samples_per_microbatch: dict[int, int],
+    capacity: int,
+    num_stages: int,
+) -> list[Microbatch]:
+    """Uniform adapter filling: mLoRA's stream, with no-ops for the lemma.
+
+    Every global-batch step, each job's batch is packed on the fly into
+    single-adapter microbatches of its own fixed sample count
+    (``samples_per_microbatch[adapter_id]``), and the jobs' microbatches
+    interleave round-robin, filling each other's pipeline gaps.
+    """
+    per_job = [job.dataset.global_batches(job.global_batch_size) for job in jobs]
+    stream: list[Microbatch] = []
+    for step in range(max(len(batches) for batches in per_job)):
+        round_robin = [
+            onthefly_microbatches_for_batch(
+                batches[step], samples_per_microbatch[job.adapter_id], step,
+                capacity, 64)
+            for job, batches in zip(jobs, per_job)
+            if step < len(batches)
+        ]
+        for i in range(max(len(job_mbs) for job_mbs in round_robin)):
+            stream.extend(job_mbs[i] for job_mbs in round_robin if i < len(job_mbs))
+    stream, _ = insert_noops(stream, num_stages)
+    return stream
+
+
 def default_microbatch_samples(
     jobs: list[AdapterJob], capacity: int, num_stages: int = 1
 ) -> int:
@@ -295,29 +324,8 @@ def run_mlora(
         or max(1, round(capacity / job.dataset.mean_length()))
         for job in jobs
     }
-    per_job = {
-        job.adapter_id: job.dataset.global_batches(job.global_batch_size)
-        for job in jobs
-    }
-    num_steps = max(len(b) for b in per_job.values())
-    stream: list[Microbatch] = []
-    total_tokens = 0
-    for step in range(num_steps):
-        round_robin: list[list[Microbatch]] = []
-        for job in jobs:
-            batches = per_job[job.adapter_id]
-            if step < len(batches):
-                round_robin.append(
-                    onthefly_microbatches_for_batch(
-                        batches[step], per_job_mbs[job.adapter_id], step,
-                        capacity, 64)
-                )
-                total_tokens += sum(s.length for s in batches[step])
-        for i in range(max(len(r) for r in round_robin)):
-            for job_mbs in round_robin:
-                if i < len(job_mbs):
-                    stream.append(job_mbs[i])
-    stream, _ = insert_noops(stream, num_stages)
+    stream = round_robin_stream(jobs, per_job_mbs, capacity, num_stages)
+    total_tokens = sum(mb.real_tokens for mb in stream)
     pipeline = [to_pipeline_microbatch(mb, cost, num_stages) for mb in stream]
     result = simulate_stream(pipeline, num_stages)
     return _report("mlora", total_tokens, result)
@@ -352,24 +360,9 @@ def run_lorafusion(
     else:
         # Fair comparison with mLoRA: capacity-driven microbatch size.
         mbs = microbatch_samples or default_microbatch_samples(jobs, capacity)
-        per_job = {
-            job.adapter_id: job.dataset.global_batches(job.global_batch_size)
-            for job in jobs
-        }
-        num_steps = max(len(b) for b in per_job.values())
-        stream = []
-        for step in range(num_steps):
-            rr = []
-            for job in jobs:
-                batches = per_job[job.adapter_id]
-                if step < len(batches):
-                    rr.append(onthefly_microbatches_for_batch(
-                        batches[step], mbs, step, capacity, 64))
-            for i in range(max(len(r) for r in rr)):
-                for job_mbs in rr:
-                    if i < len(job_mbs):
-                        stream.append(job_mbs[i])
-        stream, _ = insert_noops(stream, num_stages)
+        stream = round_robin_stream(
+            jobs, {job.adapter_id: mbs for job in jobs}, capacity, num_stages
+        )
     total_tokens = sum(mb.real_tokens for mb in stream)
     pipeline = [to_pipeline_microbatch(mb, cost, num_stages) for mb in stream]
     result = simulate_stream(pipeline, num_stages)

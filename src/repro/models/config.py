@@ -78,22 +78,6 @@ class ModelConfig:
         embeddings = 2 * self.vocab_size * self.hidden_size
         return self.num_layers * per_layer + embeddings
 
-    def model_state_bytes(self, lora_rank: int = 0) -> int:
-        """Bytes of model states for LoRA fine-tuning (Section 2.1).
-
-        Half-precision frozen weights (2 bytes/param) plus, per LoRA
-        adapter parameter, 16 bytes (fp16 weight+grad, fp32 master weight
-        and two Adam moments): the ``2nk + 32r(n+k)`` formula of the paper
-        aggregated over all adapted linears.
-        """
-        frozen = 2 * self.param_count()
-        if lora_rank == 0:
-            return frozen
-        lora_params = self.num_layers * sum(
-            lora_rank * (k + n) for k, n in self.linear_shapes().values()
-        )
-        return frozen + 16 * lora_params
-
 
 LLAMA3_8B = ModelConfig(
     name="LLaMa-3.1-8B",

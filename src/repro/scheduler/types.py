@@ -165,12 +165,6 @@ class Microbatch:
         """Raw (unpadded) token counts per adapter, in first-seen order."""
         return dict(self._raw)
 
-    def padded_tokens_by_adapter(self) -> dict[int, int]:
-        """Per-adapter token counts padded to the next multiple of ``P``."""
-        return {
-            adapter: self._padded_of(tokens) for adapter, tokens in self._raw.items()
-        }
-
     @property
     def padded_tokens(self) -> int:
         """Total padded tokens (the quantity capped by ``capacity``)."""
@@ -264,15 +258,6 @@ class Schedule:
     def total_padded_tokens(self) -> int:
         """Padded tokens across the schedule."""
         return sum(mb.padded_tokens for mb in self.microbatches)
-
-    def adapter_sample_order(self, adapter_id: int) -> list[tuple[int, int]]:
-        """(global_batch, sample_index) pairs in execution order."""
-        order = []
-        for mb in self.microbatches:
-            for assignment in mb.assignments:
-                if assignment.adapter_id == adapter_id:
-                    order.append((assignment.global_batch, assignment.sample.index))
-        return order
 
     def to_dict(self) -> dict:
         """JSON-serializable representation (orchestrator trace dumps)."""

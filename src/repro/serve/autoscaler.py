@@ -285,11 +285,6 @@ class FleetAutoscaler:
         self._live[pool.name] -= 1
         self._committed_rate -= pool.hourly_rate
 
-    @property
-    def committed_rate(self) -> float:
-        """Current fleet $/hour (live plus in-flight replicas)."""
-        return self._committed_rate
-
     # -- decisions -----------------------------------------------------------
 
     def ready(self, now: float) -> bool:

@@ -306,10 +306,6 @@ class CalibrationTracker:
         """Current per-tenant factors (a copy; introspection/reporting)."""
         return dict(self._tenant)
 
-    def replica_corrections(self) -> dict[int, float]:
-        """Current per-replica factors (a copy; introspection/reporting)."""
-        return dict(self._replica)
-
 
 def _bottleneck(fwd: tuple[float, ...], bwd: tuple[float, ...]) -> float:
     """The slowest stage's fwd+bwd seconds: one microbatch slot."""

@@ -150,10 +150,6 @@ class Event:
         """The ``(kind, lane)`` pair ordering equal-time events."""
         return (int(self.kind), self.lane)
 
-    def sort_key(self) -> tuple[float, tuple[int, int], int]:
-        """The full ``(time, priority, seq)`` heap key."""
-        return (self.time, self.priority, self.seq)
-
 
 @dataclass
 class EventKernel:
@@ -296,7 +292,3 @@ class EventKernel:
     def __len__(self) -> int:
         """Live (non-cancelled) events still queued."""
         return self._live
-
-    def total_processed(self) -> int:
-        """Events handed out by :meth:`pop` so far, across all kinds."""
-        return sum(self.processed.values())

@@ -326,14 +326,6 @@ class _LatencyAggregates:
         """Mean JCT per priority class, most urgent first."""
         return {cls: self.mean_completion_time(cls) for cls in self.priority_classes()}
 
-    def queueing_by_class(self) -> dict[int, float]:
-        """Mean queueing delay per priority class, most urgent first."""
-        return {cls: self.mean_queueing_delay(cls) for cls in self.priority_classes()}
-
-    def total_preemptions(self) -> int:
-        """Slot evictions across all jobs (each one losslessly resumed)."""
-        return sum(r.preemptions for r in self.records.values())
-
     def rejections(self) -> int:
         """Arrivals shed by deadline-feasibility admission (terminal)."""
         rejected = JobOutcome.REJECTED
@@ -644,26 +636,6 @@ class ReplicaSetResult(_LatencyAggregates):
         weighted = sum(r.utilization * r.makespan for r in self.replicas)
         total = sum(self._interval_weights())
         return weighted / total if total else 0.0
-
-    def fleet_calibration_error(self) -> float | None:
-        """Lifetime-weighted mean of per-replica wave calibration error.
-
-        Each replica's :meth:`mean_wave_calibration_error` weighted by
-        its active span (interval when recorded, makespan otherwise), so
-        a slow spot replica that served ten minutes of a ten-hour run
-        cannot dominate the fleet's honesty number -- nor vanish from
-        it.  Replicas that recorded no usable wave pair carry no weight.
-        ``None`` when no replica recorded one.
-        """
-        weighted = 0.0
-        total = 0.0
-        for result, weight in zip(self.replicas, self._interval_weights()):
-            error = result.mean_wave_calibration_error()
-            if error is None:
-                continue
-            weighted += error * weight
-            total += weight
-        return weighted / total if total else None
 
     def mean_reclaim_latency(self) -> float | None:
         """Mean seconds from reclamation notice to empty replica.

@@ -62,7 +62,7 @@ from repro.errors import ScheduleError, require_finite
 from repro.scheduler.bubble import find_violations
 from repro.scheduler.grouping import StickyGrouper
 from repro.scheduler.scheduler import MultiLoRAScheduler, SchedulerConfig
-from repro.scheduler.types import AdapterJob, Microbatch, Schedule
+from repro.scheduler.types import AdapterJob, Microbatch
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.costing import CostEstimator, TenantProfile
 from repro.serve.executors import Executor, StepEvent
@@ -1182,18 +1182,6 @@ class OnlineOrchestrator:
         """
         return list(self._wave_estimates)
 
-    @property
-    def current_window(self) -> int | None:
-        """The live planning window in global batches.
-
-        Equals the static ``window_batches`` without adaptive windowing;
-        under :class:`AdaptiveWindowConfig` it is the value the control
-        loop last settled on (``None`` = whole-horizon waves).
-        """
-        if self.config.adaptive_window is not None:
-            return self._window
-        return self.config.window_batches
-
     def expected_remaining_seconds(self) -> float | None:
         """Expected service seconds this replica still owes (all jobs).
 
@@ -1388,12 +1376,4 @@ class OnlineOrchestrator:
             rejected=rejected,
             wave_estimates=list(self._wave_estimates),
             stats=dict(self._stats),
-        )
-
-    def stream_schedule(self) -> Schedule:
-        """The full spliced stream as a dumpable :class:`Schedule`."""
-        return Schedule(
-            microbatches=list(self.stream),
-            num_stages=self.config.scheduler.num_stages,
-            stats={"replans": float(self._replans)},
         )

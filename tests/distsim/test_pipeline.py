@@ -1,9 +1,14 @@
 """Tests for the 1F1B pipeline simulator."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distsim import PipelineMicrobatch, simulate_flushed, simulate_stream
 from repro.errors import SimulationError
+from tests.distsim.pipeline_reference import reference_simulate_stream
 
 S = 4
 
@@ -50,6 +55,28 @@ class TestUniform1F1B:
     def test_stage_count_mismatch_rejected(self):
         with pytest.raises(SimulationError):
             simulate_stream(uniform(4, stages=2), 4)
+
+
+class TestTypedRefusal:
+    """Invalid depths and clocks raise SimulationError, never a bare error."""
+
+    @pytest.mark.parametrize("num_stages", [0, -2])
+    def test_non_positive_depth_rejected(self, num_stages):
+        with pytest.raises(SimulationError, match="num_stages"):
+            simulate_stream([PipelineMicrobatch((), ())], num_stages)
+        with pytest.raises(SimulationError, match="num_stages"):
+            simulate_stream([], num_stages)
+        with pytest.raises(SimulationError, match="num_stages"):
+            simulate_flushed([], num_stages)
+        with pytest.raises(SimulationError, match="num_stages"):
+            simulate_flushed([[PipelineMicrobatch((), ())]], num_stages)
+
+    @pytest.mark.parametrize("start_time", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_time_rejected(self, start_time):
+        with pytest.raises(SimulationError, match="start_time"):
+            simulate_stream(uniform(4), S, start_time=start_time)
+        with pytest.raises(SimulationError, match="start_time"):
+            simulate_stream([], S, start_time=start_time)
 
 
 class TestVariableSizes:
@@ -115,3 +142,64 @@ class TestFlushedExecution:
         per_batch = simulate_stream(uniform(4), S)
         assert flushed.bubble_ratio == pytest.approx(per_batch.bubble_ratio)
         assert flushed.makespan == pytest.approx(4 * per_batch.makespan)
+
+
+@st.composite
+def streams(draw):
+    """A stage count, a start time and a microbatch stream that may deadlock.
+
+    Microbatches are no-ops or carry up to three ``(adapter, batch)``
+    pairs of up to three adapters, so cross-batch and multi-adapter
+    dependencies both occur, satisfied or not.
+    """
+    num_stages = draw(st.integers(1, 5))
+    start_time = draw(st.sampled_from([0.0, 1.7, -3.25, 1e6]))
+    times = st.tuples(*[st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.5])] * num_stages)
+    pair = st.tuples(st.integers(0, 2), st.integers(0, 3))
+    mbs = []
+    for _ in range(draw(st.integers(0, 14))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            zeros = (0.0,) * num_stages
+            mbs.append(PipelineMicrobatch(zeros, zeros))
+            continue
+        mbs.append(PipelineMicrobatch(
+            draw(times), draw(times),
+            frozenset(draw(st.lists(pair, min_size=1, max_size=3))),
+        ))
+    return mbs, num_stages, start_time
+
+
+class TestMatchesInOrderReference:
+    """The incremental core times a stream exactly as the in-order
+    simulator does, and deadlocks exactly where it does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(streams())
+    def test_equal_or_both_deadlock(self, case):
+        mbs, num_stages, start_time = case
+        try:
+            expected = reference_simulate_stream(mbs, num_stages, start_time)
+        except SimulationError:
+            with pytest.raises(SimulationError, match="deadlock"):
+                simulate_stream(mbs, num_stages, start_time)
+            return
+        result = simulate_stream(mbs, num_stages, start_time)
+        assert result.makespan == expected.makespan
+        assert result.busy == expected.busy
+        assert result.num_microbatches == expected.num_microbatches
+        assert result.num_stages == expected.num_stages
+
+    def test_scheduled_stream_matches(self):
+        # Spaced adapter batches with no-op slots, the shape the
+        # scheduler emits: no deadlock, identical timing.
+        pairs = [[(0, step), (1, step)] for step in range(3) for _ in range(2)]
+        mbs = uniform(6, pairs=pairs)
+        noop = PipelineMicrobatch((0.0,) * S, (0.0,) * S)
+        stream = []
+        for k in range(0, 6, 2):
+            stream += mbs[k:k + 2] + [noop] * (S - 1)
+        for start in (0.0, 1.7):
+            expected = reference_simulate_stream(stream, S, start)
+            result = simulate_stream(stream, S, start)
+            assert (result.makespan, result.busy) == (
+                expected.makespan, expected.busy)

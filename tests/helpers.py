@@ -27,6 +27,16 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / denom))
 
 
+def batch_order(microbatches, adapter_id: int) -> list[int]:
+    """``adapter_id``'s global batch of each of its samples, in stream order."""
+    return [
+        a.global_batch
+        for mb in microbatches
+        for a in mb.assignments
+        if a.adapter_id == adapter_id
+    ]
+
+
 def fingerprint(run, replica_set=None):
     """Everything observable about a serving run, as one exact structure.
 

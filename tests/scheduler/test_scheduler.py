@@ -14,6 +14,7 @@ from repro.scheduler import (
     dependency_gap,
     find_violations,
 )
+from tests.helpers import batch_order
 
 
 def make_jobs(num_adapters=4, samples=32, gbs=8, datasets=None, seed=1):
@@ -97,7 +98,7 @@ class TestScheduleInvariants:
     def test_global_batch_order_preserved_per_adapter(self, schedule):
         jobs, sched = schedule
         for job in jobs:
-            batches = [b for b, _ in sched.adapter_sample_order(job.adapter_id)]
+            batches = batch_order(sched.microbatches, job.adapter_id)
             assert batches == sorted(batches)
 
     def test_samples_carry_correct_batch_index(self, schedule):
@@ -284,6 +285,6 @@ class TestPropertyBased:
                 if a.adapter_id == job.adapter_id
             )
             assert seen == list(range(samples))
-            batches = [b for b, _ in sched.adapter_sample_order(job.adapter_id)]
+            batches = batch_order(sched.microbatches, job.adapter_id)
             assert batches == sorted(batches)
         assert all(mb.padded_tokens <= 8192 for mb in sched.microbatches)

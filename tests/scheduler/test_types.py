@@ -37,7 +37,7 @@ class TestMicrobatchAccounting:
         mb.add(Assignment(sample(0, 1, 27), 0))
         mb.add(Assignment(sample(1, 0, 65), 0))
         # adapter 0: 127 -> 128; adapter 1: 65 -> 128.
-        assert mb.padded_tokens_by_adapter() == {0: 128, 1: 128}
+        assert mb.tokens_by_adapter() == {0: 127, 1: 65}
         assert mb.padded_tokens == 256
         assert mb.real_tokens == 192
 
@@ -98,7 +98,6 @@ def rescanned(mb):
     lengths = [a.length for a in mb.assignments]
     return {
         "tokens_by_adapter": list(raw.items()),
-        "padded_tokens_by_adapter": list(padded.items()),
         "padded_tokens": sum(padded.values()),
         "real_tokens": sum(lengths),
         "num_adapters": len(raw),
@@ -112,7 +111,6 @@ def counted(mb):
     shape = mb.shape()
     return {
         "tokens_by_adapter": list(mb.tokens_by_adapter().items()),
-        "padded_tokens_by_adapter": list(mb.padded_tokens_by_adapter().items()),
         "padded_tokens": mb.padded_tokens,
         "real_tokens": mb.real_tokens,
         "num_adapters": mb.num_adapters,
@@ -122,9 +120,9 @@ def counted(mb):
 
 def rescan_fits(mb, s):
     """``fits`` recomputed from a rescan."""
-    padded = dict(rescanned(mb)["padded_tokens_by_adapter"])
     raw = dict(rescanned(mb)["tokens_by_adapter"])
     p = mb.padding_multiple
+    padded = {aid: math.ceil(tokens / p) * p for aid, tokens in raw.items()}
     grown = math.ceil((raw.get(s.adapter_id, 0) + s.length) / p) * p
     total = sum(padded.values()) - padded.get(s.adapter_id, 0) + grown
     return total <= mb.capacity
@@ -242,15 +240,6 @@ def test_incremental_totals_match_a_rescan(padding, capacity_granules,
 
 
 class TestSchedule:
-    def test_adapter_sample_order(self):
-        mb1 = Microbatch(capacity=256, padding_multiple=64)
-        mb1.add(Assignment(sample(0, 1, 10), 0))
-        mb2 = Microbatch(capacity=256, padding_multiple=64)
-        mb2.add(Assignment(sample(0, 5, 10), 1))
-        schedule = Schedule(microbatches=[mb1, mb2])
-        assert schedule.adapter_sample_order(0) == [(0, 1), (1, 5)]
-        assert schedule.adapter_sample_order(9) == []
-
     def test_token_totals(self):
         mb = Microbatch(capacity=256, padding_multiple=64)
         mb.add(Assignment(sample(0, 0, 100), 0))

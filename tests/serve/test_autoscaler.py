@@ -130,7 +130,7 @@ class TestAutoscalerPolicy:
         scaler = make_scaler()
         pool = scaler.attach(0, "a100")
         assert pool is ON_DEMAND
-        assert scaler.committed_rate == 4.0
+        assert scaler._committed_rate == 4.0
         for index in range(1, 4):
             scaler.attach(index, "a100")
         with pytest.raises(ScheduleError, match="limit"):
@@ -147,7 +147,7 @@ class TestAutoscalerPolicy:
         scaler.attach(0, "a100")
         decision = scaler.plan(0.0, [(0, 10.0)], pressure=0)
         assert decision == ("join", SPOT)  # $1/h beats $4/h
-        assert scaler.committed_rate == 5.0  # billed at the decision
+        assert scaler._committed_rate == 5.0  # billed at the decision
 
     def test_scale_up_respects_budget_ceiling(self):
         scaler = make_scaler(budget_per_hour=4.5)
@@ -204,7 +204,7 @@ class TestAutoscalerPolicy:
         scaler.attach(1, "l40s-spot")
         assert scaler.plan(0.0, [(0, 10.0), (1, 10.0)], pressure=0) is None
         scaler.on_retired(1)
-        assert scaler.committed_rate == 4.0
+        assert scaler._committed_rate == 4.0
         assert scaler.plan(0.0, [(0, 10.0)], pressure=0) == ("join", SPOT)
 
     def test_reclaim_takes_only_spot_newest_first_never_all(self):

@@ -236,7 +236,7 @@ class TestCalibrationTracker:
         tracker.observe(0.0, 5.0, tenants=[0], replica=0)
         tracker.observe(5.0, 0.0, tenants=[0], replica=0)
         assert tracker.tenant_corrections() == {}
-        assert tracker.replica_corrections() == {}
+        assert tracker._replica == {}
 
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(ScheduleError, match="alpha"):
@@ -443,7 +443,7 @@ class TestCalibration:
         assert len(result.wave_estimates) >= 2
         # Every tenant that ran in a wave has a factor; the replica too.
         assert set(tracker.tenant_corrections()) == {0, 1}
-        assert set(tracker.replica_corrections()) == {0}
+        assert set(tracker._replica) == {0}
         # The factors absorbed real ratios, not the neutral 1.0.
         for factor in tracker.tenant_corrections().values():
             assert factor != 1.0

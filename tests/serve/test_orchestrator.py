@@ -23,6 +23,7 @@ from repro.serve import (
     SlotAdmission,
     StreamingSimExecutor,
 )
+from tests.helpers import batch_order
 
 DATASETS = ["xsum", "cnn_dailymail", "wikisum", "mixed"]
 
@@ -90,9 +91,8 @@ class TestServingLoop:
         ]
         orchestrator = make_orchestrator(num_stages=2, window=1)
         orchestrator.run(workload)
-        schedule = orchestrator.stream_schedule()
         for job in jobs:
-            batches = [b for b, _ in schedule.adapter_sample_order(job.adapter_id)]
+            batches = batch_order(orchestrator.stream, job.adapter_id)
             assert batches == sorted(batches)
             assert batches[-1] == job.num_global_batches() - 1
 
@@ -179,7 +179,10 @@ class TestServingLoop:
         ]
         orchestrator = make_orchestrator(num_stages=2, window=1)
         orchestrator.run(workload)
-        schedule = orchestrator.stream_schedule()
+        schedule = Schedule(
+            microbatches=list(orchestrator.stream),
+            num_stages=orchestrator.config.scheduler.num_stages,
+        )
         rebuilt = Schedule.from_dict(schedule.to_dict())
         assert len(rebuilt) == len(schedule)
         assert [mb.plan_id for mb in rebuilt.microbatches] == [
@@ -279,7 +282,7 @@ class TestAdaptiveWindow:
             workload, AdaptiveWindowConfig(min_batches=1, max_batches=4)
         )
         assert result.violations == 0
-        assert orchestrator.current_window == 4
+        assert orchestrator._window == 4
         # Fewer replans than the static window=1 run would need (12
         # batches, one per wave).
         assert result.replans < 12
@@ -297,7 +300,7 @@ class TestAdaptiveWindow:
             slots=2,
         )
         assert result.violations == 0
-        assert orchestrator.current_window <= 2
+        assert orchestrator._window <= 2
 
     def test_target_wave_seconds_caps_the_window(self):
         from repro.serve import AdaptiveWindowConfig
@@ -310,7 +313,7 @@ class TestAdaptiveWindow:
         assert result.violations == 0
         # No wave may exceed the (unsatisfiable) budget by more than the
         # floor window, so the window never leaves the floor.
-        assert orchestrator.current_window == 1
+        assert orchestrator._window == 1
 
     def test_adaptive_window_requires_finite_start(self):
         from repro.serve import AdaptiveWindowConfig

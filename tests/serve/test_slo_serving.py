@@ -20,6 +20,7 @@ from repro.serve import (
     SRPTOrdering,
     StreamingSimExecutor,
 )
+from tests.helpers import batch_order
 
 DATASETS = ["xsum", "cnn_dailymail", "wikisum", "mixed"]
 NUM_STAGES = 4
@@ -216,11 +217,8 @@ class TestMidWaveAdmission:
         result = orchestrator.run(workload)
         assert_complete_and_safe(orchestrator, result, workload)
         # Per-job batch order is still monotone.
-        schedule = orchestrator.stream_schedule()
         for job in workload:
-            batches = [
-                b for b, _ in schedule.adapter_sample_order(job.adapter_id)
-            ]
+            batches = batch_order(orchestrator.stream, job.adapter_id)
             assert batches == sorted(batches)
 
 
