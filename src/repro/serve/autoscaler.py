@@ -148,7 +148,7 @@ class FleetAutoscaler:
     """Sizes the fleet against backlog, SLO pressure, and a $ budget.
 
     Pure policy: the fleet loop
-    (:class:`~repro.serve.replicaset.FleetLoop`) probes :meth:`plan`
+    (:class:`~repro.serve.replicaset.ReplicaSet`) probes :meth:`plan`
     after load-changing events,
     turns its decision into kernel events, and reports landings back
     through :meth:`on_joined` / :meth:`on_retired`.  All state lives in

@@ -1,6 +1,6 @@
 """The discrete-event fleet kernel: one heap, one global clock.
 
-The fleet loop (:class:`~repro.serve.replicaset.FleetLoop`) must answer
+The fleet loop (:class:`~repro.serve.replicaset.ReplicaSet`) must answer
 "who acts next" after every event.  Rescanning every replica's virtual
 clock and recomputing every replica's load after every step would be
 O(replicas) work per event and O(replicas x jobs) per rebalance check
@@ -36,11 +36,13 @@ event on a FIFO lane that :meth:`EventKernel.pop` always drains before
 touching the heap -- the same device asyncio's ``call_soon`` is.
 
 **Lazy cancellation.**  A replica's next wave-close event is scheduled
-at its current clock; any mutation (an offer, a migration, a drain)
-moves that clock, so the fleet loop cancels and reschedules.  Removing
-an arbitrary heap entry is O(n); flagging it cancelled and skipping it
-at pop time is O(1) amortized, the standard discrete-event-simulation
-trick (``heapq`` documents it as the recommended pattern).
+at its current clock; a mutation that moves that clock (an offer, a
+migration, a drain) makes the fleet loop cancel and reschedule it.
+Removing an arbitrary heap entry is O(n); flagging it cancelled and
+skipping it at pop time is O(1) amortized, the standard
+discrete-event-simulation trick (``heapq`` documents it as the
+recommended pattern).  Cancelling an event the kernel already handed
+out is a no-op, so the live count never goes negative.
 
 The kernel is deliberately generic -- it knows event *kinds* but not the
 serving layer (no serve module is imported here), so the fleet loop,
@@ -136,6 +138,8 @@ class Event:
         payload: Opaque handler data (the kernel never inspects it).
         cancelled: Lazily-deleted marker; cancelled events are skipped
             at pop time (see :meth:`EventKernel.cancel`).
+        handed_out: Set when the kernel hands the event out; it is no
+            longer queued, so cancelling it changes nothing.
     """
 
     time: float
@@ -144,6 +148,7 @@ class Event:
     seq: int
     payload: Any = None
     cancelled: bool = False
+    handed_out: bool = False
 
     @property
     def priority(self) -> tuple[int, int]:
@@ -234,9 +239,10 @@ class EventKernel:
         """Lazily delete a pending event (idempotent).
 
         The event stays queued but is skipped (uncounted) when it
-        surfaces -- O(1) instead of an O(n) heap removal.
+        surfaces -- O(1) instead of an O(n) heap removal.  Cancelling an
+        event already handed out is a no-op.
         """
-        if not event.cancelled:
+        if not (event.cancelled or event.handed_out):
             event.cancelled = True
             self._live -= 1
 
@@ -273,6 +279,7 @@ class EventKernel:
             if event.cancelled:
                 continue
             self._live -= 1
+            event.handed_out = True
             self.processed[event.kind] += 1
             return event
         while self._heap:
@@ -284,6 +291,7 @@ class EventKernel:
                 return None
             _, _, _, event = heapq.heappop(self._heap)
             self._live -= 1
+            event.handed_out = True
             self.now = time
             self.processed[event.kind] += 1
             return event

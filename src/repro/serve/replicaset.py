@@ -8,22 +8,22 @@ pluggable :class:`~repro.serve.router.RoutingPolicy`, and -- when the
 load skew between replicas exceeds a threshold -- *migrates* jobs
 between pipelines.
 
-The fleet runs on one loop, :class:`FleetLoop`, over the discrete-event
-kernel of :mod:`repro.serve.events`: arrivals, per-replica wave closes
-and scale actions are typed events on one global heap, control work
-(rebalance checks, migrations, drains) runs on the kernel's immediate
-lane, and each event kind has one handler method.  Each replica is
-read once per change: an event that mutates it marks it stale, and one
-refresh re-reads it into its row (routing columns, rebalance load,
-deadline pressure) for every consumer -- router, rebalancer and
-autoscaler alike (a view is rebuilt only when a policy reads it).  So
-finding the next actor is O(log n) instead of an O(n) clock scan --
-which is what makes
-100-1000-replica traces replayable (``benchmarks/bench_fleet_kernel.py``
-measures the per-event cost).  Every arrival is routed against replica
-state as of the arrival instant, which is what makes least-loaded and
-packing-affinity policies meaningful.  Batch :meth:`ReplicaSet.run` and
-the live :class:`FleetSession` drive the same loop.
+A set is one single-shot run: it holds the discrete-event kernel of
+:mod:`repro.serve.events` and its run state itself.  Arrivals,
+per-replica wave closes and scale actions are typed events on one
+global heap, control work (rebalance checks, migrations, drains) runs
+on the kernel's immediate lane, and each event kind has one handler
+method.  Each replica is read once per change: an event that mutates it
+marks it stale, and one refresh re-reads it into its row (routing
+columns, rebalance load, deadline pressure) for every consumer --
+router, rebalancer and autoscaler alike (a view is rebuilt only when a
+policy reads it).  So finding the next actor is O(log n) instead of an
+O(n) clock scan -- which is what makes 100-1000-replica traces
+replayable (``benchmarks/bench_fleet_kernel.py`` measures the per-event
+cost).  Every arrival is routed against replica state as of the arrival
+instant, which is what makes least-loaded and packing-affinity policies
+meaningful.  Batch :meth:`ReplicaSet.run` and the live
+:class:`FleetSession` pump the same dispatch.
 
 Migration is lossless.  A pending job moves as a queue entry (a
 *reroute*); an admitted job moves between waves as a
@@ -203,41 +203,89 @@ class ReplicaSetConfig:
 class ReplicaSet:
     """Serves one tenant stream across several pipeline replicas.
 
+    The set is its own (single-shot) run: it holds the event kernel,
+    one row per replica, and one handler per :class:`EventKind`.
+    :meth:`run` ingests a sorted workload and pumps the kernel to
+    exhaustion; :meth:`open_session` hands a :class:`FleetSession` that
+    ingests live submissions one at a time and pumps to each
+    submission's stamp.  Both paths share every line of dispatch, which
+    is what makes a recorded gateway session replay bit-identically
+    through the batch path.
+
+    Arrivals are scheduled on the heap (lane = adapter id, so
+    simultaneous arrivals keep their sorted order); each working
+    replica keeps exactly one WAVE_CLOSE event at its current clock.
+    An event that moves the clock cancels it and schedules a new one;
+    an event that leaves the clock where it was keeps it.  The heap's
+    ``(time, (kind, lane), seq)`` order makes a wave close at an
+    arrival's instant yield to the arrival (so routing sees every
+    replica as of that instant), and advances equal-clock replicas in
+    index order.  Control events -- the rebalance check after every
+    arrival and wave close, and the migrations/drains it decides -- run
+    on the kernel's immediate lane, ahead of any timed event.
+
+    Each replica is read once per change.  An event that mutates a
+    replica adds it to one staleness set, ``stale``; :meth:`_refresh`
+    re-reads every stale replica into its row -- the router's
+    :class:`~repro.serve.router.FleetArrays` columns
+    (``expected_remaining_seconds()`` and ``num_active``), the
+    rebalance load (when rebalancing is on) and, on elastic fleets, the
+    replica's ``deadline_pressure()`` -- and drops its cached view.
+    Routing, rebalancing and the autoscaler all read those rows and
+    call no orchestrator themselves.  Views are built on read: routing
+    gets a lazy sequence, and a dropped view is rebuilt only when a
+    policy indexes it, so an arrival routed from the columns builds
+    none.  Caching is sound because every row is a pure function of
+    one replica's state -- with a single exception: a calibration
+    observe on replica *B* reprices any tenant of *B*'s closed wave
+    that has since migrated to another replica, so the set watches the
+    tracker's version stamp and marks the migrant's current host stale
+    too.
+
     Args:
         executors: One execution backend per replica.  For numeric
             serving the engines must share identical frozen base weights
             (build each model from the same seed), or migration would not
             be lossless.
         config: Replica-set tunables.
+
+    Attributes:
+        kernel: The event heap the run goes on.
+        records: Live records by adapter id, filled as arrivals are
+            offered.
+        stale: Replicas whose rows :meth:`_refresh` must re-read.
+        arrays: The routing columns, one row per replica.
+        loads: Rebalance loads per replica (with rebalancing on).
+        pressure: Deadline pressure per replica (elastic fleets).
+        views: Cached routing views; ``None`` until read.
     """
 
     def __init__(self, executors: list[Executor], config: ReplicaSetConfig) -> None:
         if not executors:
             raise ScheduleError("a replica set needs at least one executor")
         self.config = config
-        self.replicas = [
-            OnlineOrchestrator(executor, config.orchestrator, replica_id=index)
-            for index, executor in enumerate(executors)
-        ]
+        self.replicas: list[OnlineOrchestrator] = []
         self.router = TenantRouter(config.routing or LeastLoadedRouting())
         self._migrations = 0
         self._reroutes = 0
         self._rebalance_drains = 0
         self._drain_steps_saved = 0
-        self._events_processed: dict[str, int] = {}
         self._ran = False
         # Elastic-fleet accounting.  With no autoscaler none of it
         # changes after construction and the result carries no
         # intervals (the legacy aggregation identities).
         self._autoscaler = config.autoscaler
-        self._joined_at = [0.0] * len(executors)
-        self._retired_at: list[float | None] = [None] * len(executors)
-        self._hourly_rates = [0.0] * len(executors)
+        self._joined_at: list[float] = []
+        self._retired_at: list[float | None] = []
+        self._hourly_rates: list[float] = []
         self._joins = 0
         self._retires = 0
         self._reclaims = 0
         self._forced_evacuations = 0
         self._reclaim_latencies: list[float] = []
+        estimator = config.orchestrator.estimator
+        self._calibration = estimator.calibration if estimator is not None else None
+        pools: list[CapacityPool | None] = [None] * len(executors)
         if self._autoscaler is not None:
             names = self._autoscaler.initial_pools
             if len(names) != len(executors):
@@ -245,13 +293,72 @@ class ReplicaSet:
                     f"autoscaler names {len(names)} initial pool(s) for "
                     f"{len(executors)} executor(s)"
                 )
-            estimator = config.orchestrator.estimator
-            calibration = estimator.calibration if estimator is not None else None
-            for index, name in enumerate(names):
-                pool = self._autoscaler.attach(index, name)
-                self._hourly_rates[index] = pool.hourly_rate
-                if calibration is not None and pool.speed_factor != 1.0:
-                    calibration.seed_replica(index, pool.speed_factor)
+            pools = [
+                self._autoscaler.attach(index, name)
+                for index, name in enumerate(names)
+            ]
+        for executor, pool in zip(executors, pools):
+            self._add_replica(executor, pool, 0.0)
+        # The run's state.  Seeding a slow pool bumps the calibration
+        # version, so it is read only now.
+        n = len(executors)
+        self.kernel = EventKernel()
+        self.records: dict[int, JobRecord] = {}
+        self._params = self._rebalance_params()
+        calibration = self._calibration
+        self._seen_version = calibration.version if calibration is not None else 0
+        # One row per replica, re-read by _refresh once per change.
+        self.views: list[ReplicaView | None] = [None] * n
+        self.arrays = FleetArrays.for_fleet(n)
+        self.loads = np.empty(n, dtype=np.float64)  # with rebalancing
+        self.pressure = np.zeros(n, dtype=np.int64)  # elastic fleets
+        self.stale: set[int] = set(range(n))
+        self._wave_events: list[Event | None] = [None] * n
+        # Elastic-fleet state; untouched on a fixed fleet.
+        self._deadline_events: dict[int, Event] = {}
+        self._held: list[MigrationTicket] = []
+        self._unroutable: set[int] = set()
+        self._routable_cache: list[int] | None = None
+        self._routable_rows = np.empty(0, dtype=np.int64)  # built with the cache
+        self._reclaim_started: dict[int, float] = {}
+        self._handlers: dict[EventKind, Callable[[Event], bool | None]] = {
+            EventKind.ARRIVAL: self._on_arrival,
+            EventKind.GATEWAY_INGRESS: self._on_arrival,
+            EventKind.WAVE_CLOSE: self._on_wave_close,
+            EventKind.REBALANCE: self._on_rebalance,
+            EventKind.MIGRATION: self._on_migration,
+            EventKind.FLUSH: self._on_flush,
+            EventKind.REPLICA_JOIN: self._on_join,
+            EventKind.REPLICA_RETIRE: self._on_retire,
+            EventKind.RECLAIM_DEADLINE: self._on_reclaim_deadline,
+        }
+        if self._autoscaler is not None:
+            for lane, notice in enumerate(self._autoscaler.reclamations):
+                self.kernel.schedule(
+                    notice.time,
+                    EventKind.REPLICA_RETIRE,
+                    payload=("reclaim", notice),
+                    lane=lane,
+                )
+
+    def _add_replica(
+        self, executor: Executor, pool: CapacityPool | None, time: float
+    ) -> OnlineOrchestrator:
+        """Append one replica on ``executor``, online from ``time``.
+
+        Bills its pool's hourly rate (``0.0`` on a fixed fleet) and
+        seeds calibration with a slow pool's speed factor.
+        """
+        index = len(self.replicas)
+        replica = OnlineOrchestrator(executor, self.config.orchestrator, replica_id=index)
+        self.replicas.append(replica)
+        self._joined_at.append(time)
+        self._retired_at.append(None)
+        self._hourly_rates.append(0.0 if pool is None else pool.hourly_rate)
+        calibration = self._calibration
+        if pool is not None and calibration is not None and pool.speed_factor != 1.0:
+            calibration.seed_replica(index, pool.speed_factor)
+        return replica
 
     @property
     def num_replicas(self) -> int:
@@ -266,10 +373,10 @@ class ReplicaSet:
         orchestrators carry a :class:`~repro.serve.costing.CostEstimator`
         -- the same work is priced in expected seconds
         (``expected_remaining_time``) for cost-aware policies.  A pure
-        function of the replica's state: the fleet loop builds it only
-        when a routing policy reads it, caches the result and drops it
-        when an event mutates that replica, which is safe exactly
-        because nothing here depends on other replicas.
+        function of the replica's state: the set builds it only when a
+        routing policy reads it, caches the result and drops it when an
+        event mutates that replica, which is safe exactly because
+        nothing here depends on other replicas.
         """
         replica = self.replicas[index]
         return ReplicaView(
@@ -304,12 +411,9 @@ class ReplicaSet:
         ids = [job.adapter_id for job in workload]
         if len(set(ids)) != len(ids):
             raise ScheduleError(f"duplicate adapter ids in workload: {ids}")
-        loop = self._open_loop()
         for job in sorted(workload, key=lambda job: (job.arrival_time, job.adapter_id)):
-            loop.ingest(job, EventKind.ARRIVAL)
-        loop.pump(math.inf)
-        loop.finalize()
-        return self._assemble_result()
+            self._ingest(job, EventKind.ARRIVAL)
+        return self._finish()
 
     def open_session(self) -> FleetSession:
         """Open the fleet for incremental, live-driven serving.
@@ -324,19 +428,48 @@ class ReplicaSet:
         :meth:`run`.
         """
         self._take_shot()
-        return FleetSession(self, self._open_loop())
+        return FleetSession(self)
 
     def _take_shot(self) -> None:
-        """Consume the set's single run (a second one raises)."""
+        """Consume the set's single run (a second one raises) and start
+        every replica."""
         if self._ran:
             raise ScheduleError("ReplicaSet.run is single-shot; construct a fresh set")
         self._ran = True
-
-    def _open_loop(self) -> FleetLoop:
-        """Start every replica and build the loop that serves them."""
         for replica in self.replicas:
             replica.start([])
-        return FleetLoop(self)
+
+    def _ingest(self, job: ServeJob, kind: EventKind) -> None:
+        """Schedule one job's arrival (``ARRIVAL`` for trace replay,
+        ``GATEWAY_INGRESS`` for a live submission)."""
+        self.kernel.schedule(job.arrival_time, kind, payload=job, lane=job.adapter_id)
+
+    def _pump(self, frontier: float) -> None:
+        """Process every due event with timestamp at or before ``frontier``.
+
+        Each event runs its handler, then (elastic fleets) the scale
+        probe.  A rebalance check that ends its pass returns ``False``:
+        it changed nothing, so the probe is skipped for it.
+        """
+        while (event := self.kernel.pop_until(frontier)) is not None:
+            if self._handlers[event.kind](event) is False or self._autoscaler is None:
+                continue
+            # Any event can free a slot for a held job, or shift the
+            # backlog the autoscaler watches.
+            if self._held:
+                self._held = [t for t in self._held if not self._place(t)]
+            self._probe_autoscaler(event.time)
+
+    def _finish(self) -> ReplicaSetResult:
+        """Run the kernel dry, verify no evacuated job is stranded, and
+        assemble the result."""
+        self._pump(math.inf)
+        if self._held:
+            raise ScheduleError(
+                f"{len(self._held)} evacuated job(s) never found a new "
+                "replica -- the fleet retired capacity it still needed"
+            )
+        return self._assemble_result()
 
     def _assemble_result(self) -> ReplicaSetResult:
         """Finish every replica and fold the run into one result."""
@@ -351,21 +484,13 @@ class ReplicaSet:
         gpu_seconds = 0.0
         dollars = 0.0
         if self._autoscaler is not None:
-            fleet_end = float(
-                max(
-                    max(result.makespan for result in results),
-                    max(
-                        (t for t in self._retired_at if t is not None),
-                        default=0.0,
-                    ),
-                )
-            )
+            ends = [result.makespan for result in results]
+            ends += [t for t in self._retired_at if t is not None]
+            fleet_end = float(max(ends))
             for index, result in enumerate(results):
                 start = float(self._joined_at[index])
                 retired = self._retired_at[index]
-                end = max(
-                    start, fleet_end if retired is None else float(retired)
-                )
+                end = max(start, fleet_end if retired is None else float(retired))
                 intervals.append((start, end))
                 gpu_seconds += end - start
                 dollars += (end - start) / 3600.0 * self._hourly_rates[index]
@@ -376,7 +501,10 @@ class ReplicaSet:
             reroutes=self._reroutes,
             rebalance_drains=self._rebalance_drains,
             drain_steps_saved=self._drain_steps_saved,
-            events_processed=dict(self._events_processed),
+            events_processed={
+                kind.name: count
+                for kind, count in sorted(self.kernel.processed.items())
+            },
             joins=self._joins,
             retires=self._retires,
             reclaims=self._reclaims,
@@ -433,7 +561,7 @@ class ReplicaSet:
         plus estimator-priced remaining seconds; batch mode counts
         outstanding global batches.  Pure in the replica's own state
         (plus, in seconds mode, the calibration factors of its own
-        tenants), which is what lets the fleet loop cache it.
+        tenants), which is what lets the set cache it in ``loads``.
         """
         replica = self.replicas[index]
         if seconds_mode:
@@ -480,89 +608,23 @@ class ReplicaSet:
         skew = float(array[source]) - float(array[target])
         if skew <= threshold:
             return None
-        adapter_id = self._pick_migration(
-            source, target, skew, seconds_mode, exclude=moved
+        replica = self.replicas[source]
+        slot_free = self.replicas[target].slots_free != 0
+        adapter_id = _pick_migrant(
+            replica.migratable_jobs(), skew, seconds_mode, moved, slot_free
         )
         if adapter_id is not None:
             return ("migrate", adapter_id, source, target)
         if self.config.drain_then_migrate and source not in drained:
-            migrant = self._pick_drain_migrant(
-                source, target, skew, seconds_mode, exclude=moved
+            # The mid-flight jobs a partial drain could unlock; moving
+            # one needs a slot on the target.  No pick: a full flush.
+            mid_flight = replica.drainable_jobs() if slot_free else []
+            migrant = _pick_migrant(
+                [entry + (False,) for entry in mid_flight],
+                skew, seconds_mode, moved, slot_free,
             )
             return ("drain", source, migrant)
         return None
-
-    def _pick_migration(
-        self,
-        source: int,
-        target: int,
-        skew: float,
-        seconds_mode: bool,
-        exclude: set[int] | frozenset[int] = frozenset(),
-    ) -> int | None:
-        """The job whose move best evens out ``source`` and ``target``.
-
-        Each candidate is weighed in the skew's own unit -- expected
-        remaining seconds in seconds mode, remaining batches otherwise.
-        Only moves that strictly reduce the skew qualify (``0 < weight <
-        skew``); among those, the job bringing the pair closest to even
-        wins -- balance is the objective, so a strictly better-balancing
-        active job beats a pending one.  Pending jobs win ties only,
-        because a queue move costs nothing while an active move pays a
-        state transfer; remaining ties go to the lowest adapter id, so
-        the pick is deterministic.  Jobs in ``exclude`` (already moved
-        this rebalance pass) never qualify.
-        """
-        target_slots = self.replicas[target].slots_free
-        candidates = []
-        for adapter_id, batches, seconds, is_pending in (
-            self.replicas[source].migratable_jobs()
-        ):
-            if adapter_id in exclude:
-                continue
-            weight = seconds if seconds_mode else float(batches)
-            if weight is None or not 0 < weight < skew:
-                continue
-            if not is_pending and target_slots == 0:
-                continue
-            candidates.append(
-                (abs(skew - 2 * weight), 0 if is_pending else 1, adapter_id)
-            )
-        if not candidates:
-            return None
-        return min(candidates)[2]
-
-    def _pick_drain_migrant(
-        self,
-        source: int,
-        target: int,
-        skew: float,
-        seconds_mode: bool,
-        exclude: set[int] | frozenset[int] = frozenset(),
-    ) -> int | None:
-        """The mid-flight job worth paying a *partial* drain to move.
-
-        Scored like :meth:`_pick_migration` (same unit, same
-        ``0 < weight < skew`` cut, closest-to-even wins, lowest adapter
-        id breaks ties) but over the source's mid-flight active jobs --
-        the ones a drain exists to unlock.  ``None`` when no single job
-        qualifies: the caller then falls back to the full flush, whose
-        broader effect (every active job reaches a boundary, retirements
-        may settle the skew by themselves) is the only remaining play.
-        """
-        if self.replicas[target].slots_free == 0:
-            return None  # an active move needs a slot on the target
-        candidates = []
-        for adapter_id, batches, seconds in self.replicas[source].drainable_jobs():
-            if adapter_id in exclude:
-                continue
-            weight = seconds if seconds_mode else float(batches)
-            if weight is None or not 0 < weight < skew:
-                continue
-            candidates.append((abs(skew - 2 * weight), adapter_id))
-        if not candidates:
-            return None
-        return min(candidates)[1]
 
     def _apply_drain(self, source: int, migrant: int | None) -> None:
         """Pay the drain that unlocks migration on ``source``.
@@ -603,183 +665,65 @@ class ReplicaSet:
             ticket.record.migrations += 1
             self._migrations += 1
 
-
-class FleetLoop:
-    """The event-driven fleet loop: one handler per :class:`EventKind`.
-
-    Built by :meth:`ReplicaSet.run` (which ingests the sorted workload
-    and pumps to exhaustion) and by :meth:`ReplicaSet.open_session`
-    (whose :class:`FleetSession` ingests live submissions one at a time
-    and pumps to each submission's stamp).  Both paths share every line
-    of dispatch, which is what makes a recorded gateway session replay
-    bit-identically through the batch path.
-
-    Arrivals are scheduled on the heap (lane = adapter id, so
-    simultaneous arrivals keep their sorted order); each working
-    replica keeps exactly one WAVE_CLOSE event at its current clock,
-    cancelled and rescheduled whenever an event mutates it.  The heap's
-    ``(time, (kind, lane), seq)`` order makes a wave close at an
-    arrival's instant yield to the arrival (so routing sees every
-    replica as of that instant), and advances equal-clock replicas in
-    index order.  Control events -- the rebalance check after every
-    arrival and wave close, and the migrations/drains it decides -- run
-    on the kernel's immediate lane, ahead of any timed event.
-
-    Each replica is read once per change.  An event that mutates a
-    replica adds it to one staleness set, ``stale``; :meth:`_refresh`
-    re-reads every stale replica into its row -- the router's
-    :class:`~repro.serve.router.FleetArrays` columns
-    (``expected_remaining_seconds()`` and ``num_active``), the
-    rebalance load (when rebalancing is on) and, on elastic fleets, the
-    replica's ``deadline_pressure()`` -- and drops its cached view.
-    Routing, rebalancing and the autoscaler all read those rows and
-    call no orchestrator themselves.  Views are built on read: routing
-    gets a lazy sequence, and a dropped view is rebuilt only when a
-    policy indexes it, so an arrival routed from the columns builds
-    none.  Caching is sound because every row is a pure function of
-    one replica's state -- with a single exception: a calibration
-    observe on replica *B* reprices any tenant of *B*'s closed wave
-    that has since migrated to another replica, so the loop watches the
-    tracker's version stamp and marks the migrant's current host stale
-    too.
-
-    Attributes:
-        kernel: The event heap the loop runs on.
-        records: Live records by adapter id, filled as arrivals are
-            offered.
-    """
-
-    def __init__(self, fleet: ReplicaSet) -> None:
-        n = len(fleet.replicas)
-        self.fleet = fleet
-        self.kernel = EventKernel()
-        self.records: dict[int, JobRecord] = {}
-        self.params = fleet._rebalance_params()
-        estimator = fleet.config.orchestrator.estimator
-        calibration = estimator.calibration if estimator is not None else None
-        self.calibration = calibration
-        self.seen_version = calibration.version if calibration is not None else 0
-        self.autoscaler = fleet._autoscaler
-        # One row per replica, re-read by _refresh once per change.
-        self.views: list[ReplicaView | None] = [None] * n
-        self.arrays = FleetArrays.for_fleet(n)
-        self.loads = np.empty(n, dtype=np.float64)  # with rebalancing
-        self.pressure = np.zeros(n, dtype=np.int64)  # elastic fleets
-        self.stale: set[int] = set(range(n))
-        self.wave_events: list[Event | None] = [None] * n
-        # Elastic-fleet state; untouched on a fixed fleet.
-        self.deadline_events: dict[int, Event] = {}
-        self.held: list[MigrationTicket] = []
-        self.unroutable: set[int] = set()
-        self.routable_cache: list[int] | None = None
-        self.routable_rows = np.empty(0, dtype=np.int64)  # built with the cache
-        self.reclaim_started: dict[int, float] = {}
-        self.handlers: dict[EventKind, Callable[[Event], bool | None]] = {
-            EventKind.ARRIVAL: self._on_arrival,
-            EventKind.GATEWAY_INGRESS: self._on_arrival,
-            EventKind.WAVE_CLOSE: self._on_wave_close,
-            EventKind.REBALANCE: self._on_rebalance,
-            EventKind.MIGRATION: self._on_migration,
-            EventKind.FLUSH: self._on_flush,
-            EventKind.REPLICA_JOIN: self._on_join,
-            EventKind.REPLICA_RETIRE: self._on_retire,
-            EventKind.RECLAIM_DEADLINE: self._on_reclaim_deadline,
-        }
-        if self.autoscaler is not None:
-            for lane, notice in enumerate(self.autoscaler.reclamations):
-                self.kernel.schedule(
-                    notice.time,
-                    EventKind.REPLICA_RETIRE,
-                    payload=("reclaim", notice),
-                    lane=lane,
-                )
-
-    # -- driving ------------------------------------------------------------
-
-    def ingest(self, job: ServeJob, kind: EventKind) -> None:
-        """Schedule one job's arrival (``ARRIVAL`` for trace replay,
-        ``GATEWAY_INGRESS`` for a live submission)."""
-        self.kernel.schedule(job.arrival_time, kind, payload=job, lane=job.adapter_id)
-
-    def pump(self, frontier: float) -> None:
-        """Process every due event with timestamp at or before ``frontier``."""
-        while (event := self.kernel.pop_until(frontier)) is not None:
-            self.dispatch(event)
-
-    def finalize(self) -> None:
-        """Verify no evacuated job is stranded and record the per-kind
-        event counts on the owning set."""
-        if self.held:
-            raise ScheduleError(
-                f"{len(self.held)} evacuated job(s) never found a new "
-                "replica -- the fleet retired capacity it still needed"
-            )
-        self.fleet._events_processed = {
-            kind.name: count for kind, count in sorted(self.kernel.processed.items())
-        }
-
-    def dispatch(self, event: Event) -> None:
-        """Run the event's handler, then (elastic fleets) the scale probe.
-
-        A rebalance check that ends its pass returns ``False``: it
-        changed nothing, so the probe is skipped for it.
-        """
-        if self.handlers[event.kind](event) is False:
-            return
-        if self.autoscaler is not None:
-            # Any event can free a slot for a held job, or shift the
-            # backlog the autoscaler watches.
-            if self.held:
-                self.held = [t for t in self.held if not self._place(t)]
-            self._probe_autoscaler(event.time)
-
     # -- replica rows -------------------------------------------------------
 
-    def _invalidate(self, index: int) -> None:
-        self.stale.add(index)
-
     def _resync(self, index: int) -> None:
-        """Mark ``index`` stale and reschedule its next wave close."""
-        self._invalidate(index)
-        calibration = self.calibration
-        if calibration is not None and calibration.version != self.seen_version:
+        """Mark ``index`` stale and keep its next wave close at its clock.
+
+        A live wave close already at the replica's clock stays; any
+        other is cancelled and, while the replica has work, scheduled
+        anew.  Keeping it changes no pop order: the heap key is
+        ``(time, (kind, lane), seq)`` with the replica index as lane, so
+        ``seq`` never orders two live wave closes.
+        """
+        self.stale.add(index)
+        calibration = self._calibration
+        if calibration is not None and calibration.version != self._seen_version:
             fresh = calibration.version
-            if fresh == self.seen_version + 1:
+            if fresh == self._seen_version + 1:
                 # One observe: its wave tenants live here unless they
                 # migrated away -- mark their current hosts stale too.
                 for adapter_id in calibration.last_observed_tenants:
-                    host = self.fleet.router.assignments.get(adapter_id)
+                    host = self.router.assignments.get(adapter_id)
                     if host is not None and host != index:
-                        self._invalidate(host)
+                        self.stale.add(host)
             else:
                 # Can't attribute multiple observes; stale every row.
-                self.stale.update(range(len(self.fleet.replicas)))
-            self.seen_version = fresh
-        stale = self.wave_events[index]
-        if stale is not None:
-            self.kernel.cancel(stale)
-            self.wave_events[index] = None
-        replica = self.fleet.replicas[index]
-        if replica.has_work():
-            self.wave_events[index] = self.kernel.schedule(
-                replica.clock, EventKind.WAVE_CLOSE, payload=index, lane=index
+                self.stale.update(range(len(self.replicas)))
+            self._seen_version = fresh
+        replica = self.replicas[index]
+        clock = replica.clock if replica.has_work() else None
+        wave = self._wave_events[index]
+        if wave is not None:
+            if wave.time == clock:
+                return
+            self.kernel.cancel(wave)
+            self._wave_events[index] = None
+        if clock is not None:
+            self._wave_events[index] = self.kernel.schedule(
+                clock, EventKind.WAVE_CLOSE, payload=index, lane=index
             )
 
     def _refresh(self) -> None:
         """Re-read every stale replica into its row, then clear ``stale``.
 
-        O(dirty), not O(fleet).  Call it before reading any row; a view
-        is built by :meth:`_view` on first read after its drop here.
+        O(dirty), not O(fleet), and one backlog read per replica: the
+        seconds-mode load is the clock plus the backlog the router
+        column holds.  Call it before reading any row; a view is built
+        by :meth:`_view` on first read after its drop here.
         """
-        fleet = self.fleet
+        params = self._params
         for index in self.stale:
-            replica = fleet.replicas[index]
-            self.arrays.refill(
-                index, replica.expected_remaining_seconds(), replica.num_active
-            )
-            if self.params is not None:
-                self.loads[index] = fleet._replica_load(index, self.params[1])
-            if self.autoscaler is not None:
+            replica = self.replicas[index]
+            backlog = replica.expected_remaining_seconds()
+            self.arrays.refill(index, backlog, replica.num_active)
+            if params is not None:
+                self.loads[index] = (
+                    replica.clock + (backlog or 0.0)
+                    if params[1]
+                    else float(replica.outstanding_batches())
+                )
+            if self._autoscaler is not None:
                 self.pressure[index] = replica.deadline_pressure()
             self.views[index] = None
         self.stale.clear()
@@ -788,7 +732,7 @@ class FleetLoop:
         """Replica ``index``'s routing view, built on first read."""
         view = self.views[index]
         if view is None:
-            view = self.views[index] = self.fleet._replica_view(index)
+            view = self.views[index] = self._replica_view(index)
         return view
 
     def _routable(self) -> list[int]:
@@ -798,14 +742,12 @@ class FleetLoop:
         Cached -- the fixed-fleet hot path pays one list build total,
         and scale events invalidate it.
         """
-        if self.routable_cache is None:
-            self.routable_cache = [
-                index
-                for index in range(len(self.fleet.replicas))
-                if index not in self.unroutable
+        if self._routable_cache is None:
+            self._routable_cache = [
+                i for i in range(len(self.replicas)) if i not in self._unroutable
             ]
-            self.routable_rows = np.array(self.routable_cache, dtype=np.int64)
-        return self.routable_cache
+            self._routable_rows = np.array(self._routable_cache, dtype=np.int64)
+        return self._routable_cache
 
     # -- handlers: arrivals, waves, rebalancing -----------------------------
 
@@ -814,45 +756,46 @@ class FleetLoop:
         job = event.payload
         routable = self._routable()
         self._refresh()
-        index = self.fleet.router.route(
-            job, _LazyViews(self, routable), self.arrays.take(self.routable_rows)
+        index = self.router.route(
+            job, _LazyViews(self, routable), self.arrays.take(self._routable_rows)
         )
-        record = self.fleet.replicas[index].offer(job)
+        record = self.replicas[index].offer(job)
         record.replica = index
         self.records[job.adapter_id] = record
         self._resync(index)
-        if self.params is not None:
+        if self._params is not None:
             self.kernel.post(EventKind.REBALANCE, _RebalancePass())
 
     def _on_wave_close(self, event: Event) -> None:
         """Advance one replica's serving loop by one iteration."""
         index = event.payload
-        self.fleet.replicas[index].step()
+        self._wave_events[index] = None  # handed out: nothing to cancel
+        self.replicas[index].step()
         self._resync(index)
-        if index in self.unroutable and self.fleet._retired_at[index] is None:
+        if index in self._unroutable and self._retired_at[index] is None:
             # A draining (reclaimed) replica: the wave close just brought
             # active jobs to step boundaries -- evacuate them, and
             # retire early once nothing is left.
             self._evacuate_movable(index)
-            if not self.fleet.replicas[index].has_work():
+            if not self.replicas[index].has_work():
                 self._complete_retirement(index, event.time, reclaim=True)
-        if self.params is not None:
+        if self._params is not None:
             self.kernel.post(EventKind.REBALANCE, _RebalancePass())
 
     def _on_rebalance(self, event: Event) -> bool:
         """One skew check of the pass in flight; post the action it picks."""
-        assert self.params is not None  # only posted when rebalancing is on
-        threshold, seconds_mode = self.params
+        assert self._params is not None  # only posted when rebalancing is on
+        threshold, seconds_mode = self._params
         state = event.payload
         routable = self._routable()
         self._refresh()
-        action = self.fleet._plan_rebalance(
+        action = self._plan_rebalance(
             self.loads,
             threshold,
             seconds_mode,
             state.moved,
             state.drained,
-            None if len(routable) == len(self.fleet.replicas) else routable,
+            None if len(routable) == len(self.replicas) else routable,
         )
         if action is None:
             return False
@@ -863,7 +806,7 @@ class FleetLoop:
     def _on_migration(self, event: Event) -> None:
         adapter_id, source, target, state = event.payload
         state.moved.add(adapter_id)
-        self.fleet._migrate(adapter_id, source, target)
+        self._migrate(adapter_id, source, target)
         self._resync(source)
         self._resync(target)
         self.kernel.post(EventKind.REBALANCE, state)
@@ -871,7 +814,7 @@ class FleetLoop:
     def _on_flush(self, event: Event) -> None:
         source, migrant, state = event.payload
         state.drained.add(source)
-        self.fleet._apply_drain(source, migrant)
+        self._apply_drain(source, migrant)
         self._resync(source)
         self.kernel.post(EventKind.REBALANCE, state)
 
@@ -879,35 +822,25 @@ class FleetLoop:
 
     def _on_join(self, event: Event) -> None:
         """Bring a provisioned replica online at the join instant."""
-        fleet = self.fleet
-        assert self.autoscaler is not None  # only scheduled by the probe
-        factory = fleet.config.executor_factory
+        assert self._autoscaler is not None  # only scheduled by the probe
+        factory = self.config.executor_factory
         assert factory is not None  # config validation
         pool = event.payload
-        index = len(fleet.replicas)
+        index = len(self.replicas)
         executor = factory(pool)
         # The new pipeline starts at the join instant, not at virtual
         # zero -- without this it would serve its first jobs "in the
         # past".
         executor.advance(event.time)
-        replica = OnlineOrchestrator(
-            executor, fleet.config.orchestrator, replica_id=index
-        )
-        replica.start([])
-        fleet.replicas.append(replica)
-        fleet._joined_at.append(event.time)
-        fleet._retired_at.append(None)
-        fleet._hourly_rates.append(pool.hourly_rate)
+        self._add_replica(executor, pool, event.time).start([])
         self.views.append(None)
-        self.wave_events.append(None)
+        self._wave_events.append(None)
         self.loads = np.append(self.loads, 0.0)
         self.pressure = np.append(self.pressure, 0)
         self.arrays.grow()
-        self.routable_cache = None
-        fleet._joins += 1
-        self.autoscaler.on_joined(index, pool)
-        if self.calibration is not None and pool.speed_factor != 1.0:
-            self.calibration.seed_replica(index, pool.speed_factor)
+        self._routable_cache = None
+        self._joins += 1
+        self._autoscaler.on_joined(index, pool)
         self._resync(index)
 
     def _on_retire(self, event: Event) -> None:
@@ -917,23 +850,23 @@ class FleetLoop:
             # Graceful scale-down: partial-drain each mid-flight job,
             # move everything off, retire now.
             index = data
-            if index not in self.unroutable:
+            if index not in self._unroutable:
                 self._mark_unroutable(index)
                 self._evacuate_all(index, forced=False)
                 self._complete_retirement(index, event.time, reclaim=False)
             return
-        assert self.autoscaler is not None
+        assert self._autoscaler is not None
         notice = data
-        victims = self.autoscaler.pick_reclaim_victims(notice.count, self._routable())
+        victims = self._autoscaler.pick_reclaim_victims(notice.count, self._routable())
         for index in victims:
             self._mark_unroutable(index)
-            self.fleet._reclaims += 1
-            self.reclaim_started[index] = event.time
+            self._reclaims += 1
+            self._reclaim_started[index] = event.time
             self._evacuate_movable(index)
-            if not self.fleet.replicas[index].has_work():
+            if not self.replicas[index].has_work():
                 self._complete_retirement(index, event.time, reclaim=True)
             else:
-                self.deadline_events[index] = self.kernel.schedule(
+                self._deadline_events[index] = self.kernel.schedule(
                     event.time + notice.deadline,
                     EventKind.RECLAIM_DEADLINE,
                     payload=index,
@@ -943,11 +876,11 @@ class FleetLoop:
     def _on_reclaim_deadline(self, event: Event) -> None:
         """A reclaim's grace expired: force out whatever is still resident."""
         index = event.payload
-        self.deadline_events.pop(index, None)
-        if self.fleet._retired_at[index] is None:
+        self._deadline_events.pop(index, None)
+        if self._retired_at[index] is None:
             # Force every active job to a step boundary and evacuate --
             # adds latency, loses nothing.
-            self.fleet._forced_evacuations += 1
+            self._forced_evacuations += 1
             self._evacuate_all(index, forced=True)
             self._complete_retirement(index, event.time, reclaim=True)
 
@@ -955,13 +888,13 @@ class FleetLoop:
 
     def _probe_autoscaler(self, time: float) -> None:
         """Ask the autoscaler for a scale action and schedule it."""
-        autoscaler = self.autoscaler
+        autoscaler = self._autoscaler
         assert autoscaler is not None
         if not autoscaler.ready(time):
             return
         routable = self._routable()
         self._refresh()
-        rows = self.routable_rows
+        rows = self._routable_rows
         backlog = list(zip(routable, self.arrays.backlogs[rows].tolist()))
         decision = autoscaler.plan(time, backlog, int(self.pressure[rows].sum()))
         if decision is None:
@@ -981,10 +914,9 @@ class FleetLoop:
         The lowest index breaks ties; payload-carrying tickets need a
         free adapter slot there.  ``False`` when nowhere fits yet.
         """
-        replicas = self.fleet.replicas
         best: tuple[tuple[int, int], int] | None = None
         for index in self._routable():
-            replica = replicas[index]
+            replica = self.replicas[index]
             if ticket.payload is not None and replica.slots_free == 0:
                 continue
             key = (replica.outstanding_batches(), index)
@@ -992,19 +924,19 @@ class FleetLoop:
                 best = (key, index)
         if best is None:
             return False
-        self.fleet._land(ticket, best[1])
+        self._land(ticket, best[1])
         self._resync(best[1])
         return True
 
     def _evacuate_movable(self, index: int) -> None:
         """Eject every pending/parked/boundary job, lowest adapter id
         first; jobs with nowhere to go are held, never dropped."""
-        replica = self.fleet.replicas[index]
+        replica = self.replicas[index]
         movable = sorted(entry[0] for entry in replica.migratable_jobs())
         for adapter_id in movable:
             ticket = replica.eject_job(adapter_id)
             if not self._place(ticket):
-                self.held.append(ticket)
+                self._held.append(ticket)
         if movable:
             self._resync(index)
 
@@ -1016,7 +948,7 @@ class FleetLoop:
         path -- a reclaim deadline expiring -- pays one full flush.
         Either way every job leaves at a step boundary with full state.
         """
-        replica = self.fleet.replicas[index]
+        replica = self.replicas[index]
         self._evacuate_movable(index)
         if forced:
             if replica.num_active:
@@ -1030,36 +962,73 @@ class FleetLoop:
             self._evacuate_movable(index)
 
     def _complete_retirement(self, index: int, time: float, reclaim: bool) -> None:
-        fleet = self.fleet
-        fleet._retired_at[index] = time
-        fleet._retires += 1
+        self._retired_at[index] = time
+        self._retires += 1
         if reclaim:
-            started = self.reclaim_started.pop(index)
-            fleet._reclaim_latencies.append(float(time - started))
-            pending_deadline = self.deadline_events.pop(index, None)
+            started = self._reclaim_started.pop(index)
+            self._reclaim_latencies.append(float(time - started))
+            pending_deadline = self._deadline_events.pop(index, None)
             if pending_deadline is not None:
                 self.kernel.cancel(pending_deadline)
-        if self.autoscaler is not None:
-            self.autoscaler.on_retired(index)
+        if self._autoscaler is not None:
+            self._autoscaler.on_retired(index)
         self._resync(index)  # cancels the wave event; no work remains
 
     def _mark_unroutable(self, index: int) -> None:
-        self.unroutable.add(index)
-        self.routable_cache = None
+        self._unroutable.add(index)
+        self._routable_cache = None
+
+
+def _pick_migrant(
+    candidates: list[tuple[int, int, float | None, bool]],
+    skew: float,
+    seconds_mode: bool,
+    exclude: set[int] | frozenset[int],
+    slot_free: bool,
+) -> int | None:
+    """The candidate whose move best evens out a source and a target.
+
+    ``candidates`` are ``(adapter_id, remaining_batches,
+    remaining_seconds, is_pending)`` tuples: the source's movable jobs
+    (:meth:`~repro.serve.orchestrator.OnlineOrchestrator.migratable_jobs`),
+    or the mid-flight ones a partial drain could unlock.  Each is
+    weighed in the skew's own unit -- expected remaining seconds in
+    seconds mode, remaining batches otherwise.  Only moves that strictly
+    reduce the skew qualify (``0 < weight < skew``), and an active job
+    needs ``slot_free`` on the target.  The key is ``(|skew - 2 weight|,
+    pending first, adapter id)``: the job bringing the pair closest to
+    even wins -- balance is the objective, so a strictly
+    better-balancing active job beats a pending one.  Pending jobs win
+    ties only, because a queue move costs nothing while an active move
+    pays a state transfer; remaining ties go to the lowest adapter id,
+    so the pick is deterministic.  Jobs in ``exclude`` (already moved
+    this rebalance pass) never qualify; ``None`` when no job does.
+    """
+    best: tuple[float, bool, int] | None = None
+    for adapter_id, batches, seconds, is_pending in candidates:
+        if adapter_id in exclude or not (is_pending or slot_free):
+            continue
+        weight = seconds if seconds_mode else float(batches)
+        if weight is None or not 0 < weight < skew:
+            continue
+        key = (abs(skew - 2 * weight), not is_pending, adapter_id)
+        if best is None or key < best:
+            best = key
+    return None if best is None else best[2]
 
 
 class _LazyViews(Sequence[ReplicaView]):
     """The routable replicas' views, each built only when read.
 
-    What :class:`FleetLoop` hands :meth:`TenantRouter.route`: position
-    ``k`` is replica ``indices[k]``'s view, fetched through the loop's
-    view cache at the moment a policy indexes or iterates it (the loop
+    What :class:`ReplicaSet` hands :meth:`TenantRouter.route`: position
+    ``k`` is replica ``indices[k]``'s view, fetched through the set's
+    view cache at the moment a policy indexes or iterates it (the set
     has refreshed its rows just before routing) -- so a
     policy that scores from the columns alone costs no view at all.
     """
 
-    def __init__(self, loop: FleetLoop, indices: list[int]) -> None:
-        self._loop = loop
+    def __init__(self, fleet: ReplicaSet, indices: list[int]) -> None:
+        self._fleet = fleet
         self._indices = indices
 
     def __len__(self) -> int:
@@ -1073,11 +1042,11 @@ class _LazyViews(Sequence[ReplicaView]):
 
     def __getitem__(self, position):
         if isinstance(position, slice):
-            return [self._loop._view(i) for i in self._indices[position]]
-        return self._loop._view(self._indices[position])
+            return [self._fleet._view(i) for i in self._indices[position]]
+        return self._fleet._view(self._indices[position])
 
     def __iter__(self):
-        view = self._loop._view
+        view = self._fleet._view
         return (view(index) for index in self._indices)
 
 
@@ -1090,9 +1059,9 @@ class FleetSession:
     :attr:`~repro.serve.events.EventKind.GATEWAY_INGRESS` event at its
     virtual arrival stamp, and :meth:`advance` pumps the event loop only
     up to the caller's current time frontier -- the fleet never runs
-    ahead of wall-clock-derived time.  Because the session drives the
-    same :class:`FleetLoop` as the batch path, replaying the ingested
-    jobs as a plain trace through a fresh :meth:`ReplicaSet.run`
+    ahead of wall-clock-derived time.  Because the session pumps the
+    same :class:`ReplicaSet` dispatch as the batch path, replaying the
+    ingested jobs as a plain trace through a fresh :meth:`ReplicaSet.run`
     reproduces the session's result bit-identically
     (``tests/integration/test_gateway_conformance.py``).
 
@@ -1104,9 +1073,8 @@ class FleetSession:
     stamping arrivals from its monotone submission clock.
     """
 
-    def __init__(self, replica_set: ReplicaSet, loop: FleetLoop) -> None:
+    def __init__(self, replica_set: ReplicaSet) -> None:
         self._set = replica_set
-        self._loop = loop
         self._ids: set[int] = set()
         self._frontier = -math.inf
         self._finished: ReplicaSetResult | None = None
@@ -1130,19 +1098,26 @@ class FleetSession:
                 f"{self._frontier} the session already advanced to"
             )
         self._ids.add(job.adapter_id)
-        self._loop.ingest(job, EventKind.GATEWAY_INGRESS)
+        self._set._ingest(job, EventKind.GATEWAY_INGRESS)
 
     def advance(self, frontier: float) -> None:
-        """Pump every due event with timestamp at or before ``frontier``."""
+        """Pump every due event with timestamp at or before ``frontier``.
+
+        Raises:
+            ScheduleError: On a NaN frontier (``inf`` is legal: it
+                pumps everything queued), or a finished session.
+        """
         if self._finished is not None:
             raise ScheduleError("the fleet session is finished")
+        if math.isnan(frontier):
+            raise ScheduleError("the session frontier must not be NaN")
         self._frontier = max(self._frontier, frontier)
-        self._loop.pump(frontier)
+        self._set._pump(frontier)
 
     def record(self, adapter_id: int) -> JobRecord | None:
         """The live :class:`~repro.serve.metrics.JobRecord` of an ingested
         job, or ``None`` while its ingress event is still queued."""
-        return self._loop.records.get(adapter_id)
+        return self._set.records.get(adapter_id)
 
     def finish(self) -> ReplicaSetResult:
         """Run the loop to exhaustion and assemble the fleet result.
@@ -1151,7 +1126,5 @@ class FleetSession:
         replica; later calls return the same result object.
         """
         if self._finished is None:
-            self._loop.pump(math.inf)
-            self._loop.finalize()
-            self._finished = self._set._assemble_result()
+            self._finished = self._set._finish()
         return self._finished

@@ -127,7 +127,7 @@ class FleetArrays:
 
     :meth:`CostAwareRouting.choose_arrays` reads only each replica's
     expected backlog and active-job count, so the fleet loop
-    (:class:`~repro.serve.replicaset.FleetLoop`) keeps exactly those two
+    (:class:`~repro.serve.replicaset.ReplicaSet`) keeps exactly those two
     columns, filled straight from each replica's orchestrator
     (``expected_remaining_seconds()`` and ``num_active``) -- the values
     a :class:`ReplicaView` of that replica would carry, without building

@@ -8,8 +8,8 @@ session's fleet result **bit-identically** -- identical per-job records,
 counters, per-replica makespans, and microbatch streams (atol=0) -- on
 *both* fleet kernels (``"event"`` and the ``"lockstep"`` oracle).  The
 live session and the batch loop share every line of event dispatch
-(:class:`~repro.serve.replicaset.FleetSession` wraps the same driver
-``run()`` uses), so any divergence is a real bug, not tolerance noise.
+(:class:`~repro.serve.replicaset.FleetSession` pumps the same
+:class:`~repro.serve.replicaset.ReplicaSet` ``run()`` pumps), so any divergence is a real bug, not tolerance noise.
 
 Deterministic pinned scenarios run in tier 1; the hypothesis class
 (marked ``slow``) randomizes submit/cancel/overload interleavings,

@@ -1,6 +1,6 @@
-"""The fleet loop's cached replica rows equal a fresh read, always.
+"""The fleet's cached replica rows equal a fresh read, always.
 
-:class:`~repro.serve.replicaset.FleetLoop` re-reads a replica -- its
+:class:`~repro.serve.replicaset.ReplicaSet` re-reads a replica -- its
 :class:`~repro.serve.FleetArrays` row, rebalance load and deadline
 pressure -- only after an event adds it to ``stale``, and builds a
 replica's view only when a routing policy reads it.  Both shortcuts are
@@ -13,7 +13,7 @@ retire and reclaim scenarios, a live gateway session), of a calibrated
 fleet whose drains move active jobs between waves, and of an elastic
 fleet whose queued deadline jobs are priced as missed:
 
-* every row the loop holds fresh equals the row derived from a fresh
+* every row the set holds fresh equals the row derived from a fresh
   :meth:`~repro.serve.ReplicaSet._replica_view` -- and the router is
   handed the columns of exactly the routable replicas, every row fresh
   (on an elastic fleet too, with no row missing);
@@ -40,7 +40,7 @@ from repro.serve import (
     TenantRouter,
     poisson_workload,
 )
-from repro.serve.replicaset import FleetLoop
+from repro.serve.replicaset import ReplicaSet
 from tests.golden.scenarios import (
     MIXED,
     SCENARIOS,
@@ -57,7 +57,7 @@ def calibrated_active_migration():
     Active jobs move between waves, so a wave closing on the source
     observes a tenant that now lives elsewhere: the calibration case.
     With this seed one such observe reprices a migrant still live on a
-    host whose row was otherwise fresh, so only the loop's
+    host whose row was otherwise fresh, so only the set's
     migrant-host invalidation keeps that row right.
     """
     estimator = priced(2, calibrated=True)
@@ -110,7 +110,7 @@ def fresh_row(fleet, index):
 
 
 class AuditedViews(Sequence):
-    """The loop's lazy views, each read checked against an eager rebuild."""
+    """The set's lazy views, each read checked against an eager rebuild."""
 
     def __init__(self, views, fleet, tally):
         self._views = views
@@ -141,53 +141,52 @@ def audit(monkeypatch):
     autoscaler plan; yields the tallies."""
     tally: Counter = Counter()
     current: dict = {}
-    on_arrival, route = FleetLoop._on_arrival, TenantRouter.route
-    probe, plan = FleetLoop._probe_autoscaler, FleetAutoscaler.plan
+    on_arrival, route = ReplicaSet._on_arrival, TenantRouter.route
+    probe, plan = ReplicaSet._probe_autoscaler, FleetAutoscaler.plan
 
     def audited_arrival(self, event):
-        current["loop"] = self
+        current["fleet"] = self
         return on_arrival(self, event)
 
     def audited_probe(self, time):
-        current["loop"] = self
+        current["fleet"] = self
         return probe(self, time)
 
     def audited_route(self, job, replicas, arrays=None):
-        loop = current["loop"]
-        fleet = loop.fleet
+        fleet = current["fleet"]
         tally["arrivals"] += 1
         if arrays is not None:
-            assert not loop.stale  # the router reads every row
+            assert not fleet.stale  # the router reads every row
             # The columns are the routable rows, each fresh.
-            assert arrays.indices.tolist() == loop._routable()
+            assert arrays.indices.tolist() == fleet._routable()
             for k, index in enumerate(arrays.indices.tolist()):
                 row = (arrays.backlogs[k], arrays.num_active[k], arrays.missing[k])
                 assert row == fresh_row(fleet, index), (index, row)
             if not arrays.missing.any():
                 tally["columns"] += 1
         for index, replica in enumerate(fleet.replicas):
-            if index in loop.stale:
+            if index in fleet.stale:
                 continue
             row = (
-                loop.arrays.backlogs[index],
-                loop.arrays.num_active[index],
-                loop.arrays.missing[index],
+                fleet.arrays.backlogs[index],
+                fleet.arrays.num_active[index],
+                fleet.arrays.missing[index],
             )
             assert row == fresh_row(fleet, index), (index, row)
             tally["rows"] += 1
-            if loop.params is not None:
-                fresh = fleet._replica_load(index, loop.params[1])
-                assert loop.loads[index] == fresh, (index, loop.loads[index])
+            if fleet._params is not None:
+                fresh = fleet._replica_load(index, fleet._params[1])
+                assert fleet.loads[index] == fresh, (index, fleet.loads[index])
                 tally["loads"] += 1
-            if loop.autoscaler is not None:
+            if fleet._autoscaler is not None:
                 fresh = replica.deadline_pressure()
-                assert loop.pressure[index] == fresh, (index, loop.pressure[index])
+                assert fleet.pressure[index] == fresh, (index, fleet.pressure[index])
                 tally["pressures"] += 1
         return route(self, job, AuditedViews(replicas, fleet, tally), arrays)
 
     def audited_plan(self, now, loads, pressure):
-        replicas = current["loop"].fleet.replicas
-        routable = current["loop"]._routable()
+        replicas = current["fleet"].replicas
+        routable = current["fleet"]._routable()
         direct = [(i, replicas[i].expected_remaining_seconds() or 0.0)
                   for i in routable]
         assert loads == direct
@@ -198,8 +197,8 @@ def audit(monkeypatch):
         tally["pressured_probes"] += pressure > 0
         return plan(self, now, loads, pressure)
 
-    monkeypatch.setattr(FleetLoop, "_on_arrival", audited_arrival)
-    monkeypatch.setattr(FleetLoop, "_probe_autoscaler", audited_probe)
+    monkeypatch.setattr(ReplicaSet, "_on_arrival", audited_arrival)
+    monkeypatch.setattr(ReplicaSet, "_probe_autoscaler", audited_probe)
     monkeypatch.setattr(TenantRouter, "route", audited_route)
     monkeypatch.setattr(FleetAutoscaler, "plan", audited_plan)
     return tally

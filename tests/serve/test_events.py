@@ -106,6 +106,19 @@ class TestCancellation:
         kernel.cancel(live)
         assert len(kernel) == 0
 
+    def test_cancelling_a_handed_out_event_changes_no_count(self):
+        # A handler may cancel the very event it was handed; the event is
+        # no longer queued, so the live count must not drop below zero.
+        kernel = EventKernel()
+        timed = kernel.schedule(1.0, EventKind.WAVE_CLOSE, None)
+        posted = kernel.post(EventKind.REBALANCE, None)
+        assert kernel.pop() is posted and kernel.pop() is timed
+        kernel.cancel(timed)
+        kernel.cancel(posted)
+        assert len(kernel) == 0
+        later = kernel.schedule(2.0, EventKind.ARRIVAL, None)
+        assert len(kernel) == 1 and kernel.pop() is later
+
     def test_cancelled_events_are_not_counted_processed(self):
         kernel = EventKernel()
         doomed = kernel.schedule(1.0, EventKind.MIGRATION, None)

@@ -1,5 +1,7 @@
 """Tests for multi-replica serving: routing, rebalancing, aggregation."""
 
+import math
+
 import pytest
 
 from repro.data import synthetic_dataset
@@ -9,6 +11,8 @@ from repro.models.config import LLAMA3_8B
 from repro.models.layer_costs import LayerCostModel
 from repro.scheduler import AdapterJob, SchedulerConfig, find_violations
 from repro.serve import (
+    EventKernel,
+    EventKind,
     OrchestratorConfig,
     ReplicaSet,
     ReplicaSetConfig,
@@ -18,6 +22,7 @@ from repro.serve import (
     StreamingSimExecutor,
     poisson_workload,
 )
+from repro.serve.replicaset import _pick_migrant
 from tests.lockstep_reference import run_lockstep, views
 
 DATASETS = ["xsum", "cnn_dailymail", "wikisum", "mixed"]
@@ -127,6 +132,36 @@ class TestReplicaSetServing:
         with pytest.raises(ScheduleError, match="duplicate"):
             make_set(2).run(workload)
 
+    def test_kernel_is_empty_after_a_run(self):
+        # Every wave close is handed out before its replica steps; the
+        # kernel must not count it live again when the replica resyncs.
+        replica_set = make_set(2, threshold=1)
+        result = replica_set.run(poisson(make_jobs(6)))
+        assert result.events_processed["WAVE_CLOSE"] > 0
+        assert len(replica_set.kernel) == 0
+
+    def test_a_wave_close_at_the_replica_clock_is_kept(self, monkeypatch):
+        # An event that leaves a replica's clock where it was keeps the
+        # replica's pending wave close: none is cancelled and re-pushed
+        # at the same (time, replica).
+        repushed, last = [], {}
+        cancel, schedule = EventKernel.cancel, EventKernel.schedule
+
+        def tracked_cancel(kernel, event):
+            last["cancel"] = (event.kind, event.time, event.lane)
+            cancel(kernel, event)
+
+        def tracked_schedule(kernel, time, kind, payload=None, lane=0):
+            if last.pop("cancel", None) == (kind, time, lane):
+                repushed.append((time, lane))
+            return schedule(kernel, time, kind, payload, lane)
+
+        monkeypatch.setattr(EventKernel, "cancel", tracked_cancel)
+        monkeypatch.setattr(EventKernel, "schedule", tracked_schedule)
+        result = make_set(2, threshold=1).run(poisson(make_jobs(6)))
+        assert result.events_processed["WAVE_CLOSE"] > 0
+        assert repushed == []
+
     def test_zero_executors_rejected(self):
         with pytest.raises(ScheduleError, match="at least one"):
             ReplicaSet([], make_set(1).config)
@@ -152,6 +187,21 @@ class TestFleetSession:
         session.ingest(ServeJob(job=jobs[1], arrival_time=10.0))
         result = session.finish()
         assert result.records[1].finish_time is not None
+
+    def test_nan_frontier_is_rejected_and_inf_is_legal(self):
+        # A NaN frontier would pump the whole fleet yet keep the frontier
+        # at -inf, so a later arrival behind the pumped events would run
+        # out of replay order.
+        session = make_set(2).open_session()
+        jobs = make_jobs(2)
+        session.ingest(ServeJob(job=jobs[0], arrival_time=5.0))
+        with pytest.raises(ScheduleError, match="NaN"):
+            session.advance(math.nan)
+        assert session.record(0) is None  # nothing was pumped
+        session.advance(math.inf)
+        assert session.record(0).finish_time is not None
+        with pytest.raises(ScheduleError, match="frontier"):
+            session.ingest(ServeJob(job=jobs[1], arrival_time=1.0))
 
     def test_session_consumes_the_single_shot(self):
         replica_set = make_set(1)
@@ -341,37 +391,23 @@ class TestRebalancing:
         # Edge case: two migrants even the seconds gap equally well; the
         # pick must be deterministic (pending beats active, then lowest
         # adapter id) so reruns rebalance identically.
-        class StubReplica:
-            def __init__(self, jobs, slots_free):
-                self._jobs = jobs
-                self.slots_free = slots_free
-
-            def migratable_jobs(self):
-                return self._jobs
-
-        replica_set = make_set(2)
-        replica_set.replicas = [
-            StubReplica(
-                [
-                    (7, 4, 1.0, False),  # active, evens gap to |3-2|=1
-                    (3, 4, 1.0, True),   # pending, same weight: wins
-                    (5, 4, 1.0, True),   # pending, same weight, higher id
-                    (1, 4, 2.9, True),   # would overshoot: |3-5.8|=2.8
-                ],
-                slots_free=2,
-            ),
-            StubReplica([], slots_free=2),
+        jobs = [
+            (7, 4, 1.0, False),  # active, evens gap to |3-2|=1
+            (3, 4, 1.0, True),   # pending, same weight: wins
+            (5, 4, 1.0, True),   # pending, same weight, higher id
+            (1, 4, 2.9, True),   # would overshoot: |3-5.8|=2.8
         ]
-        pick = replica_set._pick_migration(0, 1, skew=3.0, seconds_mode=True)
+        pick = _pick_migrant(jobs, skew=3.0, seconds_mode=True,
+                             exclude=frozenset(), slot_free=True)
         assert pick == 3
         # Same weights, no pendings: the active tie breaks by id too.
-        replica_set.replicas[0]._jobs = [
-            (9, 4, 1.0, False), (6, 4, 1.0, False),
-        ]
-        assert replica_set._pick_migration(0, 1, 3.0, True) == 6
+        jobs = [(9, 4, 1.0, False), (6, 4, 1.0, False)]
+        assert _pick_migrant(jobs, 3.0, True, frozenset(), True) == 6
+        # An active job needs a free slot on the target.
+        assert _pick_migrant(jobs, 3.0, True, frozenset(), False) is None
         # Seconds mode refuses unpriced candidates outright.
-        replica_set.replicas[0]._jobs = [(2, 4, None, True)]
-        assert replica_set._pick_migration(0, 1, 3.0, True) is None
+        assert _pick_migrant([(2, 4, None, True)], 3.0, True, frozenset(),
+                             True) is None
 
     def test_time_threshold_requires_estimator(self):
         config = OrchestratorConfig(
