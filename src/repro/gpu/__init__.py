@@ -7,6 +7,7 @@ analytical model (see DESIGN.md, "Hardware substitution").
 from repro.gpu.kernelsim import KernelTimeline, TimedKernel, simulate_kernel_sequence
 from repro.gpu.roofline import (
     KernelProfile,
+    Roofline,
     arithmetic_intensity,
     estimate_kernel_time,
     is_memory_bound,
@@ -34,6 +35,7 @@ __all__ = [
     "GPUSpec",
     "KernelProfile",
     "KernelTimeline",
+    "Roofline",
     "TimedKernel",
     "arithmetic_intensity",
     "estimate_kernel_time",

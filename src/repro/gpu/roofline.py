@@ -6,16 +6,22 @@ tensor cores (GEMMs) or CUDA cores (elementwise work).  Runtime is estimated
 as the roofline maximum of compute time and memory time plus a fixed launch
 latency.  This is the standard first-order model the paper itself uses to
 argue that LoRA's projections are memory-bound (Section 3.1, Equation 2).
+
+The rule lives in :class:`Roofline`, one GPU's rates for one dtype read
+once; :func:`estimate_kernel_time` binds one per call, and a cost model
+that prices thousands of kernels binds one for good.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.gpu.specs import GPUSpec
 
 __all__ = [
     "KernelProfile",
+    "Roofline",
     "arithmetic_intensity",
     "is_memory_bound",
     "estimate_kernel_time",
@@ -23,9 +29,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KernelProfile:
+class KernelProfile(NamedTuple):
     """Static cost description of one GPU kernel invocation.
+
+    A ``NamedTuple``: pricing builds tens of thousands per run, and a
+    tuple is cheaper to construct than a frozen dataclass.
 
     Attributes:
         name: Kernel name, e.g. ``"fused_xw_sb"``.
@@ -64,16 +72,10 @@ class KernelProfile:
 
     def scaled(self, factor: float) -> "KernelProfile":
         """Return a copy with flops and traffic multiplied by ``factor``."""
-        return KernelProfile(
-            name=self.name,
+        return self._replace(
             flops=self.flops * factor,
             bytes_read=self.bytes_read * factor,
             bytes_written=self.bytes_written * factor,
-            uses_tensor_cores=self.uses_tensor_cores,
-            category=self.category,
-            gemm_efficiency_scale=self.gemm_efficiency_scale,
-            mem_efficiency_scale=self.mem_efficiency_scale,
-            extra_latency_us=self.extra_latency_us,
         )
 
 
@@ -104,6 +106,52 @@ def is_memory_bound(profile: KernelProfile, gpu: GPUSpec, dtype: str = "fp16") -
     return arithmetic_intensity(profile) < gpu.machine_balance(dtype)
 
 
+@dataclass(frozen=True)
+class Roofline:
+    """One GPU's achievable rates for one dtype: the single timing rule.
+
+    Attributes:
+        tensor_flops: Tensor-core FLOP/s (GEMMs), derated by the spec's
+            ``gemm_efficiency``.
+        cuda_flops: CUDA-core FLOP/s (elementwise work), derated alike.
+        bandwidth: DRAM bytes/s, derated by ``mem_efficiency``.
+        launch_s: Fixed per-kernel launch latency in seconds.
+    """
+
+    tensor_flops: float
+    cuda_flops: float
+    bandwidth: float
+    launch_s: float
+
+    @classmethod
+    def of(cls, gpu: GPUSpec, dtype: str = "fp16") -> "Roofline":
+        """Read ``gpu``'s rates for ``dtype`` (``KeyError`` when the GPU
+        has no tensor-core rate for it)."""
+        tensor = gpu.peak_flops(dtype) * gpu.gemm_efficiency
+        cuda = gpu.cuda_tflops * 1e12 * gpu.gemm_efficiency
+        return cls(tensor, cuda, gpu.effective_bandwidth(), gpu.kernel_launch_us * 1e-6)
+
+    def time(self, flops: float, bytes_total: float, uses_tensor_cores: bool = True,
+             gemm_efficiency_scale: float = 1.0, mem_efficiency_scale: float = 1.0,
+             extra_latency_us: float = 0.0, include_launch: bool = True) -> float:
+        """Seconds of one kernel from its raw counts (the
+        :class:`KernelProfile` fields of the same names), so a caller
+        can price a kernel without building its profile."""
+        flop_rate = self.tensor_flops if uses_tensor_cores else self.cuda_flops
+        flop_rate *= gemm_efficiency_scale
+        compute_time = flops / flop_rate if flops else 0.0
+        memory_time = bytes_total / (self.bandwidth * mem_efficiency_scale)
+        launch = self.launch_s if include_launch else 0.0
+        return max(compute_time, memory_time) + launch + extra_latency_us * 1e-6
+
+    def kernel_time(self, profile: KernelProfile, include_launch: bool = True) -> float:
+        """Seconds of one invocation of ``profile``."""
+        return self.time(profile.flops, profile.bytes_read + profile.bytes_written,
+                         profile.uses_tensor_cores, profile.gemm_efficiency_scale,
+                         profile.mem_efficiency_scale, profile.extra_latency_us,
+                         include_launch)
+
+
 def estimate_kernel_time(
     profile: KernelProfile,
     gpu: GPUSpec,
@@ -115,15 +163,6 @@ def estimate_kernel_time(
     The model is ``max(compute_time, memory_time) + launch_latency`` where
     compute time uses the tensor-core rate for GEMMs and the CUDA-core rate
     for elementwise kernels, each derated by the spec's calibrated
-    efficiency factors.
+    efficiency factors (:class:`Roofline`).
     """
-    if profile.uses_tensor_cores:
-        flop_rate = gpu.peak_flops(dtype) * gpu.gemm_efficiency
-    else:
-        flop_rate = gpu.cuda_tflops * 1e12 * gpu.gemm_efficiency
-    flop_rate *= profile.gemm_efficiency_scale
-    compute_time = profile.flops / flop_rate if profile.flops else 0.0
-    bandwidth = gpu.effective_bandwidth() * profile.mem_efficiency_scale
-    memory_time = profile.bytes_total / bandwidth
-    launch = gpu.kernel_launch_us * 1e-6 if include_launch else 0.0
-    return max(compute_time, memory_time) + launch + profile.extra_latency_us * 1e-6
+    return Roofline.of(gpu, dtype).kernel_time(profile, include_launch)

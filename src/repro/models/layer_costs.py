@@ -15,11 +15,11 @@ lengths (on-the-fly packing uses block-diagonal attention, Figure 2c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from repro.core.traffic import LoRAShape, lora_profiles
-from repro.gpu.roofline import KernelProfile, estimate_kernel_time
+from repro.gpu.roofline import KernelProfile, Roofline
 from repro.gpu.specs import BYTES_PER_ELEMENT, GPUSpec
 from repro.models.config import ModelConfig
 
@@ -29,9 +29,11 @@ __all__ = ["MicrobatchShape", "LayerCostModel"]
 ATTENTION_BACKWARD_FACTOR = 2.5
 
 
-@dataclass(frozen=True)
-class MicrobatchShape:
+class MicrobatchShape(NamedTuple):
     """Workload description of one microbatch on one pipeline stage.
+
+    A ``NamedTuple``: pricing builds thousands per run, and a tuple is
+    cheaper to construct than a frozen dataclass.
 
     Attributes:
         tokens: Total number of tokens (padded, as scheduled).
@@ -66,6 +68,10 @@ class LayerCostModel:
         lora_rank: Adapter rank ``r``.
         dropout: Whether adapters apply dropout.
         dtype: Storage dtype.
+
+    Attributes:
+        roofline: ``gpu``'s rates for ``dtype``, read once; every kernel
+            this model prices is timed by it.
     """
 
     def __init__(
@@ -84,6 +90,7 @@ class LayerCostModel:
         self.dropout = dropout
         self.dtype = dtype
         self._elem = BYTES_PER_ELEMENT[dtype]
+        self.roofline = Roofline.of(gpu, dtype)
         # Memos, per instance and bounded.  The outer one keys the full
         # microbatch shape; on its misses only the attention kernel depends
         # on ``sum_sq_len``, so the linear and elementwise kernel times are
@@ -125,10 +132,10 @@ class LayerCostModel:
         )
         return lora_profiles(strategy, direction, shape)
 
-    def attention_profile(
+    def _attention_cost(
         self, tokens: int, sum_sq_len: float, direction: str
-    ) -> KernelProfile:
-        """Flash-attention cost with block-diagonal (packed) masking."""
+    ) -> tuple[float, float, float]:
+        """``(flops, bytes_read, bytes_written)`` of the attention kernel."""
         h = self.model.hidden_size
         kv_ratio = self.model.num_kv_heads / self.model.num_heads
         # Causal: half of the score matrix; two GEMMs (QK^T and PV).
@@ -137,14 +144,16 @@ class LayerCostModel:
             flops *= ATTENTION_BACKWARD_FACTOR
         qkv_bytes = tokens * (h + 2 * h * kv_ratio) * self._elem
         out_bytes = tokens * h * self._elem
-        return KernelProfile(
-            name=f"flash_attention_{direction[:3]}",
-            flops=flops,
-            bytes_read=qkv_bytes + (out_bytes if direction == "backward" else 0),
-            bytes_written=out_bytes if direction == "forward" else qkv_bytes,
-            uses_tensor_cores=True,
-            category="attention",
-        )
+        bytes_read = qkv_bytes + (out_bytes if direction == "backward" else 0)
+        return flops, bytes_read, out_bytes if direction == "forward" else qkv_bytes
+
+    def attention_profile(
+        self, tokens: int, sum_sq_len: float, direction: str
+    ) -> KernelProfile:
+        """Flash-attention cost with block-diagonal (packed) masking."""
+        flops, read, written = self._attention_cost(tokens, sum_sq_len, direction)
+        return KernelProfile(f"flash_attention_{direction[:3]}", flops, read, written,
+                             uses_tensor_cores=True, category="attention")
 
     def elementwise_profiles(self, tokens: int, direction: str) -> list[KernelProfile]:
         """RMSNorm (x2), rotary embedding, and residual adds for one layer."""
@@ -182,7 +191,7 @@ class LayerCostModel:
     # -- timing -------------------------------------------------------------
 
     def _kernel_times(self, profiles: list[KernelProfile]) -> tuple[float, ...]:
-        return tuple(estimate_kernel_time(p, self.gpu, self.dtype) for p in profiles)
+        return tuple(map(self.roofline.kernel_time, profiles))
 
     def _linear_times_uncached(
         self, tokens: int, num_adapters: int, direction: str
@@ -211,12 +220,17 @@ class LayerCostModel:
     ) -> tuple[float, ...]:
         return self._kernel_times(self.elementwise_profiles(tokens, direction))
 
+    def attention_time(self, tokens: int, sum_sq_len: float, direction: str) -> float:
+        """Roofline seconds of :meth:`attention_profile`, priced from its
+        counts without building the profile (a tensor-core kernel with
+        unit efficiency scales, the profile's defaults)."""
+        flops, read, written = self._attention_cost(tokens, sum_sq_len, direction)
+        return self.roofline.time(flops, read + written)
+
     def _layer_time(
         self, tokens: int, sum_sq_len: float, num_adapters: int, direction: str
     ) -> float:
-        attention = estimate_kernel_time(
-            self.attention_profile(tokens, sum_sq_len, direction), self.gpu, self.dtype
-        )
+        attention = self.attention_time(tokens, sum_sq_len, direction)
         # One sum over the kernel times in ``layer_profiles`` order: the
         # same float sequence gives the same bits on every Python version
         # (3.12's ``sum`` compensates rounding), so no partial sum is cached.
@@ -245,7 +259,7 @@ class LayerCostModel:
             uses_tensor_cores=False,
             category="elementwise",
         )
-        return estimate_kernel_time(profile, self.gpu, self.dtype)
+        return self.roofline.kernel_time(profile)
 
     def head_time(self, tokens: int, direction: str) -> float:
         """LM head GEMM plus softmax cross-entropy (last pipeline stage)."""
@@ -270,9 +284,7 @@ class LayerCostModel:
             uses_tensor_cores=False,
             category="elementwise",
         )
-        return estimate_kernel_time(gemm, self.gpu, self.dtype) + estimate_kernel_time(
-            loss, self.gpu, self.dtype
-        )
+        return self.roofline.kernel_time(gemm) + self.roofline.kernel_time(loss)
 
     def stage_time(
         self,
@@ -348,4 +360,4 @@ class LayerCostModel:
             uses_tensor_cores=False,
             category="optimizer",
         )
-        return estimate_kernel_time(profile, self.gpu, self.dtype)
+        return self.roofline.kernel_time(profile)

@@ -434,10 +434,11 @@ class CostEstimator:
         tokens = profile.batch_samples * profile.mean_length
         padded = math.ceil(tokens / self.padding_multiple) * self.padding_multiple
         num_mbs = max(1, math.ceil(padded / self.capacity))
+        # Positional: a NamedTuple built by keyword costs about twice as much.
         shape = MicrobatchShape(
-            tokens=max(1, round(padded / num_mbs)),
-            sum_sq_len=profile.batch_samples / num_mbs * profile.mean_sq_length,
-            num_adapters=max(1, num_adapters),
+            max(1, round(padded / num_mbs)),  # tokens
+            profile.batch_samples / num_mbs * profile.mean_sq_length,  # sum_sq_len
+            max(1, num_adapters),
         )
         return num_mbs, shape
 

@@ -417,14 +417,15 @@ class OnlineOrchestrator:
 
     def _view(self, job: _Job, admitted: bool = False) -> JobView:
         serve_job = job.serve_job
+        # Positional: a NamedTuple built by keyword costs about twice as much.
         return JobView(
-            adapter_id=serve_job.adapter_id,
-            arrival_time=serve_job.arrival_time,
-            priority=serve_job.priority,
-            deadline=serve_job.deadline,
-            remaining_batches=job.remaining,
-            admitted=admitted,
-            remaining_seconds=self._price(job),
+            serve_job.adapter_id,
+            serve_job.arrival_time,
+            serve_job.priority,
+            serve_job.deadline,
+            job.remaining,
+            admitted,
+            self._price(job),
         )
 
     def _jobs(self) -> Iterator[_Job]:

@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import NamedTuple, Protocol, runtime_checkable
 
 from repro.errors import ScheduleError, require_finite
 
@@ -71,9 +71,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class JobView:
+class JobView(NamedTuple):
     """A policy-facing snapshot of one job competing for an adapter slot.
+
+    A ``NamedTuple``: every wave plan builds one per candidate, and a
+    tuple is cheaper to construct than a frozen dataclass.
 
     Attributes:
         adapter_id: The job.

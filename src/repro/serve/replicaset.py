@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable, overload
 
 import numpy as np
@@ -407,10 +408,10 @@ class ReplicaSet:
         Raises:
             ScheduleError: On reuse or duplicate adapter ids.
         """
-        self._take_shot()
         ids = [job.adapter_id for job in workload]
         if len(set(ids)) != len(ids):
             raise ScheduleError(f"duplicate adapter ids in workload: {ids}")
+        self._take_shot()
         for job in sorted(workload, key=lambda job: (job.arrival_time, job.adapter_id)):
             self._ingest(job, EventKind.ARRIVAL)
         return self._finish()
@@ -1104,11 +1105,16 @@ class FleetSession:
         """Pump every due event with timestamp at or before ``frontier``.
 
         Raises:
-            ScheduleError: On a NaN frontier (``inf`` is legal: it
-                pumps everything queued), or a finished session.
+            ScheduleError: On a frontier that is not a real number or is
+                NaN (``inf`` is legal: it pumps everything queued), or a
+                finished session.
         """
         if self._finished is not None:
             raise ScheduleError("the fleet session is finished")
+        if not isinstance(frontier, Real):
+            raise ScheduleError(
+                f"the session frontier must be a real number, got {frontier!r}"
+            )
         if math.isnan(frontier):
             raise ScheduleError("the session frontier must not be NaN")
         self._frontier = max(self._frontier, frontier)

@@ -201,3 +201,46 @@ class TestMemoIdentity:
                 args, layer, s.tokens, direction, 8, True, True
             )
             assert h100.stage_time(s, direction, 8, True, True) == on_h100
+
+
+def _old_kernel_time(profile, gpu, dtype):
+    """The roofline expression as written before :class:`Roofline` bound
+    the rates once, kept verbatim as the bit-exact reference."""
+    if profile.uses_tensor_cores:
+        flop_rate = gpu.peak_flops(dtype) * gpu.gemm_efficiency
+    else:
+        flop_rate = gpu.cuda_tflops * 1e12 * gpu.gemm_efficiency
+    flop_rate *= profile.gemm_efficiency_scale
+    compute_time = profile.flops / flop_rate if profile.flops else 0.0
+    bandwidth = gpu.effective_bandwidth() * profile.mem_efficiency_scale
+    memory_time = profile.bytes_total / bandwidth
+    launch = gpu.kernel_launch_us * 1e-6
+    return max(compute_time, memory_time) + launch + profile.extra_latency_us * 1e-6
+
+
+class TestBoundRoofline:
+    """The model's bound roofline times every kernel to the same bits."""
+
+    @pytest.mark.parametrize("strategy", ["frozen", "torch", "fused", "fused_multi"])
+    def test_every_layer_kernel_matches_the_old_expression(self, strategy):
+        cost = LayerCostModel(LLAMA3_8B, H100, strategy=strategy)
+        for t in _boundary_tokens():
+            for adapters in (1, 2, 3, 4):
+                s = MicrobatchShape.from_lengths([t], num_adapters=adapters)
+                for direction in ("forward", "backward"):
+                    for p in cost.layer_profiles(s, direction):
+                        want = _old_kernel_time(p, cost.gpu, cost.dtype)
+                        assert cost.roofline.kernel_time(p) == want, p
+                        assert estimate_kernel_time(p, cost.gpu, cost.dtype) == want
+
+    @pytest.mark.parametrize("gpu", [H100, L40S])
+    def test_profile_free_attention_is_exact(self, gpu):
+        cost = LayerCostModel(LLAMA3_8B, gpu)
+        for t in [0, *_boundary_tokens()]:
+            # Zero flops, a packed split, one sample, and a non-integral sum.
+            for sum_sq in (0.0, float(t * t // 2), float(t * t), t * t / 3):
+                for direction in ("forward", "backward"):
+                    profile = cost.attention_profile(t, sum_sq, direction)
+                    got = cost.attention_time(t, sum_sq, direction)
+                    assert got == estimate_kernel_time(profile, gpu, cost.dtype)
+                    assert got == _old_kernel_time(profile, gpu, cost.dtype)

@@ -132,6 +132,20 @@ class TestReplicaSetServing:
         with pytest.raises(ScheduleError, match="duplicate"):
             make_set(2).run(workload)
 
+    def test_a_refused_workload_leaves_the_shot_unused(self):
+        # The duplicate-id check runs before the set's single run is
+        # consumed, so the same set still serves a valid workload.
+        jobs = make_jobs(2)
+        replica_set = make_set(2)
+        with pytest.raises(ScheduleError, match="duplicate"):
+            replica_set.run([
+                ServeJob(job=jobs[0], arrival_time=0.0),
+                ServeJob(job=jobs[0], arrival_time=1.0),
+            ])
+        result = replica_set.run(poisson(jobs))
+        assert sorted(result.records) == [0, 1]
+        assert all(r.finish_time is not None for r in result.records.values())
+
     def test_kernel_is_empty_after_a_run(self):
         # Every wave close is handed out before its replica steps; the
         # kernel must not count it live again when the replica resyncs.
@@ -202,6 +216,16 @@ class TestFleetSession:
         assert session.record(0).finish_time is not None
         with pytest.raises(ScheduleError, match="frontier"):
             session.ingest(ServeJob(job=jobs[1], arrival_time=1.0))
+
+    @pytest.mark.parametrize("frontier", [None, "5.0", 1j, [1.0]])
+    def test_a_frontier_that_is_not_a_real_number_is_rejected(self, frontier):
+        session = make_set(1).open_session()
+        session.ingest(ServeJob(job=make_jobs(1)[0], arrival_time=0.0))
+        with pytest.raises(ScheduleError, match="real number"):
+            session.advance(frontier)
+        assert session.record(0) is None  # nothing was pumped
+        session.advance(math.inf)
+        assert session.record(0).finish_time is not None
 
     def test_session_consumes_the_single_shot(self):
         replica_set = make_set(1)
