@@ -168,7 +168,7 @@ def report(rows, artifact, seed):
         f"(seed {seed}, {NUM_STAGES}-stage pipeline, LLaMa-8B; tuned = "
         f"{rows['tuned']['label']}; "
         f"searched {search['candidates']} candidates: "
-        f"{search['collapsed']} collapsed, {search['pruned']} pruned, "
+        f"{search['collapsed']} collapsed, "
         f"{search['simulated']} simulated, front of {len(front['front'])})"
     )
     write_results("autotune", render_results(title, COLUMNS, rows), rows)
@@ -211,7 +211,7 @@ def front_problems(front):
     # The search accounting must add up, and the equivalence collapse
     # must actually be doing analytic work on this space.
     search = front["search"]
-    accounted = search["collapsed"] + search["pruned"] + search["simulated"]
+    accounted = search["collapsed"] + search["simulated"]
     claims = [
         (accounted == search["candidates"],
          "search accounting no longer adds up "

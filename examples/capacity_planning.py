@@ -95,8 +95,8 @@ def fleet_capacity() -> None:
 
     search = plan.report
     print(f"\nfleet planning over {search.candidates} candidates "
-          f"({search.collapsed} collapsed, {search.pruned} pruned, "
-          f"{search.simulated} simulated); Pareto front:")
+          f"({search.collapsed} collapsed, {search.simulated} simulated); "
+          f"Pareto front:")
     for trial in search.front:
         point = trial.point
         print(f"  {trial.config.label():<38} JCT {point.mean_jct:6.3f}s  "

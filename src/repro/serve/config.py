@@ -15,9 +15,9 @@ into live policy objects, fresh executors, and a
 :class:`~repro.serve.replicaset.ReplicaSetConfig`.
 
 The offline autotuner (:mod:`repro.tune`) enumerates these bundles,
-prunes them with :class:`~repro.serve.costing.CostEstimator` bounds, and
-replays traces through the survivors; ``docs/tuning.md`` documents the
-search space axis by axis.
+collapses the ones that replay identically, and replays traces through
+each representative; ``docs/tuning.md`` documents the search space
+axis by axis.
 """
 
 from __future__ import annotations

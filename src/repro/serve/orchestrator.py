@@ -58,7 +58,7 @@ from itertools import chain
 from typing import Iterator
 
 from repro.data.dataset import FinetuneDataset, Sample
-from repro.errors import ScheduleError, require_finite
+from repro.errors import ScheduleError
 from repro.scheduler.bubble import find_violations
 from repro.scheduler.grouping import StickyGrouper
 from repro.scheduler.scheduler import MultiLoRAScheduler, SchedulerConfig
@@ -119,32 +119,20 @@ class AdaptiveWindowConfig:
     * **Grow when stable** -- a wave with no churn grows the window by
       one up to ``max_batches``: the tenant set is settled, buy packing
       quality.
-    * **Cap by expected wave time** -- with ``target_wave_seconds`` set
-      (and the orchestrator carrying a
-      :class:`~repro.serve.costing.CostEstimator`), the window also
-      shrinks until the *predicted* wave time fits the target, so a
-      wave never locks the pipeline beyond the responsiveness budget no
-      matter how heavy the live tenants are.
 
     Attributes:
         min_batches: Window floor (>= 1).
         max_batches: Window ceiling (>= ``min_batches``).
-        target_wave_seconds: Estimator-priced upper bound on one wave's
-            expected execution seconds (``None`` = no time cap).
     """
 
     min_batches: int = 1
     max_batches: int = 8
-    target_wave_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        require_finite(target_wave_seconds=self.target_wave_seconds)
         if self.min_batches <= 0:
             raise ScheduleError("min_batches must be positive")
         if self.max_batches < self.min_batches:
             raise ScheduleError("max_batches must be >= min_batches")
-        if self.target_wave_seconds is not None and self.target_wave_seconds <= 0:
-            raise ScheduleError("target_wave_seconds must be positive")
 
 
 @dataclass(frozen=True)
@@ -212,14 +200,6 @@ class OrchestratorConfig:
         if self.adaptive_window is not None and self.window_batches is None:
             raise ScheduleError(
                 "adaptive_window needs a finite starting window_batches"
-            )
-        if (
-            self.adaptive_window is not None
-            and self.adaptive_window.target_wave_seconds is not None
-            and self.estimator is None
-        ):
-            raise ScheduleError(
-                "target_wave_seconds requires an estimator to price waves"
             )
         if hasattr(self.admission, "feasible") and self.estimator is None:
             raise ScheduleError(
@@ -647,14 +627,12 @@ class OnlineOrchestrator:
     # -- planning ------------------------------------------------------------
 
     def _next_window(self) -> int | None:
-        """The window for the next wave, adapted to churn and wave cost.
+        """The window for the next wave, adapted to churn.
 
         Static without :attr:`OrchestratorConfig.adaptive_window`.
         Otherwise: churn since the last wave halves the window (stale
-        plans should be short), a churn-free wave grows it by one
-        (stable tenant sets deserve packing quality), and -- with an
-        estimator and a ``target_wave_seconds`` -- the window shrinks
-        until the predicted wave time fits the responsiveness budget.
+        plans should be short), and a churn-free wave grows it by one
+        (stable tenant sets deserve packing quality).
         """
         adaptive = self.config.adaptive_window
         if adaptive is None:
@@ -670,12 +648,6 @@ class OnlineOrchestrator:
         else:
             window = min(adaptive.max_batches, window + 1)
         self._churn = 0
-        if adaptive.target_wave_seconds is not None and self._estimator is not None:
-            while (
-                window > adaptive.min_batches
-                and self._wave_price(window) > adaptive.target_wave_seconds
-            ):
-                window -= 1
         self._window = window
         return window
 

@@ -286,6 +286,10 @@ class ReplicaSet:
         self._reclaim_latencies: list[float] = []
         estimator = config.orchestrator.estimator
         self._calibration = estimator.calibration if estimator is not None else None
+        # Every replica shares one orchestrator config, so the routing
+        # columns are priced on every row or on none: route from them
+        # only when they are.
+        self._priced = estimator is not None
         pools: list[CapacityPool | None] = [None] * len(executors)
         if self._autoscaler is not None:
             names = self._autoscaler.initial_pools
@@ -382,11 +386,8 @@ class ReplicaSet:
         replica = self.replicas[index]
         return ReplicaView(
             index=index,
-            clock=replica.clock,
             outstanding_batches=replica.outstanding_batches(),
             num_active=replica.num_active,
-            num_pending=replica.num_pending,
-            num_parked=replica.num_parked,
             slots_free=replica.slots_free,
             live_mean_lengths=tuple(replica.live_mean_lengths()),
             live_priorities=tuple(replica.live_priorities()),
@@ -757,9 +758,8 @@ class ReplicaSet:
         job = event.payload
         routable = self._routable()
         self._refresh()
-        index = self.router.route(
-            job, _LazyViews(self, routable), self.arrays.take(self._routable_rows)
-        )
+        arrays = self.arrays.take(self._routable_rows) if self._priced else None
+        index = self.router.route(job, _LazyViews(self, routable), arrays)
         record = self.replicas[index].offer(job)
         record.replica = index
         self.records[job.adapter_id] = record

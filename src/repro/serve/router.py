@@ -80,16 +80,10 @@ class ReplicaView:
 
     Attributes:
         index: The replica's position in the set.
-        clock: The replica's current virtual time.
         outstanding_batches: Not-yet-stepped global batches the replica
             owes across active, parked, and pending jobs.  Unit:
             batches (a count, not a duration).
         num_active: Jobs currently holding adapter slots.
-        num_pending: Jobs queued for a slot.
-        num_parked: Preempted jobs waiting (with exported state) to
-            resume on this replica.  They hold no slot but their
-            remaining work is owed here and is included in
-            ``outstanding_batches`` / ``expected_remaining_time``.
         slots_free: Free adapter slots (``None`` = unbounded admission).
         live_mean_lengths: Mean sample length of each active job, in
             tokens (packing-affinity input).
@@ -109,14 +103,11 @@ class ReplicaView:
     """
 
     index: int
-    clock: float
     outstanding_batches: int
     num_active: int
-    num_pending: int
     slots_free: int | None
     live_mean_lengths: tuple[float, ...] = ()
     live_priorities: tuple[int, ...] = ()
-    num_parked: int = 0
     expected_remaining_time: float | None = None
     live_profiles: tuple = ()
 
@@ -136,26 +127,24 @@ class FleetArrays:
     rebalance load and the autoscaler's deadline pressure) before
     anything reads it; untouched rows keep their floats.  The autoscaler
     reads its backlogs from ``backlogs`` too.
-    Every arrival passes the routable rows (:meth:`take`) to
-    :meth:`TenantRouter.route` -- all of them on a fixed fleet, the
-    survivors on an elastic one -- so a 1000-replica fleet is scored
-    (and the choice validated) with no per-view attribute walk, and no
-    view built at all.
+    When the replicas carry an estimator (all or none do: they share
+    one orchestrator config), every arrival passes the routable rows
+    (:meth:`take`) to :meth:`TenantRouter.route` -- all of them on a
+    fixed fleet, the survivors on an elastic one -- so a 1000-replica
+    fleet is scored (and the choice validated) with no per-view
+    attribute walk, and no view built at all.
 
     Attributes:
         backlogs: Expected remaining seconds per replica, in index
-            order (0.0 where the replica has no estimator; see
-            ``missing``).  Unit: virtual seconds.
+            order (0.0 where the replica has no estimator).  Unit:
+            virtual seconds.
         num_active: Jobs holding adapter slots, per replica.
         indices: Replica indices, in view order.
-        missing: True where the replica reports no expected remaining
-            seconds -- any True row sends routing back to the views.
     """
 
     backlogs: np.ndarray
     num_active: np.ndarray
     indices: np.ndarray
-    missing: np.ndarray
 
     @classmethod
     def for_fleet(cls, num_replicas: int) -> "FleetArrays":
@@ -164,7 +153,6 @@ class FleetArrays:
             backlogs=np.zeros(num_replicas, dtype=np.float64),
             num_active=np.zeros(num_replicas, dtype=np.int64),
             indices=np.arange(num_replicas, dtype=np.int64),
-            missing=np.ones(num_replicas, dtype=bool),
         )
 
     def refill(self, index: int, remaining: float | None, num_active: int) -> None:
@@ -173,12 +161,11 @@ class FleetArrays:
         Args:
             index: The replica's row.
             remaining: Its expected remaining seconds (``None`` without
-                an estimator, which marks the row ``missing``).
+                an estimator, stored as 0.0).
             num_active: Its jobs holding adapter slots.
         """
         self.backlogs[index] = 0.0 if remaining is None else remaining
         self.num_active[index] = num_active
-        self.missing[index] = remaining is None
 
     def take(self, rows: np.ndarray) -> "FleetArrays":
         """The columns of replicas ``rows`` only, in that order.
@@ -190,20 +177,16 @@ class FleetArrays:
             backlogs=self.backlogs[rows],
             num_active=self.num_active[rows],
             indices=self.indices[rows],
-            missing=self.missing[rows],
         )
 
     def grow(self) -> None:
         """Append one all-stale row (a replica joining the fleet).
 
-        The new row is marked ``missing`` until its first
-        :meth:`refill`, so routing reads the views rather than zeros
-        for a replica it has never seen.
+        The fleet refills it before anything reads it.
         """
         self.backlogs = np.append(self.backlogs, 0.0)
         self.num_active = np.append(self.num_active, 0)
         self.indices = np.append(self.indices, len(self.indices))
-        self.missing = np.append(self.missing, True)
 
 
 @runtime_checkable
@@ -439,10 +422,9 @@ class CostAwareRouting:
 
         ``arrays`` holds the values the views carry, so this skips the
         per-arrival extraction -- the one O(fleet) Python loop left on
-        the arrival hot path.
+        the arrival hot path.  The fleet passes ``arrays`` only when its
+        replicas carry an estimator, so every row is priced.
         """
-        if bool(arrays.missing.any()):
-            return self.choose(job, replicas)
         return self._score(job, arrays.backlogs, arrays.num_active, arrays.indices)
 
     def _score(

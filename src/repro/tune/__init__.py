@@ -4,15 +4,14 @@ The serve layer (:mod:`repro.serve`) exposes a cross-product of knobs
 -- router x ordering x admission gate x planning window x rebalancer x
 fleet size / autoscaler budget -- and choosing a combination per
 workload is guesswork.  This package closes that loop offline: describe
-the candidate space declaratively, prune the bulk of it analytically
-with :class:`~repro.serve.costing.CostEstimator` bounds (no
-simulation), replay a trace through the event-driven
-:class:`~repro.serve.replicaset.ReplicaSet` kernel for the survivors,
-and keep the Pareto front over (mean JCT, deadline goodput, dollars).
-The front doubles as a capacity planner: :func:`recommend` picks the
-cheapest front entry that meets an SLO target.  The full reference --
-search-space table, pruning math and admissibility arguments, artifact
-format, planning walkthrough -- is ``docs/tuning.md``.
+the candidate space declaratively, collapse candidates that provably
+replay identically (no simulation), replay a trace through the
+event-driven :class:`~repro.serve.replicaset.ReplicaSet` kernel for
+each representative, and keep the Pareto front over (mean JCT, deadline
+goodput, dollars).  The front doubles as a capacity planner:
+:func:`recommend` picks the cheapest front entry that meets an SLO
+target.  The full reference -- search-space table, collapse rules,
+artifact format, planning walkthrough -- is ``docs/tuning.md``.
 
 Exported API, by concern (one line each; the docstrings carry the
 contracts):
@@ -29,18 +28,12 @@ contracts):
     deliberately never sweeps (the live gateway's door limits; trace
     replay never meets the door).
 
-**Pruning** (``docs/tuning.md`` section "Analytic pruning")
+**Collapse** (``docs/tuning.md`` section "Equivalence collapse")
   * :func:`canonical` -- collapse behaviorally equivalent candidates to
     one representative (exact identities, not approximations).
-  * :class:`TraceSummary` -- per-job admissible service floors, priced
-    once per trace.
-  * :func:`optimistic_point` -- a bound at least as good as anything
-    the simulator could report, per candidate.
-  * :data:`PRUNE_SAFETY` -- the calibration-tolerance divisor that
-    makes the floors admissible.
 
 **Tuning & recommendation** (``docs/tuning.md`` section "Running the tuner")
-  * :func:`tune` -- the collapse / bound-and-prune / simulate funnel;
+  * :func:`tune` -- collapse, then simulate every representative;
     returns the measured Pareto front.
   * :func:`evaluate` -- replay one config on a trace, reduced to an
     objective point.
@@ -61,12 +54,7 @@ contracts):
 """
 
 from repro.tune.pareto import ObjectivePoint, dominates, pareto_front
-from repro.tune.pruner import (
-    PRUNE_SAFETY,
-    TraceSummary,
-    canonical,
-    optimistic_point,
-)
+from repro.tune.pruner import canonical
 from repro.tune.report import front_to_json, point_as_dict
 from repro.tune.runner import (
     Recommendation,
@@ -87,11 +75,9 @@ from repro.tune.space import (
 __all__ = [
     "NON_SEARCH_FIELDS",
     "ObjectivePoint",
-    "PRUNE_SAFETY",
     "Recommendation",
     "SLOTarget",
     "SearchSpace",
-    "TraceSummary",
     "Trial",
     "TuneReport",
     "canonical",
@@ -99,7 +85,6 @@ __all__ = [
     "dominates",
     "evaluate",
     "front_to_json",
-    "optimistic_point",
     "pareto_front",
     "point_as_dict",
     "recommend",

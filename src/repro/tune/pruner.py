@@ -1,65 +1,30 @@
-"""Analytic pruning: discard candidates without ever simulating them.
+"""Equivalence collapse: simulate one config per behavioral class.
 
 Replaying a trace through the event kernel is fast, but a search space
-is a cross-product and most of its members are either *equivalent* to
-one another or *provably off the front*.  This module removes both
-kinds using nothing but the trace and
-:class:`~repro.serve.costing.CostEstimator` prices -- no simulation:
-
-1. **Equivalence collapse** (:func:`canonical`).  Some knobs are inert
-   in context and collapsing them merges whole slices of the product
-   into one representative: on a single-replica fleet every routing
-   policy places every tenant on replica 0 and no rebalance can ever
-   fire, so routing/rebalance knobs are rewritten to their baselines;
-   on a deadline-free trace
-   :meth:`~repro.serve.admission.DeadlineFeasibilityAdmission.feasible`
-   passes every arrival, so the gate collapses to its base admission;
-   preemptive FCFS never finds a *strictly* earlier-arriving candidate
-   than an admitted job, so it collapses to plain FCFS.  Each collapse
-   is an exact behavioral identity, not an approximation.
-
-2. **Bound-dominance pruning** (:func:`optimistic_point` + the
-   branch-and-bound loop in :func:`~repro.tune.runner.tune`).  For each
-   candidate an *optimistic* objective point is computed -- at least as
-   good as anything the simulator could report on every axis -- and a
-   candidate whose optimistic point is already Pareto-dominated by some
-   **simulated** point is skipped.  Soundness: with bound ``b`` at
-   least as good as actual ``a`` axiswise, a simulated point that
-   dominates ``b`` dominates ``a`` too, so the skipped candidate could
-   not have been on the front and the front over simulated points is
-   unchanged (``tests/tune/test_pruner.py`` asserts the
-   prune-vs-simulate-all front identity property-style).
-
-The bounds are admissible because every estimator price carries a
-documented honesty band: observed time stays within
-``[price / CALIBRATION_TOLERANCE, price * CALIBRATION_TOLERANCE]``
-(see ``docs/costing.md``).  Dividing the serialization-chain price of a
-job by :data:`PRUNE_SAFETY` therefore floors its true service time, and
-everything else (completion >= own service, makespan >= both the
-longest arrival-plus-service horizon and total work over fleet size,
-on-time finishes need ``arrival + service <= deadline``) is queueing
-arithmetic that holds for *any* schedule.
+is a cross-product and many of its members are *equivalent* to one
+another on a given trace.  :func:`canonical` merges them using nothing
+but the trace's shape -- no simulation.  Some knobs are inert in
+context, and collapsing them merges whole slices of the product into
+one representative: on a single-replica fleet every routing policy
+places every tenant on replica 0 and no rebalance can ever fire, so
+routing/rebalance knobs are rewritten to their baselines; on a
+deadline-free trace
+:meth:`~repro.serve.admission.DeadlineFeasibilityAdmission.feasible`
+passes every arrival, so the gate collapses to its base admission;
+preemptive FCFS never finds a *strictly* earlier-arriving candidate
+than an admitted job, so it collapses to plain FCFS; and on a
+single-job trace knapsack packing collapses to arrival order.  Each
+collapse is an exact behavioral identity, not an approximation
+(``tests/tune/test_pruner.py`` replays both sides and compares).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import replace
 
-from repro.serve.config import GPU_HOURLY_RATE, ServeConfig
-from repro.serve.costing import CALIBRATION_TOLERANCE, CostEstimator, TenantProfile
-from repro.serve.jobs import ServeJob
-from repro.tune.pareto import ObjectivePoint
+from repro.serve.config import ServeConfig
 
-__all__ = ["PRUNE_SAFETY", "TraceSummary", "canonical", "optimistic_point"]
-
-#: Safety divisor applied to every estimator price before it is used as
-#: a lower bound: the calibration contract guarantees observed time is
-#: at least ``price / CALIBRATION_TOLERANCE``, so dividing by the full
-#: a priori tolerance makes the bound admissible even for uncorrected
-#: estimators (corrected ones are tighter still -- see
-#: ``docs/costing.md``, "The calibration contract").
-PRUNE_SAFETY = CALIBRATION_TOLERANCE
+__all__ = ["canonical"]
 
 
 def canonical(
@@ -70,7 +35,7 @@ def canonical(
     Rewrites knobs that are provably inert for the given trace shape to
     their baseline values, so configs differing only in inert knobs map
     to one bundle and are simulated once.  Every rewrite is an exact
-    identity (see the module docstring for the three arguments);
+    identity (see the module docstring for the arguments);
     anything not provably inert is left untouched.
 
     Args:
@@ -107,142 +72,3 @@ def canonical(
         updates["packing"] = "arrival"
     return replace(config, **updates) if updates else config
 
-
-@dataclass(frozen=True)
-class _JobFloor:
-    """One trace job's pruning inputs (all virtual seconds)."""
-
-    arrival: float
-    deadline: float | None
-    service: float  # admissible lower bound on solo service time
-
-
-@dataclass(frozen=True)
-class TraceSummary:
-    """Per-job service floors of one trace, the pruner's only input.
-
-    Built once per tuning run (:meth:`from_trace`) and shared by every
-    candidate's :func:`optimistic_point`: the floors depend on the
-    trace and the estimator, never on the candidate.
-    """
-
-    jobs: tuple[_JobFloor, ...]
-
-    @classmethod
-    def from_trace(
-        cls, trace: Sequence[ServeJob], estimator: CostEstimator
-    ) -> "TraceSummary":
-        """Price every job's admissible service floor.
-
-        The floor is the estimator's whole-job wave price -- the max of
-        the steady-state and serialization-chain bounds of
-        :meth:`~repro.serve.costing.CostEstimator.wave_seconds` --
-        divided by :data:`PRUNE_SAFETY`.  Pass an *uncorrected*
-        estimator: a tracker's run-specific corrections have no place
-        in a bound shared across candidates.
-        """
-        floors = []
-        for serve_job in trace:
-            profile = TenantProfile.from_job(serve_job.job)
-            price = estimator.wave_seconds(
-                [(profile, serve_job.job.num_global_batches())]
-            )
-            floors.append(
-                _JobFloor(
-                    arrival=serve_job.arrival_time,
-                    deadline=serve_job.deadline,
-                    service=price / PRUNE_SAFETY,
-                )
-            )
-        return cls(jobs=tuple(floors))
-
-    @property
-    def has_deadlines(self) -> bool:
-        """Whether any job carries a deadline (the gate-collapse input)."""
-        return any(job.deadline is not None for job in self.jobs)
-
-
-def _mean_jct_floor(certain: list[float], optional: list[float]) -> float:
-    """Least achievable mean of ``certain`` plus any subset of ``optional``.
-
-    The mean-JCT bound's combinatorial core: jobs in ``certain`` are
-    finished in every run (their floors all count), jobs in
-    ``optional`` may be shed by a gate, and the most optimistic
-    outcome greedily admits optional floors in ascending order while
-    each one still lowers the running mean (a value below the current
-    mean always lowers it; one above always raises it, and ascending
-    order means all later values are above it too).  ``inf`` when both
-    lists are empty -- a run that finishes nothing has no mean JCT.
-    """
-    total = sum(certain)
-    count = len(certain)
-    for floor in sorted(optional):
-        if count and floor >= total / count:
-            break
-        total += floor
-        count += 1
-    return total / count if count else float("inf")
-
-
-def optimistic_point(
-    config: ServeConfig,
-    summary: TraceSummary,
-    rate: float = GPU_HOURLY_RATE,
-) -> ObjectivePoint:
-    """A point at least as good as any the simulator could report.
-
-    Per axis (proofs sketched in the module docstring; full math in
-    ``docs/tuning.md``):
-
-    - **mean JCT**: every finished job's completion time is at least
-      its service floor, and the set of finished jobs is everything
-      (no gate) or the deadline-free jobs plus an adversarially chosen
-      subset of deadline jobs (gated) -- :func:`_mean_jct_floor` takes
-      the least achievable mean.
-    - **goodput**: a deadline job can only finish on time when
-      ``arrival + service floor <= deadline``; count those.
-    - **dollars**: certainly-served work floors the bill.  A fixed
-      ``R``-replica fleet bills ``R x makespan`` with makespan at
-      least ``max(arrival + service)`` (some job finishes last) and at
-      least ``sum(service) / R`` (work conservation); an autoscaled
-      fleet bills at least the total work floor (every executed second
-      runs on a billed replica).
-
-    Args:
-        config: The candidate (only its fleet size, gate, and
-            autoscaler knobs matter to the bounds).
-        summary: The trace's precomputed service floors.
-        rate: $/GPU-hour converting the GPU-seconds floor to dollars.
-    """
-    certain = [j.service for j in summary.jobs]
-    optional: list[float] = []
-    if config.deadline_gate:
-        certain = [j.service for j in summary.jobs if j.deadline is None]
-        optional = [j.service for j in summary.jobs if j.deadline is not None]
-    jct_floor = _mean_jct_floor(certain, optional)
-    goodput_ceiling = sum(
-        1
-        for j in summary.jobs
-        if j.deadline is not None and j.arrival + j.service <= j.deadline
-    )
-    work_floor = sum(certain)
-    if config.autoscale_budget is not None:
-        gpu_floor = work_floor
-    else:
-        horizon = max((j.arrival + j.service for j in summary.jobs), default=0.0)
-        if config.deadline_gate:
-            horizon = max(
-                (
-                    j.arrival + j.service
-                    for j in summary.jobs
-                    if j.deadline is None
-                ),
-                default=0.0,
-            )
-        gpu_floor = max(work_floor, config.num_replicas * horizon)
-    return ObjectivePoint(
-        mean_jct=jct_floor,
-        goodput=goodput_ceiling,
-        dollars=gpu_floor / 3600.0 * rate,
-        gpu_seconds=gpu_floor,
-    )

@@ -57,7 +57,7 @@ def front_to_json(report: TuneReport) -> str:
     """Render a :class:`~repro.tune.runner.TuneReport` as artifact text.
 
     The document carries the search accounting (raw candidates,
-    equivalence collapses, bound prunes, simulations) next to the front
+    equivalence collapses, simulations) next to the front
     itself -- each front entry is the config's compact label, its full
     :meth:`~repro.serve.config.ServeConfig.to_dict` bundle (so the
     exact winning config can be rebuilt from the artifact alone), and
@@ -72,7 +72,6 @@ def front_to_json(report: TuneReport) -> str:
         "search": {
             "candidates": report.candidates,
             "collapsed": report.collapsed,
-            "pruned": report.pruned,
             "simulated": report.simulated,
         },
         "front": [

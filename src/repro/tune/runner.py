@@ -1,18 +1,13 @@
-"""The autotuner loop: collapse, bound, simulate, front, recommend.
+"""The autotuner loop: collapse, simulate, front, recommend.
 
 :func:`tune` is the tentpole entry point.  It takes a trace and a
-:class:`~repro.tune.space.SearchSpace` and runs the three-stage funnel:
+:class:`~repro.tune.space.SearchSpace` and runs two stages:
 
 1. **Collapse** every candidate to its behavioral representative
    (:func:`~repro.tune.pruner.canonical`), merging configs that would
    replay identically.
-2. **Bound** each survivor with an admissible
-   :func:`~repro.tune.pruner.optimistic_point`, then walk candidates
-   most-promising-first and **prune** any whose optimistic point an
-   already-simulated *actual* point dominates -- branch and bound over
-   the Pareto order instead of a scalar objective.
-3. **Simulate** the rest by replaying the trace through the
-   event-driven :class:`~repro.serve.replicaset.ReplicaSet` kernel
+2. **Simulate** every representative by replaying the trace through
+   the event-driven :class:`~repro.serve.replicaset.ReplicaSet` kernel
    (:func:`evaluate`) and keep the Pareto front of what was measured.
 
 :func:`recommend` turns the front into a capacity plan: given an
@@ -27,16 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.errors import ScheduleError
+from repro.errors import ScheduleError, require_finite
 from repro.models.layer_costs import LayerCostModel
 from repro.scheduler.scheduler import SchedulerConfig
 from repro.serve.config import GPU_HOURLY_RATE, ServeConfig
-from repro.serve.costing import CostEstimator
 from repro.serve.jobs import ServeJob
 from repro.serve.metrics import ReplicaSetResult
 from repro.serve.replicaset import ReplicaSet
-from repro.tune.pareto import ObjectivePoint, dominates, pareto_front
-from repro.tune.pruner import TraceSummary, canonical, optimistic_point
+from repro.tune.pareto import ObjectivePoint, pareto_front
+from repro.tune.pruner import canonical
 from repro.tune.space import SearchSpace, default_space
 
 __all__ = [
@@ -64,26 +58,30 @@ class TuneReport:
 
     Attributes:
         trials: Every simulated candidate with its measured point, in
-            simulation order (the bound-sorted branch-and-bound order).
+            candidate order.
         front: The Pareto-front subset of ``trials``, sorted cheapest
             first (dollars, then JCT, then label) for stable artifacts.
         candidates: Raw cross-product size before any reduction.
         collapsed: Candidates merged away as behaviorally equivalent to
             an earlier one (:func:`~repro.tune.pruner.canonical`).
-        pruned: Candidates skipped because an already-simulated point
-            dominated their optimistic bound.
     """
 
     trials: tuple[Trial, ...]
     front: tuple[Trial, ...]
     candidates: int
     collapsed: int
-    pruned: int
 
     @property
     def simulated(self) -> int:
         """Candidates that were actually replayed (``len(trials)``)."""
         return len(self.trials)
+
+
+def _check_rate(rate: float) -> None:
+    """Refuse a $/GPU-hour rate that would corrupt the dollars axis."""
+    require_finite(rate=rate)
+    if rate < 0:
+        raise ScheduleError(f"rate must be non-negative, got {rate!r}")
 
 
 def evaluate(
@@ -106,8 +104,9 @@ def evaluate(
       a fleet that served nobody *best*, the tuner must rank it worst.
     - ``dollars``/``gpu_seconds`` use the recorded bill when the run
       was autoscaled (``replica_intervals`` populated); a fixed fleet
-      bills ``num_replicas x makespan`` at ``rate``.
+      bills ``num_replicas x makespan`` at ``rate`` (finite, >= 0).
     """
+    _check_rate(rate)
     executors, fleet_config = config.build(cost, scheduler)
     result = ReplicaSet(executors, fleet_config).run(list(trace))
     finished = any(
@@ -129,13 +128,6 @@ def evaluate(
     return point, result
 
 
-def _bound_order_key(
-    config: ServeConfig, bound: ObjectivePoint
-) -> tuple[float, float, int, str]:
-    """Most-promising-first walk order (deterministic via the label)."""
-    return (bound.dollars, bound.mean_jct, -bound.goodput, config.label())
-
-
 def _front_key(trial: Trial) -> tuple[float, float, int, str]:
     """Cheapest-first front order for stable reports and artifacts."""
     return (
@@ -153,17 +145,12 @@ def tune(
     cost: LayerCostModel,
     scheduler: SchedulerConfig,
     rate: float = GPU_HOURLY_RATE,
-    prune: bool = True,
 ) -> TuneReport:
     """Search ``space`` against ``trace`` and return the Pareto front.
 
-    The funnel (module docstring) guarantees the front equals -- as a
-    set of objective points -- the front a simulate-everything sweep
-    would have produced: collapses are exact behavioral identities and
-    a pruned candidate's actual point is always dominated by a
-    simulated one (``tests/tune/test_pruner.py`` asserts this against
-    brute force).  Pass ``prune=False`` to run that brute-force sweep,
-    collapse included, for the comparison.
+    The front equals the front of a simulate-everything sweep: every
+    collapse is an exact behavioral identity, and every representative
+    is simulated.
 
     Args:
         trace: The workload to replay (any arrival order).
@@ -171,55 +158,30 @@ def tune(
             when omitted.
         cost: Profiled layer costs the executors simulate against.
         scheduler: Packing configuration shared by every candidate.
-        rate: $/GPU-hour pricing the dollars axis.
-        prune: Whether to skip bound-dominated candidates (stage 2).
+        rate: $/GPU-hour pricing the dollars axis (finite, >= 0).
     """
     if not trace:
         raise ScheduleError("tune() needs a non-empty trace")
+    _check_rate(rate)
     space = space if space is not None else default_space()
     raw = space.candidates()
     if not raw:
         raise ScheduleError("the search space enumerates no valid candidate")
-    pricer = CostEstimator.for_scheduler(cost, scheduler)
-    summary = TraceSummary.from_trace(trace, pricer)
-
-    representatives: list[ServeConfig] = []
-    seen: set[ServeConfig] = set()
-    for candidate in raw:
-        representative = canonical(
-            candidate, summary.has_deadlines, multi_tenant=len(trace) > 1
-        )
-        if representative not in seen:
-            seen.add(representative)
-            representatives.append(representative)
-
-    bounds = {
-        config: optimistic_point(config, summary, rate)
-        for config in representatives
-    }
-    ordered = sorted(
-        representatives, key=lambda c: _bound_order_key(c, bounds[c])
+    has_deadlines = any(job.deadline is not None for job in trace)
+    representatives = dict.fromkeys(
+        canonical(candidate, has_deadlines, multi_tenant=len(trace) > 1)
+        for candidate in raw
     )
-
-    trials: list[Trial] = []
-    pruned = 0
-    for config in ordered:
-        bound = bounds[config]
-        if prune and any(dominates(trial.point, bound) for trial in trials):
-            pruned += 1
-            continue
-        point, _ = evaluate(
-            config, trace, cost=cost, scheduler=scheduler, rate=rate
-        )
+    trials = []
+    for config in representatives:
+        point, _ = evaluate(config, trace, cost=cost, scheduler=scheduler, rate=rate)
         trials.append(Trial(config=config, point=point))
-
     front = sorted(pareto_front(trials, lambda t: t.point), key=_front_key)
     return TuneReport(
         trials=tuple(trials),
         front=tuple(front),
         candidates=len(raw),
         collapsed=len(raw) - len(representatives),
-        pruned=pruned,
     )
 
 
@@ -241,6 +203,7 @@ class SLOTarget:
     max_dollars: float | None = None
 
     def __post_init__(self) -> None:
+        require_finite(max_mean_jct=self.max_mean_jct, max_dollars=self.max_dollars)
         if self.max_mean_jct is not None and self.max_mean_jct <= 0:
             raise ScheduleError("max_mean_jct must be positive")
         if self.min_goodput is not None and self.min_goodput < 0:
@@ -308,7 +271,9 @@ def recommend(
     within target.  When no front entry qualifies, returns the
     least-violating one with ``feasible=False``: the front is the set
     of best achievable trade-offs, so its least-violating member is the
-    space's closest approach to the SLO.
+    space's closest approach to the SLO.  Raises
+    :class:`~repro.errors.ScheduleError` on the inputs :func:`tune`
+    refuses (empty trace, non-finite or negative ``rate``).
     """
     report = tune(trace, space, cost=cost, scheduler=scheduler, rate=rate)
     qualifying = [t for t in report.front if slo.met_by(t.point)]

@@ -192,8 +192,7 @@ def default_space() -> SearchSpace:
     baseline, the count heuristic, the cost-driven policy), three
     ordering families (fairness, size-aware, deadline-aware), the
     feasibility gate on/off, two window sizes, and one- or two-replica
-    fleets -- 72 raw candidates before equivalence collapse and
-    pruning.
+    fleets -- 72 raw candidates before equivalence collapse.
     """
     return SearchSpace(
         fleet_sizes=(1, 2),

@@ -16,7 +16,7 @@ fleet whose queued deadline jobs are priced as missed:
 * every row the set holds fresh equals the row derived from a fresh
   :meth:`~repro.serve.ReplicaSet._replica_view` -- and the router is
   handed the columns of exactly the routable replicas, every row fresh
-  (on an elastic fleet too, with no row missing);
+  (on an elastic fleet too), whenever the replicas carry an estimator;
 * with rebalancing on, every fresh load equals a fresh
   :meth:`~repro.serve.ReplicaSet._replica_load`; on an elastic fleet,
   every fresh pressure equals a fresh ``deadline_pressure()``;
@@ -102,11 +102,10 @@ AUDITED = {
 
 
 def fresh_row(fleet, index):
-    """The ``(backlog, num_active, missing)`` row a fresh view implies."""
+    """The ``(backlog, num_active)`` row a fresh view implies."""
     view = fleet._replica_view(index)
     remaining = view.expected_remaining_time
-    return (0.0 if remaining is None else remaining, view.num_active,
-            remaining is None)
+    return (0.0 if remaining is None else remaining, view.num_active)
 
 
 class AuditedViews(Sequence):
@@ -155,22 +154,21 @@ def audit(monkeypatch):
     def audited_route(self, job, replicas, arrays=None):
         fleet = current["fleet"]
         tally["arrivals"] += 1
+        assert (arrays is not None) == fleet._priced
         if arrays is not None:
             assert not fleet.stale  # the router reads every row
             # The columns are the routable rows, each fresh.
             assert arrays.indices.tolist() == fleet._routable()
             for k, index in enumerate(arrays.indices.tolist()):
-                row = (arrays.backlogs[k], arrays.num_active[k], arrays.missing[k])
+                row = (arrays.backlogs[k], arrays.num_active[k])
                 assert row == fresh_row(fleet, index), (index, row)
-            if not arrays.missing.any():
-                tally["columns"] += 1
+            tally["columns"] += 1
         for index, replica in enumerate(fleet.replicas):
             if index in fleet.stale:
                 continue
             row = (
                 fleet.arrays.backlogs[index],
                 fleet.arrays.num_active[index],
-                fleet.arrays.missing[index],
             )
             assert row == fresh_row(fleet, index), (index, row)
             tally["rows"] += 1

@@ -16,7 +16,6 @@ from repro.models.config import LLAMA3_8B
 from repro.models.layer_costs import LayerCostModel
 from repro.scheduler import SchedulerConfig
 from repro.serve import (
-    AdaptiveWindowConfig,
     CapacityPool,
     CostEstimator,
     DeadlineFeasibilityAdmission,
@@ -88,7 +87,6 @@ FIELDS = [
     (PriorityOrdering, "aging_rate"),
     (DeadlineOrdering, "aging_rate"),
     (gate, "slack"),
-    (AdaptiveWindowConfig, "target_wave_seconds"),
     (replica_set_config, "migration_threshold"),
     (replica_set_config, "migration_time_threshold"),
 ]
@@ -112,7 +110,6 @@ def test_non_finite_field_is_rejected(build, name, value):
         (serve_config, "autoscale_budget"),
         (serve_config, "gateway_rate"),
         (serve_config, "gateway_fairness"),
-        (AdaptiveWindowConfig, "target_wave_seconds"),
         (replica_set_config, "migration_threshold"),
         (replica_set_config, "migration_time_threshold"),
     ],

@@ -464,10 +464,8 @@ class TestCalibration:
 def cost_view(index, remaining, num_active=0, batches=0):
     return ReplicaView(
         index=index,
-        clock=0.0,
         outstanding_batches=batches,
         num_active=num_active,
-        num_pending=0,
         slots_free=None,
         expected_remaining_time=remaining,
     )

@@ -302,19 +302,6 @@ class TestAdaptiveWindow:
         assert result.violations == 0
         assert orchestrator._window <= 2
 
-    def test_target_wave_seconds_caps_the_window(self):
-        from repro.serve import AdaptiveWindowConfig
-
-        workload = [ServeJob(job=make_jobs(1, samples=96)[0],
-                             arrival_time=0.0)]
-        tight = AdaptiveWindowConfig(min_batches=1, max_batches=8,
-                                     target_wave_seconds=1e-6)
-        orchestrator, result = self.run_adaptive(workload, tight)
-        assert result.violations == 0
-        # No wave may exceed the (unsatisfiable) budget by more than the
-        # floor window, so the window never leaves the floor.
-        assert orchestrator._window == 1
-
     def test_adaptive_window_requires_finite_start(self):
         from repro.serve import AdaptiveWindowConfig
 
@@ -323,16 +310,6 @@ class TestAdaptiveWindow:
                 scheduler=SchedulerConfig(capacity=8192, use_milp=False),
                 window_batches=None,
                 adaptive_window=AdaptiveWindowConfig(),
-            )
-
-    def test_target_requires_estimator(self):
-        from repro.serve import AdaptiveWindowConfig
-
-        with pytest.raises(ScheduleError, match="estimator"):
-            OrchestratorConfig(
-                scheduler=SchedulerConfig(capacity=8192, use_milp=False),
-                window_batches=1,
-                adaptive_window=AdaptiveWindowConfig(target_wave_seconds=1.0),
             )
 
     def test_degenerate_bounds_rejected(self):

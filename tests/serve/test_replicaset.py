@@ -572,7 +572,6 @@ class TestParkedLoadAccounting:
         replica_set = self.park_a_job()
         view = views(replica_set)[0]
         replica = replica_set.replicas[0]
-        assert view.num_parked == 1
         assert replica.num_parked == 1
         # The parked job's remaining batches are owed here...
         parked_remaining = next(iter(replica._parked.values()))
@@ -602,3 +601,53 @@ class TestParkedLoadAccounting:
         job = ServeJob(job=make_jobs(3, samples=8)[2], arrival_time=1.0)
         choice = CostAwareRouting().choose(job, views(replica_set))
         assert choice == 1
+
+
+class TestRoutingColumns:
+    """The fleet hands the router its columns only when they are priced.
+
+    Every replica shares one orchestrator config, so the columns carry
+    expected seconds on every row or on none; an unpriced fleet routes
+    from its views alone.
+    """
+
+    def routed_arrays(self, priced, num_replicas=3):
+        from repro.serve import CostEstimator
+
+        scheduler = SchedulerConfig(capacity=8192, num_stages=NUM_STAGES,
+                                    use_milp=False)
+        config = ReplicaSetConfig(
+            orchestrator=OrchestratorConfig(
+                scheduler=scheduler,
+                window_batches=1,
+                admission=SlotAdmission(4),
+                estimator=(CostEstimator.for_scheduler(COST, scheduler)
+                           if priced else None),
+            ),
+        )
+        replica_set = ReplicaSet(
+            [StreamingSimExecutor(COST, NUM_STAGES)
+             for _ in range(num_replicas)],
+            config,
+        )
+        seen = []
+        route = replica_set.router.route
+
+        def recording_route(job, replicas, arrays=None):
+            seen.append(arrays)
+            return route(job, replicas, arrays)
+
+        replica_set.router.route = recording_route
+        result = replica_set.run(poisson(make_jobs(5)))
+        assert result.violations == 0
+        assert len(seen) == 5
+        return seen
+
+    def test_unpriced_fleet_routes_from_views(self):
+        assert self.routed_arrays(priced=False) == [None] * 5
+
+    def test_priced_fleet_routes_from_every_column(self):
+        for arrays in self.routed_arrays(priced=True):
+            assert arrays is not None
+            assert arrays.indices.tolist() == [0, 1, 2]
+            assert len(arrays.backlogs) == len(arrays.num_active) == 3

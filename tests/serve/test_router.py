@@ -20,10 +20,8 @@ from repro.serve import (
 def view(index, load=0, lengths=(), slots_free=None):
     return ReplicaView(
         index=index,
-        clock=0.0,
         outstanding_batches=load,
         num_active=len(lengths),
-        num_pending=0,
         slots_free=slots_free,
         live_mean_lengths=tuple(lengths),
     )
@@ -276,4 +274,3 @@ class TestCostAware:
     def test_view_seconds_fields_default_to_unpriced(self):
         snapshot = view(0)
         assert snapshot.expected_remaining_time is None
-        assert snapshot.num_parked == 0

@@ -244,8 +244,7 @@ class TestRouterChoiceEqualsScalar:
         job = ServeJob(job=make_job(1), arrival_time=0.0)
         indices = [i + sum(gaps[:i + 1]) for i in range(len(loads))]
         views = [
-            ReplicaView(index=index, clock=0.0, num_active=active,
-                        num_pending=0, num_parked=0,
+            ReplicaView(index=index, num_active=active,
                         outstanding_batches=active, slots_free=1,
                         expected_remaining_time=backlog)
             for index, (backlog, active) in zip(indices, loads)
@@ -254,7 +253,7 @@ class TestRouterChoiceEqualsScalar:
         chosen = policy.choose(job, views)
         assert chosen == self.scalar_choose(job, views, estimator)
         # The fleet loop hands the router the routable rows of its
-        # columns; the rows between them stay unrefilled (missing).
+        # columns; the rows between them stay unrefilled.
         arrays = FleetArrays.for_fleet(indices[-1] + 1)
         for view in views:
             arrays.refill(view.index, view.expected_remaining_time, view.num_active)
@@ -264,19 +263,16 @@ class TestRouterChoiceEqualsScalar:
     def test_unpriced_view_falls_back_to_batch_counts(self):
         job = ServeJob(job=make_job(1), arrival_time=0.0)
         views = [
-            ReplicaView(index=0, clock=0.0, num_active=1, num_pending=0,
-                        num_parked=0, outstanding_batches=5, slots_free=1,
-                        expected_remaining_time=None),
-            ReplicaView(index=1, clock=0.0, num_active=1, num_pending=0,
-                        num_parked=0, outstanding_batches=2, slots_free=1,
-                        expected_remaining_time=1.0),
+            ReplicaView(index=0, num_active=1, outstanding_batches=5,
+                        slots_free=1, expected_remaining_time=None),
+            ReplicaView(index=1, num_active=1, outstanding_batches=2,
+                        slots_free=1, expected_remaining_time=1.0),
         ]
         assert CostAwareRouting().choose(job, views) == 1
 
     @given(calibrated=st.booleans(),
            with_estimator=st.booleans(),
            adapter_id=st.sampled_from([1, 5]),  # tracked / untracked tenant
-           hole=st.one_of(st.none(), st.integers(min_value=0, max_value=15)),
            loads=st.lists(
                st.tuples(
                    st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
@@ -286,21 +282,17 @@ class TestRouterChoiceEqualsScalar:
            ))
     @settings(max_examples=40, deadline=None)
     def test_choose_arrays_matches_choose(self, calibrated, with_estimator,
-                                          adapter_id, hole, loads):
-        # ``hole`` punches one unpriced view into the fleet, exercising
-        # the missing-row fallback; the untracked tenant routes the
-        # pricing through the per-replica correction gather, with the
-        # replica ids arriving as an int64 ndarray.
+                                          adapter_id, loads):
+        # Every view is priced: the fleet hands the router its columns
+        # only then.  The untracked tenant routes the pricing through
+        # the per-replica correction gather, with the replica ids
+        # arriving as an int64 ndarray.
         estimator = make_estimator(calibrated) if with_estimator else None
         job = ServeJob(job=make_job(adapter_id), arrival_time=0.0)
         views = [
-            ReplicaView(index=i, clock=0.0, num_active=active,
-                        num_pending=0, num_parked=0,
+            ReplicaView(index=i, num_active=active,
                         outstanding_batches=active, slots_free=1,
-                        expected_remaining_time=(
-                            None if hole is not None and hole == i
-                            else backlog
-                        ))
+                        expected_remaining_time=backlog)
             for i, (backlog, active) in enumerate(loads)
         ]
         arrays = FleetArrays.for_fleet(len(views))

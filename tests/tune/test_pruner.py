@@ -1,15 +1,11 @@
-"""Property tests for the analytic pruner: it must never cost us a front.
+"""Property tests for the equivalence collapse: it must never cost us a front.
 
-Two claims back the tuner's funnel, each checked against brute force on
-small randomized traces:
-
-1. :func:`~repro.tune.pruner.canonical` collapses are *exact*: a config
-   and its representative replay to identical objective points.
-2. Bound-dominance pruning is *front-preserving*: ``tune(prune=True)``
-   and ``tune(prune=False)`` produce the same Pareto front as a set of
-   objective points (configs may differ -- equal points are
-   interchangeable on a front).
+:func:`~repro.tune.pruner.canonical` collapses are *exact*: on small
+randomized traces a config and its representative replay to identical
+objective points.
 """
+
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,27 +16,11 @@ from repro.models.config import LLAMA3_8B
 from repro.models.layer_costs import LayerCostModel
 from repro.scheduler import AdapterJob, SchedulerConfig
 from repro.serve import CostEstimator, ServeConfig, ServeJob
-from repro.tune import (
-    SearchSpace,
-    TraceSummary,
-    canonical,
-    evaluate,
-    optimistic_point,
-    tune,
-)
+from repro.tune import canonical, evaluate
 
 COST = LayerCostModel(LLAMA3_8B, H100, strategy="fused_multi")
 SCHED = SchedulerConfig(capacity=8192, num_stages=2, use_milp=False)
 DATASETS = ("xsum", "cnn_dailymail", "wikisum", "mixed")
-
-# Small but heterogeneous: two fleet sizes, two routing families, two
-# ordering families, the gate on/off -- 16 raw candidates per example.
-SPACE = SearchSpace(
-    fleet_sizes=(1, 2),
-    routings=("round_robin", "cost_aware"),
-    orderings=("fcfs", "srpt"),
-    deadline_gates=(False, True),
-)
 
 
 @st.composite
@@ -70,23 +50,6 @@ def traces(draw):
     return jobs
 
 
-def point_set(report):
-    return {
-        (t.point.mean_jct, t.point.goodput, round(t.point.dollars, 9))
-        for t in report.front
-    }
-
-
-@settings(max_examples=6, deadline=None, derandomize=True)
-@given(trace=traces())
-def test_pruned_front_matches_brute_force_front(trace):
-    pruned = tune(trace, SPACE, cost=COST, scheduler=SCHED)
-    brute = tune(trace, SPACE, cost=COST, scheduler=SCHED, prune=False)
-    assert pruned.candidates == brute.candidates
-    assert brute.pruned == 0
-    assert point_set(pruned) == point_set(brute)
-
-
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(
     trace=traces(),
@@ -105,6 +68,37 @@ def test_canonical_collapse_is_behaviorally_exact(trace, config):
     original, _ = evaluate(config, trace, cost=COST, scheduler=SCHED)
     collapsed, _ = evaluate(representative, trace, cost=COST, scheduler=SCHED)
     assert original == collapsed
+
+
+def test_gate_collapses_only_on_deadline_free_traces():
+    config = ServeConfig(deadline_gate=True, gate_slack=1.5,
+                         queueing_aware=True)
+    free = canonical(config, has_deadlines=False)
+    assert (free.deadline_gate, free.gate_slack, free.queueing_aware) == (
+        False, 1.0, False
+    )
+    assert canonical(config, has_deadlines=True) == config
+
+
+def test_single_replica_collapses_placement_knobs():
+    config = ServeConfig(num_replicas=1, routing="cost_aware",
+                         migration_time_threshold=0.5,
+                         drain_then_migrate=True)
+    representative = canonical(config, True)
+    assert representative.routing == "least_loaded"
+    assert representative.migration_time_threshold is None
+    assert not representative.drain_then_migrate
+    # Two replicas keep every placement knob.
+    assert canonical(replace(config, num_replicas=2), True) == replace(
+        config, num_replicas=2
+    )
+
+
+def test_preemption_collapses_only_under_fcfs():
+    assert not canonical(ServeConfig(ordering="fcfs", preemptive=True),
+                         True).preemptive
+    assert canonical(ServeConfig(ordering="srpt", preemptive=True),
+                     True).preemptive
 
 
 def test_packing_collapses_only_on_singleton_traces():
@@ -128,16 +122,3 @@ def test_single_tenant_packing_collapse_is_behaviorally_exact(trace):
     collapsed, _ = evaluate(representative, solo, cost=COST, scheduler=SCHED)
     assert original == collapsed
 
-
-@settings(max_examples=6, deadline=None, derandomize=True)
-@given(trace=traces())
-def test_optimistic_point_lower_bounds_every_simulated_run(trace):
-    pricer = CostEstimator.for_scheduler(COST, SCHED)
-    summary = TraceSummary.from_trace(trace, pricer)
-    for config in SPACE.candidates():
-        bound = optimistic_point(config, summary)
-        actual, _ = evaluate(config, trace, cost=COST, scheduler=SCHED)
-        assert bound.mean_jct <= actual.mean_jct
-        assert bound.goodput >= actual.goodput
-        assert bound.dollars <= actual.dollars + 1e-12
-        assert bound.gpu_seconds <= actual.gpu_seconds + 1e-9

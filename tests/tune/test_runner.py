@@ -15,6 +15,7 @@ from repro.serve import ServeConfig, ServeJob
 from repro.tune import (
     SearchSpace,
     SLOTarget,
+    canonical,
     dominates,
     evaluate,
     front_to_json,
@@ -102,14 +103,54 @@ class TestTune:
     def test_rejects_empty_inputs(self, trace):
         with pytest.raises(ScheduleError, match="non-empty trace"):
             tune([], SPACE, cost=COST, scheduler=SCHED)
+        # A NaN rate made every dollar NaN; a negative one ranked the
+        # largest fleet cheapest.  Each entry point refuses both.
+        config = ServeConfig()
+        for rate in (math.nan, math.inf, -1.0):
+            with pytest.raises(ScheduleError, match="rate"):
+                tune(trace, SPACE, cost=COST, scheduler=SCHED, rate=rate)
+            with pytest.raises(ScheduleError, match="rate"):
+                evaluate(config, trace, cost=COST, scheduler=SCHED, rate=rate)
+            with pytest.raises(ScheduleError, match="rate"):
+                recommend(trace, SLOTarget(), cost=COST, scheduler=SCHED,
+                          space=SPACE, rate=rate)
 
     def test_accounting_adds_up(self, report):
         assert report.candidates == 16
         assert (
-            report.collapsed + report.pruned + report.simulated
+            report.collapsed + report.simulated
             == report.candidates
         )
         assert report.simulated == len(report.trials)
+
+    def test_trials_are_the_representatives_in_candidate_order(
+        self, trace, report
+    ):
+        # Every representative is simulated once, first-seen order.
+        has_deadlines = any(job.deadline is not None for job in trace)
+        expected = list(dict.fromkeys(
+            canonical(config, has_deadlines) for config in SPACE.candidates()
+        ))
+        assert [t.config for t in report.trials] == expected
+
+    def test_front_does_not_depend_on_candidate_order(self, trace, report):
+        reversed_space = SearchSpace(
+            fleet_sizes=SPACE.fleet_sizes[::-1],
+            routings=SPACE.routings[::-1],
+            orderings=SPACE.orderings[::-1],
+            deadline_gates=SPACE.deadline_gates[::-1],
+        )
+        again = tune(trace, reversed_space, cost=COST, scheduler=SCHED)
+        assert again.front == report.front
+        assert front_to_json(again) == front_to_json(report)
+
+    def test_zero_rate_prices_every_point_free(self, trace, report):
+        free = tune(trace, SPACE, cost=COST, scheduler=SCHED, rate=0.0)
+        assert all(t.point.dollars == 0.0 for t in free.trials)
+        # The rate prices dollars only: time axes are untouched.
+        assert [t.point.gpu_seconds for t in free.trials] == [
+            t.point.gpu_seconds for t in report.trials
+        ]
 
     def test_front_is_mutually_non_dominated(self, report):
         for a in report.front:
@@ -144,6 +185,14 @@ class TestArtifact:
             assert entry["label"] == trial.config.label()
             assert ServeConfig.from_dict(entry["config"]) == trial.config
 
+    def test_search_block_is_the_collapse_accounting(self, report):
+        doc = json.loads(front_to_json(report))
+        assert doc["search"] == {
+            "candidates": report.candidates,
+            "collapsed": report.collapsed,
+            "simulated": report.simulated,
+        }
+
     def test_ends_in_exactly_one_newline(self, report):
         text = front_to_json(report)
         assert text.endswith("\n") and not text.endswith("\n\n")
@@ -167,7 +216,13 @@ class TestSLOTarget:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_mean_jct": 0.0}, {"min_goodput": -1}, {"max_dollars": -2.0}],
+        [
+            {"max_mean_jct": 0.0},
+            {"min_goodput": -1},
+            {"max_dollars": -2.0},
+            {"max_mean_jct": math.nan},
+            {"max_dollars": math.nan},
+        ],
     )
     def test_invalid_targets_rejected(self, kwargs):
         with pytest.raises(ScheduleError):
