@@ -27,9 +27,19 @@ def require_finite(**values: float | None) -> None:
     """Raise :class:`ScheduleError` naming the first non-finite value.
 
     Range checks such as ``x < 0`` pass a NaN silently (every comparison
-    with NaN is false), so public constructors call this first.  ``None``
-    is skipped: it means "off" wherever a knob is optional.
+    with NaN is false), so public constructors call this first.  A value
+    that is no real number at all (a string, say) is refused the same
+    way, by name.  ``None`` is skipped: it means "off" wherever a knob
+    is optional.
     """
     for name, value in values.items():
-        if value is not None and not math.isfinite(value):
+        if value is None:
+            continue
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            raise ScheduleError(
+                f"{name} must be a real number, got {value!r}"
+            ) from None
+        if not finite:
             raise ScheduleError(f"{name} must be finite, got {value!r}")

@@ -27,8 +27,8 @@ time, or heap internals, so two runs of the same trace are
 byte-identical (``tests/serve/test_events.py`` asserts it).
 
 **An immediate lane for control events.**  Control work -- the
-rebalance check after an arrival or wave close, and the migrations and
-drains it decides -- must finish before any other timed event gets in,
+migrations and drains a rebalance check decides, and the checks that
+follow them -- must finish before any other timed event gets in,
 even one carrying an earlier timestamp (the fleet frontier and a
 lagging replica clock are different axes of "now"), or a later event
 would see a half-rebalanced fleet.  :meth:`EventKernel.post` queues an
@@ -97,7 +97,9 @@ class EventKind(enum.IntEnum):
     #: advance its serving loop by one iteration (one planning wave,
     #: or a drain/fast-forward when nothing is left to plan).
     WAVE_CLOSE = 1
-    #: Run one load-skew check of the rebalance pass in flight.
+    #: Run the next load-skew check of a rebalance pass, after one of
+    #: its migrations or drains (a pass's first check runs in the fleet
+    #: pump and is no event).
     REBALANCE = 2
     #: Apply one chosen migration (source, target, adapter).
     MIGRATION = 3

@@ -11,13 +11,13 @@ between pipelines.
 A set is one single-shot run: it holds the discrete-event kernel of
 :mod:`repro.serve.events` and its run state itself.  Arrivals,
 per-replica wave closes and scale actions are typed events on one
-global heap, control work (rebalance checks, migrations, drains) runs
-on the kernel's immediate lane, and each event kind has one handler
-method.  Each replica is read once per change: an event that mutates it
-marks it stale, and one refresh re-reads it into its row (routing
-columns, rebalance load, deadline pressure) for every consumer --
-router, rebalancer and autoscaler alike (a view is rebuilt only when a
-policy reads it).  So finding the next actor is O(log n) instead of an
+global heap, control work (migrations, drains and the rebalance checks
+that follow them) runs on the kernel's immediate lane, and each event
+kind has one handler method.  Each replica is read once per change: an
+event that mutates it marks it stale, and one refresh re-reads it into
+its row (routing columns, rebalance load, deadline pressure) for every
+consumer -- router, rebalancer and autoscaler alike (a view is rebuilt
+only when a policy reads it).  So finding the next actor is O(log n) instead of an
 O(n) clock scan -- which is what makes 100-1000-replica traces
 replayable (``benchmarks/bench_fleet_kernel.py`` measures the per-event
 cost).  Every arrival is routed against replica state as of the arrival
@@ -72,14 +72,17 @@ __all__ = ["ReplicaSetConfig", "ReplicaSet", "FleetSession"]
 #: or ``("drain", source, migrant_or_None)``; ``None`` ends the pass.
 _RebalanceAction = tuple
 
+#: What a pass's first check has moved and drained: nothing.
+_NOTHING: frozenset[int] = frozenset()
+
 
 @dataclass
 class _RebalancePass:
     """One rebalance pass's bookkeeping, carried through posted events.
 
-    The REBALANCE/MIGRATION/FLUSH chain threads it from check to action
-    and back, so a pass moves each job at most once and drains each
-    replica at most once.
+    Created when a pass first acts; the MIGRATION/FLUSH/REBALANCE chain
+    threads it from action to check and back, so a pass moves each job
+    at most once and drains each replica at most once.
     """
 
     #: Adapters already moved this pass (a job moves at most once).
@@ -221,9 +224,15 @@ class ReplicaSet:
     ``(time, (kind, lane), seq)`` order makes a wave close at an
     arrival's instant yield to the arrival (so routing sees every
     replica as of that instant), and advances equal-clock replicas in
-    index order.  Control events -- the rebalance check after every
-    arrival and wave close, and the migrations/drains it decides -- run
-    on the kernel's immediate lane, ahead of any timed event.
+    index order.  The rebalance check after every arrival and wave
+    close is no event: the pump runs it right after the handler (and,
+    on elastic fleets, the scale probe).  It first tests a bound on the
+    load skew, ``hi - lo``, that refreshes only widen, and scans the
+    routable rows only when that bound exceeds the threshold -- so a
+    check that cannot act costs O(changed rows).  The migrations and
+    drains it decides, and the checks that continue a pass after them,
+    are control events on the kernel's immediate lane, ahead of any
+    timed event.
 
     Each replica is read once per change.  An event that mutates a
     replica adds it to one staleness set, ``stale``; :meth:`_refresh`
@@ -257,6 +266,9 @@ class ReplicaSet:
         stale: Replicas whose rows :meth:`_refresh` must re-read.
         arrays: The routing columns, one row per replica.
         loads: Rebalance loads per replica (with rebalancing on).
+        hi: At least the largest routable load (with rebalancing on).
+        lo: At most the smallest routable load; ``hi - lo`` bounds the
+            skew a full scan would find.
         pressure: Deadline pressure per replica (elastic fleets).
         views: Cached routing views; ``None`` until read.
     """
@@ -316,6 +328,8 @@ class ReplicaSet:
         self.views: list[ReplicaView | None] = [None] * n
         self.arrays = FleetArrays.for_fleet(n)
         self.loads = np.empty(n, dtype=np.float64)  # with rebalancing
+        self.hi, self.lo = -math.inf, math.inf  # widened by _refresh
+        self._check_due = False  # an arrival or wave close wants a check
         self.pressure = np.zeros(n, dtype=np.int64)  # elastic fleets
         self.stale: set[int] = set(range(n))
         self._wave_events: list[Event | None] = [None] * n
@@ -407,13 +421,23 @@ class ReplicaSet:
             Per-replica results plus fleet-wide records and counters.
 
         Raises:
-            ScheduleError: On reuse or duplicate adapter ids.
+            ScheduleError: On reuse, a workload that is not a sequence of
+                :class:`~repro.serve.jobs.ServeJob`, or duplicate adapter
+                ids -- all before the set's single run is consumed.
         """
-        ids = [job.adapter_id for job in workload]
+        try:
+            jobs = list(workload)
+        except TypeError:
+            raise ScheduleError(
+                f"a workload is a sequence of ServeJob, got {workload!r}"
+            ) from None
+        for job in jobs:
+            _require_job(job)
+        ids = [job.adapter_id for job in jobs]
         if len(set(ids)) != len(ids):
             raise ScheduleError(f"duplicate adapter ids in workload: {ids}")
         self._take_shot()
-        for job in sorted(workload, key=lambda job: (job.arrival_time, job.adapter_id)):
+        for job in sorted(jobs, key=lambda job: (job.arrival_time, job.adapter_id)):
             self._ingest(job, EventKind.ARRIVAL)
         return self._finish()
 
@@ -449,18 +473,34 @@ class ReplicaSet:
     def _pump(self, frontier: float) -> None:
         """Process every due event with timestamp at or before ``frontier``.
 
-        Each event runs its handler, then (elastic fleets) the scale
-        probe.  A rebalance check that ends its pass returns ``False``:
+        Each event runs its handler, then (elastic fleets) the held
+        placements and the scale probe.  After an arrival or a wave
+        close, the pump then runs the first skew check of a rebalance
+        pass; when that check posts a migration or drain, the held
+        placements and the probe run once more.  A check that continues
+        a pass (a posted ``REBALANCE``) and ends it returns ``False``:
         it changed nothing, so the probe is skipped for it.
         """
+        elastic = self._autoscaler is not None
         while (event := self.kernel.pop_until(frontier)) is not None:
-            if self._handlers[event.kind](event) is False or self._autoscaler is None:
+            if self._handlers[event.kind](event) is False:
                 continue
-            # Any event can free a slot for a held job, or shift the
-            # backlog the autoscaler watches.
-            if self._held:
-                self._held = [t for t in self._held if not self._place(t)]
-            self._probe_autoscaler(event.time)
+            if elastic:
+                self._settle(event.time)
+            if self._check_due:
+                self._check_due = False
+                if self._check_rebalance(None) and elastic:
+                    self._settle(event.time)
+
+    def _settle(self, time: float) -> None:
+        """Place held jobs, then probe the autoscaler (elastic fleets).
+
+        Any event can free a slot for a held job, or shift the backlog
+        the autoscaler watches.
+        """
+        if self._held:
+            self._held = [t for t in self._held if not self._place(t)]
+        self._probe_autoscaler(time)
 
     def _finish(self) -> ReplicaSetResult:
         """Run the kernel dry, verify no evacuated job is stranded, and
@@ -575,8 +615,8 @@ class ReplicaSet:
         loads: "np.ndarray | list[float]",
         threshold: float,
         seconds_mode: bool,
-        moved: set[int],
-        drained: set[int],
+        moved: set[int] | frozenset[int],
+        drained: set[int] | frozenset[int],
         indices: list[int] | None = None,
     ) -> _RebalanceAction | None:
         """Decide one rebalance step from the given loads.
@@ -711,7 +751,8 @@ class ReplicaSet:
 
         O(dirty), not O(fleet), and one backlog read per replica: the
         seconds-mode load is the clock plus the backlog the router
-        column holds.  Call it before reading any row; a view is built
+        column holds.  Every load written widens the skew bound
+        ``hi``/``lo``.  Call it before reading any row; a view is built
         by :meth:`_view` on first read after its drop here.
         """
         params = self._params
@@ -720,11 +761,16 @@ class ReplicaSet:
             backlog = replica.expected_remaining_seconds()
             self.arrays.refill(index, backlog, replica.num_active)
             if params is not None:
-                self.loads[index] = (
+                load = (
                     replica.clock + (backlog or 0.0)
                     if params[1]
                     else float(replica.outstanding_batches())
                 )
+                self.loads[index] = load
+                if load > self.hi:
+                    self.hi = load
+                if load < self.lo:
+                    self.lo = load
             if self._autoscaler is not None:
                 self.pressure[index] = replica.deadline_pressure()
             self.views[index] = None
@@ -764,8 +810,7 @@ class ReplicaSet:
         record.replica = index
         self.records[job.adapter_id] = record
         self._resync(index)
-        if self._params is not None:
-            self.kernel.post(EventKind.REBALANCE, _RebalancePass())
+        self._check_due = self._params is not None
 
     def _on_wave_close(self, event: Event) -> None:
         """Advance one replica's serving loop by one iteration."""
@@ -780,43 +825,72 @@ class ReplicaSet:
             self._evacuate_movable(index)
             if not self.replicas[index].has_work():
                 self._complete_retirement(index, event.time, reclaim=True)
-        if self._params is not None:
-            self.kernel.post(EventKind.REBALANCE, _RebalancePass())
+        self._check_due = self._params is not None
 
     def _on_rebalance(self, event: Event) -> bool:
-        """One skew check of the pass in flight; post the action it picks."""
-        assert self._params is not None  # only posted when rebalancing is on
+        """Check again after a migration or drain of the pass in flight."""
+        return self._check_rebalance(event.payload)
+
+    def _check_rebalance(self, state: _RebalancePass | None) -> bool:
+        """One skew check of a rebalance pass; post the action it picks.
+
+        ``state`` is the pass in flight, or ``None`` for a pass's first
+        check: a pass is created only once it acts.  The check refreshes
+        the stale rows and tests the bound first.  ``hi - lo`` is never
+        below the routable rows' true skew, so when it is within the
+        threshold a scan would find nothing to do either, and the check
+        ends.  Otherwise it scans the routable rows, resets the bound to
+        their exact extremes and, if the skew still exceeds the
+        threshold, plans.  ``True`` when it posted a migration or drain.
+        """
+        assert self._params is not None  # only run when rebalancing is on
         threshold, seconds_mode = self._params
-        state = event.payload
-        routable = self._routable()
         self._refresh()
+        if self.hi - self.lo <= threshold:
+            return False
+        routable = self._routable()
+        if len(routable) == len(self.replicas):
+            indices, rows = None, self.loads
+        else:
+            indices, rows = routable, self.loads[self._routable_rows]
+        self.hi = float(rows.max(initial=-math.inf))
+        self.lo = float(rows.min(initial=math.inf))
+        if self.hi - self.lo <= threshold:
+            return False
         action = self._plan_rebalance(
             self.loads,
             threshold,
             seconds_mode,
-            state.moved,
-            state.drained,
-            None if len(routable) == len(self.replicas) else routable,
+            _NOTHING if state is None else state.moved,
+            _NOTHING if state is None else state.drained,
+            indices,
         )
         if action is None:
             return False
         kind = EventKind.MIGRATION if action[0] == "migrate" else EventKind.FLUSH
-        self.kernel.post(kind, action[1:] + (state,))
+        self.kernel.post(kind, action[1:] + (state or _RebalancePass(),))
         return True
+
+    # A check plans over the routable replicas, but a scale-down retire
+    # the probe posted before the check ran pops ahead of the planned
+    # move or drain.  A plan whose source or target that retire took out
+    # of the fleet is stale: it is dropped, and the pass checks again.
 
     def _on_migration(self, event: Event) -> None:
         adapter_id, source, target, state = event.payload
         state.moved.add(adapter_id)
-        self._migrate(adapter_id, source, target)
-        self._resync(source)
-        self._resync(target)
+        if source not in self._unroutable and target not in self._unroutable:
+            self._migrate(adapter_id, source, target)
+            self._resync(source)
+            self._resync(target)
         self.kernel.post(EventKind.REBALANCE, state)
 
     def _on_flush(self, event: Event) -> None:
         source, migrant, state = event.payload
         state.drained.add(source)
-        self._apply_drain(source, migrant)
-        self._resync(source)
+        if source not in self._unroutable:
+            self._apply_drain(source, migrant)
+            self._resync(source)
         self.kernel.post(EventKind.REBALANCE, state)
 
     # -- handlers: scale events ---------------------------------------------
@@ -980,6 +1054,12 @@ class ReplicaSet:
         self._routable_cache = None
 
 
+def _require_job(job: object) -> None:
+    """Refuse anything but a :class:`~repro.serve.jobs.ServeJob`."""
+    if not isinstance(job, ServeJob):
+        raise ScheduleError(f"expected a ServeJob, got {job!r}")
+
+
 def _pick_migrant(
     candidates: list[tuple[int, int, float | None, bool]],
     skew: float,
@@ -1084,11 +1164,14 @@ class FleetSession:
         """Schedule one live submission at its ``arrival_time``.
 
         Raises:
-            ScheduleError: On a duplicate adapter id, an arrival behind
-                a frontier already pumped, or a finished session.
+            ScheduleError: On anything but a
+                :class:`~repro.serve.jobs.ServeJob`, a duplicate adapter
+                id, an arrival behind a frontier already pumped, or a
+                finished session.
         """
         if self._finished is not None:
             raise ScheduleError("the fleet session is finished")
+        _require_job(job)
         if job.adapter_id in self._ids:
             raise ScheduleError(
                 f"duplicate adapter id in session: {job.adapter_id}"

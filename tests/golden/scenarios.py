@@ -246,7 +246,8 @@ def one_sample_jobs(count, seed):
     ]
 
 
-def elastic(initial_pools, slots=4, **scaler_kwargs):
+def elastic(initial_pools, slots=4, migration_time_threshold=30.0,
+            **scaler_kwargs):
     """A fresh autoscaled fleet over the a100 / l40s-spot pools."""
     kwargs = dict(
         pools=(ON_DEMAND, SPOT),
@@ -268,7 +269,7 @@ def elastic(initial_pools, slots=4, **scaler_kwargs):
             estimator=estimator,
         ),
         routing=CostAwareRouting(estimator),
-        migration_time_threshold=30.0,
+        migration_time_threshold=migration_time_threshold,
         autoscaler=FleetAutoscaler(**kwargs),
         executor_factory=lambda pool: StreamingSimExecutor(
             LayerCostModel(LLAMA3_8B, get_gpu(pool.gpu), strategy="fused_multi"),

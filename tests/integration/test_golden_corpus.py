@@ -30,3 +30,12 @@ def test_corpus_covers_every_scenario():
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
 def test_scenario_replays_its_digests(scenario):
     assert entry(*scenario.run()) == CORPUS[scenario.name]
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_every_rebalance_event_continues_a_pass_that_acted(name):
+    # A pass's first check runs in the pump, not as an event; only a
+    # migration or a drain posts the REBALANCE that checks again.
+    events = CORPUS[name]["events_processed"]
+    acted = events.get("MIGRATION", 0) + events.get("FLUSH", 0)
+    assert events.get("REBALANCE", 0) == acted

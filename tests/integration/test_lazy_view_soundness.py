@@ -8,10 +8,12 @@ sound only if every mutation reaches ``stale`` -- including the
 calibration case, where a wave closing on one replica reprices a
 migrant now hosted on another.  This oracle audits each arrival and
 each autoscaler probe of the golden scenarios that exercise those
-paths (a calibrated fixed fleet that reroutes, the autoscaler's join,
-retire and reclaim scenarios, a live gateway session), of a calibrated
-fleet whose drains move active jobs between waves, and of an elastic
-fleet whose queued deadline jobs are priced as missed:
+paths (a calibrated fixed fleet that reroutes, two batch-count
+rebalancing fleets, the autoscaler's join, retire and reclaim
+scenarios, a live gateway session), of a calibrated fleet whose drains
+move active jobs between waves, of an elastic fleet whose queued
+deadline jobs are priced as missed, and of an elastic fleet that
+migrates while it joins, retires and is reclaimed:
 
 * every row the set holds fresh equals the row derived from a fresh
   :meth:`~repro.serve.ReplicaSet._replica_view` -- and the router is
@@ -22,19 +24,35 @@ fleet whose queued deadline jobs are priced as missed:
   every fresh pressure equals a fresh ``deadline_pressure()``;
 * the ``(backlog, pressure)`` each probe hands the autoscaler's
   ``plan`` equals a direct read of every routable replica;
-* every view the router reads equals an eager rebuild.
+* every view the router reads equals an eager rebuild;
+* after every pumped event, the rebalance skew bound covers every fresh
+  routable load (``lo <= load <= hi``), and every scan that plans a
+  move starts from the routable rows' exact extremes.
+
+The bound lets a rebalance check that cannot act skip the scan, and the
+pump runs a pass's first check itself instead of posting it.  Both are
+checked against the protocol they replace: every scenario, served with
+a scan on every check or with every first check posted as a
+``REBALANCE`` event, moves the same jobs to the same records.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from collections import Counter
 from collections.abc import Sequence
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.serve import (
     CostAwareRouting,
+    EventKernel,
+    EventKind,
     FleetAutoscaler,
+    ReclamationNotice,
     ReplicaView,
     ServeJob,
     TenantRouter,
@@ -45,10 +63,16 @@ from tests.golden.scenarios import (
     MIXED,
     SCENARIOS,
     elastic,
+    entry,
     fleet,
     make_jobs,
+    one_sample_jobs,
     priced,
 )
+
+CORPUS = json.loads(
+    (Path(__file__).resolve().parents[1] / "golden/fleet_corpus.json").read_text()
+)["scenarios"]
 
 
 def calibrated_active_migration():
@@ -84,13 +108,34 @@ def elastic_deadline_pressure():
     return replica_set, replica_set.run(workload)
 
 
+def elastic_rebalancing():
+    """An elastic fleet that migrates while it joins, retires and is
+    reclaimed.
+
+    A small seconds threshold makes the rebalancer act, and with no
+    cooldown the autoscaler can act again at the very instant a check
+    posts a move -- so the held placements and probe the pump runs
+    after an acting check are live work here.
+    """
+    notice = ReclamationNotice(time=0.01, count=1, deadline=0.05)
+    workload = poisson_workload(one_sample_jobs(80, 23), rate=200.0, rng=9)
+    replica_set = elastic(
+        ("a100", "l40s-spot", "l40s-spot"), slots=2,
+        migration_time_threshold=0.05, cooldown=0.0, reclamations=(notice,),
+    )
+    return replica_set, replica_set.run(workload)
+
+
 AUDITED = {
     "calibrated-active-migration": calibrated_active_migration,
     "elastic-deadline-pressure": elastic_deadline_pressure,
+    "elastic-rebalancing": elastic_rebalancing,
     **{
         scenario.name: scenario.run
         for scenario in SCENARIOS
         if scenario.name in (
+            "active-migration",
+            "batch-skew-rebalance",
             "cost-aware-calibrated",
             "autoscale-join-retire",
             "spot-reclaim-forced",
@@ -134,14 +179,47 @@ class AuditedViews(Sequence):
         return (self._check(view) for view in self._views)
 
 
+def audit_bound(fleet, tally):
+    """The skew bound covers every fresh routable load."""
+    if fleet._params is None:
+        return
+    for index in fleet._routable():
+        if index not in fleet.stale:
+            load = fleet.loads[index]
+            assert fleet.lo <= load <= fleet.hi, (index, fleet.lo, load, fleet.hi)
+    tally["bounds"] += 1
+
+
 @pytest.fixture
 def audit(monkeypatch):
     """Patch the arrival and probe paths to audit every route and every
-    autoscaler plan; yields the tallies."""
+    autoscaler plan, the kernel to audit the skew bound after every
+    event, and the rebalance planner to audit every scan; yields the
+    tallies."""
     tally: Counter = Counter()
     current: dict = {}
     on_arrival, route = ReplicaSet._on_arrival, TenantRouter.route
     probe, plan = ReplicaSet._probe_autoscaler, FleetAutoscaler.plan
+    pump, pop_until = ReplicaSet._pump, EventKernel.pop_until
+    plan_rebalance = ReplicaSet._plan_rebalance
+
+    def audited_pump(self, frontier):
+        current["fleet"] = self
+        return pump(self, frontier)
+
+    def audited_pop_until(self, frontier=math.inf):
+        # The pump pops once more after each event is fully handled:
+        # its check and settle are done, so the bound must hold.
+        fleet = current.get("fleet")
+        if fleet is not None and fleet.kernel is self:
+            audit_bound(fleet, tally)
+        return pop_until(self, frontier)
+
+    def audited_plan_rebalance(self, loads, *args):
+        rows = np.asarray(loads)[self._routable()]
+        assert (self.hi, self.lo) == (rows.max(), rows.min()), (self.hi, self.lo)
+        tally["scans"] += 1
+        return plan_rebalance(self, loads, *args)
 
     def audited_arrival(self, event):
         current["fleet"] = self
@@ -195,6 +273,9 @@ def audit(monkeypatch):
         tally["pressured_probes"] += pressure > 0
         return plan(self, now, loads, pressure)
 
+    monkeypatch.setattr(ReplicaSet, "_pump", audited_pump)
+    monkeypatch.setattr(EventKernel, "pop_until", audited_pop_until)
+    monkeypatch.setattr(ReplicaSet, "_plan_rebalance", audited_plan_rebalance)
     monkeypatch.setattr(ReplicaSet, "_on_arrival", audited_arrival)
     monkeypatch.setattr(ReplicaSet, "_probe_autoscaler", audited_probe)
     monkeypatch.setattr(TenantRouter, "route", audited_route)
@@ -217,9 +298,13 @@ def test_cached_rows_and_read_views_equal_a_fresh_rebuild(audit, name):
         assert result.joins + result.reclaims > 0
     if name == "elastic-deadline-pressure":
         assert result.joins > 0 and audit["pressured_probes"] > 0
+    if name == "elastic-rebalancing":
+        assert result.migrations + result.reroutes > 0
+        assert result.joins > 0 and result.retires > 0 and result.reclaims > 0
     if name in (
         "autoscale-join-retire",
         "elastic-deadline-pressure",
+        "elastic-rebalancing",
         "spot-reclaim-forced",
         "reclaim-holds-ticket",
         "gateway-session",
@@ -235,3 +320,91 @@ def test_views_are_read_only_where_a_policy_needs_them(audit):
     AUDITED["cost-aware-calibrated"]()
     assert audit["arrivals"] > 0
     assert audit["views"] == 0
+
+
+@pytest.mark.parametrize("name", sorted(AUDITED))
+def test_the_skew_bound_covers_every_fresh_routable_load(audit, name):
+    replica_set, result = AUDITED[name]()
+    assert replica_set._rebalance_params() is not None
+    assert audit["bounds"] > 0
+    events = result.events_processed
+    if events.get("MIGRATION", 0) + events.get("FLUSH", 0):
+        assert audit["scans"] > 0
+
+
+def scan_every_check(monkeypatch):
+    """Void the bound after every refresh, so every check scans."""
+    refresh = ReplicaSet._refresh
+
+    def refresh_and_void(self):
+        refresh(self)
+        self.hi = math.inf
+
+    monkeypatch.setattr(ReplicaSet, "_refresh", refresh_and_void)
+
+
+def post_every_check(monkeypatch):
+    """Post every first check as a ``REBALANCE`` event that scans.
+
+    The protocol the pump's own check replaces: the posted check pops
+    after the handler's held placements and probe, and an acting one
+    is followed by a second round of them like any other event.
+    """
+    scan_every_check(monkeypatch)
+    for name in ("_on_arrival", "_on_wave_close"):
+        handler = getattr(ReplicaSet, name)
+
+        def posting(self, event, handler=handler):
+            handler(self, event)
+            if self._check_due:
+                self._check_due = False
+                self.kernel.post(EventKind.REBALANCE, None)
+
+        monkeypatch.setattr(ReplicaSet, name, posting)
+
+
+REFERENCES = {
+    "scan-every-check": scan_every_check,
+    "post-every-check": post_every_check,
+}
+
+
+def outcome(digests):
+    """What a rebalance protocol must not change: records, fleet, moves."""
+    events = digests["events_processed"]
+    moves = {kind: events.get(kind, 0) for kind in ("MIGRATION", "FLUSH")}
+    return digests["records_sha256"], digests["fleet_sha256"], moves
+
+
+@pytest.mark.parametrize("reference", sorted(REFERENCES))
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
+def test_golden_scenarios_replay_under_the_reference_check(
+    monkeypatch, reference, scenario
+):
+    REFERENCES[reference](monkeypatch)
+    assert outcome(entry(*scenario.run())) == outcome(CORPUS[scenario.name])
+
+
+def probe_log(monkeypatch):
+    """Log every autoscaler probe: its time and the tickets held then."""
+    log = []
+    probe = ReplicaSet._probe_autoscaler
+
+    def logged(self, time):
+        log.append((time, len(self._held)))
+        return probe(self, time)
+
+    monkeypatch.setattr(ReplicaSet, "_probe_autoscaler", logged)
+    return log
+
+
+@pytest.mark.parametrize("reference", sorted(REFERENCES))
+def test_elastic_rebalancing_matches_the_reference_check(monkeypatch, reference):
+    # The autoscaler is stateful, so it must also be probed exactly as
+    # often: after every event, and again after every check that acts.
+    probes = probe_log(monkeypatch)
+    want = outcome(entry(*elastic_rebalancing())), list(probes)
+    probes.clear()
+    REFERENCES[reference](monkeypatch)
+    assert (outcome(entry(*elastic_rebalancing())), probes) == want
+    assert want[0][2]["MIGRATION"] > 0

@@ -24,6 +24,7 @@ from repro.serve import (
     StreamingSimExecutor,
     poisson_workload,
 )
+from tests.golden.scenarios import elastic, one_sample_jobs
 from tests.helpers import fingerprint
 
 NUM_STAGES = 2
@@ -314,6 +315,40 @@ class TestElasticFleet:
         assert result.gpu_seconds == 0.0
         assert result.dollars_spent == 0.0
         assert result.joins == result.retires == result.reclaims == 0
+
+
+class TestRebalanceUnderScaleDown:
+    """A scale-down retire the probe posts just before a rebalance check
+    runs ahead of the move that check plans.  A plan whose source or
+    target the retire took out of the fleet is dropped, never applied:
+    applied, it either ejected a job the evacuation had already moved
+    (a crash) or landed one on the retired replica, which went on
+    serving it unbilled."""
+
+    @pytest.mark.parametrize(
+        "seed, rate, threshold, slots",
+        [(3, 200.0, 0.02, 1), (0, 400.0, 0.1, 2)],
+        ids=["source-retired", "target-retired"],
+    )
+    def test_no_job_lands_on_a_replica_that_left_the_fleet(
+        self, monkeypatch, seed, rate, threshold, slots
+    ):
+        landed = []
+        land = ReplicaSet._land
+
+        def checked_land(self, ticket, target):
+            landed.append(target in self._unroutable)
+            return land(self, ticket, target)
+
+        monkeypatch.setattr(ReplicaSet, "_land", checked_land)
+        workload = poisson_workload(one_sample_jobs(60, 23), rate=rate, rng=seed)
+        replica_set = elastic(
+            ("a100",), slots=slots, migration_time_threshold=threshold
+        )
+        result = replica_set.run(workload)
+        assert result.retires > 0 and result.events_processed["MIGRATION"] > 0
+        assert landed and not any(landed)
+        assert all(r.finish_time is not None for r in result.records.values())
 
 
 class TestSpotReclamation:

@@ -2,19 +2,21 @@
 
 A NaN passes every ``x < 0`` range check (comparisons with NaN are
 false), and an infinity is no sane rate, time or price; both must stop
-at the boundary as :class:`~repro.errors.ScheduleError`.  ``None`` keeps
-meaning "off" wherever a knob is optional.
+at the boundary as :class:`~repro.errors.ScheduleError`, and so must a
+value that is no number at all.  ``None`` keeps meaning "off" wherever
+a knob is optional.
 """
 
 import math
 
 import pytest
 
+from repro.data import synthetic_dataset
 from repro.errors import ScheduleError
 from repro.gpu import H100
 from repro.models.config import LLAMA3_8B
 from repro.models.layer_costs import LayerCostModel
-from repro.scheduler import SchedulerConfig
+from repro.scheduler import AdapterJob, SchedulerConfig
 from repro.serve import (
     CapacityPool,
     CostEstimator,
@@ -26,9 +28,11 @@ from repro.serve import (
     ReclamationNotice,
     ReplicaSetConfig,
     ServeConfig,
+    ServeJob,
     SlotAdmission,
     SRPTOrdering,
 )
+from repro.tune import SLOTarget
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -99,6 +103,47 @@ FIELDS = [
 def test_non_finite_field_is_rejected(build, name, value):
     with pytest.raises(ScheduleError):
         build(**{name: value})
+
+
+JOB = AdapterJob(0, synthetic_dataset(0, "xsum", 2, seed=0), 1)
+
+
+def serve_job(**overrides):
+    return ServeJob(**{"job": JOB, "arrival_time": 0.0, **overrides})
+
+
+def slo_target(**overrides):
+    return SLOTarget(**{"max_mean_jct": 10.0, **overrides})
+
+
+#: Every field above, plus the job and tuner knobs, refused as a string.
+TYPED_FIELDS = FIELDS + [
+    (serve_job, "arrival_time"),
+    (serve_job, "deadline"),
+    (slo_target, "max_mean_jct"),
+    (slo_target, "max_dollars"),
+]
+
+
+#: ServeConfig's gateway knobs are checked as the GatewayLimits fields
+#: they build, and named so.
+GATEWAY_NAMES = {
+    "gateway_rate": "rate",
+    "gateway_burst": "burst",
+    "gateway_fairness": "fairness_share",
+    "gateway_hold": "ingress_hold",
+}
+
+
+@pytest.mark.parametrize(
+    "build, name", TYPED_FIELDS, ids=[f"{b.__name__}.{n}" for b, n in TYPED_FIELDS]
+)
+def test_a_field_that_is_no_number_is_refused_by_name(build, name):
+    # math.isfinite("1") raises a bare TypeError; the boundary turns it
+    # into the package's typed refusal, naming the field.
+    named = GATEWAY_NAMES.get(name, name)
+    with pytest.raises(ScheduleError, match=f"^{named} must be a real number"):
+        build(**{name: "1"})
 
 
 @pytest.mark.parametrize(

@@ -146,6 +146,19 @@ class TestReplicaSetServing:
         assert sorted(result.records) == [0, 1]
         assert all(r.finish_time is not None for r in result.records.values())
 
+    @pytest.mark.parametrize(
+        "workload", [None, 7, [1, 2], ["job"]],
+        ids=["none", "int", "ints", "strs"],
+    )
+    def test_a_malformed_workload_is_refused_before_the_shot(self, workload):
+        # Not an iterable, or items that are no ServeJob: a typed
+        # refusal, and the set's single run is still unused.
+        replica_set = make_set(2)
+        with pytest.raises(ScheduleError, match="ServeJob"):
+            replica_set.run(workload)
+        result = replica_set.run(poisson(make_jobs(2)))
+        assert sorted(result.records) == [0, 1]
+
     def test_kernel_is_empty_after_a_run(self):
         # Every wave close is handed out before its replica steps; the
         # kernel must not count it live again when the replica resyncs.
@@ -226,6 +239,18 @@ class TestFleetSession:
         assert session.record(0) is None  # nothing was pumped
         session.advance(math.inf)
         assert session.record(0).finish_time is not None
+
+    @pytest.mark.parametrize(
+        "job", [1, None, "job", make_jobs(1)[0]],
+        ids=["int", "none", "str", "adapter-job"],
+    )
+    def test_ingesting_anything_but_a_serve_job_is_refused(self, job):
+        # A bare AdapterJob, too: it carries no arrival stamp.
+        session = make_set(2).open_session()
+        with pytest.raises(ScheduleError, match="ServeJob"):
+            session.ingest(job)
+        session.ingest(ServeJob(job=make_jobs(1)[0], arrival_time=0.0))
+        assert session.finish().records[0].finish_time is not None
 
     def test_session_consumes_the_single_shot(self):
         replica_set = make_set(1)
