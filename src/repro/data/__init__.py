@@ -13,7 +13,6 @@ from repro.data.distributions import (
     list_distributions,
 )
 from repro.data.packing import (
-    LengthHistogram,
     Pack,
     PaddedBatch,
     greedy_knapsack,
@@ -27,7 +26,6 @@ __all__ = [
     "CNN_DAILYMAIL",
     "FinetuneDataset",
     "LengthDistribution",
-    "LengthHistogram",
     "MIXED",
     "MixtureDistribution",
     "Pack",

@@ -11,11 +11,9 @@
   token counts become variable -- which is precisely the load-imbalance
   problem (Figure 6) the LoRAFusion scheduler solves.
 * **Knapsack assembly** (length-aware streaming packing): samples are
-  grouped by first-fit-decreasing over length buckets
-  (:func:`greedy_knapsack`), so each knapsack's token total approaches
-  capacity instead of tracking arrival order.  :class:`LengthHistogram`
-  is the admission-side view of the same idea: a bucketed length census
-  cheap enough to maintain per tenant as samples stream in.
+  grouped by first-fit-decreasing on length (:func:`greedy_knapsack`),
+  so each knapsack's token total approaches capacity instead of
+  tracking arrival order.
 
 The paper adopts on-the-fly packing throughout; the serve layer
 (``docs/serving.md``, "Length-aware packing") builds its knapsack wave
@@ -30,7 +28,6 @@ from dataclasses import dataclass
 from repro.errors import ReproError
 
 __all__ = [
-    "LengthHistogram",
     "PaddedBatch",
     "Pack",
     "greedy_knapsack",
@@ -147,79 +144,13 @@ def onthefly_microbatches(
     ]
 
 
-@dataclass(frozen=True)
-class LengthHistogram:
-    """A bucketed length census: the admission-side length profile.
+def greedy_knapsack(lengths: list[int], capacity: int) -> list[list[int]]:
+    """Length-aware knapsack assembly: classic first-fit-decreasing.
 
-    Counts samples per ``bucket_width``-sized length bucket (bucket ``i``
-    covers lengths in ``(i * bucket_width, (i + 1) * bucket_width]``).
-    Cheap to maintain as samples stream in and cheap to merge across
-    tenants, which is all knapsack admission needs: the histogram of the
-    co-resident set predicts how well length distributions interleave
-    without keeping every raw length around.
-    """
-
-    bucket_width: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.bucket_width <= 0:
-            raise ReproError(
-                f"bucket_width must be positive, got {self.bucket_width}"
-            )
-        if any(c < 0 for c in self.counts):
-            raise ReproError(f"negative bucket count in {self.counts}")
-
-    @classmethod
-    def from_lengths(
-        cls, lengths: list[int], bucket_width: int
-    ) -> "LengthHistogram":
-        """Census ``lengths`` into ``bucket_width``-sized buckets."""
-        if bucket_width <= 0:
-            raise ReproError(f"bucket_width must be positive, got {bucket_width}")
-        if any(l <= 0 for l in lengths):
-            raise ReproError("sample lengths must be positive")
-        if not lengths:
-            return cls(bucket_width=bucket_width, counts=())
-        buckets = [(l - 1) // bucket_width for l in lengths]
-        counts = [0] * (max(buckets) + 1)
-        for b in buckets:
-            counts[b] += 1
-        return cls(bucket_width=bucket_width, counts=tuple(counts))
-
-    @property
-    def num_samples(self) -> int:
-        """Total samples censused."""
-        return sum(self.counts)
-
-    def merged(self, other: "LengthHistogram") -> "LengthHistogram":
-        """The census of both sample sets (bucket widths must match)."""
-        if other.bucket_width != self.bucket_width:
-            raise ReproError(
-                "cannot merge histograms with bucket widths "
-                f"{self.bucket_width} and {other.bucket_width}"
-            )
-        n = max(len(self.counts), len(other.counts))
-        mine = self.counts + (0,) * (n - len(self.counts))
-        theirs = other.counts + (0,) * (n - len(other.counts))
-        return LengthHistogram(
-            bucket_width=self.bucket_width,
-            counts=tuple(m + t for m, t in zip(mine, theirs)),
-        )
-
-
-def greedy_knapsack(
-    lengths: list[int], capacity: int, bucket_width: int = 1
-) -> list[list[int]]:
-    """Length-aware knapsack assembly: first-fit-decreasing over buckets.
-
-    Samples are sorted by bucketed length descending (ties broken by true
-    length descending, then original index ascending -- fully
-    deterministic) and each is placed into the first open knapsack whose
-    *true* remaining capacity fits it, opening a new knapsack when none
-    does.  With ``bucket_width=1`` this is classic FFD; a coarser width
-    makes same-bucket samples interchangeable so the sort matches the
-    admission histogram's resolution.
+    Samples are sorted by length descending (ties broken by original
+    index ascending -- fully deterministic) and each is placed into the
+    first open knapsack whose remaining capacity fits it, opening a new
+    knapsack when none does.
 
     Returns:
         Knapsacks in creation order, each a list of indices into
@@ -228,8 +159,6 @@ def greedy_knapsack(
     """
     if capacity <= 0:
         raise ReproError(f"capacity must be positive, got {capacity}")
-    if bucket_width <= 0:
-        raise ReproError(f"bucket_width must be positive, got {bucket_width}")
     for length in lengths:
         if length <= 0:
             raise ReproError(f"sample length {length} must be positive")
@@ -237,10 +166,7 @@ def greedy_knapsack(
             raise ReproError(
                 f"sample length {length} exceeds capacity {capacity}"
             )
-    order = sorted(
-        range(len(lengths)),
-        key=lambda i: (-((lengths[i] - 1) // bucket_width), -lengths[i], i),
-    )
+    order = sorted(range(len(lengths)), key=lambda i: (-lengths[i], i))
     knapsacks: list[list[int]] = []
     remaining: list[int] = []
     for i in order:

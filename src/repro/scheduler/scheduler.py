@@ -178,25 +178,25 @@ class MultiLoRAScheduler:
         self.config = config
 
     def _packing_tasks(self, groups: list[list[AdapterJob]]):
-        """One packing task per (group, global-batch step)."""
+        """One packing task per (group, global-batch step).
+
+        Step ``j`` of a job is the slice ``samples[j*gbs:(j+1)*gbs]`` of
+        its dataset; a job with fewer steps than its group adds nothing
+        to the later ones.
+        """
         cfg = self.config
         tasks = []
         for group_index, group in enumerate(groups):
-            batches_per_job = {
-                job.adapter_id: job.dataset.global_batches(job.global_batch_size)
-                for job in group
-            }
-            offsets = {job.adapter_id: job.batch_offset for job in group}
-            num_steps = max(len(b) for b in batches_per_job.values())
+            num_steps = max(job.num_global_batches() for job in group)
             for step in range(num_steps):
                 samples: list[tuple[Sample, int]] = []
                 for job in group:
-                    batches = batches_per_job[job.adapter_id]
-                    if step < len(batches):
-                        samples.extend(
-                            (sample, offsets[job.adapter_id] + step)
-                            for sample in batches[step]
-                        )
+                    start = step * job.global_batch_size
+                    end = start + job.global_batch_size
+                    label = job.batch_offset + step
+                    samples.extend(
+                        (sample, label) for sample in job.dataset.samples[start:end]
+                    )
                 if samples:
                     tasks.append(
                         (

@@ -85,6 +85,16 @@ ORDERING_POLICIES = ("fcfs", "srpt", "priority", "deadline")
 #: deterministic token-mass knapsacks with sticky head-tail groups.
 PACKING_SCHEMES = ("arrival", "knapsack")
 
+#: The :class:`~repro.serve.gateway.GatewayLimits` field each of
+#: :class:`ServeConfig`'s gateway knobs builds.
+_GATEWAY_FIELDS = {
+    "queue_bound": "gateway_queue_bound",
+    "rate": "gateway_rate",
+    "burst": "gateway_burst",
+    "fairness_share": "gateway_fairness",
+    "ingress_hold": "gateway_hold",
+}
+
 #: Autoscaler control constants used when :attr:`ServeConfig.autoscale_budget`
 #: is set: hysteresis band (seconds of backlog), provisioning latency, and
 #: decision cooldown, sized for the short virtual-time traces the tuner
@@ -238,9 +248,14 @@ class ServeConfig:
                     "autoscale_budget cannot cover the initial fleet "
                     f"({self.autoscale_budget} < {committed} $/hour)"
                 )
-        # GatewayLimits owns the gateway-knob invariants; constructing it
-        # here validates the bundle's gateway fields in one place.
-        self.gateway_limits()
+        # GatewayLimits owns the gateway-knob invariants and opens every
+        # refusal with its own field's name; re-raise it under the name
+        # of the knob the caller set here.
+        try:
+            self.gateway_limits()
+        except ScheduleError as error:
+            name, rest = str(error).split(" ", 1)
+            raise ScheduleError(f"{_GATEWAY_FIELDS.get(name, name)} {rest}") from None
 
     # -- serialization ------------------------------------------------------
 
@@ -398,11 +413,7 @@ class ServeConfig:
         """The bundle's gateway knobs as a
         :class:`~repro.serve.gateway.GatewayLimits` (validated there)."""
         return GatewayLimits(
-            queue_bound=self.gateway_queue_bound,
-            rate=self.gateway_rate,
-            burst=self.gateway_burst,
-            fairness_share=self.gateway_fairness,
-            ingress_hold=self.gateway_hold,
+            **{field: getattr(self, knob) for field, knob in _GATEWAY_FIELDS.items()}
         )
 
     def build_gateway(

@@ -204,47 +204,43 @@ class StreamingSimExecutor:
         self._stream = PipelineStream(num_stages)
         self.cost = cost
         self.num_stages = num_stages
-        self._remaining: dict[tuple[int, int], int] = {}
+        # Per job, samples each not-yet-stepped global batch still owes:
+        # {adapter: {batch: n}}; a batch leaves its map when it steps.
+        self._remaining: dict[int, dict[int, int]] = {}
 
     # -- protocol -----------------------------------------------------------
 
     def add_job(self, job: ServeJob) -> None:
         aid = job.adapter_id
-        if any(key[0] == aid for key in self._remaining):
+        if aid in self._remaining:
             raise SimulationError(f"job {aid} already registered")
-        batches = job.job.dataset.global_batches(job.job.global_batch_size)
-        for b, batch in enumerate(batches):
-            self._remaining[(aid, b)] = len(batch)
+        # Global batch b holds samples [b*gbs, (b+1)*gbs); the last may be short.
+        n, gbs = len(job.job.dataset), job.job.global_batch_size
+        self._remaining[aid] = {
+            b: min(gbs, n - b * gbs) for b in range(job.job.num_global_batches())
+        }
 
     def remove_job(self, adapter_id: int) -> None:
-        for key in [k for k in self._remaining if k[0] == adapter_id]:
-            del self._remaining[key]
+        self._remaining.pop(adapter_id, None)
         self._stream.forget(adapter_id)
 
     def export_job(self, adapter_id: int) -> object:
         """Snapshot the job's not-yet-stepped global-batch counters."""
-        if not any(key[0] == adapter_id for key in self._remaining):
+        if adapter_id not in self._remaining:
             raise SimulationError(f"job {adapter_id} is not registered")
-        return {
-            "remaining": {
-                key[1]: count
-                for key, count in self._remaining.items()
-                if key[0] == adapter_id
-            }
-        }
+        return {"remaining": dict(self._remaining[adapter_id])}
 
     def import_job(self, job: ServeJob, payload: object) -> None:
         """Register a migrated job's remaining batches on this simulator."""
         aid = job.adapter_id
-        if any(key[0] == aid for key in self._remaining):
+        if aid in self._remaining:
             raise SimulationError(f"job {aid} already registered")
         if not isinstance(payload, dict) or "remaining" not in payload:
             raise SimulationError(
                 f"job {aid} payload is not a simulator snapshot; it was "
                 "exported by a different executor kind"
             )
-        for batch, count in payload["remaining"].items():
-            self._remaining[(aid, batch)] = count
+        self._remaining[aid] = dict(payload["remaining"])
 
     def submit(self, microbatch: Microbatch) -> list[StepEvent]:
         if microbatch.is_noop:
@@ -252,11 +248,11 @@ class StreamingSimExecutor:
             return self._steps(self._stream.submit(zeros, zeros, {}))
         fwd, bwd = stage_times(self.cost, microbatch.shape(), self.num_stages)
         counts = Counter((a.adapter_id, a.global_batch) for a in microbatch.assignments)
-        for key in counts:
-            if key not in self._remaining:
+        for aid, batch in counts:
+            if batch not in self._remaining.get(aid, ()):
                 raise SimulationError(
-                    f"microbatch references adapter {key[0]} global "
-                    f"batch {key[1]}, which no registered job owns; "
+                    f"microbatch references adapter {aid} global "
+                    f"batch {batch}, which no registered job owns; "
                     "call add_job first"
                 )
         return self._steps(self._stream.submit(fwd, bwd, dict(counts)))
@@ -310,10 +306,14 @@ class StreamingSimExecutor:
         events = []
         for batches, end in done:
             # submit feeds the core a dict: batch -> samples carried.
-            for key, count in cast("dict[tuple[int, int], int]", batches).items():
-                self._remaining[key] -= count
-                if self._remaining[key] == 0:
+            for (aid, batch), count in cast(
+                "dict[tuple[int, int], int]", batches
+            ).items():
+                remaining = self._remaining[aid]
+                remaining[batch] -= count
+                if remaining[batch] == 0:
+                    del remaining[batch]
                     events.append(
-                        StepEvent(adapter_id=key[0], global_batch=key[1], time=end)
+                        StepEvent(adapter_id=aid, global_batch=batch, time=end)
                     )
         return events

@@ -65,6 +65,7 @@ import math
 from collections import deque
 import time as _time
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import TYPE_CHECKING, AsyncIterator, Protocol
 
 from repro.errors import ScheduleError, require_finite
@@ -205,8 +206,13 @@ class GatewayLimits:
             fairness_share=self.fairness_share,
             ingress_hold=self.ingress_hold,
         )
-        if self.queue_bound is not None and self.queue_bound < 1:
-            raise ScheduleError("queue_bound must admit at least one job")
+        if self.queue_bound is not None:
+            if not isinstance(self.queue_bound, Integral):
+                raise ScheduleError(
+                    f"queue_bound must be an integer, got {self.queue_bound!r}"
+                )
+            if self.queue_bound < 1:
+                raise ScheduleError("queue_bound must admit at least one job")
         if self.rate is not None and self.rate <= 0:
             raise ScheduleError("rate must be positive")
         if self.burst < 1:

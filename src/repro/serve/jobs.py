@@ -9,6 +9,7 @@ the :class:`~repro.runtime.engine.NumericJob` holding real token arrays.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,34 @@ class ServeJob:
     def adapter_id(self) -> int:
         """The job's adapter identity."""
         return self.job.adapter_id
+
+
+def require_job(job: object) -> ServeJob:
+    """``job`` itself; anything but a :class:`ServeJob` is refused."""
+    if not isinstance(job, ServeJob):
+        raise ScheduleError(f"expected a ServeJob, got {job!r}")
+    return job
+
+
+def workload_jobs(workload: Iterable[object]) -> list[ServeJob]:
+    """``workload`` as a list of :class:`ServeJob` with distinct adapter ids.
+
+    The refusal rule every entry point that takes a whole workload
+    applies before it consumes any state.
+
+    Raises:
+        ScheduleError: On a workload that is not a sequence of
+            :class:`ServeJob`, or on duplicate adapter ids.
+    """
+    try:
+        jobs = [require_job(item) for item in workload]
+    except TypeError:
+        message = f"a workload is a sequence of ServeJob, got {workload!r}"
+        raise ScheduleError(message) from None
+    ids = [job.adapter_id for job in jobs]
+    if len(set(ids)) != len(ids):
+        raise ScheduleError(f"duplicate adapter ids in workload: {ids}")
+    return jobs
 
 
 def poisson_workload(

@@ -43,21 +43,21 @@ even evicted and resumed -- trains exactly as it would alone.
 Every unfinished job is one private record, whichever state it is in:
 queued (pending), preempted (parked) or holding a slot (active).  The
 record carries the job's batch count (fixed at offer), the optimizer
-steps banked, the next batch to schedule, its global batches (built at
-first admission) and, while parked, its exported executor state; the
-work a job still owes is defined once, as batches minus steps banked.
+steps banked, the next batch to schedule and, while parked, its
+exported executor state; the work a job still owes is defined once, as
+batches minus steps banked.  No job's global batches are ever built as
+lists: batch ``j`` is ``samples[j*gbs:(j+1)*gbs]`` of its dataset, so a
+wave's window is one slice of the job's samples.
 A :class:`MigrationTicket` carries the same state between replicas.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterator
 
-from repro.data.dataset import FinetuneDataset, Sample
 from repro.errors import ScheduleError
 from repro.scheduler.bubble import find_violations
 from repro.scheduler.grouping import StickyGrouper
@@ -66,7 +66,7 @@ from repro.scheduler.types import AdapterJob, Microbatch
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.costing import CostEstimator, TenantProfile
 from repro.serve.executors import Executor, StepEvent
-from repro.serve.jobs import ServeJob
+from repro.serve.jobs import ServeJob, workload_jobs
 from repro.serve.metrics import JobRecord, OrchestratorResult
 from repro.serve.ordering import (
     FCFSOrdering,
@@ -212,8 +212,7 @@ class OrchestratorConfig:
 class _Job:
     """Orchestrator-side state of one unfinished job, pending, parked or active.
 
-    ``num_batches`` is fixed at offer; ``batches`` are built at first
-    admission and kept across preemption; ``payload`` holds the executor
+    ``num_batches`` is fixed at offer; ``payload`` holds the executor
     state exported at eviction while the job is parked (or carried in by
     a migration ticket until the job is activated).
     """
@@ -223,7 +222,6 @@ class _Job:
     num_batches: int
     completed: int = 0  # optimizer steps banked
     next_batch: int = 0  # first not-yet-scheduled global batch
-    batches: list[list[Sample]] | None = None
     payload: object | None = None
 
     @property
@@ -312,12 +310,12 @@ class OnlineOrchestrator:
         self._wave_cuts = 0
         self._stats: dict[str, float] = {key: 0.0 for key in _ACCUMULATED_STATS}
         # Knapsack-mode state: the sticky grouper pins group layouts per
-        # live-set membership, and the merge/planned microbatch counters
-        # feed the merge discount folded into wave pricing.
+        # live-set membership, and the merges (in ``_stats``) over the
+        # planned microbatch count feed the merge discount folded into
+        # wave pricing.
         self._grouper = (
             StickyGrouper() if config.packing == "knapsack" else None
         )
-        self._merged_mbs = 0.0
         self._planned_mbs = 0.0
         # Admission interleave hook, resolved once like the gate: only
         # knapsack mode with an estimator consults it, and only when the
@@ -543,10 +541,6 @@ class OnlineOrchestrator:
         else:
             self.executor.import_job(serve_job, job.payload)
             job.payload = None
-        if job.batches is None:
-            job.batches = serve_job.job.dataset.global_batches(
-                serve_job.job.global_batch_size
-            )
         job.next_batch = job.completed
         self._active[serve_job.adapter_id] = job
 
@@ -678,7 +672,7 @@ class OnlineOrchestrator:
             return 0.0
         if self._planned_mbs <= 0:
             return 0.0
-        return min(_MAX_MERGE_DISCOUNT, self._merged_mbs / self._planned_mbs)
+        return min(_MAX_MERGE_DISCOUNT, self._stats["merges"] / self._planned_mbs)
 
     def _wave_price(self, window: int | None) -> float:
         """The estimator's price for the next wave (discount folded in)."""
@@ -715,23 +709,22 @@ class OnlineOrchestrator:
             )
 
     def _window_job(self, state: _Job, window: int | None) -> AdapterJob:
-        """The job's next window as an offset-carrying scheduler job."""
+        """The job's next window as an offset-carrying scheduler job.
+
+        Global batches ``[next_batch, end)`` are one slice of the source
+        job's samples.
+        """
         end = (
             state.num_batches
             if window is None
             else min(state.num_batches, state.next_batch + window)
         )
-        batches = state.batches[state.next_batch : end]
-        source_job = state.serve_job.job
-        dataset = FinetuneDataset(
-            adapter_id=source_job.adapter_id,
-            samples=[sample for batch in batches for sample in batch],
-            source=source_job.dataset.source,
-        )
-        job = AdapterJob(
-            adapter_id=source_job.adapter_id,
-            dataset=dataset,
-            global_batch_size=source_job.global_batch_size,
+        source = state.serve_job.job
+        gbs = source.global_batch_size
+        samples = source.dataset.samples[state.next_batch * gbs : end * gbs]
+        job = replace(
+            source,
+            dataset=replace(source.dataset, samples=samples),
             batch_offset=state.next_batch,
         )
         state.next_batch = end
@@ -771,10 +764,9 @@ class OnlineOrchestrator:
             window = scheduler.assemble(scheduler.plan_step())
         for key in _ACCUMULATED_STATS:
             self._stats[key] += window.stats.get(key, 0.0)
-        # Merge fraction inputs: merges eliminated that many microbatches
-        # from the pre-merge stream, so the pre-merge total is the
-        # emitted count plus the merges.
-        self._merged_mbs += window.stats.get("merges", 0.0)
+        # Merge fraction denominator: merges eliminated that many
+        # microbatches from the pre-merge stream, so the pre-merge total
+        # is the emitted count plus the merges.
         self._planned_mbs += len(window.microbatches) + window.stats.get(
             "merges", 0.0
         )
@@ -838,18 +830,17 @@ class OnlineOrchestrator:
         interruptible = self.config.mid_wave_admission
         if interruptible:
             # Cut-point bookkeeping: a wave may only be cut where every
-            # global batch touched so far is fully submitted.
-            totals: Counter[tuple[int, int]] = Counter(
-                (a.adapter_id, a.global_batch)
-                for mb in microbatches
+            # global batch touched so far is fully submitted, i.e. where
+            # the furthest last position of the batches passed (``reach``)
+            # lies behind.  Only no-ops carry no assignment, so the
+            # largest last position is the last real microbatch.
+            last = {
+                (a.adapter_id, a.global_batch): i
+                for i, mb in enumerate(microbatches)
                 for a in mb.assignments
-            )
-            last_real = max(
-                (i for i, mb in enumerate(microbatches) if not mb.is_noop),
-                default=-1,
-            )
-            seen: Counter[tuple[int, int]] = Counter()
-            open_batches: set[tuple[int, int]] = set()
+            }
+            last_real = max(last.values(), default=-1)
+            reach = -1
         for index, mb in enumerate(microbatches):
             if not mb.is_noop:
                 for adapter_id in {a.adapter_id for a in mb.assignments}:
@@ -860,14 +851,9 @@ class OnlineOrchestrator:
             self._handle_events(self.executor.submit(mb))
             if not interruptible:
                 continue
-            for assignment in mb.assignments:
-                key = (assignment.adapter_id, assignment.global_batch)
-                seen[key] += 1
-                if seen[key] == totals[key]:
-                    open_batches.discard(key)
-                else:
-                    open_batches.add(key)
-            if index < last_real and not open_batches and self._urgent_candidate():
+            for a in mb.assignments:
+                reach = max(reach, last[(a.adapter_id, a.global_batch)])
+            if index < last_real and reach <= index and self._urgent_candidate():
                 self._cut_wave()
                 return
 
@@ -885,19 +871,18 @@ class OnlineOrchestrator:
                 via :meth:`offer`.
 
         Raises:
-            ScheduleError: On double-start or duplicate adapter ids.
+            ScheduleError: On double-start, an item that is not a
+                :class:`~repro.serve.jobs.ServeJob`, or duplicate adapter
+                ids -- the last two before the session is consumed.
         """
         if self._started:
             raise ScheduleError(
                 "OnlineOrchestrator is single-shot (stream and metric "
                 "state are per-run); construct a fresh orchestrator"
             )
+        jobs = workload_jobs(workload or [])
         self._started = True
-        workload = list(workload or [])
-        ids = [job.adapter_id for job in workload]
-        if len(set(ids)) != len(ids):
-            raise ScheduleError(f"duplicate adapter ids in workload: {ids}")
-        for job in workload:
+        for job in jobs:
             self.offer(job)
 
     def offer(self, job: ServeJob) -> JobRecord:

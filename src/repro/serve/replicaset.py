@@ -51,7 +51,7 @@ from repro.errors import ScheduleError, require_finite
 from repro.serve.autoscaler import CapacityPool, FleetAutoscaler
 from repro.serve.events import Event, EventKernel, EventKind
 from repro.serve.executors import Executor
-from repro.serve.jobs import ServeJob
+from repro.serve.jobs import ServeJob, require_job, workload_jobs
 from repro.serve.metrics import JobRecord, ReplicaSetResult
 from repro.serve.orchestrator import (
     MigrationTicket,
@@ -425,17 +425,7 @@ class ReplicaSet:
                 :class:`~repro.serve.jobs.ServeJob`, or duplicate adapter
                 ids -- all before the set's single run is consumed.
         """
-        try:
-            jobs = list(workload)
-        except TypeError:
-            raise ScheduleError(
-                f"a workload is a sequence of ServeJob, got {workload!r}"
-            ) from None
-        for job in jobs:
-            _require_job(job)
-        ids = [job.adapter_id for job in jobs]
-        if len(set(ids)) != len(ids):
-            raise ScheduleError(f"duplicate adapter ids in workload: {ids}")
+        jobs = workload_jobs(workload)
         self._take_shot()
         for job in sorted(jobs, key=lambda job: (job.arrival_time, job.adapter_id)):
             self._ingest(job, EventKind.ARRIVAL)
@@ -1054,12 +1044,6 @@ class ReplicaSet:
         self._routable_cache = None
 
 
-def _require_job(job: object) -> None:
-    """Refuse anything but a :class:`~repro.serve.jobs.ServeJob`."""
-    if not isinstance(job, ServeJob):
-        raise ScheduleError(f"expected a ServeJob, got {job!r}")
-
-
 def _pick_migrant(
     candidates: list[tuple[int, int, float | None, bool]],
     skew: float,
@@ -1171,7 +1155,7 @@ class FleetSession:
         """
         if self._finished is not None:
             raise ScheduleError("the fleet session is finished")
-        _require_job(job)
+        require_job(job)
         if job.adapter_id in self._ids:
             raise ScheduleError(
                 f"duplicate adapter id in session: {job.adapter_id}"

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import (
-    LengthHistogram,
     greedy_knapsack,
     onthefly_microbatches,
     pad_batches,
@@ -73,39 +72,6 @@ class TestOnTheFly:
         assert sum(sum(m) for m in mbs) == sum(LENGTHS)
 
 
-class TestLengthHistogram:
-    def test_buckets_are_left_open(self):
-        hist = LengthHistogram.from_lengths([1, 100, 101, 200, 201], 100)
-        # (0, 100], (100, 200], (200, 300]
-        assert hist.counts == (2, 2, 1)
-        assert hist.num_samples == 5
-
-    def test_empty_lengths_give_empty_counts(self):
-        hist = LengthHistogram.from_lengths([], 64)
-        assert hist.counts == ()
-        assert hist.num_samples == 0
-
-    def test_merged_pads_shorter_counts(self):
-        a = LengthHistogram.from_lengths([50, 150], 100)
-        b = LengthHistogram.from_lengths([250], 100)
-        merged = a.merged(b)
-        assert merged.counts == (1, 1, 1)
-
-    def test_merged_width_mismatch_rejected(self):
-        a = LengthHistogram.from_lengths([50], 100)
-        b = LengthHistogram.from_lengths([50], 64)
-        with pytest.raises(ReproError):
-            a.merged(b)
-
-    def test_nonpositive_length_rejected(self):
-        with pytest.raises(ReproError):
-            LengthHistogram.from_lengths([0], 100)
-
-    def test_bad_bucket_width_rejected(self):
-        with pytest.raises(ReproError):
-            LengthHistogram(bucket_width=0, counts=(1,))
-
-
 class TestGreedyKnapsack:
     def test_first_fit_decreasing(self):
         packs = greedy_knapsack(LENGTHS, capacity=512)
@@ -128,12 +94,6 @@ class TestGreedyKnapsack:
         packs = greedy_knapsack([100, 100, 100], capacity=200)
         assert packs == [[0, 1], [2]]
 
-    def test_bucketing_coarsens_the_sort(self):
-        # With width 1000 every length shares a bucket, so the
-        # secondary exact-length sort still orders them longest-first.
-        packs = greedy_knapsack([100, 300], capacity=1000, bucket_width=1000)
-        assert packs == [[1, 0]]
-
     def test_empty_lengths_give_no_knapsacks(self):
         assert greedy_knapsack([], capacity=512) == []
 
@@ -148,10 +108,6 @@ class TestGreedyKnapsack:
     def test_bad_capacity_rejected(self):
         with pytest.raises(ReproError):
             greedy_knapsack([100], capacity=0)
-
-    def test_bad_bucket_width_rejected(self):
-        with pytest.raises(ReproError):
-            greedy_knapsack([100], capacity=500, bucket_width=0)
 
 
 class TestProperties:
@@ -187,19 +143,14 @@ class TestProperties:
     @given(
         lengths=st.lists(st.integers(1, 500), min_size=0, max_size=50),
         capacity=st.integers(500, 2000),
-        bucket_width=st.sampled_from([1, 64, 128]),
     )
     @settings(max_examples=50, deadline=None)
-    def test_knapsack_is_a_partition_within_capacity(
-        self, lengths, capacity, bucket_width
-    ):
-        packs = greedy_knapsack(lengths, capacity, bucket_width=bucket_width)
+    def test_knapsack_is_a_partition_within_capacity(self, lengths, capacity):
+        packs = greedy_knapsack(lengths, capacity)
         assert sorted(i for p in packs for i in p) == list(range(len(lengths)))
         assert all(sum(lengths[i] for i in p) <= capacity for p in packs)
         # Determinism: a second call reproduces the packing exactly.
-        assert packs == greedy_knapsack(
-            lengths, capacity, bucket_width=bucket_width
-        )
+        assert packs == greedy_knapsack(lengths, capacity)
 
     @given(lengths=st.lists(st.integers(1, 500), min_size=1, max_size=50))
     @settings(max_examples=50, deadline=None)
@@ -208,15 +159,3 @@ class TestProperties:
         capacity = 500
         packs = greedy_knapsack(lengths, capacity)
         assert len(packs) >= -(-sum(lengths) // capacity)
-
-    @given(
-        lengths=st.lists(st.integers(1, 500), min_size=0, max_size=60),
-        width=st.sampled_from([32, 100, 250]),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_histogram_counts_every_sample_once(self, lengths, width):
-        hist = LengthHistogram.from_lengths(lengths, width)
-        assert hist.num_samples == len(lengths)
-        for length in lengths:
-            bucket = (length - 1) // width
-            assert hist.counts[bucket] >= 1

@@ -125,25 +125,32 @@ TYPED_FIELDS = FIELDS + [
 ]
 
 
-#: ServeConfig's gateway knobs are checked as the GatewayLimits fields
-#: they build, and named so.
-GATEWAY_NAMES = {
-    "gateway_rate": "rate",
-    "gateway_burst": "burst",
-    "gateway_fairness": "fairness_share",
-    "gateway_hold": "ingress_hold",
-}
-
-
 @pytest.mark.parametrize(
     "build, name", TYPED_FIELDS, ids=[f"{b.__name__}.{n}" for b, n in TYPED_FIELDS]
 )
 def test_a_field_that_is_no_number_is_refused_by_name(build, name):
     # math.isfinite("1") raises a bare TypeError; the boundary turns it
     # into the package's typed refusal, naming the field.
-    named = GATEWAY_NAMES.get(name, name)
-    with pytest.raises(ScheduleError, match=f"^{named} must be a real number"):
+    with pytest.raises(ScheduleError, match=f"^{name} must be a real number"):
         build(**{name: "1"})
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("gateway_rate", 0.0),
+        ("gateway_burst", 0.5),
+        ("gateway_queue_bound", "3"),
+        ("gateway_queue_bound", 2.5),
+        ("gateway_fairness", 1.5),
+        ("gateway_hold", -1.0),
+    ],
+)
+def test_a_bad_gateway_knob_is_refused_under_its_own_name(name, value):
+    # ServeConfig builds GatewayLimits from these knobs; a refusal must
+    # name the field the caller set, not the GatewayLimits field.
+    with pytest.raises(ScheduleError, match=f"^{name} must "):
+        ServeConfig(**{name: value})
 
 
 @pytest.mark.parametrize(

@@ -171,6 +171,22 @@ class TestServingLoop:
         with pytest.raises(ScheduleError, match="duplicate"):
             make_orchestrator().run(workload)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda job: [1, 2], lambda job: [job, job], lambda job: 7],
+        ids=["not-jobs", "duplicates", "no-sequence"],
+    )
+    def test_bad_workload_refused_before_the_session_is_consumed(self, bad):
+        job = ServeJob(job=make_jobs(1, samples=4, gbs=2)[0], arrival_time=0.0)
+        orchestrator = make_orchestrator()
+        with pytest.raises(ScheduleError):
+            orchestrator.start(bad(job))
+        # The refusal left the orchestrator unstarted: a valid start runs.
+        orchestrator.start([job])
+        while orchestrator.step():
+            pass
+        assert orchestrator.finish().records[0].finish_time is not None
+
     def test_stream_schedule_round_trips_through_json(self):
         jobs = make_jobs(3, samples=8, gbs=4)
         workload = [
@@ -250,6 +266,49 @@ class TestServingLoop:
         plan_ids = [mb.plan_id for mb in orchestrator.stream]
         assert plan_ids == sorted(plan_ids)
         assert len(set(plan_ids)) == result.replans
+
+
+class TestWindowSlicing:
+    """Windows and packing steps slice a job's samples by position."""
+
+    # 7 samples at gbs 3: global batches [0, 1, 2], [3, 4, 5] and [6].
+    JOB = AdapterJob(0, synthetic_dataset(0, "xsum", 7, seed=5), 3)
+
+    def test_uneven_job_trains_each_batch_once_across_a_migration(self):
+        source = make_orchestrator(num_stages=2, window=2)
+        source.start([ServeJob(job=self.JOB, arrival_time=0.0)])
+        source.step()  # one wave: global batches 0 and 1
+        source.flush()
+        ticket = source.eject_job(0)
+        assert ticket.completed == 2
+        target = make_orchestrator(num_stages=2, window=2)
+        target.start([])
+        target.inject_job(ticket)
+        while target.step():
+            pass
+        assert target.finish().records[0].finish_time is not None
+        executed = [
+            (a.sample.index, a.global_batch)
+            for mb in source.stream + target.stream
+            for a in mb.assignments
+        ]
+        expected = [
+            (sample.index, b)
+            for b, batch in enumerate(self.JOB.dataset.global_batches(3))
+            for sample in batch
+        ]
+        assert sorted(executed) == expected
+        # Batches run in training order; packing reorders only within one.
+        labels = [b for _, b in executed]
+        assert labels == sorted(labels)
+
+    def test_export_after_one_step_holds_the_batches_left(self):
+        orchestrator = make_orchestrator(num_stages=1, window=1)
+        orchestrator.start([ServeJob(job=self.JOB, arrival_time=0.0)])
+        orchestrator.step()
+        orchestrator.flush()
+        payload = orchestrator.executor.export_job(0)
+        assert payload == {"remaining": {1: 3, 2: 1}}
 
 
 class TestAdaptiveWindow:
