@@ -242,7 +242,9 @@ def _torch_forward(s: LoRAShape) -> list[KernelProfile]:
     profiles.append(gemm_profile("gemm_sb", s.m, s.r, s.n, e, "lora_gemm"))
     # Y = Y1 + alpha * Y2: reads both partials, writes the output.
     profiles.append(
-        _elementwise("muladd", bytes_read=2 * mn, bytes_written=mn, flops=2.0 * s.m * s.n)
+        _elementwise(
+            "muladd", bytes_read=2 * mn, bytes_written=mn, flops=2.0 * s.m * s.n
+        )
     )
     return profiles
 

@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the repro package."""
 
 import math
+import operator
 
 
 class ReproError(Exception):
@@ -43,3 +44,20 @@ def require_finite(**values: float | None) -> None:
             ) from None
         if not finite:
             raise ScheduleError(f"{name} must be finite, got {value!r}")
+
+
+def require_int(**values: object) -> None:
+    """Raise :class:`ScheduleError` naming the first value that is no integer.
+
+    Accepts what :func:`operator.index` accepts (``int``, ``bool``,
+    numpy integers).  Range checks alone let a float such as ``2.5``
+    through (``2.5 >= 1``) and fail on a string or ``None`` with a bare
+    ``TypeError`` (``"2" < 1``), so public constructors call this first.
+    ``None`` is refused too: a knob where it means "off" is checked only
+    when set.
+    """
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ScheduleError(f"{name} must be an integer, got {value!r}") from None

@@ -20,12 +20,19 @@ from repro.scheduler.scheduler import (
     SchedulerConfig,
     pack_global_batch,
 )
-from repro.scheduler.types import AdapterJob, Assignment, Microbatch, Schedule
+from repro.scheduler.types import (
+    AdapterJob,
+    Assignment,
+    JobWindow,
+    Microbatch,
+    Schedule,
+)
 
 __all__ = [
     "AdapterJob",
     "Assignment",
     "BubbleViolation",
+    "JobWindow",
     "MILPResult",
     "Microbatch",
     "MultiLoRAScheduler",

@@ -27,14 +27,14 @@ import math
 
 from repro.data.packing import greedy_knapsack
 from repro.errors import ScheduleError
-from repro.scheduler.types import AdapterJob
+from repro.scheduler.types import PlannedJob
 
 __all__ = ["StickyGrouper", "head_tail_groups", "knapsack_groups"]
 
 
 def head_tail_groups(
-    jobs: list[AdapterJob], group_size: int = 2
-) -> list[list[AdapterJob]]:
+    jobs: list[PlannedJob], group_size: int = 2
+) -> list[list[PlannedJob]]:
     """Partition jobs into groups by head-tail pairing.
 
     Args:
@@ -60,10 +60,10 @@ def head_tail_groups(
         raise ScheduleError(f"duplicate adapter ids in jobs: {ids}")
 
     by_length = sorted(jobs, key=lambda job: (job.mean_length(), job.adapter_id))
-    groups: list[list[AdapterJob]] = []
+    groups: list[list[PlannedJob]] = []
     lo, hi = 0, len(by_length) - 1
     while lo <= hi:
-        group: list[AdapterJob] = []
+        group: list[PlannedJob] = []
         # Alternate head (short) and tail (long) picks until the group is
         # full or the pool is exhausted.
         take_head = True
@@ -80,7 +80,7 @@ def head_tail_groups(
     return groups
 
 
-def _step_mass(job: AdapterJob, capacity: int, padding_multiple: int) -> int:
+def _step_mass(job: PlannedJob, capacity: int, padding_multiple: int) -> int:
     """A job's padded per-optimizer-step token mass, clamped to capacity.
 
     The knapsack item weight: one global batch's tokens, padded up to the
@@ -88,14 +88,14 @@ def _step_mass(job: AdapterJob, capacity: int, padding_multiple: int) -> int:
     pads them.  Clamping to ``capacity`` keeps a single heavy job packable
     (it simply fills its bins alone, as it would anyway).
     """
-    per_step = job.mean_length() * min(job.global_batch_size, len(job.dataset))
+    per_step = job.mean_length() * min(job.global_batch_size, len(job.samples))
     padded = math.ceil(per_step / padding_multiple) * padding_multiple
     return max(padding_multiple, min(padded, capacity))
 
 
 def knapsack_groups(
-    jobs: list[AdapterJob], capacity: int, padding_multiple: int = 64
-) -> list[list[AdapterJob]]:
+    jobs: list[PlannedJob], capacity: int, padding_multiple: int = 64
+) -> list[list[PlannedJob]]:
     """Partition jobs into groups by token-mass knapsack packing.
 
     Where :func:`head_tail_groups` pairs by length *contrast* at a fixed
@@ -146,8 +146,8 @@ class StickyGrouper:
     reshuffle every group, which breaks merge-pass adjacencies at wave
     boundaries and makes the merge discount unpredictable.  This cache
     pins the layout: as long as the live set holds the same adapter ids,
-    :meth:`groups_for` replays the cached id-layout onto the wave's fresh
-    (windowed) :class:`~repro.scheduler.types.AdapterJob` objects.  A
+    :meth:`groups_for` replays the cached id-layout onto the wave's
+    :class:`~repro.scheduler.types.JobWindow` slices.  A
     membership change computes a fresh :func:`knapsack_groups` layout and
     caches it under the new key, so every distinct live set has exactly
     one layout for the lifetime of the grouper.
@@ -158,10 +158,10 @@ class StickyGrouper:
 
     def groups_for(
         self,
-        jobs: list[AdapterJob],
+        jobs: list[PlannedJob],
         capacity: int,
         padding_multiple: int = 64,
-    ) -> list[list[AdapterJob]]:
+    ) -> list[list[PlannedJob]]:
         """The pinned group layout for this live set.
 
         Args:
@@ -172,7 +172,7 @@ class StickyGrouper:
         Returns:
             Groups in the same shape :func:`knapsack_groups` returns; for
             a repeated live set, the *identical* id-layout as the first
-            wave, mapped onto the fresh job objects.
+            wave, mapped onto this wave's jobs.
         """
         key = frozenset(job.adapter_id for job in jobs)
         if len(key) != len(jobs):

@@ -13,7 +13,19 @@ fine-tuning jobs sharing one base model, the scheduler:
    spaces each adapter's consecutive batches apart;
 4. merges underfilled tail microbatches across batch boundaries when the
    bubble lemma allows;
-5. verifies the bubble lemma and inserts no-op microbatches where needed.
+5. inserts no-op microbatches where the bubble lemma needs them;
+6. verifies the bubble lemma.
+
+Steps 4-5 run only on plans of more than one step.  A one-step plan --
+every wave of one-batch windows -- has one region per group, so step 3
+concatenates the regions in group order, and with no next region to
+merge from and one batch label per adapter, steps 4-5 are the identity
+there; step 6 runs on every plan.  A lone job is its own group, so it
+skips step 1.
+
+Jobs are :class:`~repro.scheduler.types.AdapterJob` (offline, whole
+horizon) or :class:`~repro.scheduler.types.JobWindow` (online: one slice
+of a live job's samples per wave); both go through the same code.
 
 The result is a :class:`~repro.scheduler.types.Schedule` that any executor
 (the numeric engine or the pipeline simulator) can run directly.
@@ -22,17 +34,19 @@ The result is a :class:`~repro.scheduler.types.Schedule` that any executor
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.data.dataset import Sample
-from repro.errors import ScheduleError
+from repro.errors import ScheduleError, require_int
 from repro.scheduler.bubble import find_violations, insert_noops
 from repro.scheduler.greedy import greedy_layout, microbatches_from_layout
 from repro.scheduler.grouping import head_tail_groups
 from repro.scheduler.merging import merge_pass
 from repro.scheduler.milp import milp_pack
-from repro.scheduler.types import AdapterJob, Microbatch, Schedule
+from repro.scheduler.types import Microbatch, PlannedJob, Schedule
 
 __all__ = [
     "PackingPlan",
@@ -76,6 +90,16 @@ class SchedulerConfig:
         return 1
 
     def __post_init__(self) -> None:
+        require_int(
+            capacity=self.capacity,
+            padding_multiple=self.padding_multiple,
+            num_stages=self.num_stages,
+            max_workers=self.max_workers,
+        )
+        if self.group_size is not None:
+            require_int(group_size=self.group_size)
+            if self.group_size < 1:
+                raise ScheduleError("group_size must be at least 1")
         if self.capacity <= 0:
             raise ScheduleError("capacity must be positive")
         if self.padding_multiple <= 0:
@@ -121,9 +145,14 @@ def pack_global_batch(
     )
 
 
-def _pack_task(args):
-    group_index, step, samples, capacity, padding, use_milp = args
+def _pack_task(capacity, padding, use_milp, task):
+    group_index, step, samples = task
     bins, method = pack_global_batch(samples, capacity, padding, use_milp)
+    # Emit fullest-first so the underfilled bin sits at the region tail
+    # where the merge pass can reach it.
+    bins.sort(key=lambda mb: -mb.padded_tokens)
+    for mb in bins:
+        mb.group, mb.step = group_index, step
     return group_index, step, bins, method
 
 
@@ -145,7 +174,7 @@ class PackingPlan:
             assembled schedule's ``tuning_seconds``).
     """
 
-    groups: list[list[AdapterJob]]
+    groups: list[list[PlannedJob]]
     packed: dict[tuple[int, int], list[Microbatch]] = field(default_factory=dict)
     milp_wins: int = 0
     num_tasks: int = 0
@@ -164,11 +193,12 @@ class MultiLoRAScheduler:
     job's ``batch_offset`` carrying the absolute optimizer-step indices.
 
     Args:
-        jobs: The fine-tuning jobs (distinct adapter ids).
+        jobs: The fine-tuning jobs or live-job windows (distinct adapter
+            ids).
         config: Scheduler tunables.
     """
 
-    def __init__(self, jobs: list[AdapterJob], config: SchedulerConfig) -> None:
+    def __init__(self, jobs: Sequence[PlannedJob], config: SchedulerConfig) -> None:
         if not jobs:
             raise ScheduleError("scheduler requires at least one job")
         ids = [job.adapter_id for job in jobs]
@@ -177,55 +207,47 @@ class MultiLoRAScheduler:
         self.jobs = list(jobs)
         self.config = config
 
-    def _packing_tasks(self, groups: list[list[AdapterJob]]):
+    def _packing_tasks(self, groups: list[list[PlannedJob]]):
         """One packing task per (group, global-batch step).
 
         Step ``j`` of a job is the slice ``samples[j*gbs:(j+1)*gbs]`` of
-        its dataset; a job with fewer steps than its group adds nothing
+        its samples; a job with fewer steps than its group adds nothing
         to the later ones.
         """
-        cfg = self.config
         tasks = []
         for group_index, group in enumerate(groups):
             num_steps = max(job.num_global_batches() for job in group)
             for step in range(num_steps):
                 samples: list[tuple[Sample, int]] = []
                 for job in group:
-                    start = step * job.global_batch_size
-                    end = start + job.global_batch_size
-                    label = job.batch_offset + step
-                    samples.extend(
-                        (sample, label) for sample in job.dataset.samples[start:end]
-                    )
+                    start, label = step * job.global_batch_size, job.batch_offset + step
+                    batch = job.samples[start : start + job.global_batch_size]
+                    samples.extend((sample, label) for sample in batch)
                 if samples:
-                    tasks.append(
-                        (
-                            group_index,
-                            step,
-                            samples,
-                            cfg.capacity,
-                            cfg.padding_multiple,
-                            cfg.use_milp,
-                        )
-                    )
+                    tasks.append((group_index, step, samples))
         return tasks
 
     def _run_packing(self, tasks):
-        if self.config.max_workers and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=self.config.max_workers) as pool:
-                return list(pool.map(_pack_task, tasks))
-        return [_pack_task(task) for task in tasks]
+        cfg = self.config
+        pack = partial(_pack_task, cfg.capacity, cfg.padding_multiple, cfg.use_milp)
+        if cfg.max_workers and len(tasks) > 1:
+            with ProcessPoolExecutor(max_workers=cfg.max_workers) as pool:
+                return list(pool.map(pack, tasks))
+        return [pack(task) for task in tasks]
 
-    def plan_step(self, groups: list[list[AdapterJob]] | None = None) -> PackingPlan:
+    def plan_step(self, groups: list[list[PlannedJob]] | None = None) -> PackingPlan:
         """Phase 1: group the jobs and pack every (group, step) region.
 
         Args:
             groups: Pre-computed adapter groups (e.g. held fixed across
-                online replans); derived by head-tail pairing when omitted.
-                Must cover exactly this scheduler's jobs.
+                online replans); derived by head-tail pairing when omitted
+                (a lone job is its own group).  Must cover exactly this
+                scheduler's jobs.
         """
         start = time.perf_counter()
-        if groups is None:
+        if groups is None and len(self.jobs) == 1:
+            groups = [self.jobs]
+        elif groups is None:
             groups = head_tail_groups(
                 self.jobs, self.config.resolved_group_size(len(self.jobs))
             )
@@ -240,12 +262,6 @@ class MultiLoRAScheduler:
         results = self._run_packing(self._packing_tasks(groups))
         plan = PackingPlan(groups=groups, num_tasks=len(results))
         for group_index, step, bins, method in results:
-            # Emit fullest-first so the underfilled bin sits at the region
-            # tail where the merge pass can reach it.
-            bins = sorted(bins, key=lambda mb: -mb.padded_tokens)
-            for mb in bins:
-                mb.group = group_index
-                mb.step = step
             plan.packed[(group_index, step)] = bins
             if method == "milp":
                 plan.milp_wins += 1
@@ -253,7 +269,13 @@ class MultiLoRAScheduler:
         return plan
 
     def assemble(self, plan: PackingPlan) -> Schedule:
-        """Phase 2: interleave, merge, and verify a packing plan.
+        """Phase 2: interleave, merge, fix and verify a packing plan.
+
+        A one-step plan (every region at step 0) is emitted group by
+        group as packed: the merge pass would find no ``(group, step+1)``
+        donor region, and each adapter brings one batch label, so no
+        ``(adapter, batch-1)`` dependency can need a no-op.  Verification
+        runs on every plan.
 
         Raises:
             ScheduleError: If the assembled stream still violates the
@@ -267,11 +289,11 @@ class MultiLoRAScheduler:
         for step in range(max_step + 1):
             for group_index in range(len(plan.groups)):
                 stream.extend(plan.packed.get((group_index, step), []))
-
-        merges = 0
-        if cfg.use_merge:
-            stream, merges = merge_pass(stream, cfg.num_stages)
-        stream, noops = insert_noops(stream, cfg.num_stages)
+        merges = noops = 0
+        if max_step > 0:
+            if cfg.use_merge:
+                stream, merges = merge_pass(stream, cfg.num_stages)
+            stream, noops = insert_noops(stream, cfg.num_stages)
         violations = find_violations(stream, cfg.num_stages)
         if violations:
             raise ScheduleError(

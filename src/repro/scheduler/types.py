@@ -5,12 +5,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.data.dataset import FinetuneDataset, Sample
-from repro.errors import CapacityError, ScheduleError
+from repro.errors import CapacityError, ScheduleError, require_int
 from repro.models.layer_costs import MicrobatchShape
 
-__all__ = ["AdapterJob", "Assignment", "Microbatch", "Schedule"]
+__all__ = ["AdapterJob", "Assignment", "JobWindow", "Microbatch", "Schedule"]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -28,14 +29,12 @@ class AdapterJob:
 
     Attributes:
         adapter_id: Adapter identity (unique across jobs).
-        dataset: The job's ordered sample stream.  For online scheduling
-            this may be a *window* of a longer stream: the remaining
-            samples, with their original absolute indices.
+        dataset: The job's ordered sample stream.
         global_batch_size: Samples per optimizer step.
         batch_offset: Absolute index of the dataset's first global batch.
             The scheduler labels assignments ``batch_offset + local_step``
-            so a windowed job's samples carry the optimizer-step indices
-            of the full stream (zero for offline, whole-horizon jobs).
+            (zero for offline, whole-horizon jobs; online windows are
+            :class:`JobWindow` slices carrying their own offset).
     """
 
     adapter_id: int
@@ -44,15 +43,28 @@ class AdapterJob:
     batch_offset: int = 0
 
     def __post_init__(self) -> None:
-        if self.global_batch_size <= 0:
+        gbs, offset = self.global_batch_size, self.batch_offset
+        # Plain ints skip the typed check: fleets build thousands of jobs.
+        if type(gbs) is not int or type(offset) is not int:
+            require_int(global_batch_size=gbs, batch_offset=offset)
+        if not isinstance(self.dataset, FinetuneDataset):
+            raise ScheduleError(
+                f"dataset must be a FinetuneDataset, got {self.dataset!r}"
+            )
+        if gbs <= 0:
             raise ScheduleError("global_batch_size must be positive")
-        if self.batch_offset < 0:
+        if offset < 0:
             raise ScheduleError("batch_offset must be non-negative")
         if self.dataset.adapter_id != self.adapter_id:
             raise ScheduleError(
                 f"dataset belongs to adapter {self.dataset.adapter_id}, "
                 f"job is adapter {self.adapter_id}"
             )
+
+    @property
+    def samples(self) -> list[Sample]:
+        """The dataset's samples, in training order."""
+        return self.dataset.samples
 
     def num_global_batches(self) -> int:
         """Optimizer steps this job will take."""
@@ -61,6 +73,41 @@ class AdapterJob:
     def mean_length(self) -> float:
         """Mean sample length (drives head-tail grouping)."""
         return self.dataset.mean_length()
+
+
+class JobWindow(NamedTuple):
+    """A job's next global batches, handed to the scheduler as a slice.
+
+    The online orchestrator plans each wave from these: one tuple per
+    live job, whose ``samples`` are the slice
+    ``samples[batch_offset*gbs : end*gbs]`` of the job's dataset, so no
+    dataset or :class:`AdapterJob` is rebuilt (or revalidated) per wave.
+    The scheduler and groupers read the same fields of either type.
+
+    Attributes:
+        adapter_id: The job's adapter.
+        batch_offset: Absolute index of the window's first global batch.
+        global_batch_size: Samples per optimizer step.
+        samples: The window's samples, in training order.
+    """
+
+    adapter_id: int
+    batch_offset: int
+    global_batch_size: int
+    samples: list[Sample]
+
+    def num_global_batches(self) -> int:
+        """Optimizer steps the window spans."""
+        return -(-len(self.samples) // self.global_batch_size)
+
+    def mean_length(self) -> float:
+        """Mean sample length of the window (the same exact quotient as
+        :meth:`~repro.data.dataset.FinetuneDataset.length_moments`)."""
+        return sum(sample.length for sample in self.samples) / len(self.samples)
+
+
+#: What the scheduler plans: whole jobs offline, windows online.
+PlannedJob = AdapterJob | JobWindow
 
 
 @dataclass(frozen=True)

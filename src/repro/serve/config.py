@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Mapping
 
-from repro.errors import ScheduleError, require_finite
+from repro.errors import ScheduleError, require_finite, require_int
 from repro.models.layer_costs import LayerCostModel
 from repro.scheduler.scheduler import SchedulerConfig
 from repro.serve.admission import DeadlineFeasibilityAdmission, SlotAdmission
@@ -211,6 +211,11 @@ class ServeConfig:
             gate_slack=self.gate_slack,
             migration_time_threshold=self.migration_time_threshold,
             autoscale_budget=self.autoscale_budget,
+        )
+        require_int(
+            num_replicas=self.num_replicas,
+            slots=self.slots,
+            window_batches=self.window_batches,
         )
         if self.packing not in PACKING_SCHEMES:
             raise ScheduleError(f"unknown packing scheme '{self.packing}'")

@@ -65,10 +65,9 @@ import math
 from collections import deque
 import time as _time
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 from typing import TYPE_CHECKING, AsyncIterator, Protocol
 
-from repro.errors import ScheduleError, require_finite
+from repro.errors import ScheduleError, require_finite, require_int
 from repro.scheduler.types import AdapterJob
 from repro.serve.admission import DeadlineFeasibilityAdmission
 from repro.serve.jobs import ServeJob
@@ -207,10 +206,7 @@ class GatewayLimits:
             ingress_hold=self.ingress_hold,
         )
         if self.queue_bound is not None:
-            if not isinstance(self.queue_bound, Integral):
-                raise ScheduleError(
-                    f"queue_bound must be an integer, got {self.queue_bound!r}"
-                )
+            require_int(queue_bound=self.queue_bound)
             if self.queue_bound < 1:
                 raise ScheduleError("queue_bound must admit at least one job")
         if self.rate is not None and self.rate <= 0:

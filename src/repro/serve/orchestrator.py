@@ -54,15 +54,15 @@ A :class:`MigrationTicket` carries the same state between replicas.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
 
-from repro.errors import ScheduleError
+from repro.errors import ScheduleError, require_int
 from repro.scheduler.bubble import find_violations
 from repro.scheduler.grouping import StickyGrouper
 from repro.scheduler.scheduler import MultiLoRAScheduler, SchedulerConfig
-from repro.scheduler.types import AdapterJob, Microbatch
+from repro.scheduler.types import AdapterJob, JobWindow, Microbatch, PlannedJob
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.costing import CostEstimator, TenantProfile
 from repro.serve.executors import Executor, StepEvent
@@ -129,6 +129,7 @@ class AdaptiveWindowConfig:
     max_batches: int = 8
 
     def __post_init__(self) -> None:
+        require_int(min_batches=self.min_batches, max_batches=self.max_batches)
         if self.min_batches <= 0:
             raise ScheduleError("min_batches must be positive")
         if self.max_batches < self.min_batches:
@@ -188,8 +189,10 @@ class OrchestratorConfig:
     packing: str = "arrival"
 
     def __post_init__(self) -> None:
-        if self.window_batches is not None and self.window_batches <= 0:
-            raise ScheduleError("window_batches must be positive (or None)")
+        if self.window_batches is not None:
+            require_int(window_batches=self.window_batches)
+            if self.window_batches <= 0:
+                raise ScheduleError("window_batches must be positive (or None)")
         if self.packing not in _PACKING_MODES:
             raise ScheduleError(
                 f"unknown packing mode {self.packing!r}; "
@@ -708,30 +711,30 @@ class OnlineOrchestrator:
                 predicted, observed, tenants=tenants, replica=self.replica_id
             )
 
-    def _window_job(self, state: _Job, window: int | None) -> AdapterJob:
-        """The job's next window as an offset-carrying scheduler job.
-
-        Global batches ``[next_batch, end)`` are one slice of the source
-        job's samples.
-        """
-        end = (
-            state.num_batches
-            if window is None
-            else min(state.num_batches, state.next_batch + window)
-        )
-        source = state.serve_job.job
-        gbs = source.global_batch_size
-        samples = source.dataset.samples[state.next_batch * gbs : end * gbs]
-        job = replace(
-            source,
-            dataset=replace(source.dataset, samples=samples),
-            batch_offset=state.next_batch,
-        )
+    def _job_window(self, state: _Job, window: int | None) -> JobWindow:
+        """The job's next window: global batches ``[next_batch, end)`` as
+        one slice of its samples, with ``next_batch`` as the offset."""
+        start, end = state.next_batch, state.num_batches
+        if window is not None:
+            end = min(end, start + window)
+        job = state.serve_job.job
+        gbs = job.global_batch_size
         state.next_batch = end
-        return job
+        return JobWindow(
+            job.adapter_id, start, gbs, job.dataset.samples[start * gbs : end * gbs]
+        )
 
     def _plan_wave(self) -> list[Microbatch]:
         """Schedule the live jobs' next windows and splice the result.
+
+        Each live job goes to the scheduler as a
+        :class:`~repro.scheduler.types.JobWindow` slice of its samples;
+        nothing is rebuilt per wave.  A wave of one-batch windows is a
+        one-step plan, which skips grouping (for a lone job), merging
+        and window-local no-op insertion (see
+        :meth:`~repro.scheduler.scheduler.MultiLoRAScheduler.assemble`);
+        the bubble-lemma check and the splice's junction no-ops run on
+        every wave.
 
         In knapsack mode the wave is assembled from the sticky grouper's
         pinned layout -- :meth:`~repro.scheduler.scheduler
@@ -742,34 +745,26 @@ class OnlineOrchestrator:
         """
         self._close_wave_estimate()
         window_size = self._next_window()
-        predicted = (
-            self._wave_price(window_size)
-            if self._estimator is not None
-            else None
-        )
-        wave_jobs = [
-            self._window_job(state, window_size)
+        predicted = None if self._estimator is None else self._wave_price(window_size)
+        wave_jobs: list[PlannedJob] = [
+            self._job_window(state, window_size)
             for state in self._active.values()
             if state.next_batch < state.num_batches
         ]
-        scheduler = MultiLoRAScheduler(wave_jobs, self.config.scheduler)
+        cfg = self.config.scheduler
+        scheduler = MultiLoRAScheduler(wave_jobs, cfg)
+        groups: list[list[PlannedJob]] | None = None
         if self._grouper is not None:
             groups = self._grouper.groups_for(
-                wave_jobs,
-                capacity=self.config.scheduler.capacity,
-                padding_multiple=self.config.scheduler.padding_multiple,
+                wave_jobs, cfg.capacity, cfg.padding_multiple
             )
-            window = scheduler.assemble(scheduler.plan_step(groups=groups))
-        else:
-            window = scheduler.assemble(scheduler.plan_step())
+        window = scheduler.assemble(scheduler.plan_step(groups=groups))
         for key in _ACCUMULATED_STATS:
-            self._stats[key] += window.stats.get(key, 0.0)
+            self._stats[key] += window.stats[key]
         # Merge fraction denominator: merges eliminated that many
         # microbatches from the pre-merge stream, so the pre-merge total
         # is the emitted count plus the merges.
-        self._planned_mbs += len(window.microbatches) + window.stats.get(
-            "merges", 0.0
-        )
+        self._planned_mbs += len(window.microbatches) + window.stats["merges"]
         spliced = self._splicer.splice(window.microbatches, plan_id=self._replans)
         for mb in spliced:
             mb.replica = self.replica_id

@@ -369,7 +369,9 @@ class ReplicaSet:
         seeds calibration with a slow pool's speed factor.
         """
         index = len(self.replicas)
-        replica = OnlineOrchestrator(executor, self.config.orchestrator, replica_id=index)
+        replica = OnlineOrchestrator(
+            executor, self.config.orchestrator, replica_id=index
+        )
         self.replicas.append(replica)
         self._joined_at.append(time)
         self._retired_at.append(None)

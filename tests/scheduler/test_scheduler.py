@@ -9,6 +9,7 @@ from repro.data.dataset import FinetuneDataset, Sample
 from repro.errors import ScheduleError
 from repro.scheduler import (
     AdapterJob,
+    JobWindow,
     MultiLoRAScheduler,
     SchedulerConfig,
     dependency_gap,
@@ -248,6 +249,66 @@ class TestTwoPhaseAPI:
                     if a.adapter_id == job.adapter_id:
                         expected = 5 + a.sample.index // job.global_batch_size
                         assert a.global_batch == expected
+
+
+class TestWindows:
+    def windows(self, jobs, first, last):
+        """Global batches ``[first, last)`` of every job, as slices."""
+        windows = []
+        for job in jobs:
+            gbs = job.global_batch_size
+            samples = job.samples[first * gbs : last * gbs]
+            windows.append(JobWindow(job.adapter_id, first, gbs, samples))
+        return windows
+
+    def test_windows_schedule_like_rebuilt_offset_jobs(self):
+        jobs = make_jobs(2, samples=24, gbs=4, datasets=["xsum"])
+        rebuilt = [
+            AdapterJob(
+                job.adapter_id,
+                FinetuneDataset(job.adapter_id, job.samples[4:16]),
+                job.global_batch_size,
+                batch_offset=1,
+            )
+            for job in jobs
+        ]
+        config = fast_config(capacity=2048)
+        sliced = MultiLoRAScheduler(self.windows(jobs, 1, 4), config).schedule()
+        whole = MultiLoRAScheduler(rebuilt, config).schedule()
+        assert microbatch_stream_key(sliced) == microbatch_stream_key(whole)
+        assert comparable_stats(sliced) == comparable_stats(whole)
+        assert sliced.stats["noops_inserted"] > 0  # a multi-step plan is fixed
+
+    @pytest.mark.parametrize("num_jobs", [1, 3])
+    def test_one_step_plan_assembles_to_its_packed_regions(self, num_jobs):
+        # One batch per window: one region per group, no next region to
+        # merge from, one batch label per adapter -- assemble emits the
+        # packed microbatches themselves, in group order, and nothing else.
+        jobs = make_jobs(num_jobs, samples=16, gbs=8, datasets=["xsum"])
+        scheduler = MultiLoRAScheduler(
+            self.windows(jobs, 1, 2), fast_config(capacity=1024)
+        )
+        plan = scheduler.plan_step()
+        packed = [
+            mb for group in range(len(plan.groups)) for mb in plan.packed[(group, 0)]
+        ]
+        assert len(packed) > num_jobs  # several bins: a merge would be possible
+        schedule = scheduler.assemble(plan)
+        assert [id(mb) for mb in schedule.microbatches] == [id(mb) for mb in packed]
+        assert schedule.stats["merges"] == 0
+        assert schedule.stats["noops_inserted"] == 0
+
+    def test_a_lone_job_is_its_own_group(self):
+        window = self.windows(make_jobs(1), 0, 2)
+        plan = MultiLoRAScheduler(window, fast_config()).plan_step()
+        assert plan.groups == [window]
+
+    def test_window_mean_length_matches_its_dataset(self):
+        job = make_jobs(1, samples=24)[0]
+        (window,) = self.windows([job], 1, 3)
+        dataset = FinetuneDataset(job.adapter_id, list(window.samples))
+        assert window.mean_length() == dataset.mean_length()
+        assert window.num_global_batches() == 2
 
 
 class TestSingleJob:

@@ -4,11 +4,13 @@ A NaN passes every ``x < 0`` range check (comparisons with NaN are
 false), and an infinity is no sane rate, time or price; both must stop
 at the boundary as :class:`~repro.errors.ScheduleError`, and so must a
 value that is no number at all.  ``None`` keeps meaning "off" wherever
-a knob is optional.
+a knob is optional.  Integer knobs (and a job's batch size, offset and
+dataset) refuse a value of the wrong type the same way, by name.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.data import synthetic_dataset
@@ -18,6 +20,7 @@ from repro.models.config import LLAMA3_8B
 from repro.models.layer_costs import LayerCostModel
 from repro.scheduler import AdapterJob, SchedulerConfig
 from repro.serve import (
+    AdaptiveWindowConfig,
     CapacityPool,
     CostEstimator,
     DeadlineFeasibilityAdmission,
@@ -169,3 +172,76 @@ def test_a_bad_gateway_knob_is_refused_under_its_own_name(name, value):
 def test_none_still_means_off(build, name):
     build(**{name: None})
 
+
+
+def scheduler_config(**overrides):
+    return SchedulerConfig(**{"capacity": 8192, **overrides})
+
+
+def orchestrator_config(**overrides):
+    return OrchestratorConfig(scheduler=SCHEDULER, **overrides)
+
+
+#: Integer knobs: a float passes their range checks (``2.5 >= 1``) and
+#: a string or None fails them with a bare TypeError, so each is refused
+#: up front, by name.
+INT_FIELDS = [
+    (scheduler_config, "capacity"),
+    (scheduler_config, "padding_multiple"),
+    (scheduler_config, "num_stages"),
+    (scheduler_config, "max_workers"),
+    (scheduler_config, "group_size"),
+    (ServeConfig, "num_replicas"),
+    (ServeConfig, "window_batches"),
+    (ServeConfig, "slots"),
+    (GatewayLimits, "queue_bound"),
+    (orchestrator_config, "window_batches"),
+    (AdaptiveWindowConfig, "min_batches"),
+    (AdaptiveWindowConfig, "max_batches"),
+]
+
+
+@pytest.mark.parametrize("value", ["2", 2.5], ids=["str", "float"])
+@pytest.mark.parametrize(
+    "build, name", INT_FIELDS, ids=[f"{b.__name__}.{n}" for b, n in INT_FIELDS]
+)
+def test_an_integer_knob_refuses_a_non_integer_by_name(build, name, value):
+    with pytest.raises(ScheduleError, match=f"^{name} must be an integer"):
+        build(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["num_replicas", "window_batches", "slots"])
+def test_a_required_integer_knob_refuses_none(name):
+    with pytest.raises(ScheduleError, match=f"^{name} must be an integer"):
+        ServeConfig(**{name: None})
+
+
+def test_integer_knobs_take_what_operator_index_takes():
+    config = scheduler_config(capacity=np.int64(8192), num_stages=np.int32(2))
+    assert config.num_stages == 2
+    assert ServeConfig(slots=np.int64(3)).slots == 3
+    assert scheduler_config(group_size=None).group_size is None
+
+
+def test_group_size_must_be_positive():
+    with pytest.raises(ScheduleError, match="^group_size must be at least 1"):
+        scheduler_config(group_size=0)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("global_batch_size", "4"), ("global_batch_size", 2.5), ("batch_offset", 1.0)],
+)
+def test_adapter_job_refuses_a_non_integer_by_name(name, value):
+    kwargs = {"global_batch_size": 4, **{name: value}}
+    with pytest.raises(ScheduleError, match=f"^{name} must be an integer"):
+        AdapterJob(0, JOB.dataset, **kwargs)
+
+
+def test_adapter_job_refuses_a_missing_dataset():
+    with pytest.raises(ScheduleError, match="^dataset must be a FinetuneDataset"):
+        AdapterJob(0, None, 4)
+
+
+def test_adapter_job_takes_a_numpy_batch_size():
+    assert AdapterJob(0, JOB.dataset, np.int64(2)).num_global_batches() == 1
