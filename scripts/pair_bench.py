@@ -15,7 +15,10 @@ at least nine tenths of the pairs (ties count for neither side), and
 the medians must differ, in the better direction, by more than the
 parent's interquartile range.  Fewer than ten pairs never make a claim.
 Every other metric gets a no-regression verdict against its declared
-``bound`` (see :func:`regression`).  Last come both sides' code lines
+``bound`` (see :func:`regression`).  The door's admission latency
+figures (:data:`FIGURES`), which gateway workloads print, follow as each
+side's median and quartiles, with no verdict: they are workload
+figures, not declared metrics.  Last come both sides' code lines
 (``scripts/count_loc.py``) for ``src/`` and ``src/repro/serve``, so a
 change that claims to shrink the code gets its size delta from the same
 command.  Exits 1 when a run fails its checks.
@@ -42,6 +45,8 @@ MIN_PAIRS = 10
 WIN_FRACTION = 0.9
 #: Trees whose code lines are printed for both sides.
 LOC_TREES = ("src", "src/repro/serve")
+#: perfbench workload figures printed for both sides, without a verdict.
+FIGURES = ("admit_p50_us", "admit_p99_us")
 
 
 @dataclass(frozen=True)
@@ -157,8 +162,38 @@ def code_lines(base: Path, change: Path) -> list[str]:
     return report
 
 
+def figures(report: str) -> dict[str, float]:
+    """The :data:`FIGURES` lines of a perfbench report, by name.
+
+    A figure line reads ``  <name>  <value>  <unit>  n=...``; a workload
+    without a door prints none.
+    """
+    found = {}
+    for line in report.splitlines():
+        fields = line.split()
+        if len(fields) >= 2 and fields[0] in FIGURES:
+            found[fields[0]] = float(fields[1])
+    return found
+
+
+def figure_lines(base: Sequence[dict], change: Sequence[dict]) -> list[str]:
+    """One line per figure every run printed: both sides' spread."""
+    report = []
+    for name in FIGURES:
+        if not all(name in run for run in (*base, *change)):
+            continue
+        b = Spread.of([run[name] for run in base])
+        c = Spread.of([run[name] for run in change])
+        report.append(
+            f"  {name:<17} base {b.median:.6g} [{b.q1:.6g}, {b.q3:.6g}]  "
+            f"change {c.median:.6g} [{c.q1:.6g}, {c.q3:.6g}]  (figure, no verdict)"
+        )
+    return report
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run in ``checkout``: its metric values."""
+    """One untraced perfbench run in ``checkout``: its metric values,
+    and the :data:`FIGURES` it printed."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds),
@@ -171,7 +206,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             f"perfbench failed in {checkout} (exit {run.returncode})\n"
             f"{run.stdout}{run.stderr}"
         )
-    return {name: entry["value"] for name, entry in summary["metrics"].items()}
+    values = {name: entry["value"] for name, entry in summary["metrics"].items()}
+    return {**values, **figures(run.stdout)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -232,6 +268,8 @@ def main(argv: list[str] | None = None) -> int:
             f"wins {result.wins}/{result.pairs} ties {result.ties} ({direction} "
             f"is better)  {status}"
         )
+    for line in figure_lines(runs["base"], runs["change"]):
+        print(line)
     claim = verdict(
         [run[args.claim] for run in runs["base"]],
         [run[args.claim] for run in runs["change"]],

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import asyncio
 import math
-from collections import deque
+from collections import Counter, deque
 import time as _time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, AsyncIterator, Protocol
@@ -324,13 +324,14 @@ class ServeGateway:
     each adapter id as one private ``_Submission`` (tenant, state --
     held, released, cancelled or shed -- the job and its release stamp),
     so :meth:`status`, :meth:`cancel` and the duplicate check read one
-    lookup, and a resubmission's outcome replaces the old one's.  Two
-    indexes hold the same objects: a FIFO of held submissions, and each
-    tenant's backlog (held plus released-unadmitted), which the door
-    prunes of cancelled and settled entries as it counts it.  Stamps are
-    clamped monotone and the hold window is fixed, so submission order
-    *is* release order: due submissions leave from the front of the
-    FIFO, and :meth:`drain` releases the rest in the same order.
+    lookup, and a resubmission's outcome replaces the old one's.  A FIFO
+    holds the held submissions, and a per-tenant counter their in-flight
+    backlog (held plus released-unadmitted): up on acceptance, down on
+    cancellation or when the fleet reports the job admitted or rejected
+    after a pump.  Stamps are clamped monotone and the hold window is
+    fixed, so submission order *is* release order: due submissions leave
+    from the front of the FIFO, and :meth:`drain` releases the rest in
+    the same order.
 
     Determinism contract: given the same sequence of (operation, virtual
     stamp) pairs -- which a :class:`ManualClock` scripts exactly -- a
@@ -365,7 +366,7 @@ class ServeGateway:
         self._stamp = 0.0
         self._subs: dict[int, _Submission] = {}  # adapter id -> latest
         self._fifo: deque[_Submission] = deque()  # held, in release order
-        self._backlog: dict[str, list[_Submission]] = {}  # tenant -> in flight
+        self._occupancy: Counter[str] = Counter()  # tenant -> in flight
         self._buckets: dict[str, tuple[float, float]] = {}  # tenant -> (tokens, at)
         self._trace: list[ServeJob] = []
         self._result: GatewayResult | None = None
@@ -388,9 +389,11 @@ class ServeGateway:
         :class:`GatewayTicket` on acceptance or a
         :class:`GatewayOverload` on refusal -- never raises for
         overload; raises :class:`~repro.errors.ScheduleError` only for
-        caller errors (a tenant that is not a non-empty string, a
-        duplicate in-flight adapter id, an invalid payload, a closed
-        gateway).
+        caller errors (a tenant that is not a non-empty string, a job
+        that is not an :class:`~repro.scheduler.types.AdapterJob`, a
+        deadline that is not a finite real, a priority that is not an
+        integer, a duplicate in-flight adapter id, an invalid payload, a
+        closed gateway), before the submission is stamped or counted.
 
         Args:
             job: The scheduling view of the request (``batch_offset``
@@ -418,6 +421,9 @@ class ServeGateway:
         self._require_open()
         if not isinstance(tenant, str) or not tenant:
             raise ScheduleError(f"tenant must be a non-empty string, not {tenant!r}")
+        if not isinstance(job, AdapterJob):
+            raise ScheduleError(f"job must be an AdapterJob, not {job!r}")
+        require_finite(deadline=deadline)
         adapter_id = job.adapter_id
         latest = self._subs.get(adapter_id)
         if latest is not None and latest.state in ("held", "released"):
@@ -427,28 +433,26 @@ class ServeGateway:
             )
         # The clock read is clamped monotone over the session.
         stamp = max(self._stamp, float(self.clock.now()))
-        serve_job: ServeJob | None = None
-        if deadline is None or deadline > stamp:
-            # Constructing the ServeJob up front validates the payload
-            # (numeric consistency, batch_offset 0) before the
-            # submission is stamped or counted.  An already-expired
-            # deadline skips it (ServeJob would reject the ordering).
-            serve_job = ServeJob(
-                job=job,
-                arrival_time=stamp,
-                numeric=numeric,
-                priority=priority,
-                deadline=deadline,
-                tenant=tenant,
-            )
+        expired = deadline is not None and deadline <= stamp
+        # Constructing the ServeJob up front validates the payload
+        # (numeric consistency, batch_offset 0, an integer priority)
+        # before the submission is stamped or counted.  An expired
+        # deadline is left off (ServeJob would reject the ordering):
+        # that submission is shed below.
+        serve_job = ServeJob(
+            job=job,
+            arrival_time=stamp,
+            numeric=numeric,
+            priority=priority,
+            deadline=None if expired else deadline,
+            tenant=tenant,
+        )
         self._stamp = stamp
         self.stats.submitted += 1
         self._release_due(stamp)
-        self._session.advance(stamp)
+        self._settle(self._session.advance(stamp))
         refusal: tuple[str, float | None] | None = (
-            ("infeasible", None)
-            if serve_job is None
-            else self._door(serve_job, tenant, stamp)
+            ("infeasible", None) if expired else self._door(serve_job, tenant, stamp)
         )
         outcome: GatewayTicket | GatewayOverload
         if refusal is not None:
@@ -461,12 +465,12 @@ class ServeGateway:
             release_due = stamp + self.limits.ingress_hold
             sub = _Submission(tenant, "held", serve_job, release_due)
             self._subs[adapter_id] = sub
-            self._backlog.setdefault(tenant, []).append(sub)
+            self._occupancy[tenant] += 1
             if self.limits.ingress_hold > 0:
                 self._fifo.append(sub)
             else:
                 self._release(sub)
-                self._session.advance(stamp)
+                self._settle(self._session.advance(stamp))
             outcome = GatewayTicket(adapter_id, tenant, stamp, release_due)
         self.stats.admission_latencies.append(_time.perf_counter() - started)
         return outcome
@@ -487,11 +491,11 @@ class ServeGateway:
             # refusals bill the tenant's rate too, or retry storms
             # against a full queue would be free.
             self._buckets[tenant] = (tokens - 1.0, stamp)
-        mine = self._occupancy(tenant)
+        mine = self._occupancy[tenant]
         if limits.queue_bound is not None and mine >= limits.queue_bound:
             return "queue_full", None
         if limits.fairness_share is not None:
-            others = sum(self._occupancy(t) for t in self._backlog if t != tenant)
+            others = sum(self._occupancy.values()) - mine
             allowed = max(1, math.ceil(limits.fairness_share * (mine + others + 1)))
             if others > 0 and mine + 1 > allowed:
                 return "quota", None
@@ -505,32 +509,17 @@ class ServeGateway:
                 return "infeasible", None
         return None
 
-    def _occupancy(self, tenant: str) -> int:
-        """A tenant's in-flight backlog: held plus released-unadmitted.
+    def _settle(self, adapter_ids: list[int]) -> None:
+        """Count released jobs the fleet just admitted or rejected out of
+        their tenants' in-flight backlog.
 
-        A released job settles once its record gains an admit, reject or
-        finish time; each is set once and the record object travels with
-        migrations, so a settled job never counts again.  The scan drops
-        cancelled and settled submissions from the tenant's backlog as it
-        meets them, so each is dropped once and a scan costs the tenant's
-        in-flight backlog, amortised -- not its whole history.
+        The fleet reports each released job once, when it first gains
+        an admit or reject time (a finish comes after an admit, and the
+        record travels with migrations).  A released id is never
+        resubmitted, so its submission is its id's latest.
         """
-        backlog = self._backlog.get(tenant)
-        if not backlog:
-            return 0
-        # A released id cannot be resubmitted, so a released record is
-        # always its id's latest and ``_status`` reads its fleet record.
-        backlog[:] = [
-            sub
-            for sub in backlog
-            if sub.state == "held"
-            or (
-                sub.state == "released"
-                and sub.job is not None
-                and self._status(sub.job.adapter_id) in ("queued", "pending")
-            )
-        ]
-        return len(backlog)
+        for adapter_id in adapter_ids:
+            self._occupancy[self._subs[adapter_id].tenant] -= 1
 
     def _release_due(self, stamp: float) -> None:
         """Release every held job whose hold window has closed by ``stamp``.
@@ -581,6 +570,7 @@ class ServeGateway:
                 return False
             sub.state = "cancelled"
             sub.job = None  # nothing of it reached the fleet; drop the payload
+            self._occupancy[sub.tenant] -= 1
             self.stats.cancelled += 1
             return True
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.arrivals import poisson_times
-from repro.errors import ScheduleError, require_finite
+from repro.errors import ScheduleError, require_finite, require_int
 from repro.runtime.engine import NumericJob
 from repro.scheduler.types import AdapterJob
 
@@ -77,6 +77,9 @@ class ServeJob:
         # Times become event-heap keys: a NaN compares false with
         # everything and silently breaks the (time, ...) order.
         require_finite(arrival_time=self.arrival_time, deadline=self.deadline)
+        # A plain int skips the typed check: fleets build thousands of jobs.
+        if type(self.priority) is not int:
+            require_int(priority=self.priority)
         if self.arrival_time < 0:
             raise ScheduleError("arrival_time must be non-negative")
         if self.deadline is not None and self.deadline <= self.arrival_time:

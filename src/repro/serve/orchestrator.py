@@ -308,6 +308,9 @@ class OnlineOrchestrator:
         self._parked: dict[int, _Job] = {}
         self._active: dict[int, _Job] = {}
         self._records: dict[int, JobRecord] = {}
+        # Ids of jobs first admitted or rejected here, noted only while a
+        # live session listens (the gateway counts its door by them).
+        self.settled: list[int] | None = None
         self._replans = 0
         self._preemptions = 0
         self._wave_cuts = 0
@@ -430,49 +433,45 @@ class OnlineOrchestrator:
         queued += self._parked.values()
         return queued
 
-    def _due_candidates(self) -> list[tuple[tuple[float, ...], int]]:
-        """Every job eligible for a slot now, best policy rank first.
+    def _best_candidate(self) -> tuple[tuple[float, ...], int] | None:
+        """The due candidate to admit next: ``(policy key, adapter id)``.
 
         Candidates are due pending arrivals plus every parked
-        (preempted) job; the returned pairs are ``(policy key,
-        adapter id)``, sorted so index 0 is the next job to admit.
-        The whole set is ranked in one :func:`~repro.serve.ordering
-        .policy_keys` call, which calls the policy's ``key`` on each
-        candidate.
+        (preempted) job; ``None`` when none is due.  The answer is the
+        first entry of the full ranking ``sorted((key, bias, adapter
+        id))``, found without sorting: the policy's ``key`` runs once
+        per candidate, and only the candidates tied at the lowest key
+        are told apart.
 
         In knapsack mode, when the admission policy exposes
-        ``interleave_key`` (and an estimator is set), candidates the
-        policy ranks *equal* are further ordered by how tightly their
-        length profile packs with the live set's -- the policy's own
-        ranking is never overridden, only its ties are broken by
-        predicted post-pack waste before the adapter-id fallback.
+        ``interleave_key`` (and an estimator is set), the tie is broken
+        by how tightly each tied candidate's length profile packs with
+        the live set's -- the policy's own ranking is never overridden,
+        and the bias is computed only where it can decide -- before the
+        adapter-id fallback.
         """
         now = self.executor.clock
         queued = self._queued(now)
-        views = [self._view(job) for job in queued]
-        keys = policy_keys(self._policy, views, now)
-        if self._interleave is None:
-            return sorted(
-                (key, view.adapter_id) for key, view in zip(keys, views)
-            )
+        if not queued:
+            return None
+        keys = policy_keys(self._policy, [self._view(job) for job in queued], now)
+        best = min(keys)
+        tied = [job.serve_job for key, job in zip(keys, queued) if key == best]
+        interleave = self._interleave
+        if len(tied) == 1 or interleave is None:
+            return best, min(job.adapter_id for job in tied)
         # Live profiles in adapter-id order: pack_fragmentation sums
         # floats, and a deterministic summand order keeps the bias (and
         # therefore admission order) replay-identical across kernels.
-        live = tuple(
-            TenantProfile.from_job(self._active[aid].serve_job.job)
-            for aid in sorted(self._active)
-        )
-        ranked = sorted(
+        live = self.live_profiles()
+        _bias, adapter_id = min(
             (
-                key,
-                self._interleave(
-                    TenantProfile.from_job(job.serve_job.job), live, self._estimator
-                ),
-                view.adapter_id,
+                interleave(TenantProfile.from_job(job.job), live, self._estimator),
+                job.adapter_id,
             )
-            for key, view, job in zip(keys, views, queued)
+            for job in tied
         )
-        return [(key, aid) for key, _bias, aid in ranked]
+        return best, adapter_id
 
     def _preemption_victim(self, key: tuple[float, ...]) -> int | None:
         """The active job a candidate ranked ``key`` may evict.
@@ -519,6 +518,8 @@ class OnlineOrchestrator:
             ):
                 job.record.rejected_time = now
                 self._prices.pop(job.serve_job.adapter_id, None)
+                if self.settled is not None:
+                    self.settled.append(job.serve_job.adapter_id)
                 self._churn += 1
             else:
                 survivors.append(job)
@@ -539,6 +540,8 @@ class OnlineOrchestrator:
         serve_job = job.serve_job
         if job.record.admit_time is None:
             job.record.admit_time = self.executor.clock
+            if self.settled is not None:
+                self.settled.append(serve_job.adapter_id)
         if job.payload is None:
             self.executor.add_job(serve_job)
         else:
@@ -573,25 +576,28 @@ class OnlineOrchestrator:
 
         Runs until the best-ranked candidate can neither take a free
         slot nor (under a preemptive policy) evict a strictly
-        worse-ranked active job.  Eviction requires every active job to
-        sit at an optimizer-step boundary; when the pipeline is mid
-        flight the orchestrator pays a flush first -- which may retire
-        jobs and free the slot outright, so the loop re-evaluates after
-        draining rather than evicting blindly.
+        worse-ranked active job.  With every slot taken under a
+        non-preemptive policy no candidate can act, so none is ranked.
+        Eviction requires every active job to sit at an optimizer-step
+        boundary; when the pipeline is mid flight the orchestrator pays
+        a flush first -- which may retire jobs and free the slot
+        outright, so the loop re-evaluates after draining rather than
+        evicting blindly.
         """
         self._shed_doomed()
         admitted = 0
         while True:
-            candidates = self._due_candidates()
-            if not candidates:
+            full = self.slots_free == 0
+            if full and not self._policy.preemptive:
                 break
-            if self._slot_budget is None or len(self._active) < self._slot_budget:
-                self._admit(candidates[0][1])
+            best = self._best_candidate()
+            if best is None:
+                break
+            if not full:
+                self._admit(best[1])
                 admitted += 1
                 continue
-            if not self._policy.preemptive:
-                break
-            victim = self._preemption_victim(candidates[0][0])
+            victim = self._preemption_victim(best[0])
             if victim is None:
                 break
             if any(j.completed != j.next_batch for j in self._active.values()):
@@ -781,21 +787,20 @@ class OnlineOrchestrator:
     def _urgent_candidate(self) -> bool:
         """Whether a due candidate warrants cutting the running wave.
 
-        True when the best-ranked due candidate could act right now:
-        either a slot is free (admission would succeed) or the policy is
-        preemptive and the candidate strictly outranks an active job.
-        Doomed arrivals are shed first -- a deadline-infeasible job must
-        not buy a pipeline flush it can never use.
+        True when a due candidate could act right now: either a slot is
+        free (admission would succeed; any due candidate will do, so
+        none is ranked) or the policy is preemptive and the best-ranked
+        candidate strictly outranks an active job.  Doomed arrivals are
+        shed first -- a deadline-infeasible job must not buy a pipeline
+        flush it can never use.
         """
         self._shed_doomed()
-        candidates = self._due_candidates()
-        if not candidates:
-            return False
-        if self._slot_budget is None or len(self._active) < self._slot_budget:
-            return True
+        if self.slots_free != 0:
+            return bool(self._queued(self.executor.clock))
         if not self._policy.preemptive:
             return False
-        return self._preemption_victim(candidates[0][0]) is not None
+        best = self._best_candidate()
+        return best is not None and self._preemption_victim(best[0]) is not None
 
     def _cut_wave(self) -> None:
         """Abandon the wave's unsubmitted tail and flush the pipeline.

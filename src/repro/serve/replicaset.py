@@ -278,6 +278,9 @@ class ReplicaSet:
             raise ScheduleError("a replica set needs at least one executor")
         self.config = config
         self.replicas: list[OnlineOrchestrator] = []
+        # The replicas' shared settled-id list; only a live session
+        # (FleetSession) keeps one.
+        self._settled: list[int] | None = None
         self.router = TenantRouter(config.routing or LeastLoadedRouting())
         self._migrations = 0
         self._reroutes = 0
@@ -372,6 +375,7 @@ class ReplicaSet:
         replica = OnlineOrchestrator(
             executor, self.config.orchestrator, replica_id=index
         )
+        replica.settled = self._settled
         self.replicas.append(replica)
         self._joined_at.append(time)
         self._retired_at.append(None)
@@ -443,7 +447,9 @@ class ReplicaSet:
         time frontier, and :meth:`FleetSession.finish` runs the loop to
         exhaustion and assembles the same :class:`ReplicaSetResult` a
         batch run would.  Consumes the set's single shot, exactly like
-        :meth:`run`.
+        :meth:`run`.  Every replica, including any that joins later,
+        notes the jobs it first admits or rejects, which
+        :meth:`FleetSession.advance` hands back.
         """
         self._take_shot()
         return FleetSession(self)
@@ -1145,6 +1151,11 @@ class FleetSession:
         self._ids: set[int] = set()
         self._frontier = -math.inf
         self._finished: ReplicaSetResult | None = None
+        # One settled-id list for every replica, joiners included.
+        self._settled: list[int] = []
+        replica_set._settled = self._settled
+        for replica in replica_set.replicas:
+            replica.settled = self._settled
 
     def ingest(self, job: ServeJob) -> None:
         """Schedule one live submission at its ``arrival_time``.
@@ -1170,8 +1181,12 @@ class FleetSession:
         self._ids.add(job.adapter_id)
         self._set._ingest(job, EventKind.GATEWAY_INGRESS)
 
-    def advance(self, frontier: float) -> None:
+    def advance(self, frontier: float) -> list[int]:
         """Pump every due event with timestamp at or before ``frontier``.
+
+        Returns the ids of the jobs the fleet first admitted or rejected
+        during the pump, in the order it did so: each ingested job
+        appears once, when it settles.
 
         Raises:
             ScheduleError: On a frontier that is not a real number or is
@@ -1188,6 +1203,9 @@ class FleetSession:
             raise ScheduleError("the session frontier must not be NaN")
         self._frontier = max(self._frontier, frontier)
         self._set._pump(frontier)
+        ids = self._settled[:]
+        self._settled.clear()
+        return ids
 
     def record(self, adapter_id: int) -> JobRecord | None:
         """The live :class:`~repro.serve.metrics.JobRecord` of an ingested

@@ -5,6 +5,8 @@ import pytest
 from scripts.pair_bench import (
     Spread,
     code_lines,
+    figure_lines,
+    figures,
     gain_ratio,
     regression,
     verdict,
@@ -129,3 +131,30 @@ def test_code_lines_are_reported_for_both_sides(tmp_path):
     src, serve = code_lines(tmp_path / "base", tmp_path / "change")
     assert src.split() == "src code lines base 3 change 2 (-1)".split()
     assert serve.split() == "src/repro/serve code lines base 2 change 1 (-1)".split()
+
+
+#: The tail of a gateway perfbench report, as ``perfbench/run.py`` prints it.
+REPORT = """\
+workload figures:
+  us_per_job                   245.113 us     n=12 repeats
+  admit_p50_us                 42.5113 us     n=18000 submits
+  admit_p99_us                 461.027 us     n=18000 submits
+{"correct": true}
+"""
+
+
+def test_figures_are_parsed_from_the_report():
+    assert figures(REPORT) == {"admit_p50_us": 42.5113, "admit_p99_us": 461.027}
+    assert figures("workload figures:\n  us_per_job 10 us n=3 repeats\n") == {}
+
+
+def test_figure_lines_print_both_sides_spread_without_a_verdict():
+    base = [{"admit_p50_us": v, "admit_p99_us": 10 * v} for v in (1.0, 2.0, 3.0)]
+    change = [{"admit_p50_us": v, "admit_p99_us": 10 * v} for v in (4.0, 5.0, 6.0)]
+    p50, p99 = figure_lines(base, change)
+    assert p50.split() == (
+        "admit_p50_us base 2 [1.5, 2.5] change 5 [4.5, 5.5] (figure, no verdict)"
+    ).split()
+    assert p99.split()[:2] == ["admit_p99_us", "base"]
+    # A workload without a door prints no figure, so no line either.
+    assert figure_lines([{}], [{}]) == []

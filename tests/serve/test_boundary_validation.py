@@ -245,3 +245,13 @@ def test_adapter_job_refuses_a_missing_dataset():
 
 def test_adapter_job_takes_a_numpy_batch_size():
     assert AdapterJob(0, JOB.dataset, np.int64(2)).num_global_batches() == 1
+
+
+@pytest.mark.parametrize("value", ["hi", 1.5, None], ids=["str", "float", "none"])
+def test_serve_job_refuses_a_non_integer_priority_by_name(value):
+    with pytest.raises(ScheduleError, match="^priority must be an integer"):
+        serve_job(priority=value)
+
+
+def test_serve_job_takes_a_numpy_priority():
+    assert serve_job(priority=np.int64(2)).priority == 2

@@ -478,6 +478,41 @@ class TestErrors:
 
         run(scenario())
 
+    @pytest.mark.parametrize(
+        "job, knobs, match",
+        [
+            (None, {}, "job must be an AdapterJob"),
+            ("adapter", {}, "job must be an AdapterJob"),
+            (0, {"deadline": "5"}, "deadline must be a real number"),
+            (0, {"deadline": float("nan")}, "deadline must be finite"),
+            (0, {"deadline": float("inf")}, "deadline must be finite"),
+            (0, {"priority": "hi"}, "priority must be an integer"),
+            (0, {"priority": 1.5}, "priority must be an integer"),
+            # An expired deadline is shed at the door, but only a
+            # well-formed submission is counted as a shed.
+            (0, {"priority": 1.5, "deadline": 0.0}, "priority must be an integer"),
+        ],
+        ids=[
+            "none", "str-job", "str-deadline", "nan-deadline", "inf-deadline",
+            "str-priority", "float-priority", "float-priority-expired",
+        ],
+    )
+    def test_malformed_submission_is_refused_before_it_is_counted(
+        self, job, knobs, match
+    ):
+        async def scenario():
+            gateway = make_gateway(gateway_queue_bound=1)
+            with pytest.raises(ScheduleError, match=match):
+                await gateway.submit(make_job(0) if job == 0 else job, **knobs)
+            assert gateway.stats.submitted == 0
+            assert gateway.stats.shed_total() == 0
+            assert await gateway.status(0) == "unknown"
+            # Nothing was recorded: the id is free and the bound untouched.
+            assert isinstance(await gateway.submit(make_job(0)), GatewayTicket)
+            assert gateway.stats.submitted == 1
+
+        run(scenario())
+
     def test_submit_after_drain_raises(self):
         async def scenario():
             gateway = make_gateway()
@@ -567,24 +602,52 @@ class TestOccupancy:
         # A tighter door sheds often, so shed ids get resubmitted too.
         self.session(seed, queue_bound=3, fairness=0.4)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_jobs_rejected_inside_the_fleet_leave_the_count(self, seed):
+        # Deadlines the door lets through but a queue outlives: the
+        # fleet's gate rejects them, and that settles them too.
+        result = self.session(
+            seed, queue_bound=6, fairness=0.6, deadlines=True,
+            num_replicas=1, deadline_gate=True,
+        )
+        assert any(r.rejected_time is not None for r in result.records.values())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_migrating_jobs_settle_once_wherever_they_land(self, seed):
+        result = self.session(
+            seed, queue_bound=6, fairness=0.6, samples=16,
+            num_replicas=3, routing="round_robin", migration_time_threshold=0.01,
+        )
+        # Queued jobs were rerouted and admitted ones migrated.
+        assert result.fleet.reroutes > 0 and result.fleet.migrations > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_replicas_joining_mid_session_report_settlements(self, seed):
+        result = self.session(
+            seed, queue_bound=6, fairness=0.6, samples=16,
+            num_replicas=1, autoscale_budget=30.0,
+        )
+        assert result.fleet.joins > 0
+
     @staticmethod
-    def session(seed, queue_bound, fairness):
+    def session(seed, queue_bound, fairness, samples=4, deadlines=False, **fleet):
         """80 random submit/resubmit/cancel/advance steps; after each,
         ``_occupancy`` equals a brute recount, every id's status matches
         the last operation applied to it, and the recorded trace is in
-        arrival order."""
+        arrival order.  ``fleet`` overrides the two-replica
+        :class:`ServeConfig`; with ``deadlines`` most submissions carry
+        one a few seconds out.  Returns the drained result."""
         tenants = ("a", "b", "c")
 
         async def scenario():
             rng = random.Random(seed)
             clock = ManualClock()
+            knobs = {"num_replicas": 2, "slots": 2, "window_batches": 1, **fleet}
             config = ServeConfig(
-                num_replicas=2,
-                slots=2,
-                window_batches=1,
                 gateway_queue_bound=queue_bound,
                 gateway_fairness=fairness,
                 gateway_hold=0.3,
+                **knobs,
             )
             gateway = config.build_gateway(COST, SCHED, clock=clock)
             # adapter id -> the outcome of the last operation applied to it
@@ -603,7 +666,7 @@ class TestOccupancy:
             def check():
                 for tenant in tenants:
                     want = brute_occupancy(gateway, tenant)
-                    assert gateway._occupancy(tenant) == want
+                    assert gateway._occupancy[tenant] == want
                 for adapter_id, outcome in last.items():
                     assert gateway._status(adapter_id) in expected_status(outcome)
                 arrivals = [job.arrival_time for job in gateway.recorded_trace()]
@@ -623,9 +686,13 @@ class TestOccupancy:
                         adapter_id = rng.choice(free)
                     else:
                         adapter_id, next_id = next_id, next_id + 1
+                    deadline = None
+                    if deadlines and rng.random() < 0.8:
+                        deadline = clock.now() + rng.uniform(0.5, 4.0)
                     outcome = await gateway.submit(
-                        make_job(adapter_id, samples=4),
+                        make_job(adapter_id, samples=samples),
                         tenant=rng.choice(tenants),
+                        deadline=deadline,
                     )
                     stamp = clock.now()
                     last[adapter_id] = outcome
@@ -636,14 +703,6 @@ class TestOccupancy:
                 else:
                     clock.advance(rng.choice([0.05, 0.5, 2.0, 10.0]))
                 check()
-            # The scan really dropped settled entries: fewer released
-            # submissions remain listed than were ever released.
-            still = sum(
-                sub.state == "released"
-                for subs in gateway._backlog.values()
-                for sub in subs
-            )
-            assert still < gateway.stats.released
-            await gateway.drain()
+            return await gateway.drain()
 
-        run(scenario())
+        return run(scenario())
